@@ -12,9 +12,13 @@ The resolvent generalization inserts a geometric weight and a step h:
     y(t+h) - lam*y(t) = f(t),
 
 which is a particular solution of the first-order linear difference
-equation. Weights are accumulated by iterated multiplication in ascending
-s; this fixed order is part of the contract (the kernel convolution in
-:mod:`adiff.convkernel` reproduces it bit for bit).
+equation. :func:`weighted_sum` is the one loop behind every sum of this
+shape: the antidifference (lam = 1, h = 1), its backward variant, the
+resolvent, each factor layer of :mod:`adiff.opalgebra` and the particular
+part of :mod:`adiff.inequality`. It accumulates weights by iterated
+multiplication in ascending s; this fixed order is part of the contract
+(the kernel convolution in :mod:`adiff.convkernel` reproduces it bit for
+bit).
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -33,11 +37,10 @@ from .errors import (
     CrossCheckError,
     DomainError,
     NoConvergence,
-    NonFiniteInput,
     PeriodicityViolation,
     ZeroLambda,
 )
-from .numkit import falling_factorial, floor_mod, stirling2
+from .numkit import _require_finite, falling_factorial, floor_mod, stirling2
 
 #: Anything callable real -> real works as the summand.
 RealFunction = Callable[[float], float]
@@ -63,25 +66,35 @@ class AntidiffValue:
     terms_used: int
 
 
-def _require_finite(t: float, name: str = "t") -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"{name} must be finite, got {t!r}")
-    return t
-
-
 def _term_count(t: float) -> int:
     return max(math.floor(t), 0)
+
+
+def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h: float) -> Scalar:
+    """sum_{s=1..n} lam^(s-1) g(t - h*s), accumulated in ascending s.
+
+    The weight is a running product of lam. Accumulation is complex exactly
+    when ``lam`` is a complex number. With lam = 1.0 and h = 1.0 the weight
+    and the shift are exact, so the result equals the plain sum of
+    g(t - s) bit for bit.
+    """
+    if isinstance(lam, complex):
+        acc: Scalar = 0j
+        w: Scalar = 1.0 + 0j
+    else:
+        acc = 0.0
+        w = 1.0
+    for s in range(1, n + 1):
+        acc += w * g(t - h * s)
+        w *= lam
+    return acc
 
 
 def antidifference(f: RealFunction, t: float) -> AntidiffValue:
     """Indefinite sum of f at t: sum_{s=1..floor(t)} f(t-s), 0 below t = 1."""
     t = _require_finite(t)
     n = _term_count(t)
-    acc = 0.0
-    for s in range(1, n + 1):
-        acc += f(t - s)
-    return AntidiffValue(acc, n)
+    return AntidiffValue(weighted_sum(f, t, n, 1.0, 1.0), n)
 
 
 def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> AntidiffValue:
@@ -95,17 +108,9 @@ def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> Ant
     if lam == 0:
         raise ZeroLambda("lambda must be nonzero")
     n = max(floor_mod(t, h).n, 0)  # validates h > 0
-    if isinstance(lam, complex):
-        acc: Scalar = 0j
-        w: Scalar = 1.0 + 0j
-    else:
+    if not isinstance(lam, complex):
         lam = float(lam)
-        acc = 0.0
-        w = 1.0
-    for s in range(1, n + 1):
-        acc += w * f(t - h * s)
-        w *= lam
-    return AntidiffValue(acc, n)
+    return AntidiffValue(weighted_sum(f, t, n, lam, h), n)
 
 
 def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:
@@ -116,10 +121,7 @@ def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:
     """
     t = _require_finite(t)
     n = _term_count(t)
-    acc = 0.0
-    for s in range(1, n + 1):
-        acc += f(t + 1.0 - s)
-    return AntidiffValue(acc, n)
+    return AntidiffValue(weighted_sum(f, t + 1.0, n, 1.0, 1.0), n)
 
 
 def definite_sum(f: RealFunction, m: int, n: int) -> float:

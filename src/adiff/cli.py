@@ -10,7 +10,8 @@ Subcommands::
     adiff inequality  build and check a difference-inequality solution
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
-error (parse, domain, sign/periodicity, bad flags), 3 term budget
+error (parse, domain, sign/periodicity, bad flags, numbers out of
+floating-point range, non-finite values asked for as JSON), 3 term budget
 exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
 error; results to standard output. The environment variable
 ADIFF_TERM_BUDGET overrides the default nested-sum budget; an explicit
@@ -18,7 +19,9 @@ ADIFF_TERM_BUDGET overrides the default nested-sum budget; an explicit
 
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
-strings so the two formats always agree.
+strings so the two formats always agree. JSON has no inf or nan, so a
+JSON table with a non-finite field is refused as a whole (exit 2); CSV
+prints such fields as ``inf``/``nan``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .exprlang import as_function
 from .inequality import (
     Direction,
     InequalitySpec,
+    _grid,
     build_solution,
     check_inequality,
 )
@@ -50,7 +54,7 @@ from .opalgebra import (
     particular_solution,
     verify_particular,
 )
-from .verify import fmt17, run_battery
+from .verify import IDENTITY_NAMES, fmt17, run_battery
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -93,6 +97,10 @@ class OutputRecord:
     def json_line(self) -> str:
         parts = []
         for key, value in self._fields():
+            if value in ("inf", "-inf", "nan"):
+                raise DomainError(
+                    f"{key}={value} at t={fmt17(self.t)} has no JSON form; use --format csv"
+                )
             if key == "terms_used":
                 parts.append(f'"{key}": {value}')
             else:
@@ -154,17 +162,32 @@ def _split(value: float | complex) -> tuple[float, float]:
     return float(value), 0.0
 
 
+def _sum_record(y, f, t: float, lam: float | complex, h: float) -> OutputRecord:
+    """Point t of the sum y with the residual |y(t+h) - lam*y(t) - f(t)|.
+
+    ``y`` maps a point to its AntidiffValue: the resolvent sum of f with
+    coefficient lam and step h, or the antidifference with lam = h = 1.0.
+    """
+    res = y(t)
+    residual = abs(y(t + h).value - lam * res.value - f(t))
+    real, imag = _split(res.value)
+    return OutputRecord(t, real, imag, res.terms_used, residual)
+
+
+def _solve_record(op: FactoredOperator, f, t: float, budget: TermBudget) -> OutputRecord:
+    value = particular_solution(op, f, t, budget)
+    residual = verify_particular(op, f, t, budget)
+    return OutputRecord(t, value.real, value.imag, estimate_terms(op, t), residual)
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_eval(args) -> int:
     f = as_function(args.expr)
     lam = parse_complex(args.lam)
-    result = resolvent_sum(f, args.t, lam, args.h)
-    ahead = resolvent_sum(f, args.t + args.h, lam, args.h)
-    residual = abs(ahead.value - lam * result.value - f(args.t))
-    real, imag = _split(result.value)
-    print(OutputRecord(args.t, real, imag, result.terms_used, residual).text_line())
+    y = lambda u: resolvent_sum(f, u, lam, args.h)
+    print(_sum_record(y, f, args.t, lam, args.h).text_line())
     return EXIT_OK
 
 
@@ -172,10 +195,7 @@ def cmd_solve(args) -> int:
     op = parse_factors(args.factors)
     f = as_function(args.expr)
     budget = _resolve_budget(args.budget)
-    value = particular_solution(op, f, args.t, budget)
-    residual = verify_particular(op, f, args.t, budget)
-    record = OutputRecord(args.t, value.real, value.imag, estimate_terms(op, args.t), residual)
-    print(record.text_line())
+    print(_solve_record(op, f, args.t, budget).text_line())
     return EXIT_OK
 
 
@@ -187,33 +207,21 @@ def cmd_sum(args) -> int:
 
 def _table_rows(args) -> list[OutputRecord]:
     f = as_function(args.expr)
-    if args.mode == "resolvent":
+    if args.mode == "antidiff":
+        y = lambda u: antidifference(f, u)
+        point = lambda t: _sum_record(y, f, t, 1.0, 1.0)
+    elif args.mode == "resolvent":
         lam = parse_complex(args.lam)
-        h = args.h
-    elif args.mode == "solve":
+        y = lambda u: resolvent_sum(f, u, lam, args.h)
+        point = lambda t: _sum_record(y, f, t, lam, args.h)
+    else:
         if not args.factors:
             raise DomainError("mode 'solve' needs --factors")
         op = parse_factors(args.factors)
         budget = _resolve_budget(args.budget)
+        point = lambda t: _solve_record(op, f, t, budget)
     count = math.floor((args.to - args.from_) / args.step + 1e-9) + 1
-    rows = []
-    for i in range(count):
-        t = args.from_ + i * args.step
-        if args.mode == "antidiff":
-            res = antidifference(f, t)
-            residual = abs(antidifference(f, t + 1.0).value - res.value - f(t))
-            real, imag = _split(res.value)
-            rows.append(OutputRecord(t, real, imag, res.terms_used, residual))
-        elif args.mode == "resolvent":
-            res = resolvent_sum(f, t, lam, h)
-            residual = abs(resolvent_sum(f, t + h, lam, h).value - lam * res.value - f(t))
-            real, imag = _split(res.value)
-            rows.append(OutputRecord(t, real, imag, res.terms_used, residual))
-        else:
-            value = particular_solution(op, f, t, budget)
-            residual = verify_particular(op, f, t, budget)
-            rows.append(OutputRecord(t, value.real, value.imag, estimate_terms(op, t), residual))
-    return rows
+    return [point(args.from_ + i * args.step) for i in range(count)]
 
 
 def cmd_table(args) -> int:
@@ -247,12 +255,7 @@ def cmd_inequality(args) -> int:
     mu = as_function(args.mu)
     slack = as_function(args.slack)
     solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
-    if args.samples < 2:
-        grid = [args.from_]
-    else:
-        step = (args.to - args.from_) / (args.samples - 1)
-        grid = [args.from_ + i * step for i in range(args.samples)]
-    report = check_inequality(solution, grid)
+    report = check_inequality(solution, _grid(args.from_, args.to, args.samples))
     status = "PASS" if report.passed else "FAIL"
     print(
         f"direction={spec.direction.value} samples={report.samples} "
@@ -314,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity",
         default="all",
-        help="identity name or 'all' (digamma, lngamma, gammaratio, exponential, "
-        "sincos, mueller, offset, factor-e2minus4, factor-e2plus1, periodic, fundamental)",
+        help=f"identity name or 'all' ({', '.join(IDENTITY_NAMES)})",
     )
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -353,7 +355,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"adiff: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (AdiffError, ValueError) as exc:
+    except (AdiffError, ValueError, OverflowError) as exc:
         print(f"adiff: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -3,21 +3,24 @@
 The particular solution of y(t+1) - lam*y(t) = f(t) is a discrete
 convolution of f with a kernel supported on the integer offsets 1..floor(t)
 carrying geometric weights 1, lam, lam^2, ... Materializing the weights and
-folding them against f reproduces the inline resolvent sum bit for bit,
-because both sides build the weights by the same iterated multiplication
-and add terms in the same ascending order.
+folding them against f reproduces the resolvent sum bit for bit, because
+both sides build the weights by the same iterated multiplication and add
+terms in the same ascending order.
+
+The fold here deliberately does not call :func:`adiff.antidiff.weighted_sum`:
+it is the independent Green-kernel route, and the test suite compares it
+with ``==`` against :func:`adiff.antidiff.resolvent_sum`. Sharing the loop
+would turn that check into a comparison of one function with itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
-from .antidiff import RealFunction
-from .errors import NonFiniteInput, ZeroLambda
-
-Scalar = Union[float, complex]
+from .antidiff import RealFunction, Scalar
+from .errors import ZeroLambda
+from .numkit import _require_finite
 
 
 def kernel_weights(lam: Scalar, t: float) -> list[tuple[int, Scalar]]:
@@ -26,9 +29,7 @@ def kernel_weights(lam: Scalar, t: float) -> list[tuple[int, Scalar]]:
     Empty for t < 1. Weights are the running products of lam, complex
     exactly when lam is passed complex.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"t must be finite, got {t!r}")
+    t = _require_finite(t)
     if lam == 0:
         raise ZeroLambda("lambda must be nonzero")
     n = max(math.floor(t), 0)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .antidiff import RealFunction
+from .antidiff import RealFunction, weighted_sum
 from .errors import NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
 from .numkit import floor_mod
 
@@ -120,13 +120,7 @@ class SolutionFunction:
 
     def particular(self, t: float) -> float:
         h, lam = self.spec.h, self.spec.lam
-        n = max(floor_mod(t, h).n, 0)
-        acc = 0.0
-        w = 1.0
-        for s in range(1, n + 1):
-            acc += w * self.slack(t - s * h)
-            w *= lam
-        return acc
+        return weighted_sum(self.slack, t, max(floor_mod(t, h).n, 0), lam, h)
 
     def __call__(self, t: float) -> float:
         return self.homogeneous(t) + self.particular(t)

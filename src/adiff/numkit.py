@@ -39,7 +39,7 @@ class FloorModResult:
     r: float
 
 
-def _require_finite(x: float, name: str) -> float:
+def _require_finite(x: float, name: str = "t") -> float:
     x = float(x)
     if not math.isfinite(x):
         raise NonFiniteInput(f"{name} must be finite, got {x!r}")

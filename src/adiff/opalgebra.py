@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
-from .antidiff import RealFunction
+from .antidiff import RealFunction, Scalar, weighted_sum
 from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
-from .numkit import floor_mod
-
-Scalar = Union[float, complex]
+from .numkit import _require_finite, floor_mod
 
 _DEFAULT_MAX_TERMS = 10_000_000
 
@@ -119,13 +117,7 @@ def _resolvent_layer(g: Callable[[float], complex], lam: complex, h: float):
         hit = cache.get(u)
         if hit is not None:
             return hit
-        n = max(floor_mod(u, h).n, 0)
-        acc = 0j
-        w = 1.0 + 0j
-        for s in range(1, n + 1):
-            acc += w * g(u - h * s)
-            w *= lam
-        cache[u] = acc
+        acc = cache[u] = weighted_sum(g, u, max(floor_mod(u, h).n, 0), lam, h)
         return acc
 
     return resolve
@@ -192,9 +184,7 @@ def factorization_identity_check(name: str, f: RealFunction, t: float) -> float:
     4^s) or ``"E2plus1"`` (pair (E-iI)(E+iI), weights (-1)^s1 i^(s1+s2) vs
     (-1)^(s-1)).
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"t must be finite, got {t!r}")
+    t = _require_finite(t)
     n1 = max(math.floor(t), 0)
     n2 = max(floor_mod(t, 2.0).n, 0)
     if name == "E2minus4":

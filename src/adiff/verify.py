@@ -32,20 +32,6 @@ from .errors import DomainError
 from .numkit import digamma, floor_mod, ln_gamma
 from .opalgebra import factorization_identity_check
 
-IDENTITY_NAMES = (
-    "digamma",
-    "lngamma",
-    "gammaratio",
-    "exponential",
-    "sincos",
-    "mueller",
-    "offset",
-    "factor-e2minus4",
-    "factor-e2plus1",
-    "periodic",
-    "fundamental",
-)
-
 _INTEGER_MARGIN = 1e-6
 
 
@@ -196,6 +182,25 @@ def _fundamental_residual(rng):
     return float(n), abs(via - closed)
 
 
+#: Residual of each identity for sample i, as fn(rng, i) -> (point, residual).
+#: Declaration order is the battery's order.
+_RESIDUALS = {
+    "digamma": lambda rng, i: _digamma_residual(rng),
+    "lngamma": lambda rng, i: _lngamma_residual(rng),
+    "gammaratio": lambda rng, i: _gammaratio_residual(rng),
+    "exponential": _exponential_residual,
+    "sincos": lambda rng, i: _sincos_residual(rng),
+    "mueller": _mueller_residual,
+    "offset": lambda rng, i: _offset_residual_max(rng),
+    "factor-e2minus4": lambda rng, i: _factor_residual(rng, "E2minus4"),
+    "factor-e2plus1": lambda rng, i: _factor_residual(rng, "E2plus1"),
+    "periodic": _periodic_residual,
+    "fundamental": lambda rng, i: _fundamental_residual(rng),
+}
+
+IDENTITY_NAMES = tuple(_RESIDUALS)
+
+
 def run_identity(name: str, samples: int = 200, tol: float = 1e-8, seed: int = 42) -> VerifyReport:
     """Run one identity battery and return its report."""
     if name not in IDENTITY_NAMES:
@@ -204,32 +209,12 @@ def run_identity(name: str, samples: int = 200, tol: float = 1e-8, seed: int = 4
         raise DomainError(f"samples must be >= 1, got {samples!r}")
     if tol < 0.0:
         raise DomainError(f"tolerance must be nonnegative, got {tol!r}")
+    residual = _RESIDUALS[name]
     rng = random.Random(f"{seed}:{name}")
     max_resid = 0.0
     witnesses: list[float] = []
     for i in range(samples):
-        if name == "digamma":
-            t, r = _digamma_residual(rng)
-        elif name == "lngamma":
-            t, r = _lngamma_residual(rng)
-        elif name == "gammaratio":
-            t, r = _gammaratio_residual(rng)
-        elif name == "exponential":
-            t, r = _exponential_residual(rng, i)
-        elif name == "sincos":
-            t, r = _sincos_residual(rng)
-        elif name == "mueller":
-            t, r = _mueller_residual(rng, i)
-        elif name == "offset":
-            t, r = _offset_residual_max(rng)
-        elif name == "factor-e2minus4":
-            t, r = _factor_residual(rng, "E2minus4")
-        elif name == "factor-e2plus1":
-            t, r = _factor_residual(rng, "E2plus1")
-        elif name == "periodic":
-            t, r = _periodic_residual(rng, i)
-        else:
-            t, r = _fundamental_residual(rng)
+        t, r = residual(rng, i)
         max_resid = max(max_resid, r)
         if r > tol:
             witnesses.append(t)

@@ -239,6 +239,68 @@ class TestTable:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "expr, lo, hi, step",
+        [
+            ("t^2", "0.25", "6.25", "0.5"),
+            ("sin(t) + 1/(1 + t)", "-1.5", "9.3", "0.7"),
+            ("2^t - 3", "0", "12", "1"),
+        ],
+    )
+    def test_antidiff_mode_is_unit_resolvent(self, capsys, fmt, expr, lo, hi, step):
+        grid = ["table", "--expr", expr, "--from", lo, "--to", hi, "--step", step, "--format", fmt]
+        code, antidiff_out, _ = run_main(capsys, *grid, "--mode", "antidiff")
+        assert code == EXIT_OK
+        code, resolvent_out, _ = run_main(
+            capsys, *grid, "--mode", "resolvent", "--lambda", "1", "--h", "1"
+        )
+        assert code == EXIT_OK
+        assert antidiff_out == resolvent_out
+
+    @pytest.mark.parametrize(
+        "expr, lam, h",
+        [("t^2", "1", "1"), ("cos(t)", "-0.5", "0.3"), ("1 + t", "0.5+1i", "0.7")],
+    )
+    def test_eval_matches_table_rows(self, capsys, expr, lam, h):
+        code, out, _ = run_main(
+            capsys,
+            "table", "--expr", expr, "--from", "0.25", "--to", "5.25", "--step", "0.5",
+            "--mode", "resolvent", "--lambda", lam, "--h", h,
+        )
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            code, eval_out, _ = run_main(
+                capsys, "eval", "--expr", expr, "--t", row["t"], "--lambda", lam, "--h", h
+            )
+            assert code == EXIT_OK
+            assert record_fields(eval_out) == row
+
+    def test_json_non_finite_exit_2(self, capsys):
+        code, out, err = run_main(
+            capsys,
+            "table", "--expr", "exp(t*100)", "--from", "0", "--to", "10", "--step", "5",
+            "--format", "json",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("adiff: ")
+        assert "t=" in err
+
+    def test_json_non_finite_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "grid.json"
+        code, out, _ = run_main(
+            capsys,
+            "table", "--expr", "exp(t*100)", "--from", "0", "--to", "10", "--step", "5",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert not target.exists()
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, out, _ = run_main(
@@ -324,6 +386,16 @@ class TestInequalityCommand:
         )
         assert code == EXIT_INPUT
         assert "negative" in err
+
+    def test_overflow_exit_2(self, capsys):
+        code, out, err = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", "1e300", "--direction", "geq",
+            "--mu", "1", "--slack", "1", "--from", "0", "--to", "6",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("adiff: ")
 
 
 class TestArgparseContract:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from adiff.antidiff import resolvent_sum
 from adiff.errors import PeriodicityViolation, SignViolation, ZeroLambda
 from adiff.inequality import (
     Direction,
@@ -138,6 +139,20 @@ class TestCheckInequality:
         report = check_inequality(y, grid(0.0, 8.0, 64))
         assert report.passed
         assert report.max_slack_mismatch <= 1e-9
+
+    def test_particular_part_is_resolvent_sum(self):
+        # The particular part is the resolvent sum of slack, bit for bit,
+        # at dyadic and non-dyadic steps alike.
+        from adiff.inequality import SolutionFunction
+
+        rng = random.Random(23)
+        slack = lambda t: 0.25 + 0.25 * math.cos(t)
+        for h in (1.0, 0.5, 0.1, 0.3, 0.7, 1.0 / 3.0, 2.0):
+            for lam in (1.0, -1.0, 0.5, 2.0, -3.0):
+                y = SolutionFunction(InequalitySpec(h, lam, Direction.GEQ), ZERO, slack)
+                for _ in range(20):
+                    t = rng.uniform(-1.0, 6.0)
+                    assert y.particular(t) == resolvent_sum(slack, t, lam, h).value, (h, lam, t)
 
     def test_direction_violation_reported(self):
         # Bypass build-time checks to exercise the reporting path.
