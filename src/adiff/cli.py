@@ -27,6 +27,7 @@ prints such fields as ``inf``/``nan``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -207,12 +208,13 @@ def cmd_sum(args) -> int:
 
 def _table_rows(args) -> list[OutputRecord]:
     f = as_function(args.expr)
+    # Cached by exact t: one row's y(t + h) is the next row's y(t) if equal.
     if args.mode == "antidiff":
-        y = lambda u: antidifference(f, u)
+        y = functools.cache(lambda u: antidifference(f, u))
         point = lambda t: _sum_record(y, f, t, 1.0, 1.0)
     elif args.mode == "resolvent":
         lam = parse_complex(args.lam)
-        y = lambda u: resolvent_sum(f, u, lam, args.h)
+        y = functools.cache(lambda u: resolvent_sum(f, u, lam, args.h))
         point = lambda t: _sum_record(y, f, t, lam, args.h)
     else:
         if not args.factors:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .antidiff import RealFunction, weighted_sum
-from .errors import NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
+from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
 from .numkit import floor_mod
 
 MEMBERSHIP_TOL = 1e-10
@@ -116,7 +116,13 @@ class SolutionFunction:
     slack: RealFunction
 
     def homogeneous(self, t: float) -> float:
-        return abs(self.spec.lam) ** (t / self.spec.h) * self.mu(t)
+        lam, h = self.spec.lam, self.spec.h
+        try:
+            growth = abs(lam) ** (t / h)
+        except OverflowError:
+            msg = f"|lambda|^(t/h) overflows at t={t!r} (lambda={lam!r}, h={h!r})"
+            raise DomainError(msg) from None
+        return growth * self.mu(t)
 
     def particular(self, t: float) -> float:
         h, lam = self.spec.h, self.spec.lam

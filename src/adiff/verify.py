@@ -74,20 +74,12 @@ def _draw_noninteger(rng: random.Random, lo: float, hi: float) -> float:
 
 def _digamma_residual(rng):
     t = _draw_noninteger(rng, 0.0, 20.0)
-    frac = t - math.floor(t)
-    tail = 0.0
-    for s in range(1, math.floor(t) + 1):
-        tail += 1.0 / (t - s)
-    return t, abs(digamma(t) - digamma(frac) - tail)
+    return t, abs(offset_residual(digamma, lambda u: 1.0 / u, t))
 
 
 def _lngamma_residual(rng):
     t = _draw_noninteger(rng, 0.0, 20.0)
-    frac = t - math.floor(t)
-    log_sum = 0.0
-    for s in range(1, math.floor(t) + 1):
-        log_sum += math.log(t - s)
-    return t, abs(log_sum - (ln_gamma(t) - ln_gamma(frac)))
+    return t, abs(offset_residual(ln_gamma, math.log, t))
 
 
 def _gammaratio_residual(rng):

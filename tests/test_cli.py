@@ -260,7 +260,12 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "expr, lam, h",
-        [("t^2", "1", "1"), ("cos(t)", "-0.5", "0.3"), ("1 + t", "0.5+1i", "0.7")],
+        [
+            ("t^2", "1", "1"),
+            ("cos(t)", "-0.5", "0.3"),
+            ("1 + t", "0.5+1i", "0.7"),
+            ("0.5^t", "-0.9", "0.5"),  # step == h: rows share cached points
+        ],
     )
     def test_eval_matches_table_rows(self, capsys, expr, lam, h):
         code, out, _ = run_main(
@@ -396,6 +401,18 @@ class TestInequalityCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("adiff: ")
+
+    @pytest.mark.parametrize("lam, to", [("1e300", "6"), ("2", "1100")])
+    def test_overflow_names_the_point(self, capsys, lam, to):
+        code, out, err = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", lam, "--direction", "geq",
+            "--mu", "1", "--slack", "1", "--from", "0", "--to", to,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "t=" in err and f"lambda={float(lam)!r}" in err and "h=1.0" in err
+        assert "Numerical result out of range" not in err
 
 
 class TestArgparseContract:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from adiff.antidiff import resolvent_sum
-from adiff.errors import PeriodicityViolation, SignViolation, ZeroLambda
+from adiff.errors import DomainError, PeriodicityViolation, SignViolation, ZeroLambda
 from adiff.inequality import (
     Direction,
     InequalitySpec,
@@ -99,6 +99,12 @@ class TestBuildSolution:
 
 
 class TestCheckInequality:
+    def test_homogeneous_overflow_names_point(self):
+        spec = InequalitySpec(1.0, 2.0, Direction.GEQ)
+        y = build_solution(spec, ONE, ONE, t_range=(0.0, 10.0))
+        with pytest.raises(DomainError, match=r"t=1100\.0 \(lambda=2\.0, h=1\.0\)"):
+            y.homogeneous(1100.0)
+
     def test_staircase_report(self):
         spec = InequalitySpec(1.0, 1.0, Direction.GEQ)
         y = build_solution(spec, ZERO, ONE, t_range=(0.0, 10.0))

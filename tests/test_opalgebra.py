@@ -248,6 +248,52 @@ class TestVerifyParticular:
             assert abs(got - f(t)) < 1e-10
 
 
+class TestSharedChain:
+    """verify_particular evaluates one memoized solution at all 2^k points."""
+
+    def test_matches_pointwise_solutions(self):
+        # Oracle: a fresh particular_solution at every shifted point.
+        rng = random.Random(4242)
+        for _ in range(60):
+            pairs = [
+                (rng.choice([0.1, 0.3, 0.7, 1 / 3, 0.5, 1.0]),
+                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+                for _ in range(rng.choice([2, 3]))
+            ]
+            op = FactoredOperator.from_pairs(pairs)
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            t = rng.uniform(0.0, 3.0)
+            budget = TermBudget(10**6)
+            oracle = abs(
+                apply_operator(op, lambda u: particular_solution(op, f, u, budget), t) - f(t)
+            )
+            assert verify_particular(op, f, t, budget) == oracle
+
+    def test_budget_checked_at_shifted_points(self):
+        # 9 * 9 = 81 terms at t fit in 100; 11 * 11 = 121 at t + 2 do not.
+        op = FactoredOperator.from_pairs([(1, 2), (1, 3)])
+        particular_solution(op, lambda u: 1.0, 9.5, TermBudget(100))
+        with pytest.raises(TermBudgetExceeded, match="up to 121 evaluations"):
+            verify_particular(op, lambda u: 1.0, 9.5, TermBudget(100))
+
+    @pytest.mark.parametrize(
+        "pairs, t",
+        [([(1, 0.9), (1, 0.9), (1, 0.9)], 12.5), ([(1, 0.8), (0.5, -0.7)], 20.3)],
+    )
+    def test_verify_reuses_summand_values(self, pairs, t):
+        calls = [0]
+
+        def f(u):
+            calls[0] += 1
+            return math.cos(u)
+
+        op = FactoredOperator.from_pairs(pairs)
+        particular_solution(op, f, t)
+        solve_calls, calls[0] = calls[0], 0
+        verify_particular(op, f, t)
+        assert calls[0] <= 2 * solve_calls
+
+
 class TestFactorizationIdentity:
     def test_e2minus4_hand_expansion(self):
         # f = 1, t = 4.5: LHS contributions 12 - 8 + 16 = 20; RHS 4 + 16 = 20.
