@@ -20,7 +20,14 @@ Functions: sin, cos, exp, ln, sqrt, abs, floor, frac, gamma, digamma.
 Trees are immutable dataclasses with structural equality; source offsets
 are carried on the side and ignored by comparisons, so
 ``parse(unparse(tree)) == tree`` for any tree built by the parser or with
-nonnegative finite literals.
+nonnegative finite literals. The parser rejects trees deeper than 200
+nodes, whether the depth comes from nesting or from a long chain such as
+``t+t+...+t``.
+
+Evaluation builds a tree once into nested closures, one per node
+(:func:`as_function`); a call then runs only the arithmetic, in the order
+and with the checks of a recursive walk over the tree, so values are the
+same bits and each :class:`EvalError` names the node that failed.
 """
 
 from __future__ import annotations
@@ -163,10 +170,13 @@ class _Parser:
             return self.advance()
         raise ParseError(tok.pos, f"unexpected {_describe(tok)}", expected=f"'{text}'")
 
-    def expr(self) -> ExprAst:
+    def nest(self) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(self.peek().pos, "expression nests too deeply")
+
+    def expr(self) -> ExprAst:
+        self.nest()
         try:
             node = self.term()
             while self.peek().kind == "op" and self.peek().text in "+-":
@@ -187,13 +197,15 @@ class _Parser:
         base = self.unary()
         if self.peek().kind == "op" and self.peek().text == "^":
             op = self.advance()
-            return Binary("^", base, self.factor(), pos=op.pos)
+            self.nest()  # a chain of '^' recurses here, once per operator
+            try:
+                return Binary("^", base, self.factor(), pos=op.pos)
+            finally:
+                self.depth -= 1
         return base
 
     def unary(self) -> ExprAst:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(self.peek().pos, "expression nests too deeply")
+        self.nest()
         try:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "-":
@@ -253,49 +265,180 @@ def parse(source: str | bytes) -> ExprAst:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.pos, f"unexpected trailing {_describe(tok)}", expected="end of input")
+    _check_depth(node)
     return node
 
 
+def _check_depth(root: ExprAst) -> None:
+    """Reject a tree deeper than _MAX_DEPTH at its first node too deep.
+
+    The parser's nesting count misses chains such as ``t+t+...+t``, which
+    it builds iteratively into a left-deep tree; everything that walks a
+    tree recursively (evaluation, unparsing) needs the tree's own depth
+    bounded.
+    """
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ParseError(node.pos, "expression nests too deeply")
+        if isinstance(node, Binary):
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
+        elif isinstance(node, Unary):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, depth + 1))
+
+
 # --------------------------------------------------------------- evaluation
+#
+# A tree is built once into nested closures, one per node, and each call of
+# the result runs only the arithmetic. A closure does its node's operation in
+# the order of a plain recursive walk (left operand, right operand, then the
+# operation and its checks), so values are bit-identical to that walk and an
+# EvalError names the same node. Two shortcuts keep the per-call work low:
+# literal, constant and variable operands are read inline by their parent,
+# and x^2, x^3 are unrolled into the multiplications _power would do.
 
 
 def evaluate(ast: ExprAst, t: float) -> float:
     """Evaluate the tree at the given value of t.
 
-    Follows binary64 arithmetic; overflow saturates to infinity. Raises
-    :class:`EvalError` (division-by-zero, domain, pole) pinned to the
+    Builds the tree's closures (see :func:`as_function`) and calls them
+    once. Follows binary64 arithmetic; overflow saturates to infinity.
+    Raises :class:`EvalError` (division-by-zero, domain, pole) pinned to the
     offending node.
     """
-    return _eval(ast, t)
+    return _build(ast)(t)
 
 
-def _eval(node: ExprAst, t: float) -> float:
-    if isinstance(node, Number):
-        return node.value
+def _operand(node: ExprAst) -> tuple[str, object]:
+    """How a parent reads a child: ``("t", None)`` the variable itself,
+    ``("c", value)`` a literal or named constant, ``("f", closure)`` else."""
     if isinstance(node, Variable):
-        return t
+        return "t", None
+    if isinstance(node, Number):
+        return "c", node.value
     if isinstance(node, Constant):
-        return _CONSTANTS[node.name]
+        return "c", _CONSTANTS[node.name]
+    return "f", _build(node)
+
+
+def _closure(kind: str, x) -> Callable[[float], float]:
+    if kind == "f":
+        return x
+    if kind == "t":
+        return lambda t: t
+    return lambda t: x
+
+
+# Closure factories by operator and operand kinds (left then right, see
+# _operand). A pair missing from a table reads its right operand through a
+# closure. '/' appears only for a nonzero constant divisor; every other
+# division is checked by _divide.
+_BINARY = {
+    "+": {
+        "ff": lambda a, b, node: lambda t: a(t) + b(t),
+        "fc": lambda a, b, node: lambda t: a(t) + b,
+        "cf": lambda a, b, node: lambda t: a + b(t),
+        "ft": lambda a, b, node: lambda t: a(t) + t,
+        "tf": lambda a, b, node: lambda t: t + b(t),
+        "tc": lambda a, b, node: lambda t: t + b,
+        "ct": lambda a, b, node: lambda t: a + t,
+    },
+    "-": {
+        "ff": lambda a, b, node: lambda t: a(t) - b(t),
+        "fc": lambda a, b, node: lambda t: a(t) - b,
+        "cf": lambda a, b, node: lambda t: a - b(t),
+        "ft": lambda a, b, node: lambda t: a(t) - t,
+        "tf": lambda a, b, node: lambda t: t - b(t),
+        "tc": lambda a, b, node: lambda t: t - b,
+        "ct": lambda a, b, node: lambda t: a - t,
+    },
+    "*": {
+        "ff": lambda a, b, node: lambda t: a(t) * b(t),
+        "fc": lambda a, b, node: lambda t: a(t) * b,
+        "cf": lambda a, b, node: lambda t: a * b(t),
+        "ft": lambda a, b, node: lambda t: a(t) * t,
+        "tf": lambda a, b, node: lambda t: t * b(t),
+        "tc": lambda a, b, node: lambda t: t * b,
+        "ct": lambda a, b, node: lambda t: a * t,
+    },
+    "/": {
+        "fc": lambda a, b, node: lambda t: a(t) / b,
+        "tc": lambda a, b, node: lambda t: t / b,
+        "cc": lambda a, b, node: lambda t: a / b,
+    },
+    "^": {
+        "ff": lambda a, b, node: lambda t: _power(a(t), b(t), node),
+        "fc": lambda a, b, node: lambda t: _power(a(t), b, node),
+        "cf": lambda a, b, node: lambda t: _power(a, b(t), node),
+        "ft": lambda a, b, node: lambda t: _power(a(t), t, node),
+        "tf": lambda a, b, node: lambda t: _power(t, b(t), node),
+        "tc": lambda a, b, node: lambda t: _power(t, b, node),
+        "ct": lambda a, b, node: lambda t: _power(a, t, node),
+    },
+}
+
+
+def _build(node: ExprAst) -> Callable[[float], float]:
+    """A new closure computing ``node`` at t; see the section comment."""
+    if isinstance(node, (Number, Variable, Constant)):
+        return _closure(*_operand(node))
     if isinstance(node, Unary):
-        return -_eval(node.operand, t)
-    if isinstance(node, Binary):
-        left = _eval(node.left, t)
-        right = _eval(node.right, t)
+        kind, a = _operand(node.operand)
+        if kind == "t":
+            return lambda t: -t
+        if kind == "c":
+            return lambda t: -a
+        return lambda t: -a(t)
+    if isinstance(node, Binary) and node.op in _BINARY:
         op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0.0:
-                raise EvalError(EvalError.DIVISION_BY_ZERO, "division by zero", node)
-            return left / right
-        return _power(left, right, node)
+        if op == "^" and isinstance(node.right, Number) and node.right.value in (2, 3):
+            return _unrolled_power(*_operand(node.left), node.right.value)
+        (lk, a), (rk, b) = _operand(node.left), _operand(node.right)
+        if op == "/" and (rk != "c" or b == 0.0):
+            return _divide(_closure(lk, a), _closure(rk, b), node)
+        make = _BINARY[op].get(lk + rk)
+        if make is None:
+            make, b = _BINARY[op][lk + "f"], _closure(rk, b)
+        return make(a, b, node)
     if isinstance(node, Call):
-        return _call(node, _eval(node.arg, t))
+        fn = _function(node)
+        kind, a = _operand(node.arg)
+        if kind == "t":
+            return lambda t: fn(t)
+        if kind == "c":
+            return lambda t: fn(a)
+        return lambda t: fn(a(t))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _unrolled_power(kind: str, a, k: int) -> Callable[[float], float]:
+    # _power's acc = 1.0; acc *= x, k times, written out.
+    if kind == "t":
+        return (lambda t: 1.0 * t * t) if k == 2 else (lambda t: 1.0 * t * t * t)
+    a = _closure(kind, a)
+    if k == 2:
+        def square(t):
+            x = a(t)
+            return 1.0 * x * x
+        return square
+
+    def cube(t):
+        x = a(t)
+        return 1.0 * x * x * x
+    return cube
+
+
+def _divide(a, b, node: Binary) -> Callable[[float], float]:
+    def divide(t):
+        x = a(t)
+        y = b(t)
+        if y == 0.0:
+            raise EvalError(EvalError.DIVISION_BY_ZERO, "division by zero", node)
+        return x / y
+    return divide
 
 
 def _power(x: float, y: float, node: Binary) -> float:
@@ -306,7 +449,13 @@ def _power(x: float, y: float, node: Binary) -> float:
         acc = 1.0
         for _ in range(abs(k)):
             acc *= x
-        return 1.0 / acc if k < 0 else acc
+        if k >= 0:
+            return acc
+        if acc == 0.0:
+            raise EvalError(
+                EvalError.DIVISION_BY_ZERO, f"{x!r} to the power {k} underflows to zero", node
+            )
+        return 1.0 / acc
     if x < 0.0:
         raise EvalError(
             EvalError.DOMAIN, f"negative base {x!r} with non-integer exponent", node
@@ -321,44 +470,58 @@ def _power(x: float, y: float, node: Binary) -> float:
         return math.inf
 
 
-def _call(node: Call, v: float) -> float:
+def _function(node: Call) -> Callable[[float], float]:
+    """The function a call node applies to its argument's value, with its
+    checks; errors name ``node``."""
     name = node.func
     if name == "sin":
-        return math.sin(v)
+        return math.sin
     if name == "cos":
-        return math.cos(v)
-    if name == "exp":
-        try:
-            return math.exp(v)
-        except OverflowError:
-            return math.inf
-    if name == "ln":
-        if not v > 0.0:
-            raise EvalError(EvalError.DOMAIN, f"ln of non-positive value {v!r}", node)
-        return math.log(v)
-    if name == "sqrt":
-        if v < 0.0:
-            raise EvalError(EvalError.DOMAIN, f"sqrt of negative value {v!r}", node)
-        return math.sqrt(v)
+        return math.cos
     if name == "abs":
-        return abs(v)
+        return abs
+    if name == "exp":
+        def exp(v):
+            try:
+                return math.exp(v)
+            except OverflowError:
+                return math.inf
+        return exp
+    if name == "ln":
+        def ln(v):
+            if not v > 0.0:
+                raise EvalError(EvalError.DOMAIN, f"ln of non-positive value {v!r}", node)
+            return math.log(v)
+        return ln
+    if name == "sqrt":
+        def sqrt(v):
+            if v < 0.0:
+                raise EvalError(EvalError.DOMAIN, f"sqrt of negative value {v!r}", node)
+            return math.sqrt(v)
+        return sqrt
     if name == "floor":
-        if not math.isfinite(v):
-            raise EvalError(EvalError.DOMAIN, f"floor of non-finite value {v!r}", node)
-        return float(math.floor(v))
+        def floor(v):
+            if not math.isfinite(v):
+                raise EvalError(EvalError.DOMAIN, f"floor of non-finite value {v!r}", node)
+            return float(math.floor(v))
+        return floor
     if name == "frac":
-        if not math.isfinite(v):
-            raise EvalError(EvalError.DOMAIN, f"frac of non-finite value {v!r}", node)
-        return v - math.floor(v)
+        def frac(v):
+            if not math.isfinite(v):
+                raise EvalError(EvalError.DOMAIN, f"frac of non-finite value {v!r}", node)
+            return v - math.floor(v)
+        return frac
     if name == "gamma":
-        return _gamma(v, node)
+        return lambda v: _gamma(v, node)
     if name == "digamma":
-        try:
-            return numkit.digamma(v)
-        except PoleError as exc:
-            raise EvalError(EvalError.POLE, str(exc), node) from None
-        except NonFiniteInput as exc:
-            raise EvalError(EvalError.DOMAIN, str(exc), node) from None
+        def digamma(v):
+            try:
+                return numkit.digamma(v)  # looked up per call, so it can be wrapped
+            except PoleError as exc:
+                raise EvalError(EvalError.POLE, str(exc), node) from None
+            except NonFiniteInput as exc:
+                raise EvalError(EvalError.DOMAIN, str(exc), node) from None
+        return digamma
     raise TypeError(f"unknown function node: {name!r}")
 
 
@@ -447,9 +610,13 @@ def _emit(node: ExprAst) -> str:
 
 
 def as_function(source: str | bytes | ExprAst) -> Callable[[float], float]:
-    """Compile expression text (or an already-parsed tree) to a callable."""
+    """Build expression text (or an already-parsed tree) into a callable.
+
+    The tree is turned into nested closures, one per node, once; each call
+    runs only the arithmetic, with the values and the :class:`EvalError`
+    of :func:`evaluate`. The callable carries the tree as ``.ast``.
+    """
     ast = parse(source) if isinstance(source, (str, bytes, bytearray)) else source
-    def fn(t: float) -> float:
-        return _eval(ast, t)
+    fn = _build(ast)
     fn.ast = ast  # type: ignore[attr-defined]
     return fn

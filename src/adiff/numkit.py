@@ -134,12 +134,21 @@ def digamma(x: float) -> float:
 
     Uses the one-step recurrence psi(x) = psi(x+1) - 1/x to shift the
     argument up to the asymptotic region, then a fixed de Moivre series.
-    Accurate to about 1e-13 relative on (0, 100]; defined for all reals
-    except the poles at 0, -1, -2, ...
+    Below -1/2 the reflection psi(x) = psi(1-x) - pi/tan(pi*(x - floor(x)))
+    replaces the walk up, whose length grows with |x|. Accurate to about
+    1e-13 relative on (0, 100]; defined for all reals except the poles at
+    0, -1, -2, ...
     """
     x = _require_finite(x, "x")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"digamma has a pole at {x!r}")
+    if x < -0.5:
+        # x - floor(x) is exact here (Sterbenz); nearer 0 it would round.
+        return _digamma_walk(1.0 - x) - math.pi / math.tan(math.pi * (x - math.floor(x)))
+    return _digamma_walk(x)
+
+
+def _digamma_walk(x: float) -> float:
     acc = 0.0
     while x < _ASYMPTOTIC_MIN:
         acc -= 1.0 / x

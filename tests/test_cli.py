@@ -111,6 +111,26 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "expr,t,message",
+        [
+            ("+".join(["t"] * 3000), "3", "nests too deeply"),
+            ("^".join(["t"] * 3000), "3", "nests too deeply"),
+            ("(1e-200*t)^-2", "3", "division-by-zero"),
+        ],
+        ids=["sum-chain", "power-chain", "negative-power-underflow"],
+    )
+    def test_former_crashes_exit_2(self, capsys, expr, t, message):
+        code, out, err = run_main(capsys, "eval", "--expr", expr, "--t", t)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert message in err and "position" in err
+
+    def test_digamma_far_below_zero(self, capsys):
+        code, out, _ = run_main(capsys, "eval", "--expr", "digamma(t-1e9)", "--t", "0.5")
+        assert code == EXIT_OK
+        assert record_fields(out)["terms_used"] == "0"
+
 
 class TestSolve:
     def test_factor_pair_value(self, capsys):

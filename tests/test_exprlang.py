@@ -2,10 +2,14 @@
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adiff.errors import EvalError, ParseError
+from adiff import numkit
+from adiff.errors import EvalError, NonFiniteInput, ParseError, PoleError
 from adiff.exprlang import (
     Binary,
     Call,
@@ -13,6 +17,8 @@ from adiff.exprlang import (
     Number,
     Unary,
     Variable,
+    _gamma,
+    _power,
     as_function,
     evaluate,
     parse,
@@ -41,6 +47,99 @@ def gen_ast(rng, depth):
         )
     op = rng.choice(["+", "-", "*", "/", "^", "+", "-", "*"])
     return Binary(op, gen_ast(rng, depth - 1), gen_ast(rng, depth - 1))
+
+
+# The reference evaluator: a plain recursive walk over the tree, which the
+# closures that as_function builds must match value for value and error for
+# error. It shares _power and _gamma with the package; the closures unroll
+# x^2 and x^3 instead of calling _power.
+
+
+def oracle_eval(node, t):
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return t
+    if isinstance(node, Constant):
+        return {"pi": math.pi, "e": math.e}[node.name]
+    if isinstance(node, Unary):
+        return -oracle_eval(node.operand, t)
+    if isinstance(node, Binary):
+        left = oracle_eval(node.left, t)
+        right = oracle_eval(node.right, t)
+        op = node.op
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if right == 0.0:
+                raise EvalError(EvalError.DIVISION_BY_ZERO, "division by zero", node)
+            return left / right
+        return _power(left, right, node)
+    if isinstance(node, Call):
+        return _oracle_call(node, oracle_eval(node.arg, t))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _oracle_call(node, v):
+    name = node.func
+    if name == "sin":
+        return math.sin(v)
+    if name == "cos":
+        return math.cos(v)
+    if name == "exp":
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+    if name == "ln":
+        if not v > 0.0:
+            raise EvalError(EvalError.DOMAIN, f"ln of non-positive value {v!r}", node)
+        return math.log(v)
+    if name == "sqrt":
+        if v < 0.0:
+            raise EvalError(EvalError.DOMAIN, f"sqrt of negative value {v!r}", node)
+        return math.sqrt(v)
+    if name == "abs":
+        return abs(v)
+    if name == "floor":
+        if not math.isfinite(v):
+            raise EvalError(EvalError.DOMAIN, f"floor of non-finite value {v!r}", node)
+        return float(math.floor(v))
+    if name == "frac":
+        if not math.isfinite(v):
+            raise EvalError(EvalError.DOMAIN, f"frac of non-finite value {v!r}", node)
+        return v - math.floor(v)
+    if name == "gamma":
+        return _gamma(v, node)
+    if name == "digamma":
+        try:
+            return numkit.digamma(v)
+        except PoleError as exc:
+            raise EvalError(EvalError.POLE, str(exc), node) from None
+        except NonFiniteInput as exc:
+            raise EvalError(EvalError.DOMAIN, str(exc), node) from None
+    raise TypeError(f"unknown function node: {name!r}")
+
+
+def outcome(fn, t):
+    """What a call returns or raises, comparable with ==.
+
+    Values compare by their bytes, so -0.0 differs from 0.0. A NaN compares
+    only as NaN: CPython 3.11's specialised float multiply and its generic
+    one return different operands' NaNs, so the sign of a NaN made from two
+    NaNs depends on how warm the bytecode is, not on the evaluator.
+    """
+    try:
+        v = fn(t)
+    except EvalError as exc:
+        return ("error", exc.kind, str(exc), exc.position)
+    except (ValueError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+    return ("nan",) if math.isnan(v) else (type(v), struct.pack("<d", v))
 
 
 class TestParse:
@@ -109,6 +208,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("(" * 500 + "t" + ")" * 500)
 
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+    def test_long_operator_chain_is_a_parse_error(self, op):
+        # Chains build trees as deep as they are long; they count against
+        # the nesting bound instead of overflowing the stack later.
+        with pytest.raises(ParseError) as exc:
+            parse(op.join(["t"] * 3000))
+        assert "nests too deeply" in str(exc.value)
+        assert 0 < exc.value.position < 6000
+
+    def test_chain_within_the_bound_evaluates(self):
+        assert as_function("+".join(["t"] * 199))(1.0) == 199.0
+        assert as_function("^".join(["1"] * 150))(0.0) == 1.0
+
 
 class TestEvaluate:
     def test_polynomial(self):
@@ -162,6 +274,23 @@ class TestEvaluate:
         assert evaluate(parse("pi"), 0.0) == math.pi
         assert evaluate(parse("e"), 0.0) == math.e
 
+    def test_negative_power_underflow_is_division_by_zero(self):
+        with pytest.raises(EvalError) as exc:
+            evaluate(parse("(1e-200*t)^-2"), 3.0)
+        assert exc.value.kind == EvalError.DIVISION_BY_ZERO
+        assert exc.value.position == 10  # the '^'
+        assert "underflows" in str(exc.value)
+
+    def test_unrolled_power_matches_repeated_multiplication(self):
+        # x^2 and x^3 are written out; the leading 1.0* keeps them equal to
+        # _power even for an integer t.
+        rng = random.Random(3)
+        ts = [3, 3.0, -0.0, 1e200, math.inf, 123456789] + [rng.uniform(-9, 9) for _ in range(200)]
+        for src in ["t^2", "t^3", "(t+1)^2", "(t+1)^3", "2^2"]:
+            f = as_function(src)
+            for t in ts:
+                assert outcome(f, t) == outcome(lambda u: oracle_eval(f.ast, u), t), (src, t)
+
 
 class TestUnparse:
     def test_canonical_spacing(self):
@@ -203,3 +332,52 @@ class TestAsFunction:
         f = as_function("t^2 - 1")
         assert f(3.0) == 8.0
         assert f.ast == parse("t^2 - 1")
+
+    def test_each_build_is_a_new_function(self):
+        f, g = as_function("t"), as_function("t")
+        assert f is not g and f.ast == g.ast
+
+
+SPECIAL_T = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+SMALL_T = [-2.5, -1.0, 1.0, 2.0, 3.0, math.pi]
+
+# One operand of each kind the builder reads differently: the variable, a
+# literal, a zero literal, a named constant, and an inner node.
+OPERANDS = ["t", "2", "0", "pi", "(t-1)", "(-t)"]
+
+
+def assert_matches_oracle(ast, ts):
+    f = as_function(ast)
+    for t in ts:
+        assert outcome(f, t) == outcome(lambda u: oracle_eval(ast, u), t), (unparse(ast), t)
+
+
+class TestBuilderMatchesOracle:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(0, 6),
+        ts=st.lists(
+            st.one_of(st.sampled_from(SPECIAL_T + SMALL_T), st.floats()), min_size=1, max_size=6
+        ),
+    )
+    def test_random_trees(self, seed, depth, ts):
+        # Parsed back from text so that every node carries its position.
+        assert_matches_oracle(parse(unparse(gen_ast(random.Random(seed), depth))), ts)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+    def test_every_operand_kind_pair(self, op):
+        for left in OPERANDS:
+            for right in OPERANDS + ["3", "(-2)"]:
+                assert_matches_oracle(parse(f"{left}{op}{right}"), SPECIAL_T + SMALL_T)
+
+    def test_every_function_and_operand_kind(self):
+        for name in ["sin", "cos", "exp", "ln", "sqrt", "abs", "floor", "frac", "gamma", "digamma"]:
+            for arg in OPERANDS:
+                assert_matches_oracle(parse(f"1 + {name}({arg})"), SPECIAL_T + SMALL_T)
+
+    def test_corpus_at_grid_points(self, corpus):
+        for _, f in corpus:
+            for n in range(-40, 41):
+                t = n * 0.3
+                assert outcome(f, t) == outcome(lambda u: oracle_eval(f.ast, u), t)

@@ -253,6 +253,20 @@ class TestDigamma:
             ref = float(mpmath.digamma(x))
             assert close(digamma(x), ref, 1e-11), x
 
+    def test_large_negative_arguments(self):
+        # Reflected instead of walked up one step at a time, which took
+        # longer than a second per million of |x|.
+        for x in [-123456.789, -1e9 - 0.5]:
+            ref = float(mpmath.digamma(x))
+            assert close(digamma(x), ref, 1e-13), x
+
+    def test_against_mpmath_negative_random(self):
+        rng = random.Random(77)
+        xs = [rng.uniform(-200.0, 0.0) for _ in range(300)] + [-1e-9, -0.25, -0.75]
+        for x in xs:
+            ref = float(mpmath.digamma(x))
+            assert close(digamma(x), ref, 1e-11), x
+
     def test_poles(self):
         for x in [0.0, -1.0, -2.0, -37.0]:
             with pytest.raises(PoleError):
