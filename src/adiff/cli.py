@@ -17,6 +17,10 @@ error; results to standard output. The environment variable
 ADIFF_TERM_BUDGET overrides the default nested-sum budget; an explicit
 --budget flag wins over the environment.
 
+``main`` builds its argument parser on first use and reuses it for every
+later call in the process, so a program that calls ``main`` many times
+pays for the parser once; ``build_parser()`` returns a new one each call.
+
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
 strings so the two formats always agree. JSON has no inf or nan, so a
@@ -226,11 +230,19 @@ def _table_rows(args) -> list[OutputRecord]:
     return [point(args.from_ + i * args.step) for i in range(count)]
 
 
+def _check_range(from_: float, to: float) -> None:
+    """Reject a --from/--to pair that is not a finite, increasing range."""
+    for flag, value in (("--from", from_), ("--to", to)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value!r}")
+    if not from_ < to:
+        raise DomainError(f"--from must be less than --to, got [{from_!r}, {to!r}]")
+
+
 def cmd_table(args) -> int:
-    if not (args.from_ < args.to):
-        raise DomainError(f"range must satisfy from < to, got [{args.from_}, {args.to}]")
+    _check_range(args.from_, args.to)
     if not (args.step > 0.0):
-        raise DomainError(f"step must be positive, got {args.step!r}")
+        raise DomainError(f"--step must be positive, got {args.step!r}")
     rows = _table_rows(args)
     if args.format == "csv":
         lines = [CSV_HEADER] + [r.csv_row() for r in rows]
@@ -253,6 +265,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inequality(args) -> int:
+    _check_range(args.from_, args.to)
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     spec = InequalitySpec(args.h, args.lam, Direction(args.direction))
     mu = as_function(args.mu)
     slack = as_function(args.slack)
@@ -274,6 +289,7 @@ def cmd_inequality(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the six subcommands on every call (``main`` keeps one)."""
     parser = argparse.ArgumentParser(
         prog="adiff",
         description="Discrete-calculus toolkit: finite indefinite sums, "
@@ -340,10 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with: built on first use and
+    reused for the rest of the process. It depends on no input, and
+    ``parse_args`` returns a fresh namespace each call, so nothing carries
+    over between commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:

@@ -1,11 +1,13 @@
 """CLI contract tests: values, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from adiff import cli
 from adiff.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -117,8 +119,9 @@ class TestEval:
             ("+".join(["t"] * 3000), "3", "nests too deeply"),
             ("^".join(["t"] * 3000), "3", "nests too deeply"),
             ("(1e-200*t)^-2", "3", "division-by-zero"),
+            ("sin(exp(t))", "1000", "domain: sin of an infinite value (at position 0)"),
         ],
-        ids=["sum-chain", "power-chain", "negative-power-underflow"],
+        ids=["sum-chain", "power-chain", "negative-power-underflow", "sin-of-infinity"],
     )
     def test_former_crashes_exit_2(self, capsys, expr, t, message):
         code, out, err = run_main(capsys, "eval", "--expr", expr, "--t", t)
@@ -258,6 +261,18 @@ class TestTable:
             capsys, "table", "--expr", "1", "--from", "0", "--to", "3", "--step", "0"
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "lo, hi, flag",
+        [("0", "inf", "--to"), ("-inf", "3", "--from"), ("nan", "3", "--from")],
+    )
+    def test_non_finite_range_names_the_flag(self, capsys, lo, hi, flag):
+        code, out, err = run_main(
+            capsys, "table", "--expr", "1", f"--from={lo}", f"--to={hi}", "--step", "1"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"{flag} must be finite" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -434,6 +449,41 @@ class TestInequalityCommand:
         assert "t=" in err and f"lambda={float(lam)!r}" in err and "h=1.0" in err
         assert "Numerical result out of range" not in err
 
+    def run_staircase(self, capsys, *extra):
+        return run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", "1", "--direction", "geq",
+            "--mu", "0", "--slack", "1", *extra,
+        )
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        code, out, err = self.run_staircase(
+            capsys, "--from", "0", "--to", "10", "--samples", samples
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--samples must be at least 1" in err
+
+    def test_one_sample_is_reported_as_one(self, capsys):
+        code, out, _ = self.run_staircase(capsys, "--from", "0", "--to", "10", "--samples", "1")
+        assert code == EXIT_OK
+        assert "samples=1 " in out
+
+    @pytest.mark.parametrize("lo, hi", [("5", "0"), ("3", "3")])
+    def test_reversed_range_exit_2(self, capsys, lo, hi):
+        code, out, err = self.run_staircase(capsys, "--from", lo, "--to", hi)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--from must be less than --to" in err
+
+    @pytest.mark.parametrize("lo, hi, flag", [("0", "inf", "--to"), ("nan", "10", "--from")])
+    def test_non_finite_range_exit_2(self, capsys, lo, hi, flag):
+        code, out, err = self.run_staircase(capsys, "--from", lo, "--to", hi)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"{flag} must be finite" in err
+
 
 class TestArgparseContract:
     def test_missing_subcommand(self, capsys):
@@ -444,6 +494,66 @@ class TestArgparseContract:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestSharedParser:
+    """``main`` builds one parser per process and reuses it."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_across_commands(self, capsys, monkeypatch, fresh_parser):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        commands = [
+            ["eval", "--expr", "t", "--t", "3"],
+            ["eval", "--t", "1"],
+            ["sum", "--expr", "t", "--from", "1", "--to", "4"],
+            ["--help"],
+            ["table", "--expr", "1", "--from", "0", "--to", "2", "--step", "1"],
+        ]
+        for argv in commands * 3:
+            main(argv)
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_interleaved_commands_match_fresh_processes(self, capsys, monkeypatch, fresh_parser):
+        # Help and usage are wrapped to the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, COLUMNS="80")
+        commands = [
+            ["eval", "--t", "1"],
+            ["--help"],
+            ["eval", "--expr", "t^2", "--t", "4.5", "--lambda", "0.5"],
+            ["table", "--help"],
+            ["eval", "--expr", "1", "--t", "1", "--bogus"],
+        ]
+        expected = {}
+        for argv in commands:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "adiff", *argv], capture_output=True, env=env
+            )
+            expected[tuple(argv)] = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+        assert [expected[tuple(a)][0] for a in commands] == [EXIT_INPUT, 0, 0, 0, EXIT_INPUT]
+        assert "usage: adiff eval" in expected[("eval", "--t", "1")][2]
+        for argv in commands + commands[::-1]:
+            assert run_main(capsys, *argv) == expected[tuple(argv)], argv
+
+    def test_no_flag_carries_over(self, capsys):
+        table = ["table", "--expr", "1", "--from", "4.5", "--to", "5.6", "--step", "1", "--mode", "solve"]
+        code, _, _ = run_main(capsys, *table, "--factors", "1:2;1:-2")
+        assert code == EXIT_OK
+        code, out, err = run_main(capsys, *table)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "needs --factors" in err
 
 
 class TestSubprocessDeterminism:

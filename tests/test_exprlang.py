@@ -86,10 +86,10 @@ def oracle_eval(node, t):
 
 def _oracle_call(node, v):
     name = node.func
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
+    if name in ("sin", "cos"):
+        if math.isinf(v):
+            raise EvalError(EvalError.DOMAIN, f"{name} of an infinite value", node)
+        return math.sin(v) if name == "sin" else math.cos(v)
     if name == "exp":
         try:
             return math.exp(v)
@@ -350,6 +350,27 @@ def assert_matches_oracle(ast, ts):
     f = as_function(ast)
     for t in ts:
         assert outcome(f, t) == outcome(lambda u: oracle_eval(ast, u), t), (unparse(ast), t)
+
+
+class TestTrigOfInfinity:
+    @pytest.mark.parametrize(
+        "source, t",
+        [("1 + sin(t)", math.inf), ("1 + sin(t)", -math.inf), ("1 + cos(2*t)", math.inf),
+         ("1 + sin(1e999)", 0.0)],
+    )
+    def test_domain_error_names_the_call(self, source, t):
+        with pytest.raises(EvalError) as info:
+            evaluate(parse(source), t)
+        assert info.value.kind == EvalError.DOMAIN
+        assert info.value.position == 4
+        name = source[4:7]
+        assert str(info.value) == f"domain: {name} of an infinite value (at position 4)"
+
+    def test_argument_error_is_not_renamed(self):
+        # cos(inf) fails first; the outer sin never sees a value.
+        with pytest.raises(EvalError) as info:
+            evaluate(parse("sin(cos(t))"), math.inf)
+        assert info.value.position == 4
 
 
 class TestBuilderMatchesOracle:
