@@ -17,6 +17,10 @@ error; results to standard output. The environment variable
 ADIFF_TERM_BUDGET overrides the default nested-sum budget; an explicit
 --budget flag wins over the environment.
 
+``solve`` and ``table --mode solve`` each build one solution chain
+(``opalgebra.solution``) and read every value and residual from it, so
+points shared between rows and residuals are computed once per command.
+
 ``main`` builds its argument parser on first use and reuses it for every
 later call in the process, so a program that calls ``main`` many times
 pays for the parser once; ``build_parser()`` returns a new one each call.
@@ -56,9 +60,12 @@ from .opalgebra import (
     FactoredOperator,
     TermBudget,
     estimate_terms,
-    particular_solution,
-    verify_particular,
+    residual,
+    solution,
 )
+
+# No command calls these; bench/tracing.py looks them up here by name.
+from .opalgebra import particular_solution, verify_particular  # noqa: F401
 from .verify import IDENTITY_NAMES, fmt17, run_battery
 
 EXIT_OK = 0
@@ -174,15 +181,19 @@ def _sum_record(y, f, t: float, lam: float | complex, h: float) -> OutputRecord:
     coefficient lam and step h, or the antidifference with lam = h = 1.0.
     """
     res = y(t)
-    residual = abs(y(t + h).value - lam * res.value - f(t))
+    resid = abs(y(t + h).value - lam * res.value - f(t))
     real, imag = _split(res.value)
-    return OutputRecord(t, real, imag, res.terms_used, residual)
+    return OutputRecord(t, real, imag, res.terms_used, resid)
 
 
-def _solve_record(op: FactoredOperator, f, t: float, budget: TermBudget) -> OutputRecord:
-    value = particular_solution(op, f, t, budget)
-    residual = verify_particular(op, f, t, budget)
-    return OutputRecord(t, value.real, value.imag, estimate_terms(op, t), residual)
+def _solve_record(op: FactoredOperator, y, f, t: float) -> OutputRecord:
+    """Point t of the solution chain y of op y = f with its residual |op y - f|.
+
+    The value and the residual's 2^k points read the same chain, so a point
+    that is also a shifted point (of this row or another) is computed once.
+    """
+    value = y(t)
+    return OutputRecord(t, value.real, value.imag, estimate_terms(op, t), residual(op, y, f, t))
 
 
 # ---------------------------------------------------------------- commands
@@ -199,8 +210,8 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     op = parse_factors(args.factors)
     f = as_function(args.expr)
-    budget = _resolve_budget(args.budget)
-    print(_solve_record(op, f, args.t, budget).text_line())
+    y = solution(op, f, _resolve_budget(args.budget))
+    print(_solve_record(op, y, f, args.t).text_line())
     return EXIT_OK
 
 
@@ -212,7 +223,8 @@ def cmd_sum(args) -> int:
 
 def _table_rows(args) -> list[OutputRecord]:
     f = as_function(args.expr)
-    # Cached by exact t: one row's y(t + h) is the next row's y(t) if equal.
+    # Cached by exact t: one row's y(t + h) is the next row's y(t) if equal;
+    # in solve mode every row reads one solution chain.
     if args.mode == "antidiff":
         y = functools.cache(lambda u: antidifference(f, u))
         point = lambda t: _sum_record(y, f, t, 1.0, 1.0)
@@ -224,10 +236,13 @@ def _table_rows(args) -> list[OutputRecord]:
         if not args.factors:
             raise DomainError("mode 'solve' needs --factors")
         op = parse_factors(args.factors)
-        budget = _resolve_budget(args.budget)
-        point = lambda t: _solve_record(op, f, t, budget)
-    count = math.floor((args.to - args.from_) / args.step + 1e-9) + 1
-    return [point(args.from_ + i * args.step) for i in range(count)]
+        y = solution(op, f, _resolve_budget(args.budget))
+        point = lambda t: _solve_record(op, y, f, t)
+    span = (args.to - args.from_) / args.step
+    if not math.isfinite(span):
+        bounds = f"[{args.from_!r}, {args.to!r}]"
+        raise DomainError(f"--step {args.step!r} is too small for {bounds}: row count overflows")
+    return [point(args.from_ + i * args.step) for i in range(math.floor(span + 1e-9) + 1)]
 
 
 def _check_range(from_: float, to: float) -> None:

@@ -12,10 +12,17 @@ yields exactly the nested sum
 
     y(t) = sum_{s_n} ... sum_{s_1} (prod_i lam_i^(s_i - 1)) f(t - sum_i s_i h_i)
 
-with bound floor_{h_i}(t - sum of the outer offsets) on each level. Each
-layer memoizes its values by exact argument for the life of one solution,
-collapsing the multiplicative term count with no floating-point change;
-``verify_particular`` evaluates one such chain at all 2^k shifted points.
+with bound floor_{h_i}(t - sum of the outer offsets) on each level.
+
+:func:`solution` builds that composition once as a chain of layers, each
+memoizing its values by exact argument for the life of the chain. This
+collapses the multiplicative term count with no floating-point change: a
+value read from a chain equals the same point computed alone, bit for bit.
+One chain serves every point a caller asks for. :func:`residual` evaluates
+it at all 2^k shifted points of ``op y - f``, and a caller with many
+points (the CLI's ``solve`` and ``table --mode solve``) builds one chain
+and drops it when done. No chain outlives its caller: f may close over
+state that changes between calls.
 """
 
 from __future__ import annotations
@@ -112,11 +119,14 @@ def _resolvent_layer(g: Callable[[float], complex], lam: complex, h: float):
     return functools.cache(lambda u: weighted_sum(g, u, max(floor_mod(u, h).n, 0), lam, h))
 
 
-def _solution(op: FactoredOperator, f: RealFunction, budget: TermBudget | None):
+def solution(op: FactoredOperator, f: RealFunction, budget: TermBudget | None = None):
     """The particular solution y of op y = f as one callable sharing its layer memos.
 
     Folds the factors once: factors[0] integrates f, factors[1] that, and so
-    on. y(u) raises :class:`TermBudgetExceeded` before any evaluation if
+    on. Each layer caches its values by exact argument for as long as y is
+    referenced, so asking y for many points (all 2^k points of a residual,
+    every row of a table) computes each layer value once. y(u) raises
+    :class:`TermBudgetExceeded` before any evaluation if
     :func:`estimate_terms` at u is above the budget.
     """
     max_terms = (budget or TermBudget()).max_terms
@@ -134,6 +144,13 @@ def _solution(op: FactoredOperator, f: RealFunction, budget: TermBudget | None):
     return y
 
 
+def residual(
+    op: FactoredOperator, y: Callable[[float], Scalar], f: RealFunction, t: float
+) -> float:
+    """|op y - f| at t: y is evaluated at all 2^k points t + sum of a subset of the h_i."""
+    return abs(apply_operator(op, y, t) - f(t))
+
+
 def particular_solution(
     op: FactoredOperator, f: RealFunction, t: float, budget: TermBudget | None = None
 ) -> complex:
@@ -143,7 +160,7 @@ def particular_solution(
     formula term for term. Raises :class:`TermBudgetExceeded` before any
     evaluation if :func:`estimate_terms` at t is above the budget.
     """
-    return _solution(op, f, budget)(t)
+    return solution(op, f, budget)(t)
 
 
 def repeated_factor_solution(
@@ -165,7 +182,7 @@ def verify_particular(
     summand, and point within budget. One memoized chain serves all 2^k
     points t + sum of a subset of the h_i; the budget is checked at each.
     """
-    return abs(apply_operator(op, _solution(op, f, budget), t) - f(t))
+    return residual(op, solution(op, f, budget), f, t)
 
 
 def _ipow(k: int) -> complex:

@@ -1,11 +1,15 @@
 """CLI contract tests: values, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiff import cli
 from adiff.cli import (
@@ -19,6 +23,8 @@ from adiff.cli import (
     parse_factors,
 )
 from adiff.errors import DomainError
+from adiff.exprlang import as_function
+from adiff.opalgebra import verify_particular
 
 
 def run_main(capsys, *argv):
@@ -262,6 +268,15 @@ class TestTable:
         )
         assert code == EXIT_INPUT
 
+    def test_row_count_overflow_names_step(self, capsys):
+        code, out, err = run_main(
+            capsys, "table", "--expr", "1", "--from", "0", "--to", "1e300", "--step", "1e-300"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("adiff: --step 1e-300 ")
+        assert "infinity" not in err
+
     @pytest.mark.parametrize(
         "lo, hi, flag",
         [("0", "inf", "--to"), ("-inf", "3", "--from"), ("nan", "3", "--from")],
@@ -389,6 +404,132 @@ class TestVerifyCommand:
         assert code == EXIT_INPUT
 
 
+@pytest.fixture
+def summand_calls(monkeypatch):
+    """Count every call of the summands the CLI builds from --expr."""
+    calls = [0]
+
+    def counting(source):
+        f = as_function(source)
+
+        def g(u):
+            calls[0] += 1
+            return f(u)
+
+        return g
+
+    monkeypatch.setattr(cli, "as_function", counting)
+    return calls
+
+
+_SOLVE_STEPS = ["1", "0.5", "0.25", "2", "0.3"]
+_SOLVE_EXPRS = ["1", "t", "cos(t)", "0.5^t", "1/(1 + t^2)"]
+_coefficient = st.integers(-15, 15).map(lambda k: k / 10)
+
+
+@st.composite
+def solve_tables(draw):
+    """A 1-3 factor operator with a complex coefficient per factor, and a grid."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        re, im = draw(st.tuples(_coefficient, _coefficient).filter(lambda z: z != (0, 0)))
+        factors.append(f"{draw(st.sampled_from(_SOLVE_STEPS))}:{re}{im:+}i")
+    lo = draw(st.integers(-10, 30)) / 10
+    step = draw(st.sampled_from(["1", "0.5", "0.25", "0.3", "0.7"]))
+    span = draw(st.integers(1, 40)) / 10
+    return ";".join(factors), draw(st.sampled_from(_SOLVE_EXPRS)), str(lo), str(lo + span), step
+
+
+class TestSolveChain:
+    """solve and table --mode solve read one solution chain per command."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(solve_tables())
+    def test_table_rows_equal_solve_at_each_point(self, case):
+        factors, expr, lo, hi, step = case
+        code, out = self._run(
+            "table", "--expr", expr, f"--from={lo}", "--to", hi, "--step", step,
+            "--mode", "solve", "--factors", factors,
+        )
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            code, solve_out = self._run(
+                "solve", "--factors", factors, "--expr", expr, f"--t={row['t']}"
+            )
+            assert code == EXIT_OK
+            assert record_fields(solve_out) == row, (factors, expr, row["t"])
+
+    @staticmethod
+    def _run(*argv):
+        # hypothesis does not mix with function-scoped fixtures such as capsys.
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(list(argv))
+        return code, buffer.getvalue()
+
+    @pytest.mark.parametrize(
+        "grid, factors, budget, message",
+        [
+            (("0", "12", "1"), "1:2;1:3", "100", "up to 121 evaluations, budget is 100"),
+            (("0.5", "12.5", "0.5"), "1:0.5;0.5:2", "300", "up to 338 evaluations, budget is 300"),
+        ],
+    )
+    def test_later_row_over_budget_exit_3(self, capsys, grid, factors, budget, message):
+        lo, hi, step = grid
+        code, out, err = run_main(
+            capsys,
+            "table", "--expr", "1", "--from", lo, "--to", hi, "--step", step,
+            "--mode", "solve", "--factors", factors, "--budget", budget,
+        )
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == f"adiff: nested sum needs {message}\n"
+        # The first rows fit: the table fails on a later row, not on its first.
+        code, _, _ = run_main(
+            capsys, "solve", "--factors", factors, "--expr", "1", "--t", lo, "--budget", budget
+        )
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "factors, lo, hi, step",
+        [
+            ("1:0.72;1:0.72", "0", "20", "1"),
+            ("0.5:0.9;1:-0.7", "0.25", "10.25", "1"),
+            ("0.5:0.9;0.5:-0.8;1:1.1", "0", "8", "0.5"),
+        ],
+    )
+    def test_table_costs_its_last_row_plus_one_per_row(
+        self, capsys, summand_calls, factors, lo, hi, step
+    ):
+        code, out, _ = run_main(
+            capsys,
+            "table", "--expr", "cos(t)", "--from", lo, "--to", hi, "--step", step,
+            "--mode", "solve", "--factors", factors,
+        )
+        assert code == EXIT_OK
+        table_calls, summand_calls[0] = summand_calls[0], 0
+        rows = out.strip().splitlines()[1:]
+        assert rows[-1].split(",")[0] == hi
+        code, _, _ = run_main(capsys, "solve", "--factors", factors, "--expr", "cos(t)", "--t", hi)
+        assert code == EXIT_OK
+        assert table_calls <= summand_calls[0] + len(rows)
+
+    @pytest.mark.parametrize(
+        "factors, t",
+        [("1:0.72;1:0.72", "20"), ("1:0.9;1:0.9;1:0.9", "12.5"), ("1:0.8;0.5:-0.7", "20.3")],
+    )
+    def test_solve_costs_no_more_than_its_residual(self, capsys, summand_calls, factors, t):
+        code, _, _ = run_main(capsys, "solve", "--factors", factors, "--expr", "cos(t)", "--t", t)
+        assert code == EXIT_OK
+        solve_calls, summand_calls[0] = summand_calls[0], 0
+        # cli.as_function is the counting one here.
+        verify_particular(parse_factors(factors), cli.as_function("cos(t)"), float(t))
+        assert 0 < solve_calls <= summand_calls[0]
+
+
 class TestInequalityCommand:
     def test_staircase_passes(self, capsys):
         code, out, _ = run_main(
@@ -476,6 +617,20 @@ class TestInequalityCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert "--from must be less than --to" in err
+
+    @pytest.mark.parametrize(
+        "lam, mu, to", [("2", "1", "1000"), ("3", "1", "600"), ("-3", "cos(pi*t)", "600")]
+    )
+    def test_valid_growing_solution_passes(self, capsys, lam, mu, to):
+        # y grows like |lambda|^t, so y(t+1) - lambda*y(t) = 1 is read against
+        # the size of its two terms, whose low digits the difference loses.
+        code, out, _ = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", lam, "--direction", "geq",
+            "--mu", mu, "--slack", "1", "--from", "0", "--to", to,
+        )
+        assert code == EXIT_OK
+        assert out.endswith(" violations=0 PASS\n")
 
     @pytest.mark.parametrize("lo, hi, flag", [("0", "inf", "--to"), ("nan", "10", "--from")])
     def test_non_finite_range_exit_2(self, capsys, lo, hi, flag):

@@ -10,6 +10,7 @@ from adiff.errors import DomainError, PeriodicityViolation, SignViolation, ZeroL
 from adiff.inequality import (
     Direction,
     InequalitySpec,
+    SLACK_MATCH_TOL,
     Periodicity,
     build_solution,
     check_inequality,
@@ -159,6 +160,34 @@ class TestCheckInequality:
                 for _ in range(20):
                     t = rng.uniform(-1.0, 6.0)
                     assert y.particular(t) == resolvent_sum(slack, t, lam, h).value, (h, lam, t)
+
+    def test_large_valid_solution_passes(self):
+        # y ~ 2^t reaches 1e301; y(t+1) - 2*y(t) loses every digit of the
+        # slack there, which is rounding, not a failed check.
+        spec = InequalitySpec(1.0, 2.0, Direction.GEQ)
+        y = build_solution(spec, ONE, ONE, t_range=(0.0, 1000.0))
+        report = check_inequality(y, grid(0.0, 1000.0, 64))
+        assert report.min_residual == 0.0
+        assert report.passed
+        assert report.max_slack_mismatch <= 1e-15
+
+    @pytest.mark.parametrize("error", [1e-3, 1e-6])
+    def test_wrong_solution_at_moderate_scale_fails(self, error):
+        # The particular part is built with lambda 2 + error while the check
+        # reads lambda 2: the residual drifts from the slack by about a
+        # quarter of the error relative to y, far beyond rounding.
+        from adiff.inequality import SolutionFunction
+
+        spec = InequalitySpec(1.0, 2.0, Direction.GEQ)
+
+        class WrongLambda(SolutionFunction):
+            def particular(self, t):
+                return resolvent_sum(self.slack, t, 2.0 + error, 1.0).value
+
+        report = check_inequality(WrongLambda(spec, ZERO, ONE), grid(0.0, 10.0, 64))
+        assert not report.passed
+        assert not report.violations
+        assert report.max_slack_mismatch > 100 * SLACK_MATCH_TOL
 
     def test_direction_violation_reported(self):
         # Bypass build-time checks to exercise the reporting path.

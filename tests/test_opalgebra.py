@@ -5,12 +5,13 @@ the nested-sum formula, written independently of the resolvent composition.
 """
 
 import cmath
+import functools
 import math
 import random
 
 import pytest
 
-from adiff.antidiff import resolvent_sum
+from adiff.antidiff import resolvent_sum, weighted_sum
 from adiff.errors import DomainError, NonPositiveShift, TermBudgetExceeded, ZeroLambda
 from adiff.numkit import floor_mod
 from adiff.opalgebra import (
@@ -22,6 +23,8 @@ from adiff.opalgebra import (
     factorization_identity_check,
     particular_solution,
     repeated_factor_solution,
+    residual,
+    solution,
     verify_particular,
 )
 
@@ -292,6 +295,75 @@ class TestSharedChain:
         solve_calls, calls[0] = calls[0], 0
         verify_particular(op, f, t)
         assert calls[0] <= 2 * solve_calls
+
+
+def fresh_chain(op, f):
+    """The layer chain written out again: one cached resolvent per factor."""
+    g = lambda u: complex(f(u))
+    for factor in op.factors:
+        layer = lambda u, g=g, lam=factor.lam, h=factor.h: weighted_sum(
+            g, u, max(floor_mod(u, h).n, 0), lam, h
+        )
+        g = functools.cache(layer)
+    return g
+
+
+def random_operator(rng):
+    return FactoredOperator.from_pairs([
+        (rng.choice([0.1, 0.3, 1 / 3, 0.25, 0.5, 1.0, 2.0]),
+         complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+        for _ in range(rng.choice([1, 2, 3]))
+    ])
+
+
+class TestSolutionChain:
+    """One public chain: every point read from it equals that point alone."""
+
+    def test_entry_points_equal_the_chain_formulas(self):
+        rng = random.Random(606)
+        for _ in range(80):
+            op = random_operator(rng)
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            t = rng.uniform(-0.5, 4.0)
+            assert particular_solution(op, f, t) == fresh_chain(op, f)(t)
+            assert verify_particular(op, f, t) == abs(
+                apply_operator(op, fresh_chain(op, f), t) - f(t)
+            )
+
+    def test_shared_chain_equals_points_computed_alone(self):
+        # One chain asked for many points in random order, as a table does.
+        rng = random.Random(607)
+        for _ in range(30):
+            op = random_operator(rng)
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            y = solution(op, f)
+            for _ in range(12):
+                t = rng.choice([rng.uniform(-0.5, 4.0), rng.randrange(0, 9) * 0.5])
+                assert y(t) == particular_solution(op, f, t)
+                assert residual(op, y, f, t) == verify_particular(op, f, t)
+
+    def test_budget_checked_at_every_point_asked_for(self):
+        # 9 * 9 = 81 terms at 9.5 fit in 100; 11 * 11 = 121 at 11.5 do not,
+        # even after the chain has computed every layer value 11.5 needs.
+        op = FactoredOperator.from_pairs([(1, 2), (1, 3)])
+        y = solution(op, lambda u: 1.0, TermBudget(100))
+        y(9.5)
+        y(10.5)
+        with pytest.raises(TermBudgetExceeded, match="up to 121 evaluations, budget is 100"):
+            y(11.5)
+        with pytest.raises(TermBudgetExceeded, match="up to 121 evaluations"):
+            residual(op, y, lambda u: 1.0, 9.5)
+
+    def test_no_value_outlives_its_chain(self):
+        # A summand closing over state that changes between calls is
+        # re-read by every new chain.
+        op = FactoredOperator.from_pairs([(1, 0.5), (0.5, -2)])
+        scale = [1.0]
+        f = lambda u: scale[0] * math.cos(u)
+        before = particular_solution(op, f, 5.25)
+        scale[0] = 2.0
+        assert particular_solution(op, f, 5.25) == 2.0 * before
+        assert verify_particular(op, f, 5.25) <= 1e-9 * (1.0 + abs(before))
 
 
 class TestFactorizationIdentity:
