@@ -12,13 +12,32 @@ The resolvent generalization inserts a geometric weight and a step h:
     y(t+h) - lam*y(t) = f(t),
 
 which is a particular solution of the first-order linear difference
-equation. :func:`weighted_sum` is the one loop behind every sum of this
-shape: the antidifference (lam = 1, h = 1), its backward variant, the
-resolvent, each factor layer of :mod:`adiff.opalgebra` and the particular
-part of :mod:`adiff.inequality`. It accumulates weights by iterated
-multiplication in ascending s; this fixed order is part of the contract
-(the kernel convolution in :mod:`adiff.convkernel` reproduces it bit for
-bit).
+equation.
+
+Lattice coordinates. :func:`lattice_sums` decomposes each point once as
+t = n*h + r (:func:`adiff.numkit.floor_mod`, 0 <= r < h) and evaluates the
+summand at r + k*h, so the sum at t is
+
+    y(n, r) = sum_{s=1..n} lam^(s-1) f(r + (n-s)*h)
+
+and the shifted point t + h is (n+1, r), whatever the float t + h rounds
+to. Points with the same remainder share their summand values, so a table
+of rows computes each f(r + k*h) once. Weights are a running product of
+lam and every sum is accumulated in ascending s; this fixed order is part
+of the contract (the kernel convolution in :mod:`adiff.convkernel`
+reproduces it bit for bit). At a power-of-two h (1, 0.5, 0.25, 2, ...)
+r + k*h equals t - h*s exactly, so these values are those of the float
+shifts bit for bit; at other h they may differ in the last place. Against
+sums at the float points t - h*s and t + h - h*s, printed values move only
+at such h, term counts never, and residuals wherever the float t + h
+rounds, which could make y(t+h) sum n or n+2 terms instead of n+1.
+:func:`resolvent_sum` and :func:`antidifference` are the one-point case,
+and the particular part of :mod:`adiff.inequality` reads them.
+
+:func:`weighted_sum` keeps the float shifts t - h*s. It serves the
+backward antidifference and each factor layer of :mod:`adiff.opalgebra`,
+whose layers are memoized by exact float argument and whose factors may
+have steps with no common lattice.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -28,9 +47,10 @@ sum_{s=1..floor(x)} f(x-s) = F(x) - F({x}).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
     BoundsError,
@@ -40,7 +60,13 @@ from .errors import (
     PeriodicityViolation,
     ZeroLambda,
 )
-from .numkit import _require_finite, falling_factorial, floor_mod, stirling2
+from .numkit import (
+    _require_finite,
+    _require_positive_shift,
+    falling_factorial,
+    floor_mod,
+    stirling2,
+)
 
 #: Anything callable real -> real works as the summand.
 RealFunction = Callable[[float], float]
@@ -73,10 +99,11 @@ def _term_count(t: float) -> int:
 def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h: float) -> Scalar:
     """sum_{s=1..n} lam^(s-1) g(t - h*s), accumulated in ascending s.
 
-    The weight is a running product of lam. Accumulation is complex exactly
-    when ``lam`` is a complex number. With lam = 1.0 and h = 1.0 the weight
-    and the shift are exact, so the result equals the plain sum of
-    g(t - s) bit for bit.
+    The float-shift form, for callers whose points are not on one lattice
+    (see the module docstring). The weight is a running product of lam.
+    Accumulation is complex exactly when ``lam`` is a complex number. With
+    lam = 1.0 and h = 1.0 the weight and the shift are exact, so the result
+    equals the plain sum of g(t - s) bit for bit.
     """
     if isinstance(lam, complex):
         acc: Scalar = 0j
@@ -90,27 +117,130 @@ def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h:
     return acc
 
 
+def _coefficient(lam: Scalar) -> Scalar:
+    if lam == 0:
+        raise ZeroLambda("lambda must be nonzero")
+    return lam if isinstance(lam, complex) else float(lam)
+
+
+def _point_sum(f: RealFunction, n: int, r: float, lam: Scalar, h: float) -> Scalar:
+    """y(n, r) = sum_{s=1..n} lam^(s-1) f(r + (n-s)*h), folded as the values arrive."""
+    if isinstance(lam, complex):
+        acc: Scalar = 0j
+        w: Scalar = 1.0 + 0j
+    elif lam == 1.0:
+        # Unit weights: 1.0 * v is v exactly, so the multiplies are left out.
+        acc = 0.0
+        for k in range(n - 1, -1, -1):
+            acc += f(r + k * h)
+        return acc
+    else:
+        acc = 0.0
+        w = 1.0
+    for k in range(n - 1, -1, -1):
+        acc += w * f(r + k * h)
+        w *= lam
+    return acc
+
+
+def lattice_sums(
+    f: RealFunction, ts: Sequence[float], lam: Scalar, h: float = 1.0, ahead: bool = False
+) -> list[tuple[int, Scalar, Scalar | None]]:
+    """Resolvent sums of f at the points ts, each summand value computed once.
+
+    Returns (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0,
+    y(t) = y(n, r) and y(t+h) = y(n+1, r) in the lattice coordinates of the
+    module docstring; y(t+h) is None unless ``ahead``. Points are grouped by
+    their remainder r (equal floats; 0.0 and -0.0 give the same points
+    r + k*h), one class at a time, so memory stays O(len(ts) + max n). One
+    point calls f at s = 1..n in turn, then, with ``ahead``, at the one extra
+    point r + n*h. Accumulation is complex exactly when ``lam`` is complex.
+    """
+    ts = [_require_finite(t) for t in ts]
+    lam = _coefficient(lam)
+    h = _require_positive_shift(h)
+    classes: dict[float, list[tuple[int, int]]] = {}
+    for i, t in enumerate(ts):
+        cell = floor_mod(t, h)
+        classes.setdefault(cell.r, []).append((i, cell.n))
+    out: list = [None] * len(ts)
+    for r, members in classes.items():
+        counts = {max(n, 0) for _, n in members}
+        if ahead:
+            counts.update(max(n + 1, 0) for _, n in members)
+        sums = _class_sums(f, r, h, sorted(counts), lam)
+        for i, n in members:
+            out[i] = (max(n, 0), sums[max(n, 0)], sums[max(n + 1, 0)] if ahead else None)
+    return out
+
+
+def _class_sums(f, r: float, h: float, counts: list[int], lam: Scalar) -> dict:
+    """{m: y(m, r)} for the ascending term counts of one remainder class.
+
+    A class with one count keeps no values. Otherwise each count refolds the
+    class's stored values with the same running product of lam.
+    """
+    lo, top = counts[0], counts[-1]
+    if lo == top:
+        return {lo: _point_sum(f, lo, r, lam, h)}
+    # Below the lowest count in the one-point order (k descending), then up.
+    values = [f(r + k * h) for k in range(lo - 1, -1, -1)]
+    values.reverse()
+    values += [f(r + k * h) for k in range(lo, top)]
+    zero, one = (0j, 1.0 + 0j) if isinstance(lam, complex) else (0.0, 1.0)
+    sums = {}
+    for m in counts:
+        acc, w = zero, one
+        for v in reversed(values[:m]):
+            acc += w * v
+            w *= lam
+        sums[m] = acc
+    return sums
+
+
+def nonfinite_term(f: RealFunction, t: float, h: float = 1.0) -> tuple[int, float, Scalar] | None:
+    """The first summand value of y(t) and y(t+h) that is not finite.
+
+    Visits the lattice points r + k*h of t = n*h + r in the order a one-point
+    :func:`lattice_sums` call with ``ahead`` evaluates them and returns
+    (k, point, value) for the first non-finite value, or None. It calls f
+    again, so it belongs on a failure path.
+    """
+    cell = floor_mod(t, h)
+    n = max(cell.n, 0)
+    order = [*range(n - 1, -1, -1), n] if cell.n >= 0 else []
+    for k in order:
+        x = cell.r + k * h
+        v = f(x)
+        if not cmath.isfinite(v):
+            return k, x, v
+    return None
+
+
 def antidifference(f: RealFunction, t: float) -> AntidiffValue:
-    """Indefinite sum of f at t: sum_{s=1..floor(t)} f(t-s), 0 below t = 1."""
+    """Indefinite sum of f at t: sum_{s=1..floor(t)} f(t-s), 0 below t = 1.
+
+    The one-point lattice sum with lam = h = 1.0, where r = t - floor(t).
+    """
     t = _require_finite(t)
     n = _term_count(t)
-    return AntidiffValue(weighted_sum(f, t, n, 1.0, 1.0), n)
+    return AntidiffValue(_point_sum(f, n, t - math.floor(t), 1.0, 1.0), n)
 
 
 def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> AntidiffValue:
     """Particular solution of y(t+h) - lam*y(t) = f(t) as a finite sum.
 
-    Accumulates sum_{s=1..floor_h(t)} lam^(s-1) f(t-h*s) in ascending s,
-    with the weight kept as a running product. Accumulation is complex
-    exactly when ``lam`` is passed as a complex number.
+    The one-point case of :func:`lattice_sums`: for t = n*h + r, the sum
+    sum_{s=1..n} lam^(s-1) f(r + (n-s)*h) in ascending s, with the weight
+    kept as a running product. Accumulation is complex exactly when ``lam``
+    is passed as a complex number.
     """
     t = _require_finite(t)
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero")
-    n = max(floor_mod(t, h).n, 0)  # validates h > 0
-    if not isinstance(lam, complex):
-        lam = float(lam)
-    return AntidiffValue(weighted_sum(f, t, n, lam, h), n)
+    lam = _coefficient(lam)
+    h = _require_positive_shift(h)
+    cell = floor_mod(t, h)
+    n = max(cell.n, 0)
+    return AntidiffValue(_point_sum(f, n, cell.r, lam, h), n)
 
 
 def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:

@@ -17,9 +17,16 @@ error; results to standard output. The environment variable
 ADIFF_TERM_BUDGET overrides the default nested-sum budget; an explicit
 --budget flag wins over the environment.
 
-``solve`` and ``table --mode solve`` each build one solution chain
-(``opalgebra.solution``) and read every value and residual from it, so
-points shared between rows and residuals are computed once per command.
+``eval`` and ``table --mode antidiff|resolvent`` read every value and its
+shifted value y(t+h) from one ``antidiff.lattice_sums`` call, which puts
+each point t = n*h + r on its lattice and computes each summand value
+f(r + k*h) once per command; y(t+h) is the lattice point (n+1, r), so the
+residual sums n+1 terms whatever the float t + h rounds to. ``eval``
+refuses (exit 2) a value or residual that is not finite and names the
+first non-finite summand value. ``solve`` and ``table --mode solve`` each
+build one solution chain (``opalgebra.solution``) and read every value and
+residual from it, so points shared between rows and residuals are computed
+once per command.
 
 ``main`` builds its argument parser on first use and reuses it for every
 later call in the process, so a program that calls ``main`` many times
@@ -41,7 +48,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .antidiff import antidifference, definite_sum, resolvent_sum
+from .antidiff import definite_sum, lattice_sums, nonfinite_term
 from .errors import (
     AdiffError,
     CrossCheckError,
@@ -65,6 +72,7 @@ from .opalgebra import (
 )
 
 # No command calls these; bench/tracing.py looks them up here by name.
+from .antidiff import antidifference, resolvent_sum  # noqa: F401
 from .opalgebra import particular_solution, verify_particular  # noqa: F401
 from .verify import IDENTITY_NAMES, fmt17, run_battery
 
@@ -174,16 +182,17 @@ def _split(value: float | complex) -> tuple[float, float]:
     return float(value), 0.0
 
 
-def _sum_record(y, f, t: float, lam: float | complex, h: float) -> OutputRecord:
-    """Point t of the sum y with the residual |y(t+h) - lam*y(t) - f(t)|.
+def _sum_rows(f, ts: list[float], lam: float | complex, h: float) -> list[OutputRecord]:
+    """Points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|.
 
-    ``y`` maps a point to its AntidiffValue: the resolvent sum of f with
-    coefficient lam and step h, or the antidifference with lam = h = 1.0.
+    One :func:`lattice_sums` call gives y(t) and y(t+h) at every point, the
+    antidifference being lam = h = 1.0.
     """
-    res = y(t)
-    resid = abs(y(t + h).value - lam * res.value - f(t))
-    real, imag = _split(res.value)
-    return OutputRecord(t, real, imag, res.terms_used, resid)
+    rows = []
+    for t, (n, value, ahead) in zip(ts, lattice_sums(f, ts, lam, h, ahead=True)):
+        real, imag = _split(value)
+        rows.append(OutputRecord(t, real, imag, n, abs(ahead - lam * value - f(t))))
+    return rows
 
 
 def _solve_record(op: FactoredOperator, y, f, t: float) -> OutputRecord:
@@ -202,8 +211,17 @@ def _solve_record(op: FactoredOperator, y, f, t: float) -> OutputRecord:
 def cmd_eval(args) -> int:
     f = as_function(args.expr)
     lam = parse_complex(args.lam)
-    y = lambda u: resolvent_sum(f, u, lam, args.h)
-    print(_sum_record(y, f, args.t, lam, args.h).text_line())
+    record = _sum_rows(f, [args.t], lam, args.h)[0]
+    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
+        term = nonfinite_term(f, args.t, args.h)
+        if term is None:
+            raise DomainError(f"the sum overflows: {record.text_line()}")
+        k, point, value = term
+        raise DomainError(
+            f"summand is {fmt17(value)} at {fmt17(point)} "
+            f"(lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)})"
+        )
+    print(record.text_line())
     return EXIT_OK
 
 
@@ -223,26 +241,20 @@ def cmd_sum(args) -> int:
 
 def _table_rows(args) -> list[OutputRecord]:
     f = as_function(args.expr)
-    # Cached by exact t: one row's y(t + h) is the next row's y(t) if equal;
-    # in solve mode every row reads one solution chain.
-    if args.mode == "antidiff":
-        y = functools.cache(lambda u: antidifference(f, u))
-        point = lambda t: _sum_record(y, f, t, 1.0, 1.0)
-    elif args.mode == "resolvent":
-        lam = parse_complex(args.lam)
-        y = functools.cache(lambda u: resolvent_sum(f, u, lam, args.h))
-        point = lambda t: _sum_record(y, f, t, lam, args.h)
-    else:
+    if args.mode == "solve":
         if not args.factors:
             raise DomainError("mode 'solve' needs --factors")
         op = parse_factors(args.factors)
         y = solution(op, f, _resolve_budget(args.budget))
-        point = lambda t: _solve_record(op, y, f, t)
+        rows = lambda ts: [_solve_record(op, y, f, t) for t in ts]
+    else:
+        lam, h = (1.0, 1.0) if args.mode == "antidiff" else (parse_complex(args.lam), args.h)
+        rows = lambda ts: _sum_rows(f, ts, lam, h)
     span = (args.to - args.from_) / args.step
     if not math.isfinite(span):
         bounds = f"[{args.from_!r}, {args.to!r}]"
         raise DomainError(f"--step {args.step!r} is too small for {bounds}: row count overflows")
-    return [point(args.from_ + i * args.step) for i in range(math.floor(span + 1e-9) + 1)]
+    return rows([args.from_ + i * args.step for i in range(math.floor(span + 1e-9) + 1)])
 
 
 def _check_range(from_: float, to: float) -> None:

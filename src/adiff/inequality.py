@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .antidiff import RealFunction, weighted_sum
+from .antidiff import RealFunction, lattice_sums, resolvent_sum
 from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
-from .numkit import floor_mod
+from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 
 MEMBERSHIP_TOL = 1e-10
 SIGN_TOL = 1e-10
@@ -126,11 +126,28 @@ class SolutionFunction:
         return growth * self.mu(t)
 
     def particular(self, t: float) -> float:
-        h, lam = self.spec.h, self.spec.lam
-        return weighted_sum(self.slack, t, max(floor_mod(t, h).n, 0), lam, h)
+        return resolvent_sum(self.slack, t, self.spec.lam, self.spec.h).value
 
     def __call__(self, t: float) -> float:
         return self.homogeneous(t) + self.particular(t)
+
+    def pairs(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+        """(y(t), y(t+h)) at each t.
+
+        The particular part is read at the lattice points (n, r) and (n+1, r)
+        of t = n*h + r from one :func:`lattice_sums` call, so y(t+h) sums n+1
+        slack terms whatever the float t + h rounds to; the homogeneous part
+        is read at t and t + h. A subclass that replaces :meth:`particular`
+        gives no lattice form, so its particular part is read at t and t + h.
+        """
+        lam, h = self.spec.lam, self.spec.h
+        # The homogeneous part first, so an overflow names its sample at once.
+        homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
+        if type(self).particular is SolutionFunction.particular:
+            parts = [(p, q) for _, p, q in lattice_sums(self.slack, ts, lam, h, ahead=True)]
+        else:
+            parts = [(self.particular(t), self.particular(t + h)) for t in ts]
+        return [(at + p, ahead + q) for (ahead, at), (p, q) in zip(homogeneous, parts)]
 
 
 @dataclass
@@ -187,6 +204,9 @@ def check_inequality(
 ) -> InequalityReport:
     """Evaluate r(t) = y(t+h) - lam*y(t) at each sample and grade it.
 
+    y(t) and y(t+h) come from :meth:`SolutionFunction.pairs`, which reads the
+    particular part at the lattice points (n, r) and (n+1, r) of t.
+
     Records the residual range, any sample where the residual crosses the
     direction boundary beyond BOUNDARY_TOL, and how far the residual drifts
     from slack(t). r is exact up to the rounding of a difference, so both
@@ -200,8 +220,8 @@ def check_inequality(
         min_residual=math.inf,
         max_residual=-math.inf,
     )
-    for t in t_samples:
-        ahead, behind = y(t + spec.h), spec.lam * y(t)
+    for t, (y_t, ahead) in zip(t_samples, y.pairs(t_samples)):
+        behind = spec.lam * y_t
         r = ahead - behind
         scale = 1.0 + abs(ahead) + abs(behind)
         report.min_residual = min(report.min_residual, r)

@@ -15,7 +15,8 @@ yields exactly the nested sum
 with bound floor_{h_i}(t - sum of the outer offsets) on each level.
 
 :func:`solution` builds that composition once as a chain of layers, each
-memoizing its values by exact argument for the life of the chain. This
+memoizing its values by exact argument for the life of the chain, the
+summand f included (so each distinct argument calls f once). This
 collapses the multiplicative term count with no floating-point change: a
 value read from a chain equals the same point computed alone, bit for bit.
 One chain serves every point a caller asks for. :func:`residual` evaluates
@@ -23,6 +24,11 @@ it at all 2^k shifted points of ``op y - f``, and a caller with many
 points (the CLI's ``solve`` and ``table --mode solve``) builds one chain
 and drops it when done. No chain outlives its caller: f may close over
 state that changes between calls.
+
+The layers shift their arguments as floats, u - h*s (the
+:func:`adiff.antidiff.weighted_sum` form), not on the lattice of
+:func:`adiff.antidiff.lattice_sums`: factors may have steps with no common
+lattice, and the memo keys are exact floats.
 """
 
 from __future__ import annotations
@@ -123,14 +129,15 @@ def solution(op: FactoredOperator, f: RealFunction, budget: TermBudget | None = 
     """The particular solution y of op y = f as one callable sharing its layer memos.
 
     Folds the factors once: factors[0] integrates f, factors[1] that, and so
-    on. Each layer caches its values by exact argument for as long as y is
-    referenced, so asking y for many points (all 2^k points of a residual,
-    every row of a table) computes each layer value once. y(u) raises
+    on. Each layer, and the summand below the first, caches its values by
+    exact argument for as long as y is referenced, so asking y for many
+    points (all 2^k points of a residual, every row of a table) computes
+    each layer value, and calls f at each argument, once. y(u) raises
     :class:`TermBudgetExceeded` before any evaluation if
     :func:`estimate_terms` at u is above the budget.
     """
     max_terms = (budget or TermBudget()).max_terms
-    g: Callable[[float], complex] = lambda u: complex(f(u))
+    g: Callable[[float], complex] = functools.cache(lambda u: complex(f(u)))
     for factor in op.factors:
         g = _resolvent_layer(g, factor.lam, factor.h)
 

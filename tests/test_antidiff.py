@@ -16,7 +16,9 @@ from adiff.antidiff import (
     definite_sum,
     exp_antidifference,
     gamma_ratio_product,
+    lattice_sums,
     mueller_sum,
+    nonfinite_term,
     offset_residual,
     periodic_antidifference,
     poly_antidifference,
@@ -28,10 +30,11 @@ from adiff.errors import (
     DomainError,
     NoConvergence,
     NonFiniteInput,
+    NonPositiveShift,
     PeriodicityViolation,
     ZeroLambda,
 )
-from adiff.numkit import digamma, ln_gamma
+from adiff.numkit import digamma, floor_mod, ln_gamma
 
 
 def close(a, b, tol):
@@ -410,3 +413,131 @@ class TestPeriodicAntidifference:
     def test_violation_detected(self):
         with pytest.raises(PeriodicityViolation):
             periodic_antidifference(lambda x: x, 1.0, 3.5)
+
+
+_LATTICE_CORPUS = (
+    lambda u: 1.0,
+    math.sin,
+    lambda u: u * u - 3.0 * u,
+    lambda u: 0.5**u,
+    lambda u: 1.0 / (1.0 + u * u),
+)
+
+
+def float_shift_sum(f, t, n, lam, h, first=1):
+    """sum_{s=first..n+first-1} lam^(s-first) f(t - h*s), written out in ascending s."""
+    acc = 0j if isinstance(lam, complex) else 0.0
+    w = 1.0 + 0j if isinstance(lam, complex) else 1.0
+    for s in range(first, n + first):
+        acc += w * f(t - h * s)
+        w *= lam
+    return acc
+
+
+class TestLatticeSums:
+    """The lattice kernel: t = n*h + r, summands at r + k*h, one value list per class."""
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.25, 2.0])
+    def test_power_of_two_steps_equal_float_shifts(self, h):
+        # r + k*h is t - h*s exactly at these steps, so values, shifted values
+        # and term counts are those of the written-out float-shift loop.
+        rng = random.Random(int(h * 100))
+        for _ in range(3000):
+            f = _LATTICE_CORPUS[rng.randrange(len(_LATTICE_CORPUS))]
+            lam = rng.choice([1.0, -0.9, 1.7, complex(0.3, -0.8)])
+            if rng.random() < 0.5:
+                t = rng.uniform(-2.0, 40.0)
+            else:
+                t = rng.randint(0, 80) * h
+            n = max(floor_mod(t, h).n, 0)
+            [(terms, value, ahead)] = lattice_sums(f, [t], lam, h, ahead=True)
+            assert terms == n
+            assert value == float_shift_sum(f, t, n, lam, h), (h, lam, t)
+            assert resolvent_sum(f, t, lam, h).value == value
+            if floor_mod(t, h).n >= 0:
+                # y(t+h) sums f(t), f(t-h), ..., f(t-n*h): n+1 terms.
+                assert ahead == float_shift_sum(f, t, n + 1, lam, h, first=0), (h, lam, t)
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 0.3, 0.7, 1.0 / 3.0, 2.0, 1.5])
+    def test_many_points_equal_each_point_alone(self, h):
+        # Shared value lists and memoized folds change no bit: every entry of
+        # one call over many points equals its point computed alone.
+        rng = random.Random(7)
+        for _ in range(30):
+            f = _LATTICE_CORPUS[rng.randrange(len(_LATTICE_CORPUS))]
+            lam = rng.choice([1.0, -0.9, 2.0, complex(0.6, 0.6)])
+            step = rng.choice([h, 2.0 * h, 0.37, 0.5])
+            lo = rng.uniform(-1.0, 3.0)
+            ts = [lo + i * step for i in range(rng.randint(1, 40))]
+            ts += rng.sample(ts, min(3, len(ts)))  # repeated points
+            got = lattice_sums(f, ts, lam, h, ahead=True)
+            plain = lattice_sums(f, ts, lam, h)
+            for t, (n, value, ahead), (n2, value2, none) in zip(ts, got, plain):
+                [alone] = lattice_sums(f, [t], lam, h, ahead=True)
+                assert (n, value, ahead) == alone, (h, lam, t)
+                assert (n2, value2, none) == (n, value, None)
+                assert (resolvent_sum(f, t, lam, h).terms_used, resolvent_sum(f, t, lam, h).value) == (n, value)
+
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.7, 1.0 / 3.0, 1.1])
+    def test_shifted_value_obeys_the_law(self, h):
+        # y(n+1, r) - lam*y(n, r) = f(r + n*h) up to rounding, at any step;
+        # y at the float t + h can sum n or n+2 terms instead.
+        rng = random.Random(11)
+        for _ in range(500):
+            lam = rng.choice([1.0, -0.5, 1.3])
+            t = rng.randint(1, 60) * h if rng.random() < 0.7 else rng.uniform(0.0, 20.0)
+            [(n, y, ahead)] = lattice_sums(lambda u: 1.0, [t], lam, h, ahead=True)
+            assert abs(ahead - lam * y - 1.0) <= 1e-12 * (1.0 + abs(y) * (1.0 + abs(lam))), (h, t)
+
+    def test_antidifference_is_the_unit_lattice_sum(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            f = _LATTICE_CORPUS[rng.randrange(len(_LATTICE_CORPUS))]
+            t = rng.choice([rng.uniform(-2.0, 60.0), float(rng.randint(0, 60))])
+            [(n, value, _)] = lattice_sums(f, [t], 1.0, 1.0)
+            assert (antidifference(f, t).terms_used, antidifference(f, t).value) == (n, value), t
+
+    def test_one_point_call_order(self):
+        # s = 1..n for y(t), then the one extra point of y(t+h).
+        seen = []
+        lattice_sums(lambda u: seen.append(u) or 0.0, [3.5], 1.0, 1.0, ahead=True)
+        assert seen == [2.5, 1.5, 0.5, 3.5]
+        seen.clear()
+        resolvent_sum(lambda u: seen.append(u) or 0.0, 3.5, 2.0)
+        assert seen == [2.5, 1.5, 0.5]
+
+    def test_each_value_computed_once_per_class(self):
+        calls = []
+        f = lambda u: calls.append(u) or u
+        ts = [i * 0.5 for i in range(40)]  # one class per remainder 0, 0.5 at h = 1
+        lattice_sums(f, ts, -0.7, 1.0, ahead=True)
+        assert len(calls) == len(set(calls)) == 40  # r + k*h for k = 0..19, two classes
+
+    def test_negative_points_sum_nothing(self):
+        assert lattice_sums(lambda u: 1 / 0, [-3.2, -0.5], 2.0, 0.5, ahead=True) == [
+            (0, 0.0, 0.0),
+            (0, 0.0, 0.0),
+        ]
+
+    def test_validation(self):
+        with pytest.raises(NonFiniteInput):
+            lattice_sums(math.sin, [1.0, math.inf], 2.0, 1.0)
+        with pytest.raises(ZeroLambda):
+            lattice_sums(math.sin, [1.0], 0.0, 1.0)
+        with pytest.raises(NonPositiveShift):
+            lattice_sums(math.sin, [1.0], 2.0, -1.0)
+
+
+class TestNonfiniteTerm:
+    def test_first_in_evaluation_order(self):
+        f = lambda u: math.inf if u in (1.5, 3.5) else 1.0
+        assert nonfinite_term(f, 3.5, 1.0) == (1, 1.5, math.inf)
+
+    def test_extra_point_is_visited_last(self):
+        f = lambda u: math.nan if u == 3.5 else 1.0
+        k, point, value = nonfinite_term(f, 3.5, 1.0)
+        assert (k, point) == (3, 3.5) and math.isnan(value)
+
+    def test_all_finite(self):
+        assert nonfinite_term(math.sin, 7.3, 0.3) is None
+        assert nonfinite_term(lambda u: 1 / 0, -1.0, 1.0) is None

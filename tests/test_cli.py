@@ -727,3 +727,154 @@ class TestSubprocessDeterminism:
         )
         assert result.returncode == 0
         assert b"value=3" in result.stdout
+
+
+def _main_quiet(*argv):
+    """main with stdout captured; hypothesis does not mix with capsys."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, buffer.getvalue()
+
+
+_LATTICE_EXPRS = ["1", "t", "2.5*t^2 + 1.5*t + 3", "2*sin(0.7*t) + cos(t)", "3*0.5^t"]
+_steps = st.one_of(
+    st.sampled_from(["1", "0.5", "0.25", "2", "0.1", "0.3", "0.7", "0.3333333333333333"]),
+    st.floats(0.05, 3.0).map(repr),
+)
+_lambdas = st.sampled_from(["1", "-0.9", "0.5", "1.3", "0.3+0.4i", "-1i"])
+
+
+def _law_bound(f, t, lam, value):
+    # Criterion 2's scale, 1 + |f(t)| + |lam*y(t)| + |y(t+h)|, with y(t+h)
+    # taken as lam*y(t) + f(t), the value the law gives it.
+    ft = f(t)
+    return 1e-9 * (1.0 + abs(ft) + abs(lam * value) + abs(lam * value + ft))
+
+
+class TestLatticeRows:
+    """eval and table rows read y(t) and y(t+h) at the lattice points (n, r), (n+1, r)."""
+
+    def test_non_dyadic_grid_point_residual_is_zero(self, capsys):
+        # t + h = 1.8 in floats sums 17 terms, not 18, on float shifts.
+        code, out, _ = run_main(capsys, "eval", "--expr", "1", "--h", "0.1", "--t", "1.7")
+        assert code == EXIT_OK
+        assert out == "t=1.7 value=16 imag=0 terms_used=16 residual=0\n"
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.sampled_from(_LATTICE_EXPRS), _steps, _lambdas, st.integers(0, 60), st.floats(0.0, 30.0)
+    )
+    def test_eval_residual_law(self, expr, h, lam, k, x):
+        f = as_function(expr)
+        for t in (repr(k * float(h)), repr(x)):  # a grid point and an arbitrary one
+            code, out = _main_quiet("eval", f"--expr={expr}", "--t", t, "--h", h, f"--lambda={lam}")
+            assert code == EXIT_OK
+            row = record_fields(out)
+            value = complex(float(row["value"]), float(row["imag"]))
+            bound = _law_bound(f, float(t), parse_complex(lam), value)
+            assert float(row["residual"]) <= bound, (expr, h, lam, t, row)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.sampled_from(_LATTICE_EXPRS),
+        _steps,
+        _lambdas,
+        st.integers(0, 20),
+        st.one_of(st.just(None), st.sampled_from(["0.5", "0.37", "0.25", "1"])),
+        st.integers(1, 40),
+    )
+    def test_table_rows_obey_the_law_and_equal_eval(self, expr, h, lam, lo, step, rows):
+        # step None is step = h (grid points); other steps put rows in many
+        # remainder classes. Each row equals eval at its t, field for field.
+        step = step or h
+        lo = repr(lo * float(h))
+        hi = repr(float(lo) + rows * float(step))
+        code, out = _main_quiet(
+            "table", f"--expr={expr}", f"--from={lo}", "--to", hi, "--step", step,
+            "--mode", "resolvent", "--h", h, f"--lambda={lam}",
+        )
+        assert code == EXIT_OK
+        f = as_function(expr)
+        lines = out.strip().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            value = complex(float(row["value"]), float(row["imag"]))
+            bound = _law_bound(f, float(row["t"]), parse_complex(lam), value)
+            assert float(row["residual"]) <= bound, (expr, h, lam, row)
+            code, eval_out = _main_quiet(
+                "eval", f"--expr={expr}", f"--t={row['t']}", "--h", h, f"--lambda={lam}"
+            )
+            assert record_fields(eval_out) == row, (expr, h, lam, step)
+
+    @pytest.mark.parametrize(
+        "mode, h, step, hi",
+        [
+            ("resolvent", "1", "1", "70"),
+            ("resolvent", "0.5", "0.5", "35"),
+            ("resolvent", "0.25", "0.25", "17.5"),
+            ("antidiff", "1", "1", "69"),
+        ],
+    )
+    def test_step_h_table_calls_each_value_once(self, capsys, summand_calls, mode, h, step, hi):
+        code, out, _ = run_main(
+            capsys,
+            "table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
+            "--mode", mode, "--h", h, "--lambda", "-0.9",
+        )
+        assert code == EXIT_OK
+        rows = [dict(zip(cli.CSV_HEADER.split(","), r.split(","))) for r in out.splitlines()[1:]]
+        max_n = max(int(r["terms_used"]) for r in rows)
+        # f(r + k*h) for k = 0..max n, then f(t) once per row for the residual.
+        assert summand_calls[0] <= max_n + 1 + len(rows)
+
+    def test_eval_calls_n_plus_two(self, capsys, summand_calls):
+        code, _, _ = run_main(capsys, "eval", "--expr", "cos(t)", "--t", "20.5", "--h", "0.5")
+        assert code == EXIT_OK
+        assert summand_calls[0] == 41 + 1 + 1
+
+    def test_non_finite_summand_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--expr", "exp(t*1000)", "--t", "2.5")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "adiff: summand is inf at 1.5 (lattice point k=1 of t=2.5, h=1)\n"
+
+    def test_non_finite_sum_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "5", "--lambda", "1e300")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("adiff: the sum overflows: t=5 value=inf")
+
+    def test_csv_table_keeps_non_finite_fields(self, capsys):
+        code, out, _ = run_main(
+            capsys, "table", "--expr", "exp(t*1000)", "--from", "0", "--to", "3", "--step", "1"
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "3,inf,0,3,nan"
+
+    def test_inequality_grid_point_passes(self, capsys):
+        # The last samples sit just below multiples of h, where t + h rounds
+        # up a lattice point and y(t+h) summed n+2 slack terms.
+        code, out, _ = run_main(
+            capsys,
+            "inequality", "--h", "0.5", "--lambda", "1", "--direction", "geq", "--mu", "1",
+            "--slack", "1", "--from", "0", "--to", "3", "--samples", "148",
+        )
+        assert code == EXIT_OK
+        assert "min_residual=1 max_residual=1 max_slack_mismatch=0 violations=0 PASS" in out
+
+    def test_solve_calls_summand_once_per_argument(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(source):
+            f = as_function(source)
+            return lambda u: seen.append(u) or f(u)
+
+        monkeypatch.setattr(cli, "as_function", recording)
+        code, _, _ = run_main(
+            capsys, "solve", "--factors", "1:0.72;1:0.72", "--expr", "cos(t)", "--t", "20"
+        )
+        assert code == EXIT_OK
+        # One call per distinct argument of the chain, and f(t) for the residual.
+        assert len(seen) == len(set(seen)) + 1 == 22

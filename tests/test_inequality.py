@@ -198,3 +198,31 @@ class TestCheckInequality:
         report = check_inequality(bad, grid(0.0, 6.0, 32))
         assert not report.passed
         assert report.violations
+
+
+class TestLatticePairs:
+    """check_inequality reads y(t) and y(t+h) from one lattice pair."""
+
+    def test_grid_point_samples_pass(self):
+        # Read at the float t + h, y sums n+2 slack terms for the samples just
+        # below a multiple of h, which reports max_residual 2 and FAILs.
+        spec = InequalitySpec(0.5, 1.0, Direction.GEQ)
+        y = build_solution(spec, ONE, ONE, t_range=(0.0, 3.0), samples=148)
+        report = check_inequality(y, grid(0.0, 3.0, 148))
+        assert report.passed
+        assert report.min_residual == report.max_residual == 1.0
+
+    def test_pairs_read_the_solution_at_t(self):
+        # The first of each pair is y(t) itself, bit for bit, at every step;
+        # the second is lam*y(t) + slack(t) up to rounding, grid points included.
+        from adiff.inequality import SolutionFunction
+
+        rng = random.Random(29)
+        slack = lambda t: 0.25 + 0.25 * math.cos(t)
+        for h in (1.0, 0.5, 0.1, 0.3, 0.7, 1.0 / 3.0, 2.0):
+            for lam in (1.0, -1.0, 0.5, 2.0):
+                y = SolutionFunction(InequalitySpec(h, lam, Direction.GEQ), ZERO, slack)
+                ts = [rng.randint(0, 40) * h for _ in range(10)] + [rng.uniform(0.0, 8.0) for _ in range(10)]
+                for t, (y_t, ahead) in zip(ts, y.pairs(ts)):
+                    assert y_t == y(t), (h, lam, t)
+                    assert abs(ahead - lam * y_t - slack(t)) <= 1e-9 * (1.0 + abs(ahead)), (h, lam, t)

@@ -365,6 +365,22 @@ class TestSolutionChain:
         assert particular_solution(op, f, 5.25) == 2.0 * before
         assert verify_particular(op, f, 5.25) <= 1e-9 * (1.0 + abs(before))
 
+    @pytest.mark.parametrize(
+        "pairs, t",
+        [([(1, 0.72), (1, 0.72)], 20.0), ([(1, 0.9)] * 3, 12.5), ([(0.5, 0.9), (1, -0.7)], 10.25)],
+    )
+    def test_summand_called_once_per_argument(self, pairs, t):
+        # The innermost layer is cached per chain like the others: a residual's
+        # 2^k points call f once per distinct argument (uncached, the first
+        # case makes 232 calls for 21 arguments).
+        op = FactoredOperator.from_pairs(pairs)
+        seen = []
+        f = lambda u: seen.append(u) or math.cos(u)
+        y = solution(op, f)
+        value = residual(op, y, math.cos, t)
+        assert len(seen) == len(set(seen))
+        assert value == verify_particular(op, math.cos, t)
+
 
 class TestFactorizationIdentity:
     def test_e2minus4_hand_expansion(self):
