@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     BoundsError,
@@ -96,14 +96,39 @@ def _term_count(t: float) -> int:
     return max(math.floor(t), 0)
 
 
+def _fold(values: Iterable[Scalar], lam: Scalar) -> Scalar:
+    """sum_i lam^i values[i], accumulated in order with a running product of lam.
+
+    Accumulation is complex exactly when ``lam`` is a complex number. At
+    lam = 1.0 the multiplies are left out (1.0 * v is v for a real v).
+    """
+    if isinstance(lam, complex):
+        acc: Scalar = 0j
+        w: Scalar = 1.0 + 0j
+    elif lam == 1.0:
+        acc = 0.0
+        for v in values:
+            acc += v
+        return acc
+    else:
+        acc = 0.0
+        w = 1.0
+    for v in values:
+        acc += w * v
+        w *= lam
+    return acc
+
+
 def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h: float) -> Scalar:
     """sum_{s=1..n} lam^(s-1) g(t - h*s), accumulated in ascending s.
 
     The float-shift form, for callers whose points are not on one lattice
-    (see the module docstring). The weight is a running product of lam.
-    Accumulation is complex exactly when ``lam`` is a complex number. With
-    lam = 1.0 and h = 1.0 the weight and the shift are exact, so the result
-    equals the plain sum of g(t - s) bit for bit.
+    (see the module docstring). With lam = 1.0 and h = 1.0 the weight and the
+    shift are exact, so the result equals the plain sum of g(t - s) bit for
+    bit. It keeps its own loop rather than :func:`_fold` over a generator:
+    an opalgebra layer term is a cache lookup, so the generator's step per
+    term showed as a 7% loss of the benchmark's ``solve`` throughput
+    (2-vCPU Xeon).
     """
     if isinstance(lam, complex):
         acc: Scalar = 0j
@@ -124,12 +149,17 @@ def _coefficient(lam: Scalar) -> Scalar:
 
 
 def _point_sum(f: RealFunction, n: int, r: float, lam: Scalar, h: float) -> Scalar:
-    """y(n, r) = sum_{s=1..n} lam^(s-1) f(r + (n-s)*h), folded as the values arrive."""
+    """y(n, r) = sum_{s=1..n} lam^(s-1) f(r + (n-s)*h), folded as the values arrive.
+
+    The fold of :func:`_fold`, written out: feeding :func:`_fold` a
+    generator of summand values cost 10-25% per term and 7% of the
+    benchmark's ``battery`` throughput (2-vCPU Xeon), whose identities run
+    through :func:`antidifference`.
+    """
     if isinstance(lam, complex):
         acc: Scalar = 0j
         w: Scalar = 1.0 + 0j
     elif lam == 1.0:
-        # Unit weights: 1.0 * v is v exactly, so the multiplies are left out.
         acc = 0.0
         for k in range(n - 1, -1, -1):
             acc += f(r + k * h)
@@ -143,68 +173,64 @@ def _point_sum(f: RealFunction, n: int, r: float, lam: Scalar, h: float) -> Scal
     return acc
 
 
+# A remainder class keeps at most this many summand values. Above it each
+# term count of the class refolds from fresh summand calls, so one large
+# eval runs in constant memory, as the float-shift sums did, at the cost of
+# their 2n + 1 calls.
+_CLASS_VALUES_MAX = 1 << 16
+
+
 def lattice_sums(
-    f: RealFunction, ts: Sequence[float], lam: Scalar, h: float = 1.0, ahead: bool = False
-) -> list[tuple[int, Scalar, Scalar | None]]:
+    f: RealFunction, ts: Sequence[float], lam: Scalar, h: float
+) -> list[tuple[int, Scalar, Scalar]]:
     """Resolvent sums of f at the points ts, each summand value computed once.
 
     Returns (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0,
     y(t) = y(n, r) and y(t+h) = y(n+1, r) in the lattice coordinates of the
-    module docstring; y(t+h) is None unless ``ahead``. Points are grouped by
-    their remainder r (equal floats; 0.0 and -0.0 give the same points
-    r + k*h), one class at a time, so memory stays O(len(ts) + max n). One
-    point calls f at s = 1..n in turn, then, with ``ahead``, at the one extra
-    point r + n*h. Accumulation is complex exactly when ``lam`` is complex.
+    module docstring. Points are grouped by their remainder r (equal floats;
+    0.0 and -0.0 give the same points r + k*h), one class at a time, so
+    memory stays O(len(ts) + min(max n, _CLASS_VALUES_MAX)). One point calls
+    f at s = 1..n in turn, then at the one extra point r + n*h. Accumulation
+    is complex exactly when ``lam`` is complex.
     """
     ts = [_require_finite(t) for t in ts]
     lam = _coefficient(lam)
     h = _require_positive_shift(h)
-    classes: dict[float, list[tuple[int, int]]] = {}
+    classes: dict[float, list[tuple[int, int, int]]] = {}
     for i, t in enumerate(ts):
         cell = floor_mod(t, h)
-        classes.setdefault(cell.r, []).append((i, cell.n))
+        classes.setdefault(cell.r, []).append((i, max(cell.n, 0), max(cell.n + 1, 0)))
     out: list = [None] * len(ts)
     for r, members in classes.items():
-        counts = {max(n, 0) for _, n in members}
-        if ahead:
-            counts.update(max(n + 1, 0) for _, n in members)
-        sums = _class_sums(f, r, h, sorted(counts), lam)
-        for i, n in members:
-            out[i] = (max(n, 0), sums[max(n, 0)], sums[max(n + 1, 0)] if ahead else None)
+        sums = _class_sums(f, r, h, sorted({m for _, n, up in members for m in (n, up)}), lam)
+        for i, n, up in members:
+            out[i] = (n, sums[n], sums[up])
     return out
 
 
-def _class_sums(f, r: float, h: float, counts: list[int], lam: Scalar) -> dict:
+def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Scalar) -> dict:
     """{m: y(m, r)} for the ascending term counts of one remainder class.
 
-    A class with one count keeps no values. Otherwise each count refolds the
-    class's stored values with the same running product of lam.
+    Each count folds the class's stored values in ascending s; a class whose
+    top count exceeds _CLASS_VALUES_MAX stores none and calls f per count.
     """
     lo, top = counts[0], counts[-1]
-    if lo == top:
-        return {lo: _point_sum(f, lo, r, lam, h)}
+    if top > _CLASS_VALUES_MAX:
+        return {m: _point_sum(f, m, r, lam, h) for m in counts}
     # Below the lowest count in the one-point order (k descending), then up.
     values = [f(r + k * h) for k in range(lo - 1, -1, -1)]
     values.reverse()
     values += [f(r + k * h) for k in range(lo, top)]
-    zero, one = (0j, 1.0 + 0j) if isinstance(lam, complex) else (0.0, 1.0)
-    sums = {}
-    for m in counts:
-        acc, w = zero, one
-        for v in reversed(values[:m]):
-            acc += w * v
-            w *= lam
-        sums[m] = acc
-    return sums
+    return {m: _fold(reversed(values[:m]), lam) for m in counts}
 
 
-def nonfinite_term(f: RealFunction, t: float, h: float = 1.0) -> tuple[int, float, Scalar] | None:
+def nonfinite_term(f: RealFunction, t: float, h: float) -> tuple[int, float, Scalar] | None:
     """The first summand value of y(t) and y(t+h) that is not finite.
 
     Visits the lattice points r + k*h of t = n*h + r in the order a one-point
-    :func:`lattice_sums` call with ``ahead`` evaluates them and returns
-    (k, point, value) for the first non-finite value, or None. It calls f
-    again, so it belongs on a failure path.
+    :func:`lattice_sums` call evaluates them and returns (k, point, value)
+    for the first non-finite value, or None. It calls f again, so it belongs
+    on a failure path.
     """
     cell = floor_mod(t, h)
     n = max(cell.n, 0)

@@ -189,7 +189,7 @@ def _sum_rows(f, ts: list[float], lam: float | complex, h: float) -> list[Output
     antidifference being lam = h = 1.0.
     """
     rows = []
-    for t, (n, value, ahead) in zip(ts, lattice_sums(f, ts, lam, h, ahead=True)):
+    for t, (n, value, ahead) in zip(ts, lattice_sums(f, ts, lam, h)):
         real, imag = _split(value)
         rows.append(OutputRecord(t, real, imag, n, abs(ahead - lam * value - f(t))))
     return rows
@@ -214,13 +214,17 @@ def cmd_eval(args) -> int:
     record = _sum_rows(f, [args.t], lam, args.h)[0]
     if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
         term = nonfinite_term(f, args.t, args.h)
-        if term is None:
-            raise DomainError(f"the sum overflows: {record.text_line()}")
-        k, point, value = term
-        raise DomainError(
-            f"summand is {fmt17(value)} at {fmt17(point)} "
-            f"(lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)})"
-        )
+        if term is not None:
+            k, point, value = term
+            raise DomainError(
+                f"summand is {fmt17(value)} at {fmt17(point)} "
+                f"(lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)})"
+            )
+        # The residual's own f(t), at the float t, is the last summand value read.
+        value = f(args.t)
+        if not math.isfinite(value):
+            raise DomainError(f"summand is {fmt17(value)} at {fmt17(args.t)} (the residual's f(t))")
+        raise DomainError(f"the sum overflows: {record.text_line()}")
     print(record.text_line())
     return EXIT_OK
 

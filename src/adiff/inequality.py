@@ -144,7 +144,7 @@ class SolutionFunction:
         # The homogeneous part first, so an overflow names its sample at once.
         homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
         if type(self).particular is SolutionFunction.particular:
-            parts = [(p, q) for _, p, q in lattice_sums(self.slack, ts, lam, h, ahead=True)]
+            parts = [(p, q) for _, p, q in lattice_sums(self.slack, ts, lam, h)]
         else:
             parts = [(self.particular(t), self.particular(t + h)) for t in ts]
         return [(at + p, ahead + q) for (ahead, at), (p, q) in zip(homogeneous, parts)]

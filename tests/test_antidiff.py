@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from adiff import antidiff as antidiff_module
 from adiff.antidiff import (
     antidifference,
     backward_antidifference,
@@ -450,7 +451,7 @@ class TestLatticeSums:
             else:
                 t = rng.randint(0, 80) * h
             n = max(floor_mod(t, h).n, 0)
-            [(terms, value, ahead)] = lattice_sums(f, [t], lam, h, ahead=True)
+            [(terms, value, ahead)] = lattice_sums(f, [t], lam, h)
             assert terms == n
             assert value == float_shift_sum(f, t, n, lam, h), (h, lam, t)
             assert resolvent_sum(f, t, lam, h).value == value
@@ -470,12 +471,10 @@ class TestLatticeSums:
             lo = rng.uniform(-1.0, 3.0)
             ts = [lo + i * step for i in range(rng.randint(1, 40))]
             ts += rng.sample(ts, min(3, len(ts)))  # repeated points
-            got = lattice_sums(f, ts, lam, h, ahead=True)
-            plain = lattice_sums(f, ts, lam, h)
-            for t, (n, value, ahead), (n2, value2, none) in zip(ts, got, plain):
-                [alone] = lattice_sums(f, [t], lam, h, ahead=True)
+            got = lattice_sums(f, ts, lam, h)
+            for t, (n, value, ahead) in zip(ts, got):
+                [alone] = lattice_sums(f, [t], lam, h)
                 assert (n, value, ahead) == alone, (h, lam, t)
-                assert (n2, value2, none) == (n, value, None)
                 assert (resolvent_sum(f, t, lam, h).terms_used, resolvent_sum(f, t, lam, h).value) == (n, value)
 
     @pytest.mark.parametrize("h", [0.1, 0.3, 0.7, 1.0 / 3.0, 1.1])
@@ -486,7 +485,7 @@ class TestLatticeSums:
         for _ in range(500):
             lam = rng.choice([1.0, -0.5, 1.3])
             t = rng.randint(1, 60) * h if rng.random() < 0.7 else rng.uniform(0.0, 20.0)
-            [(n, y, ahead)] = lattice_sums(lambda u: 1.0, [t], lam, h, ahead=True)
+            [(n, y, ahead)] = lattice_sums(lambda u: 1.0, [t], lam, h)
             assert abs(ahead - lam * y - 1.0) <= 1e-12 * (1.0 + abs(y) * (1.0 + abs(lam))), (h, t)
 
     def test_antidifference_is_the_unit_lattice_sum(self):
@@ -500,7 +499,7 @@ class TestLatticeSums:
     def test_one_point_call_order(self):
         # s = 1..n for y(t), then the one extra point of y(t+h).
         seen = []
-        lattice_sums(lambda u: seen.append(u) or 0.0, [3.5], 1.0, 1.0, ahead=True)
+        lattice_sums(lambda u: seen.append(u) or 0.0, [3.5], 1.0, 1.0)
         assert seen == [2.5, 1.5, 0.5, 3.5]
         seen.clear()
         resolvent_sum(lambda u: seen.append(u) or 0.0, 3.5, 2.0)
@@ -510,14 +509,35 @@ class TestLatticeSums:
         calls = []
         f = lambda u: calls.append(u) or u
         ts = [i * 0.5 for i in range(40)]  # one class per remainder 0, 0.5 at h = 1
-        lattice_sums(f, ts, -0.7, 1.0, ahead=True)
+        lattice_sums(f, ts, -0.7, 1.0)
         assert len(calls) == len(set(calls)) == 40  # r + k*h for k = 0..19, two classes
 
     def test_negative_points_sum_nothing(self):
-        assert lattice_sums(lambda u: 1 / 0, [-3.2, -0.5], 2.0, 0.5, ahead=True) == [
+        assert lattice_sums(lambda u: 1 / 0, [-3.2, -0.5], 2.0, 0.5) == [
             (0, 0.0, 0.0),
             (0, 0.0, 0.0),
         ]
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
+    def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
+        # Above the cap each term count refolds from fresh summand calls: the
+        # same bits, and one point costs the float-shift sums' 2n + 1 calls
+        # (n + 1 here, n more for y(t+h); the residual's f(t) is the caller's).
+        rng = random.Random(17)
+        cases = []
+        for _ in range(40):
+            f = _LATTICE_CORPUS[rng.randrange(len(_LATTICE_CORPUS))]
+            lam = rng.choice([1.0, -0.9, complex(0.6, 0.6)])
+            ts = [rng.uniform(-1.0, 12.0) for _ in range(rng.randint(1, 6))]
+            cases.append((f, lam, ts, lattice_sums(f, ts, lam, h)))
+        monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
+        for f, lam, ts, stored in cases:
+            assert lattice_sums(f, ts, lam, h) == stored, (h, lam, ts)
+        seen = []
+        cell = floor_mod(9.5 * h, h)
+        [(n, _, _)] = lattice_sums(lambda u: seen.append(u) or 0.0, [9.5 * h], 2.0, h)
+        assert n == cell.n > 3 and len(seen) == 2 * n + 1
+        assert seen[: n + 1] == [cell.r + k * h for k in range(n, -1, -1)][1:] + [cell.r + n * h]
 
     def test_validation(self):
         with pytest.raises(NonFiniteInput):

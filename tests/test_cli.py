@@ -846,6 +846,13 @@ class TestLatticeRows:
         assert out == ""
         assert err.startswith("adiff: the sum overflows: t=5 value=inf")
 
+    @pytest.mark.parametrize("h", ["1", "0.3"])
+    def test_non_finite_summand_at_t_exit_2(self, capsys, h):
+        # Both sums are empty below t = 0; only the residual's f(t) is inf.
+        code, out, err = run_main(capsys, "eval", "--expr", "exp(-1000*t)", "--t", "-1", "--h", h)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "adiff: summand is inf at -1 (the residual's f(t))\n"
+
     def test_csv_table_keeps_non_finite_fields(self, capsys):
         code, out, _ = run_main(
             capsys, "table", "--expr", "exp(t*1000)", "--from", "0", "--to", "3", "--step", "1"
