@@ -37,7 +37,10 @@ and the particular part of :mod:`adiff.inequality` reads them.
 :func:`weighted_sum` keeps the float shifts t - h*s. It serves the
 backward antidifference and each factor layer of :mod:`adiff.opalgebra`,
 whose layers are memoized by exact float argument and whose factors may
-have steps with no common lattice.
+have steps with no common lattice. Two loops do all the summing here: the
+summand loop :func:`_shifted_sum`, at lattice points and float shifts alike,
+and :func:`_fold` over a class's stored values (folding stored values
+through a callable cost 2-3x per term).
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -119,58 +122,50 @@ def _fold(values: Iterable[Scalar], lam: Scalar) -> Scalar:
     return acc
 
 
-def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h: float) -> Scalar:
-    """sum_{s=1..n} lam^(s-1) g(t - h*s), accumulated in ascending s.
+def _shifted_sum(
+    g: Callable[[float], Scalar], base: float, ks: range, step: float, lam: Scalar
+) -> Scalar:
+    """sum_i lam^i g(base + k_i*step) over the k_i of ks, folded as the values arrive.
 
-    The float-shift form, for callers whose points are not on one lattice
-    (see the module docstring). With lam = 1.0 and h = 1.0 the weight and the
-    shift are exact, so the result equals the plain sum of g(t - s) bit for
-    bit. It keeps its own loop rather than :func:`_fold` over a generator:
-    an opalgebra layer term is a cache lookup, so the generator's step per
-    term showed as a 7% loss of the benchmark's ``solve`` throughput
-    (2-vCPU Xeon).
-    """
-    if isinstance(lam, complex):
-        acc: Scalar = 0j
-        w: Scalar = 1.0 + 0j
-    else:
-        acc = 0.0
-        w = 1.0
-    for s in range(1, n + 1):
-        acc += w * g(t - h * s)
-        w *= lam
-    return acc
-
-
-def _coefficient(lam: Scalar) -> Scalar:
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero")
-    return lam if isinstance(lam, complex) else float(lam)
-
-
-def _point_sum(f: RealFunction, n: int, r: float, lam: Scalar, h: float) -> Scalar:
-    """y(n, r) = sum_{s=1..n} lam^(s-1) f(r + (n-s)*h), folded as the values arrive.
-
-    The fold of :func:`_fold`, written out: feeding :func:`_fold` a
-    generator of summand values cost 10-25% per term and 7% of the
-    benchmark's ``battery`` throughput (2-vCPU Xeon), whose identities run
-    through :func:`antidifference`.
+    Lattice sums pass (r, range(n-1, -1, -1), h); float shifts pass
+    (t, range(1, n+1), -h), and t + s*(-h) is t - h*s bit for bit. This is
+    :func:`_fold` written out: feeding it a generator of summand values cost
+    10-25% per term, 7% of the benchmark's ``battery`` and ``solve``
+    throughput (2-vCPU Xeon). Accumulation is complex exactly when ``lam``
+    is complex; at lam = 1.0 the multiplies are left out.
     """
     if isinstance(lam, complex):
         acc: Scalar = 0j
         w: Scalar = 1.0 + 0j
     elif lam == 1.0:
         acc = 0.0
-        for k in range(n - 1, -1, -1):
-            acc += f(r + k * h)
+        for k in ks:
+            acc += g(base + k * step)
         return acc
     else:
         acc = 0.0
         w = 1.0
-    for k in range(n - 1, -1, -1):
-        acc += w * f(r + k * h)
+    for k in ks:
+        acc += w * g(base + k * step)
         w *= lam
     return acc
+
+
+def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h: float) -> Scalar:
+    """sum_{s=1..n} lam^(s-1) g(t - h*s), accumulated in ascending s.
+
+    The float-shift form, for callers whose points are not on one lattice
+    (see the module docstring). With lam = 1.0 and h = 1.0 the weight and the
+    shift are exact, so the result equals the plain sum of g(t - s) bit for
+    bit.
+    """
+    return _shifted_sum(g, t, range(1, n + 1), -h, lam)
+
+
+def _coefficient(lam: Scalar) -> Scalar:
+    if lam == 0:
+        raise ZeroLambda("lambda must be nonzero")
+    return lam if isinstance(lam, complex) else float(lam)
 
 
 # A remainder class keeps at most this many summand values. Above it each
@@ -216,7 +211,7 @@ def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Sca
     """
     lo, top = counts[0], counts[-1]
     if top > _CLASS_VALUES_MAX:
-        return {m: _point_sum(f, m, r, lam, h) for m in counts}
+        return {m: _shifted_sum(f, r, range(m - 1, -1, -1), h, lam) for m in counts}
     # Below the lowest count in the one-point order (k descending), then up.
     values = [f(r + k * h) for k in range(lo - 1, -1, -1)]
     values.reverse()
@@ -250,7 +245,7 @@ def antidifference(f: RealFunction, t: float) -> AntidiffValue:
     """
     t = _require_finite(t)
     n = _term_count(t)
-    return AntidiffValue(_point_sum(f, n, t - math.floor(t), 1.0, 1.0), n)
+    return AntidiffValue(_shifted_sum(f, t - math.floor(t), range(n - 1, -1, -1), 1.0, 1.0), n)
 
 
 def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> AntidiffValue:
@@ -266,7 +261,7 @@ def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> Ant
     h = _require_positive_shift(h)
     cell = floor_mod(t, h)
     n = max(cell.n, 0)
-    return AntidiffValue(_point_sum(f, n, cell.r, lam, h), n)
+    return AntidiffValue(_shifted_sum(f, cell.r, range(n - 1, -1, -1), h, lam), n)
 
 
 def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:

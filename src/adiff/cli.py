@@ -159,8 +159,6 @@ def parse_factors(text: str) -> FactoredOperator:
         except ValueError:
             raise DomainError(f"bad shift {head!r} in factor {chunk!r}") from None
         pairs.append((h, parse_complex(tail)))
-    if not pairs:
-        raise DomainError("factor list is empty")
     return FactoredOperator.from_pairs(pairs)
 
 

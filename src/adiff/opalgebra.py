@@ -28,7 +28,9 @@ state that changes between calls.
 The layers shift their arguments as floats, u - h*s (the
 :func:`adiff.antidiff.weighted_sum` form), not on the lattice of
 :func:`adiff.antidiff.lattice_sums`: factors may have steps with no common
-lattice, and the memo keys are exact floats.
+lattice, and the memo keys are exact floats. The one summing loop here is
+the left side of :func:`factorization_identity_check`, kept apart as the
+independent route that the identity compares with the library's.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, weighted_sum
+from .antidiff import RealFunction, Scalar, resolvent_sum, weighted_sum
 from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
 from .numkit import _require_finite, floor_mod
 
@@ -192,9 +194,33 @@ def verify_particular(
     return residual(op, solution(op, f, budget), f, t)
 
 
-def _ipow(k: int) -> complex:
-    """Exact k-th power of the imaginary unit."""
-    return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[k % 4]
+# Per identity: the factor pair's inner and outer lam (unit steps), the lam
+# of the step-2 factor, and the power-of-two scale both sides carry.
+_FACTORIZATIONS = {"E2minus4": (-2.0, 2.0, 4.0, 4.0), "E2plus1": (-1j, 1j, -1.0, 1.0)}
+
+
+def _factorization_sides(name: str, f: RealFunction, t: float) -> tuple[Scalar, Scalar]:
+    """(LHS, RHS) of a factorization identity at t, each times the identity's scale.
+
+    LHS is the factor pair's nested sum, one double loop with running-product
+    weights; RHS is :func:`adiff.antidiff.resolvent_sum` at h = 2, whose
+    lattice points are the float shifts t - 2*s. A power-of-two scale
+    changes no rounding, so both equal the written-out sums bit for bit.
+    """
+    t = _require_finite(t)
+    if name not in _FACTORIZATIONS:
+        raise DomainError(f"unknown identity {name!r}; use 'E2minus4' or 'E2plus1'")
+    inner, outer, lam, scale = _FACTORIZATIONS[name]
+    n = max(math.floor(t), 0)
+    lhs: Scalar = 0.0
+    w2: Scalar = 1.0
+    for s2 in range(1, n + 1):
+        w1: Scalar = 1.0
+        for s1 in range(1, n - s2 + 1):
+            lhs += w2 * w1 * f(t - s1 - s2)
+            w1 *= inner
+        w2 *= outer
+    return scale * lhs, scale * resolvent_sum(f, t, lam, 2.0).value
 
 
 def factorization_identity_check(name: str, f: RealFunction, t: float) -> float:
@@ -207,28 +233,5 @@ def factorization_identity_check(name: str, f: RealFunction, t: float) -> float:
     4^s) or ``"E2plus1"`` (pair (E-iI)(E+iI), weights (-1)^s1 i^(s1+s2) vs
     (-1)^(s-1)).
     """
-    t = _require_finite(t)
-    n1 = max(math.floor(t), 0)
-    n2 = max(floor_mod(t, 2.0).n, 0)
-    if name == "E2minus4":
-        lhs: complex = 0j
-        for s2 in range(1, n1 + 1):
-            for s1 in range(1, n1 - s2 + 1):
-                sign = -1.0 if (s1 - 1) % 2 else 1.0
-                lhs += sign * 2.0 ** (s1 + s2) * f(t - s1 - s2)
-        rhs: complex = 0j
-        for s in range(1, n2 + 1):
-            rhs += 4.0**s * f(t - 2.0 * s)
-    elif name == "E2plus1":
-        lhs = 0j
-        for s2 in range(1, n1 + 1):
-            for s1 in range(1, n1 - s2 + 1):
-                sign = -1.0 if s1 % 2 else 1.0
-                lhs += sign * _ipow(s1 + s2) * f(t - s1 - s2)
-        rhs = 0j
-        for s in range(1, n2 + 1):
-            sign = -1.0 if (s - 1) % 2 else 1.0
-            rhs += sign * f(t - 2.0 * s)
-    else:
-        raise DomainError(f"unknown identity {name!r}; use 'E2minus4' or 'E2plus1'")
+    lhs, rhs = _factorization_sides(name, f, t)
     return abs(lhs - rhs)

@@ -25,6 +25,7 @@ from adiff.antidiff import (
     poly_antidifference,
     resolvent_sum,
     sin_antidifference,
+    weighted_sum,
 )
 from adiff.errors import (
     BoundsError,
@@ -561,3 +562,17 @@ class TestNonfiniteTerm:
     def test_all_finite(self):
         assert nonfinite_term(math.sin, 7.3, 0.3) is None
         assert nonfinite_term(lambda u: 1 / 0, -1.0, 1.0) is None
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("h", [0.1, 0.3, 1.0 / 3.0, 0.7, 1.5])
+    def test_equals_written_out_float_shifts(self, h):
+        # The shared summand loop steps t + s*(-h), which is t - h*s bit for
+        # bit; lam = 1.0 leaves the multiplies out, and 1.0 * v is v.
+        rng = random.Random(int(h * 1000))
+        for _ in range(500):
+            f = _LATTICE_CORPUS[rng.randrange(len(_LATTICE_CORPUS))]
+            lam = rng.choice([1.0, -0.9, complex(0.3, -0.8)])
+            t = rng.uniform(-2.0, 40.0)
+            n = rng.randint(0, 60)
+            assert weighted_sum(f, t, n, lam, h) == float_shift_sum(f, t, n, lam, h), (h, lam, t, n)

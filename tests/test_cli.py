@@ -75,6 +75,12 @@ class TestParseFactors:
         with pytest.raises(Exception):
             parse_factors(text)
 
+    def test_empty_factor_list_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "solve", "--factors", "", "--expr", "1", "--t", "2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "factor '' must look like h:lambda" in err
+
 
 class TestEval:
     def test_constant(self, capsys):
@@ -402,6 +408,12 @@ class TestVerifyCommand:
     def test_unknown_identity_exit_2(self, capsys):
         code, _, _ = run_main(capsys, "verify", "--identity", "bogus")
         assert code == EXIT_INPUT
+
+    def test_nan_tolerance_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--identity", "digamma", "--tol", "nan")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "tolerance must be nonnegative, got nan" in err
 
 
 @pytest.fixture

@@ -12,7 +12,13 @@ import random
 import pytest
 
 from adiff.antidiff import resolvent_sum, weighted_sum
-from adiff.errors import DomainError, NonPositiveShift, TermBudgetExceeded, ZeroLambda
+from adiff.errors import (
+    DomainError,
+    NonFiniteInput,
+    NonPositiveShift,
+    TermBudgetExceeded,
+    ZeroLambda,
+)
 from adiff.numkit import floor_mod
 from adiff.opalgebra import (
     FactoredOperator,
@@ -416,3 +422,39 @@ class TestFactorizationIdentity:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             factorization_identity_check("E2plus7", lambda u: 1.0, 2.0)
+
+    def test_equals_the_written_out_formulas(self):
+        # Oracle: the two sides as separate written-out loops, the left with
+        # sign and power weights, the right with the step-2 float shifts.
+        def ipow(k):
+            return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[k % 4]
+
+        def written_out(name, f, t):
+            n1 = max(math.floor(t), 0)
+            n2 = max(floor_mod(t, 2.0).n, 0)
+            lhs = rhs = 0j
+            for s2 in range(1, n1 + 1):
+                for s1 in range(1, n1 - s2 + 1):
+                    if name == "E2minus4":
+                        sign = -1.0 if (s1 - 1) % 2 else 1.0
+                        lhs += sign * 2.0 ** (s1 + s2) * f(t - s1 - s2)
+                    else:
+                        sign = -1.0 if s1 % 2 else 1.0
+                        lhs += sign * ipow(s1 + s2) * f(t - s1 - s2)
+            for s in range(1, n2 + 1):
+                if name == "E2minus4":
+                    rhs += 4.0**s * f(t - 2.0 * s)
+                else:
+                    rhs += (-1.0 if (s - 1) % 2 else 1.0) * f(t - 2.0 * s)
+            return abs(lhs - rhs)
+
+        rng = random.Random(808)
+        for _ in range(2400):
+            name = rng.choice(["E2minus4", "E2plus1"])
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            t = rng.uniform(-1.0, 1.0) if rng.random() < 0.2 else rng.uniform(0.0, 14.0)
+            assert factorization_identity_check(name, f, t) == written_out(name, f, t), (name, t)
+
+    def test_checks_the_point_before_the_name(self):
+        with pytest.raises(NonFiniteInput):
+            factorization_identity_check("E2plus7", lambda u: 1.0, math.nan)

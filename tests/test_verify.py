@@ -1,9 +1,14 @@
 """Tests for the identity-verification battery."""
 
+import math
+import random
+
 import pytest
 
 from adiff.errors import DomainError
-from adiff.verify import IDENTITY_NAMES, fmt17, run_battery, run_identity
+from adiff.numkit import floor_mod
+from adiff.opalgebra import factorization_identity_check
+from adiff.verify import _FACTOR_CORPUS, IDENTITY_NAMES, fmt17, run_battery, run_identity
 
 
 class TestRunIdentity:
@@ -73,3 +78,34 @@ class TestFmt17:
     def test_compact_integers(self):
         assert fmt17(3.0) == "3"
         assert fmt17(-0.0) == "0"
+
+
+class TestNanTolerance:
+    def test_nan_tolerance_rejected(self):
+        # NaN compares false both ways, so it would grade every residual PASS.
+        with pytest.raises(DomainError, match="tolerance must be nonnegative"):
+            run_identity("digamma", tol=math.nan)
+        with pytest.raises(DomainError):
+            run_battery("all", tol=math.nan)
+
+
+class TestFactorIdentityScale:
+    @pytest.mark.parametrize("name", ["E2minus4", "E2plus1"])
+    @pytest.mark.parametrize("seed", [1, 3, 777])
+    def test_residual_scale_is_the_left_to_right_sum(self, name, seed):
+        # The scale is the step-2 sum added in ascending s with plain float
+        # adds; builtin sum() compensates on Python >= 3.12 and would make
+        # the printed residual depend on the interpreter.
+        lam, scale = {"E2minus4": (4.0, 4.0), "E2plus1": (-1.0, 1.0)}[name]
+        rng = random.Random(f"{seed}:factor-{name.lower()}")
+        worst = 0.0
+        for _ in range(200):
+            t = rng.uniform(0.0, 12.0)
+            f = _FACTOR_CORPUS[rng.randrange(len(_FACTOR_CORPUS))]
+            rhs, w = 0.0, scale
+            for s in range(1, max(floor_mod(t, 2.0).n, 0) + 1):
+                rhs += w * f(t - 2.0 * s)
+                w *= lam
+            worst = max(worst, factorization_identity_check(name, f, t) / (1.0 + abs(rhs)))
+        report = run_identity(f"factor-{name.lower()}", samples=200, seed=seed)
+        assert report.max_abs_residual == worst
