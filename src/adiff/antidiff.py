@@ -14,33 +14,28 @@ The resolvent generalization inserts a geometric weight and a step h:
 which is a particular solution of the first-order linear difference
 equation.
 
-Lattice coordinates. :func:`lattice_sums` decomposes each point once as
+Lattice coordinates. Each finite sum above decomposes its point once as
 t = n*h + r (:func:`adiff.numkit.floor_mod`, 0 <= r < h) and evaluates the
 summand at r + k*h, so the sum at t is
 
     y(n, r) = sum_{s=1..n} lam^(s-1) f(r + (n-s)*h)
 
 and the shifted point t + h is (n+1, r), whatever the float t + h rounds
-to. Points with the same remainder share their summand values, so a table
-of rows computes each f(r + k*h) once. Weights are a running product of
-lam and every sum is accumulated in ascending s; this fixed order is part
-of the contract (the kernel convolution in :mod:`adiff.convkernel`
-reproduces it bit for bit). At a power-of-two h (1, 0.5, 0.25, 2, ...)
-r + k*h equals t - h*s exactly, so these values are those of the float
-shifts bit for bit; at other h they may differ in the last place. Against
-sums at the float points t - h*s and t + h - h*s, printed values move only
-at such h, term counts never, and residuals wherever the float t + h
-rounds, which could make y(t+h) sum n or n+2 terms instead of n+1.
-:func:`resolvent_sum` and :func:`antidifference` are the one-point case,
-and the particular part of :mod:`adiff.inequality` reads them.
+to. Weights are a running product of lam and every sum is accumulated in
+ascending s; this fixed order is part of the contract (the kernel
+convolution in :mod:`adiff.convkernel` reproduces it bit for bit). At a
+power-of-two h (1, 0.5, 0.25, 2, ...) r + k*h equals t - h*s exactly; at
+other h it may differ from that float shift in the last place, and so may
+the printed value, but never the term count.
 
-:func:`weighted_sum` keeps the float shifts t - h*s. It serves the
-backward antidifference and each factor layer of :mod:`adiff.opalgebra`,
-whose layers are memoized by exact float argument and whose factors may
-have steps with no common lattice. Two loops do all the summing here: the
-summand loop :func:`_shifted_sum`, at lattice points and float shifts alike,
-and :func:`_fold` over a class's stored values (folding stored values
-through a callable cost 2-3x per term).
+:func:`_point_sum` is the one summand loop: :func:`resolvent_sum`,
+:func:`antidifference`, :func:`backward_antidifference` and each factor
+layer of :mod:`adiff.opalgebra` call it for one point.
+:func:`lattice_sums` serves many points: those with the same remainder
+share their summand values, so a table of rows computes each f(r + k*h)
+once and folds the stored values with :func:`_fold` (folding stored values
+through a callable cost 2-3x per term). The particular part of
+:mod:`adiff.inequality` reads these sums.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -122,44 +117,31 @@ def _fold(values: Iterable[Scalar], lam: Scalar) -> Scalar:
     return acc
 
 
-def _shifted_sum(
-    g: Callable[[float], Scalar], base: float, ks: range, step: float, lam: Scalar
-) -> Scalar:
-    """sum_i lam^i g(base + k_i*step) over the k_i of ks, folded as the values arrive.
+def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Scalar) -> Scalar:
+    """sum_{s=1..n} lam^(s-1) g(r + (n-s)*h), accumulated in ascending s.
 
-    Lattice sums pass (r, range(n-1, -1, -1), h); float shifts pass
-    (t, range(1, n+1), -h), and t + s*(-h) is t - h*s bit for bit. This is
+    The one-point lattice sum, folded as the summand values arrive. This is
     :func:`_fold` written out: feeding it a generator of summand values cost
     10-25% per term, 7% of the benchmark's ``battery`` and ``solve``
     throughput (2-vCPU Xeon). Accumulation is complex exactly when ``lam``
     is complex; at lam = 1.0 the multiplies are left out.
     """
+    ks = range(n - 1, -1, -1)
     if isinstance(lam, complex):
         acc: Scalar = 0j
         w: Scalar = 1.0 + 0j
     elif lam == 1.0:
         acc = 0.0
         for k in ks:
-            acc += g(base + k * step)
+            acc += g(r + k * h)
         return acc
     else:
         acc = 0.0
         w = 1.0
     for k in ks:
-        acc += w * g(base + k * step)
+        acc += w * g(r + k * h)
         w *= lam
     return acc
-
-
-def weighted_sum(g: Callable[[float], Scalar], t: float, n: int, lam: Scalar, h: float) -> Scalar:
-    """sum_{s=1..n} lam^(s-1) g(t - h*s), accumulated in ascending s.
-
-    The float-shift form, for callers whose points are not on one lattice
-    (see the module docstring). With lam = 1.0 and h = 1.0 the weight and the
-    shift are exact, so the result equals the plain sum of g(t - s) bit for
-    bit.
-    """
-    return _shifted_sum(g, t, range(1, n + 1), -h, lam)
 
 
 def _coefficient(lam: Scalar) -> Scalar:
@@ -170,8 +152,7 @@ def _coefficient(lam: Scalar) -> Scalar:
 
 # A remainder class keeps at most this many summand values. Above it each
 # term count of the class refolds from fresh summand calls, so one large
-# eval runs in constant memory, as the float-shift sums did, at the cost of
-# their 2n + 1 calls.
+# eval runs in constant memory at the cost of 2n + 1 calls.
 _CLASS_VALUES_MAX = 1 << 16
 
 
@@ -211,7 +192,7 @@ def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Sca
     """
     lo, top = counts[0], counts[-1]
     if top > _CLASS_VALUES_MAX:
-        return {m: _shifted_sum(f, r, range(m - 1, -1, -1), h, lam) for m in counts}
+        return {m: _point_sum(f, r, m, h, lam) for m in counts}
     # Below the lowest count in the one-point order (k descending), then up.
     values = [f(r + k * h) for k in range(lo - 1, -1, -1)]
     values.reverse()
@@ -245,7 +226,7 @@ def antidifference(f: RealFunction, t: float) -> AntidiffValue:
     """
     t = _require_finite(t)
     n = _term_count(t)
-    return AntidiffValue(_shifted_sum(f, t - math.floor(t), range(n - 1, -1, -1), 1.0, 1.0), n)
+    return AntidiffValue(_point_sum(f, t - math.floor(t), n, 1.0, 1.0), n)
 
 
 def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> AntidiffValue:
@@ -261,18 +242,20 @@ def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> Ant
     h = _require_positive_shift(h)
     cell = floor_mod(t, h)
     n = max(cell.n, 0)
-    return AntidiffValue(_shifted_sum(f, cell.r, range(n - 1, -1, -1), h, lam), n)
+    return AntidiffValue(_point_sum(f, cell.r, n, h, lam), n)
 
 
 def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:
     """Backward indefinite sum: sum_{s=1..floor(t)} f(t+1-s).
 
     Satisfies y(t) - y(t-1) = f(t) and equals the forward antidifference of
-    u -> f(u+1).
+    u -> f(u+1). With r = t - floor(t) the points t+1-s are r + k for
+    k = floor(t)..1; the base r + 1.0 is exact whenever a term is summed
+    (t >= 1 puts r on a grid no finer than 2^-52).
     """
     t = _require_finite(t)
     n = _term_count(t)
-    return AntidiffValue(weighted_sum(f, t + 1.0, n, 1.0, 1.0), n)
+    return AntidiffValue(_point_sum(f, t - math.floor(t) + 1.0, n, 1.0, 1.0), n)
 
 
 def definite_sum(f: RealFunction, m: int, n: int) -> float:

@@ -7,10 +7,10 @@ folding them against f reproduces the resolvent sum bit for bit, because
 both sides build the weights by the same iterated multiplication and add
 terms in the same ascending order.
 
-The fold here deliberately does not call :func:`adiff.antidiff.weighted_sum`:
+The fold here deliberately does not call :func:`adiff.antidiff.resolvent_sum`:
 it is the independent Green-kernel route, and the test suite compares it
-with ``==`` against :func:`adiff.antidiff.resolvent_sum`. Sharing the loop
-would turn that check into a comparison of one function with itself.
+with ``==`` against that function. Sharing the loop would turn that check
+into a comparison of one function with itself.
 """
 
 from __future__ import annotations

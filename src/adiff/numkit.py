@@ -59,10 +59,14 @@ def floor_mod(t: float, h: float) -> FloorModResult:
     The quotient equals floor(t/h); negative t follows the flooring
     convention, so the remainder is never negative. A correction step keeps
     the remainder inside [0, h) when the division rounds across an integer.
+    Raises :class:`DomainError` when t/h overflows to infinity.
     """
     t = _require_finite(t, "t")
     h = _require_positive_shift(h)
-    n = math.floor(t / h)
+    try:
+        n = math.floor(t / h)
+    except OverflowError:
+        raise DomainError(f"t/h overflows for t = {t!r} and h = {h!r}") from None
     r = t - n * h
     if r < 0.0:
         n -= 1

@@ -25,7 +25,6 @@ from adiff.antidiff import (
     poly_antidifference,
     resolvent_sum,
     sin_antidifference,
-    weighted_sum,
 )
 from adiff.errors import (
     BoundsError,
@@ -220,6 +219,19 @@ class TestBackward:
 
     def test_identity_function(self):
         assert backward_antidifference(lambda u: u, 3.5).value == 3.5 + 2.5 + 1.5
+
+    @pytest.mark.parametrize("t", [1.9999999999999998, 3.9999999999999996, 7.999999999999999])
+    def test_sums_at_t_below_an_integer(self, t):
+        # t + 1.0 rounds up to the next integer here; the terms are f at
+        # r + k, k = floor(t)..1, and the first is f(t) itself.
+        f = lambda u: u
+        r = t - math.floor(t)
+        expected = 0.0
+        for k in range(math.floor(t), 0, -1):
+            expected += f(r + k)
+        result = backward_antidifference(f, t)
+        assert result.value == expected
+        assert result.terms_used == math.floor(t)
 
     def test_backward_difference_residual(self):
         f = lambda u: math.sin(u) + 0.25 * u
@@ -562,17 +574,3 @@ class TestNonfiniteTerm:
     def test_all_finite(self):
         assert nonfinite_term(math.sin, 7.3, 0.3) is None
         assert nonfinite_term(lambda u: 1 / 0, -1.0, 1.0) is None
-
-
-class TestWeightedSum:
-    @pytest.mark.parametrize("h", [0.1, 0.3, 1.0 / 3.0, 0.7, 1.5])
-    def test_equals_written_out_float_shifts(self, h):
-        # The shared summand loop steps t + s*(-h), which is t - h*s bit for
-        # bit; lam = 1.0 leaves the multiplies out, and 1.0 * v is v.
-        rng = random.Random(int(h * 1000))
-        for _ in range(500):
-            f = _LATTICE_CORPUS[rng.randrange(len(_LATTICE_CORPUS))]
-            lam = rng.choice([1.0, -0.9, complex(0.3, -0.8)])
-            t = rng.uniform(-2.0, 40.0)
-            n = rng.randint(0, 60)
-            assert weighted_sum(f, t, n, lam, h) == float_shift_sum(f, t, n, lam, h), (h, lam, t, n)

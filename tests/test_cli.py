@@ -141,6 +141,12 @@ class TestEval:
         assert out == ""
         assert message in err and "position" in err
 
+    def test_quotient_overflow_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "1e300", "--h", "1e-300")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "t/h overflows for t = 1e+300 and h = 1e-300" in err
+
     def test_digamma_far_below_zero(self, capsys):
         code, out, _ = run_main(capsys, "eval", "--expr", "digamma(t-1e9)", "--t", "0.5")
         assert code == EXIT_OK
@@ -195,6 +201,24 @@ class TestSolve:
             "--budget", "10000000",
         )
         assert code == EXIT_OK
+
+    def test_quotient_overflow_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "solve", "--factors", "1e-300:1", "--expr", "1", "--t", "1e10")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "t/h overflows for t = 10000000000.0 and h = 1e-300" in err
+
+    @pytest.mark.parametrize("h", ["0.1", "0.3", "0.3333333333333333", "0.7", "1.5"])
+    @pytest.mark.parametrize("lam", ["0.9", "-1.3", "0.3-0.8i"])
+    def test_one_factor_equals_eval(self, capsys, h, lam):
+        # Points with at least one term only: at n = 0 terms_used differs,
+        # as solve reports estimate_terms, which counts at least 1.
+        for t in ["7.3", "2.9", "11.05"]:
+            _, solved, _ = run_main(capsys, "solve", "--factors", f"{h}:{lam}", "--expr", "cos(t)", "--t", t)
+            _, evaluated, _ = run_main(capsys, "eval", "--h", h, "--lambda", lam, "--expr", "cos(t)", "--t", t)
+            solved, evaluated = record_fields(solved), record_fields(evaluated)
+            assert (solved["value"], solved["imag"]) == (evaluated["value"], evaluated["imag"]), (h, lam, t)
+            assert solved["terms_used"] == evaluated["terms_used"]
 
 
 class TestSum:

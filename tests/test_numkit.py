@@ -123,6 +123,12 @@ class TestFloorMod:
         with pytest.raises(NonFiniteInput):
             floor_mod(math.nan, 1.0)
 
+    @pytest.mark.parametrize("t,h", [(1e300, 1e-300), (-1e300, 1e-300), (1e10, 1e-300)])
+    def test_quotient_overflow_names_t_and_h(self, t, h):
+        with pytest.raises(DomainError) as info:
+            floor_mod(t, h)
+        assert repr(t) in str(info.value) and repr(h) in str(info.value)
+
 
 # ------------------------------------------------------ factorial polynomials
 
