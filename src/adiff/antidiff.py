@@ -31,11 +31,13 @@ the printed value, but never the term count.
 :func:`_point_sum` is the one summand loop: :func:`resolvent_sum`,
 :func:`antidifference`, :func:`backward_antidifference` and each factor
 layer of :mod:`adiff.opalgebra` call it for one point.
-:func:`lattice_sums` serves many points: those with the same remainder
-share their summand values, so a table of rows computes each f(r + k*h)
-once and folds the stored values with :func:`_fold` (folding stored values
-through a callable cost 2-3x per term). The particular part of
-:mod:`adiff.inequality` reads these sums.
+:func:`definite_sum` writes out its lam = h = 1 case once for the two
+antidifferences F(n+1) and F(m) together, in the same order, so that
+each f(k) is computed once. :func:`lattice_sums` serves many points:
+those with the same remainder share their summand values, so a table of
+rows computes each f(r + k*h) once and folds the stored values with
+:func:`_fold` (folding stored values through a callable cost 2-3x per
+term). The particular part of :mod:`adiff.inequality` reads these sums.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -258,22 +260,48 @@ def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:
     return AntidiffValue(_point_sum(f, t - math.floor(t) + 1.0, n, 1.0, 1.0), n)
 
 
-def definite_sum(f: RealFunction, m: int, n: int) -> float:
-    """Sum of f(k) for k = m..n inclusive.
+def definite_sum_calls(m: int, n: int) -> int:
+    """The number of summand calls definite_sum(f, m, n) makes: n - min(m, 0) + 1.
 
-    For m >= 0 the value is computed as F(n+1) - F(m) with F the finite-sum
-    antidifference and cross-checked against a direct loop; disagreement
-    beyond 1e-9 relative raises :class:`CrossCheckError`. Negative m falls
-    back to the direct loop (F vanishes below 1).
+    Raises :class:`BoundsError` if m > n, so a caller can check the bounds
+    and the cost of a sum before it calls f.
     """
     if m > n:
         raise BoundsError(f"lower bound {m} exceeds upper bound {n}")
-    direct = 0.0
-    for k in range(m, n + 1):
-        direct += f(float(k))
+    return n - min(m, 0) + 1
+
+
+def definite_sum(f: RealFunction, m: int, n: int) -> float:
+    """Sum of f(k) for k = m..n inclusive.
+
+    For m >= 0 the value is F(n+1) - F(m) with F the finite-sum
+    antidifference, cross-checked against the direct sum f(n) + ... + f(m);
+    disagreement beyond 1e-9 relative raises :class:`CrossCheckError`. One
+    pass over k = n..0 calls f once per point: the running total is the
+    direct sum after k = m and F(n+1) after k = 0, and the values below m
+    also add up to F(m), each in the order :func:`antidifference` adds them,
+    so the result is bit for bit F(n+1) - F(m). f is first called at n, so
+    when several points fail the highest one is named. Negative m falls
+    back to the direct ascending loop (F vanishes below 1), whose first
+    call is at m. Either way f is called n - min(m, 0) + 1 times, in O(1)
+    memory.
+    """
+    definite_sum_calls(m, n)
     if m < 0:
+        direct = 0.0
+        for k in range(m, n + 1):
+            direct += f(float(k))
         return direct
-    via_theorem = antidifference(f, float(n + 1)).value - antidifference(f, float(m)).value
+    acc = 0.0
+    for k in range(n, m - 1, -1):
+        acc += f(float(k))
+    direct = acc
+    low = 0.0
+    for k in range(m - 1, -1, -1):
+        v = f(float(k))
+        acc += v
+        low += v
+    via_theorem = acc - low
     if abs(via_theorem - direct) > _CROSSCHECK_TOL * (1.0 + abs(direct)):
         raise CrossCheckError(
             f"fundamental-theorem path {via_theorem!r} disagrees with direct loop {direct!r}"
@@ -331,6 +359,11 @@ def mueller_sum(
     raises :class:`NoConvergence` if max_terms is hit first. The result
     differs from the floor-bounded antidifference by a 1-periodic function
     of x.
+
+    One pass over n = 0, 1, ..., each term calling f at n and at n + x. The
+    counter n is kept as a float (u += 1.0), which is exact below 2^53, so
+    f sees the same arguments as with float(n) and n + x; f is first called
+    at 0, so a failure names the lowest failing term.
     """
     x = _require_finite(x, "x")
     if not tail_tol > 0.0:
@@ -338,12 +371,14 @@ def mueller_sum(
     if max_terms < 1:
         raise DomainError(f"max_terms must be a positive integer, got {max_terms!r}")
     acc = 0.0
-    for n in range(max_terms):
-        fn = f(float(n))
-        fnx = f(n + x)
+    u = 0.0
+    for n in range(1, max_terms + 1):
+        fn = f(u)
+        fnx = f(u + x)
         acc += fn - fnx
         if abs(fn) + abs(fnx) < tail_tol:
-            return AntidiffValue(acc, n + 1)
+            return AntidiffValue(acc, n)
+        u += 1.0
     raise NoConvergence(
         f"tail criterion {tail_tol!r} not met within {max_terms} terms"
     )

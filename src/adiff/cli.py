@@ -14,8 +14,10 @@ error (parse, domain, sign/periodicity, bad flags, numbers out of
 floating-point range, non-finite values asked for as JSON), 3 term budget
 exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
 error; results to standard output. The environment variable
-ADIFF_TERM_BUDGET overrides the default nested-sum budget; an explicit
---budget flag wins over the environment.
+ADIFF_TERM_BUDGET overrides the default term budget of ``solve``,
+``table --mode solve`` and ``sum``; an explicit --budget flag wins over
+the environment. ``sum`` charges its exact summand call count before the
+first call and exits 2 on a result that is not finite.
 
 ``eval`` and ``table --mode antidiff|resolvent`` read every value and its
 shifted value y(t+h) from one ``antidiff.lattice_sums`` call, which puts
@@ -48,7 +50,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .antidiff import definite_sum, lattice_sums, nonfinite_term
+from .antidiff import definite_sum, definite_sum_calls, lattice_sums, nonfinite_term
 from .errors import (
     AdiffError,
     CrossCheckError,
@@ -237,7 +239,17 @@ def cmd_solve(args) -> int:
 
 def cmd_sum(args) -> int:
     f = as_function(args.expr)
-    print(fmt17(definite_sum(f, args.from_, args.to)))
+    calls = definite_sum_calls(args.from_, args.to)
+    max_terms = _resolve_budget(args.budget).max_terms
+    if calls > max_terms:
+        raise TermBudgetExceeded(
+            f"sum needs {calls} evaluations, budget is {max_terms} (set it with --budget)"
+        )
+    value = definite_sum(f, args.from_, args.to)
+    if not math.isfinite(value):
+        bounds = f"[{args.from_}, {args.to}]"
+        raise DomainError(f"the sum over {bounds} is {fmt17(value)}, not a finite number")
+    print(fmt17(value))
     return EXIT_OK
 
 
@@ -344,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--from", dest="from_", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None, help="max summand evaluations")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("table", help="emit a value table as CSV or JSON lines")

@@ -6,8 +6,11 @@ and the special-function layer (itself checked against mpmath elsewhere).
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiff import antidiff as antidiff_module
 from adiff.antidiff import (
@@ -15,6 +18,7 @@ from adiff.antidiff import (
     backward_antidifference,
     cos_antidifference,
     definite_sum,
+    definite_sum_calls,
     exp_antidifference,
     gamma_ratio_product,
     lattice_sums,
@@ -28,6 +32,7 @@ from adiff.antidiff import (
 )
 from adiff.errors import (
     BoundsError,
+    CrossCheckError,
     DomainError,
     NoConvergence,
     NonFiniteInput,
@@ -240,6 +245,15 @@ class TestBackward:
             assert close(y(t) - y(t - 1.0), f(t), 1e-10)
 
 
+# 1/(1 + |k|) is 1/(1 + k) on k >= 0 and stays defined at k = -1.
+_DEFINITE_SUMMANDS = {
+    "square": lambda k: k * k,
+    "sin": math.sin,
+    "reciprocal": lambda k: 1.0 / (1.0 + abs(k)),
+    "geometric": lambda k: 0.9**k,
+}
+
+
 class TestDefiniteSum:
     def test_square_pyramid(self):
         val = definite_sum(lambda k: k * k, 1, 5)
@@ -260,6 +274,55 @@ class TestDefiniteSum:
     def test_bounds_error(self):
         with pytest.raises(BoundsError):
             definite_sum(lambda k: k, 4, 3)
+        with pytest.raises(BoundsError):
+            definite_sum_calls(4, 3)
+
+    def test_cancellation_fails_the_cross_check(self):
+        # F(4) - F(1) = (3 + 1e20) - 1e20 loses the three unit terms.
+        with pytest.raises(CrossCheckError):
+            definite_sum(lambda k: 1e20 if k < 1 else 1.0, 1, 3)
+
+    def test_highest_failing_point_surfaces_first(self):
+        def f(k):
+            if k <= 3.0:
+                raise ValueError(k)
+            return k
+
+        with pytest.raises(ValueError) as info:
+            definite_sum(f, 0, 10)
+        assert info.value.args == (3.0,)
+
+    @pytest.mark.parametrize("m", [-100_000, 0, 100_000])
+    def test_constant_memory(self, m):
+        # A list of 200 000 stored values would take over 1.6 MB.
+        tracemalloc.start()
+        try:
+            definite_sum(lambda k: 1.0, m, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_DEFINITE_SUMMANDS)),
+        m=st.integers(-20, 50),
+        length=st.integers(0, 80),
+    )
+    def test_one_call_per_point_and_the_two_antidifferences(self, name, m, length):
+        f = _DEFINITE_SUMMANDS[name]
+        n = m + length
+        calls = []
+        value = definite_sum(lambda k: calls.append(k) or f(k), m, n)
+        if m >= 0:
+            route = antidifference(f, float(n + 1)).value - antidifference(f, float(m)).value
+        else:
+            route = 0.0
+            for k in range(m, n + 1):
+                route += f(float(k))
+        assert value == route
+        assert len(calls) == n - min(m, 0) + 1 == definite_sum_calls(m, n)
+        assert sorted(calls) == [float(k) for k in range(min(m, 0), n + 1)]
 
 
 class TestPolyAntidifference:
@@ -354,6 +417,24 @@ class TestMueller:
             for _ in range(30):
                 x = rng.uniform(0.1, 8.0)
                 assert abs(d(x + 1.0) - d(x)) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.sampled_from([0.3, 0.5, 0.9]), x=st.floats(-20.0, 60.0))
+    def test_equals_an_integer_counter_loop(self, a, x):
+        def written_out(f):
+            acc = 0.0
+            for n in range(1_000_000):
+                fn = f(float(n))
+                fnx = f(n + x)
+                acc += fn - fnx
+                if abs(fn) + abs(fnx) < 1e-12:
+                    return acc, n + 1
+
+        seen, expected_seen = [], []
+        res = mueller_sum(lambda u: seen.append(u) or a**u, x)
+        expected = written_out(lambda u: expected_seen.append(u) or a**u)
+        assert (res.value, res.terms_used) == expected
+        assert seen == expected_seen
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from adiff import cli
 from adiff.cli import (
     EXIT_BUDGET,
+    EXIT_CROSSCHECK,
     EXIT_INPUT,
     EXIT_IO,
     EXIT_OK,
@@ -240,6 +241,50 @@ class TestSum:
     def test_bad_bounds_exit_2(self, capsys):
         code, _, _ = run_main(capsys, "sum", "--expr", "t", "--from", "5", "--to", "4")
         assert code == EXIT_INPUT
+
+    def test_bad_bounds_checked_before_the_budget(self, capsys, summand_calls):
+        code, _, err = run_main(capsys, "sum", "--expr", "1", "--from", "2000000000", "--to", "0")
+        assert (code, summand_calls[0]) == (EXIT_INPUT, 0)
+        assert err == "adiff: lower bound 2000000000 exceeds upper bound 0\n"
+
+    def test_over_default_budget_exits_3_before_any_call(self, capsys, summand_calls):
+        code, out, err = run_main(capsys, "sum", "--expr", "1", "--from", "0", "--to", "1000000000")
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert "--budget" in err
+
+    @pytest.mark.parametrize(
+        "lo, hi, calls", [("0", "99", 100), ("7", "99", 100), ("-5", "5", 11), ("-99", "-1", 99)]
+    )
+    def test_budget_is_the_exact_call_count(self, capsys, summand_calls, lo, hi, calls):
+        argv = ("sum", "--expr", "t", "--from", lo, "--to", hi)
+        code, _, _ = run_main(capsys, *argv, "--budget", str(calls - 1))
+        assert (code, summand_calls[0]) == (EXIT_BUDGET, 0)
+        code, _, _ = run_main(capsys, *argv, "--budget", str(calls))
+        assert (code, summand_calls[0]) == (EXIT_OK, calls)
+
+    def test_budget_from_the_environment(self, capsys, monkeypatch, summand_calls):
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, "99")
+        argv = ("sum", "--expr", "t", "--from", "0", "--to", "99")
+        assert run_main(capsys, *argv)[0] == EXIT_BUDGET
+        assert run_main(capsys, *argv, "--budget", "100")[0] == EXIT_OK
+        assert summand_calls[0] == 100
+
+    @pytest.mark.parametrize("lo", ["0", "-3"])
+    def test_non_finite_sum_exit_2(self, capsys, lo):
+        code, out, err = run_main(capsys, "sum", "--expr", "exp(t*1000)", "--from", lo, "--to", "5")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"adiff: the sum over [{lo}, 5] is inf, not a finite number\n"
+
+    def test_cross_check_mismatch_exit_4(self, capsys):
+        code, out, err = run_main(capsys, "sum", "--expr", "1e20^(1-t)", "--from", "1", "--to", "3")
+        assert (code, out) == (EXIT_CROSSCHECK, "")
+        assert err == "adiff: fundamental-theorem path 0.0 disagrees with direct loop 1.0\n"
+
+    def test_highest_failing_point_is_named(self, capsys):
+        # The summand is first called at --to: ln(t-3) fails at 3 before 0.
+        code, out, err = run_main(capsys, "sum", "--expr", "ln(t-3)", "--from", "0", "--to", "10")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "adiff: domain: ln of non-positive value 0.0 (at position 0)\n"
 
 
 class TestTable:
