@@ -70,6 +70,7 @@ from .opalgebra import (
     factorization_identity_check,
     particular_solution,
     repeated_factor_solution,
+    solve_rows,
     verify_particular,
 )
 

@@ -37,7 +37,9 @@ each f(k) is computed once. :func:`lattice_sums` serves many points:
 those with the same remainder share their summand values, so a table of
 rows computes each f(r + k*h) once and folds the stored values with
 :func:`_fold` (folding stored values through a callable cost 2-3x per
-term). The particular part of :mod:`adiff.inequality` reads these sums.
+term); :func:`lattice_sums_calls` counts its summand calls without making
+them, so that a caller can charge a budget first. The particular part of
+:mod:`adiff.inequality` reads these sums.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -126,7 +128,9 @@ def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Sc
     :func:`_fold` written out: feeding it a generator of summand values cost
     10-25% per term, 7% of the benchmark's ``battery`` and ``solve``
     throughput (2-vCPU Xeon). Accumulation is complex exactly when ``lam``
-    is complex; at lam = 1.0 the multiplies are left out.
+    is complex; at lam = 1.0 the multiplies are left out. r and h may be
+    integers, the lattice indices of :mod:`adiff.opalgebra`'s layers; a
+    negative n sums nothing.
     """
     ks = range(n - 1, -1, -1)
     if isinstance(lam, complex):
@@ -171,6 +175,33 @@ def lattice_sums(
     f at s = 1..n in turn, then at the one extra point r + n*h. Accumulation
     is complex exactly when ``lam`` is complex.
     """
+    classes, lam, h = _classes(ts, lam, h)
+    out: list = [None] * len(ts)
+    for r, members in classes.items():
+        sums = _class_sums(f, r, h, _counts(members), lam)
+        for i, n, up in members:
+            out[i] = (n, sums[n], sums[up])
+    return out
+
+
+def lattice_sums_calls(ts: Sequence[float], lam: Scalar, h: float) -> int:
+    """The number of summand calls lattice_sums(f, ts, lam, h) makes.
+
+    A class calls f once per k below its top count, or, above
+    _CLASS_VALUES_MAX, m times for each of its counts m. Validates its
+    arguments as lattice_sums does, so a caller can check the cost of the
+    sums before it calls f.
+    """
+    classes, _, _ = _classes(ts, lam, h)
+    calls = 0
+    for members in classes.values():
+        counts = _counts(members)
+        calls += sum(counts) if counts[-1] > _CLASS_VALUES_MAX else counts[-1]
+    return calls
+
+
+def _classes(ts: Sequence[float], lam: Scalar, h: float):
+    """({r: [(i, n, n + 1)]}, lam, h): the points grouped by remainder, counts clamped at 0."""
     ts = [_require_finite(t) for t in ts]
     lam = _coefficient(lam)
     h = _require_positive_shift(h)
@@ -178,12 +209,11 @@ def lattice_sums(
     for i, t in enumerate(ts):
         cell = floor_mod(t, h)
         classes.setdefault(cell.r, []).append((i, max(cell.n, 0), max(cell.n + 1, 0)))
-    out: list = [None] * len(ts)
-    for r, members in classes.items():
-        sums = _class_sums(f, r, h, sorted({m for _, n, up in members for m in (n, up)}), lam)
-        for i, n, up in members:
-            out[i] = (n, sums[n], sums[up])
-    return out
+    return classes, lam, h
+
+
+def _counts(members: list[tuple[int, int, int]]) -> list[int]:
+    return sorted({m for _, n, up in members for m in (n, up)})
 
 
 def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Scalar) -> dict:

@@ -13,11 +13,14 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
 error (parse, domain, sign/periodicity, bad flags, numbers out of
 floating-point range, non-finite values asked for as JSON), 3 term budget
 exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
-error; results to standard output. The environment variable
-ADIFF_TERM_BUDGET overrides the default term budget of ``solve``,
-``table --mode solve`` and ``sum``; an explicit --budget flag wins over
-the environment. ``sum`` charges its exact summand call count before the
-first call and exits 2 on a result that is not finite.
+error; results to standard output. ``eval``, ``solve``, ``table --mode
+solve`` and ``sum`` take a term budget: --budget, else the environment
+variable ADIFF_TERM_BUDGET, else 10,000,000. Each charges its work once,
+before the first summand call, and exits 3 above the budget. ``sum`` and
+``eval`` charge their exact summand call counts (for ``eval`` that of
+``antidiff.lattice_sums`` plus the residual's f(t)); ``solve`` and its
+table charge the exact work of ``opalgebra.solve_rows``. ``sum`` exits 2
+on a result that is not finite.
 
 ``eval`` and ``table --mode antidiff|resolvent`` read every value and its
 shifted value y(t+h) from one ``antidiff.lattice_sums`` call, which puts
@@ -25,10 +28,11 @@ each point t = n*h + r on its lattice and computes each summand value
 f(r + k*h) once per command; y(t+h) is the lattice point (n+1, r), so the
 residual sums n+1 terms whatever the float t + h rounds to. ``eval``
 refuses (exit 2) a value or residual that is not finite and names the
-first non-finite summand value. ``solve`` and ``table --mode solve`` each
-build one solution chain (``opalgebra.solution``) and read every value and
-residual from it, so points shared between rows and residuals are computed
-once per command.
+first non-finite summand value. ``solve`` and ``table --mode solve`` make
+one ``opalgebra.solve_rows`` call, which puts the operator's steps on one
+integer lattice and reads every value and residual from one chain per
+remainder class, so points shared between rows and residuals are computed
+once per command; ``terms_used`` is the outermost factor's term count.
 
 ``main`` builds its argument parser on first use and reuses it for every
 later call in the process, so a program that calls ``main`` many times
@@ -50,7 +54,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .antidiff import definite_sum, definite_sum_calls, lattice_sums, nonfinite_term
+from .antidiff import (
+    definite_sum,
+    definite_sum_calls,
+    lattice_sums,
+    lattice_sums_calls,
+    nonfinite_term,
+)
 from .errors import (
     AdiffError,
     CrossCheckError,
@@ -65,13 +75,7 @@ from .inequality import (
     build_solution,
     check_inequality,
 )
-from .opalgebra import (
-    FactoredOperator,
-    TermBudget,
-    estimate_terms,
-    residual,
-    solution,
-)
+from .opalgebra import FactoredOperator, TermBudget, solve_rows
 
 # No command calls these; bench/tracing.py looks them up here by name.
 from .antidiff import antidifference, resolvent_sum  # noqa: F401
@@ -176,6 +180,14 @@ def _resolve_budget(flag_value: int | None) -> TermBudget:
     return TermBudget()
 
 
+def _charge(command: str, calls: int, max_terms: int) -> None:
+    """Refuse, before the first summand call, a command whose exact call count is over budget."""
+    if calls > max_terms:
+        raise TermBudgetExceeded(
+            f"{command} needs {calls} evaluations, budget is {max_terms} (set it with --budget)"
+        )
+
+
 def _split(value: float | complex) -> tuple[float, float]:
     if isinstance(value, complex):
         return value.real, value.imag
@@ -195,14 +207,17 @@ def _sum_rows(f, ts: list[float], lam: float | complex, h: float) -> list[Output
     return rows
 
 
-def _solve_record(op: FactoredOperator, y, f, t: float) -> OutputRecord:
-    """Point t of the solution chain y of op y = f with its residual |op y - f|.
+def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[OutputRecord]:
+    """Points ts of the particular solution y of op y = f, each with |op y - f|.
 
-    The value and the residual's 2^k points read the same chain, so a point
-    that is also a shifted point (of this row or another) is computed once.
+    One :func:`solve_rows` call charges the budget once and reads every
+    value and residual from one chain per remainder class.
     """
-    value = y(t)
-    return OutputRecord(t, value.real, value.imag, estimate_terms(op, t), residual(op, y, f, t))
+    rows = solve_rows(op, f, ts, budget)
+    return [
+        OutputRecord(t, value.real, value.imag, n, resid)
+        for t, (n, value, resid) in zip(ts, rows)
+    ]
 
 
 # ---------------------------------------------------------------- commands
@@ -211,6 +226,12 @@ def _solve_record(op: FactoredOperator, y, f, t: float) -> OutputRecord:
 def cmd_eval(args) -> int:
     f = as_function(args.expr)
     lam = parse_complex(args.lam)
+    max_terms = _resolve_budget(args.budget).max_terms
+    # The sums call f at most 2n + 2 times, the residual's f(t) included,
+    # for n <= |t|/h + 1. Below half the budget by that bound the exact
+    # count cannot exceed it, and the second split of t is left out.
+    if not 4.0 * abs(args.t) + 8.0 * args.h <= max_terms * args.h:
+        _charge("eval", lattice_sums_calls([args.t], lam, args.h) + 1, max_terms)
     record = _sum_rows(f, [args.t], lam, args.h)[0]
     if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
         term = nonfinite_term(f, args.t, args.h)
@@ -232,19 +253,13 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     op = parse_factors(args.factors)
     f = as_function(args.expr)
-    y = solution(op, f, _resolve_budget(args.budget))
-    print(_solve_record(op, y, f, args.t).text_line())
+    print(_solve_rows(op, f, [args.t], _resolve_budget(args.budget))[0].text_line())
     return EXIT_OK
 
 
 def cmd_sum(args) -> int:
     f = as_function(args.expr)
-    calls = definite_sum_calls(args.from_, args.to)
-    max_terms = _resolve_budget(args.budget).max_terms
-    if calls > max_terms:
-        raise TermBudgetExceeded(
-            f"sum needs {calls} evaluations, budget is {max_terms} (set it with --budget)"
-        )
+    _charge("sum", definite_sum_calls(args.from_, args.to), _resolve_budget(args.budget).max_terms)
     value = definite_sum(f, args.from_, args.to)
     if not math.isfinite(value):
         bounds = f"[{args.from_}, {args.to}]"
@@ -259,8 +274,8 @@ def _table_rows(args) -> list[OutputRecord]:
         if not args.factors:
             raise DomainError("mode 'solve' needs --factors")
         op = parse_factors(args.factors)
-        y = solution(op, f, _resolve_budget(args.budget))
-        rows = lambda ts: [_solve_record(op, y, f, t) for t in ts]
+        budget = _resolve_budget(args.budget)
+        rows = lambda ts: _solve_rows(op, f, ts, budget)
     else:
         lam, h = (1.0, 1.0) if args.mode == "antidiff" else (parse_complex(args.lam), args.h)
         rows = lambda ts: _sum_rows(f, ts, lam, h)
@@ -343,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--lambda", dest="lam", default="1", help="coefficient, 'a+bi' syntax")
     p.add_argument("--h", type=float, default=1.0, help="shift step (default 1)")
+    p.add_argument("--budget", type=int, default=None, help="max summand evaluations")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve", help="particular solution for factored operator")

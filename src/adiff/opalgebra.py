@@ -6,34 +6,51 @@ to y gives y(t+h) - lam*y(t); a product applies them in sequence (they
 commute, which the test suite checks).
 
 A particular solution of  product_i (E^{h_i} - lam_i I) y = f  is built by
-composing single-factor resolvent sums: the innermost resolvent integrates
-f, the next integrates that result, and so on. Unfolding the composition
-yields exactly the nested sum
+composing single-factor resolvent sums: factors[0] integrates f, the next
+factor integrates that result, and so on. Unfolding the composition yields
+exactly the nested sum
 
     y(t) = sum_{s_n} ... sum_{s_1} (prod_i lam_i^(s_i - 1)) f(t - sum_i s_i h_i)
 
 with bound floor_{h_i}(t - sum of the outer offsets) on each level.
 
-:func:`solution` builds that composition once as a chain of layers, each
-memoizing its values by exact argument for the life of the chain, the
-summand f included (so each distinct argument calls f once). This
-collapses the multiplicative term count with no floating-point change: a
-value read from a chain equals the same point computed alone, bit for bit.
-One chain serves every point a caller asks for. :func:`residual` evaluates
-it at all 2^k shifted points of ``op y - f``, and a caller with many
-points (the CLI's ``solve`` and ``table --mode solve``) builds one chain
-and drops it when done. No chain outlives its caller: f may close over
-state that changes between calls.
+One integer lattice per operator. Each step is read as the exact ratio of
+its shortest decimal form, repr(h), so 0.1 is 1/10 and 0.3 is 3/10. The
+lattice unit g is the gcd of these ratios and every step is an integer
+multiple m_i = h_i/g of it (steps 0.1 and 0.3: g = 1/10, m = 1 and 3). A
+point splits once as t = N*g + rho (:func:`adiff.numkit.floor_mod` at the
+float g), and everything below works on integer indices: the layer of
+factor i at index N takes (n, q) = divmod(N, m_i) and sums its inner layer
+at q + k*m_i with :func:`adiff.antidiff._point_sum`, in ascending s, and
+the summand is read at rho + I*g. The residual op y - f reads the top layer
+at the 2^k indices N + (sum of a subset of the m_i): y(t + h_i) is index
+N + m_i whatever the float t + h_i rounds to, so the residual law holds at
+non-dyadic steps. A one-factor chain has g = h and equals
+:func:`adiff.antidiff.resolvent_sum` bit for bit.
 
-Each layer sums at the lattice points of its own argument and step: it
-splits u as n*h + r (:func:`adiff.numkit.floor_mod`) and reads its inner
-layer at r + k*h, as :func:`adiff.antidiff.resolvent_sum` does, so a
-one-factor chain equals that sum bit for bit. No common lattice of the
-factors' steps is needed; the memo keys are the exact float arguments.
-:func:`apply_operator` still shifts its points as floats, t + h. The one
-summing loop here is the left side of :func:`factorization_identity_check`,
-kept apart as the independent route that the identity compares with the
-library's.
+:func:`solve_rows` serves every point of a command from one chain per
+remainder rho, each layer and the summand memoized by index for the life
+of the call (f may close over state that changes between calls), and
+charges the budget once, before any summand call, with the exact work: the
+terms every layer loop adds plus one summand call per distinct summand
+index plus one f(t) per residual. The work comes from the index sets alone.
+Layer i at index N reads every index below N - m_i + 1 in N's class mod
+m_i, so per class only the largest index matters and each layer's set is a
+union of ranges whose loop lengths are floor sums. The walk down the
+layers stops once the layers above are over budget, so finding the charge
+costs no more than the work it lets through, and a command far over budget
+is refused without enumerating its sum. :func:`lattice_plan` returns those
+sets and the work.
+
+Operators whose largest m_i is above :data:`LATTICE_MAX_RATIO` (steps with
+no short common decimal unit, such as 1 and 1/3 = 0.3333333333333333, which
+give g = 1e-16) keep a float chain: each layer splits its own float
+argument by its own step, the residual shifts its points as floats
+(:func:`apply_operator`, t + h), and the budget is the product bound
+:func:`estimate_terms` at the highest point asked for. Both chains come
+from :func:`_chain`. The one summing loop here besides it is the left side
+of :func:`factorization_identity_check`, kept apart as the independent
+route that the identity compares with the library's.
 """
 
 from __future__ import annotations
@@ -48,6 +65,10 @@ from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExc
 from .numkit import _require_finite, floor_mod
 
 _DEFAULT_MAX_TERMS = 10_000_000
+
+#: Largest step ratio m_i = h_i/g on a common lattice. Above it the operator
+#: keeps the float chain: its steps have no short common decimal unit.
+LATTICE_MAX_RATIO = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,7 +111,7 @@ class FactoredOperator:
 
 @dataclass(frozen=True)
 class TermBudget:
-    """Upper bound on summand evaluations a nested sum may require."""
+    """Upper bound on the work, in summand calls and layer terms, one command may do."""
 
     max_terms: int = _DEFAULT_MAX_TERMS
 
@@ -99,77 +120,245 @@ class TermBudget:
             raise DomainError(f"budget must be positive, got {self.max_terms!r}")
 
 
+def _expand(shifts: Sequence, lams: Sequence[complex], y: Callable, u) -> complex:
+    """op y at u for the factors (shift, lam): y at every u + sum of a subset of shifts.
+
+    One factor contributes y(u + shift) - lam*y(u); the rest of the product
+    acts on both pieces. The shifts are floats for :func:`apply_operator`
+    and lattice indices for a residual on the common lattice.
+    """
+
+    def expand(i: int, u) -> complex:
+        if i < 0:
+            return complex(y(u))
+        return expand(i - 1, u + shifts[i]) - lams[i] * expand(i - 1, u)
+
+    return expand(len(shifts) - 1, u)
+
+
 def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float) -> complex:
     """Apply the factored difference operator to y at t.
 
     Expands recursively: one factor contributes y(t+h) - lam*y(t); the rest
     of the product acts on both pieces. y is evaluated at every shifted
-    point t + sum of a subset of the h_i.
+    point t + sum of a subset of the h_i, summed as floats.
     """
-    factors = op.factors
-
-    def expand(i: int, u: float) -> complex:
-        if i < 0:
-            return complex(y(u))
-        f = factors[i]
-        return expand(i - 1, u + f.h) - f.lam * expand(i - 1, u)
-
-    return expand(len(factors) - 1, t)
+    return _expand([f.h for f in op.factors], [f.lam for f in op.factors], y, t)
 
 
 def estimate_terms(op: FactoredOperator, t: float) -> int:
-    """Product over factors of max(floor_h(t), 1): a bound on summand count."""
+    """Product over factors of max(floor_h(t), 1): a bound on summand count.
+
+    The budget of an operator off the common lattice (see the module
+    docstring); on the lattice the charge is exact (:func:`lattice_plan`).
+    """
     total = 1
     for f in op.factors:
         total *= max(floor_mod(t, f.h).n, 1)
     return total
 
 
-def _resolvent_layer(g: Callable[[float], complex], lam: complex, h: float):
-    """Single-factor resolvent over an inner layer, memoized by exact argument.
+def _decimal(h: float) -> tuple[int, int]:
+    """h as the ratio (numerator, power of ten) of its shortest decimal form."""
+    mantissa, _, exponent = repr(h).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    shift = int(exponent or 0) - len(fraction)
+    digits = int(whole + fraction)
+    return (digits * 10**shift, 1) if shift >= 0 else (digits, 10**-shift)
 
+
+def common_lattice(op: FactoredOperator) -> tuple[float, list[int]] | None:
+    """(g, [m_i]) with h_i = m_i * g on the decimal lattice, or None above the bound.
+
+    g is the gcd of the steps read as decimal ratios, rounded once to a
+    float; the m_i are exact integers. None when the largest m_i is above
+    :data:`LATTICE_MAX_RATIO`.
+    """
+    ratios = [_decimal(f.h) for f in op.factors]
+    den = max(d for _, d in ratios)  # powers of ten: the largest is their lcm
+    nums = [n * (den // d) for n, d in ratios]
+    unit = math.gcd(*nums)
+    ms = [n // unit for n in nums]
+    if max(ms) > LATTICE_MAX_RATIO:
+        return None
+    return unit / den, ms
+
+
+def _float_split(u: float, h: float) -> tuple[int, float]:
+    cell = floor_mod(u, h)
+    return cell.n, cell.r
+
+
+def _chain(g: Callable, op: FactoredOperator, steps: Sequence, split: Callable) -> Callable:
+    """The top layer of the solution over the summand g, one memoized layer per factor.
+
+    A layer at u sums its inner layer at r + k*step for the (n, r) that
+    ``split(u, step)`` gives: ``divmod`` of lattice indices, or floats off
+    the lattice. A negative n sums nothing.
     Calls the summand loop directly: :func:`resolvent_sum`'s validation and
     result record would add 1-2 us to every layer value.
     """
+    for factor, step in zip(op.factors, steps):
 
-    def layer(u: float) -> complex:
-        cell = floor_mod(u, h)
-        return _point_sum(g, cell.r, max(cell.n, 0), h, lam)
+        def layer(u, g=g, step=step, lam=factor.lam):
+            n, r = split(u, step)
+            return _point_sum(g, r, n, step, lam)
 
-    return functools.cache(layer)
+        g = functools.cache(layer)
+    return g
 
 
-def solution(op: FactoredOperator, f: RealFunction, budget: TermBudget | None = None):
-    """The particular solution y of op y = f as one callable sharing its layer memos.
+def _floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """sum_{i < count} floor((a*i + b) / m) for nonnegative a, b and positive m."""
+    total = 0
+    while True:
+        if a >= m:
+            total += count * (count - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += count * (b // m)
+            b %= m
+        top = a * count + b
+        if top < m:
+            return total
+        count, b, m, a = top // m, top % m, a, m
 
-    Folds the factors once: factors[0] integrates f, factors[1] that, and so
-    on. Each layer, and the summand below the first, caches its values by
-    exact argument for as long as y is referenced, so asking y for many
-    points (all 2^k points of a residual, every row of a table) computes
-    each layer value, and calls f at each argument, once. y(u) raises
-    :class:`TermBudgetExceeded` before any evaluation if
-    :func:`estimate_terms` at u is above the budget.
+
+def _index_sets(ms: Sequence[int], top: Sequence[int], allowance: float) -> tuple[list, int]:
+    """The index ranges each layer of one remainder class computes, and their work.
+
+    ``top`` holds the top layer's indices. Walks the layers top down: layer
+    i at index N reads N's class mod m_i below N - m_i + 1, so only the
+    largest index per class matters, and the top ``m_i / gcd(step, m_i)``
+    indices of a range meet every class the range meets. Returns
+    (sets, work) with sets[0] the summand indices and sets[-1] the top
+    layer, each a list of disjoint ranges, and work the terms of every layer
+    loop plus one per summand index. Stops early, with sets None, once the
+    work is above ``allowance``; the ranges walked so far are read by the
+    terms already counted, so the walk costs no more than the work.
+    """
+    layer = [range(index, index + 1) for index in sorted(set(top))]
+    sets = [layer]
+    work = 0
+    for m in reversed(ms):
+        for r in layer:
+            if r.start < 0:  # below the origin a layer sums nothing
+                r = r[-(r.start // r.step):]
+            work += _floor_sum(len(r), m, r.step, r.start)
+        if work > allowance:
+            return None, work
+        highest: dict[int, int] = {}
+        for r in layer:
+            for index in r[-(m // math.gcd(r.step, m)):]:
+                c = index % m
+                if index > highest.get(c, -1):
+                    highest[c] = index
+        layer = [range(c, c + index // m * m, m) for c, index in highest.items() if index >= m]
+        sets.append(layer)
+    work += sum(map(len, layer))
+    return sets[::-1], work
+
+
+def lattice_plan(
+    op: FactoredOperator, ts: Sequence[float], residuals: bool = True, allowance: float = math.inf
+) -> tuple[dict[float, list] | None, int]:
+    """Index sets per remainder class and the exact work of :func:`solve_rows`.
+
+    Returns ({rho: sets}, work), sets as in :func:`_index_sets`: the memo
+    keys each layer of rho's chain ends with, and work the terms, summand
+    calls and (with ``residuals``) f(t) calls the rows make. The sets are
+    None when the work is above ``allowance``; an operator off the common
+    lattice raises :class:`DomainError`.
+    """
+    lattice = common_lattice(op)
+    if lattice is None:
+        raise DomainError(f"the steps have no common lattice with m_i <= {LATTICE_MAX_RATIO}")
+    g, ms = lattice
+    return _plan(ms, [floor_mod(t, g) for t in ts], residuals, allowance)
+
+
+def _plan(ms: Sequence[int], cells: Sequence, residuals: bool, allowance: float):
+    shifts = _subset_sums(ms) if residuals else [0]
+    tops: dict[float, list[int]] = {}
+    for cell in cells:
+        tops.setdefault(cell.r, []).extend(cell.n + s for s in shifts)
+    work = len(cells) if residuals else 0
+    plan: dict[float, list] | None = {}
+    for rho, top in tops.items():
+        sets, cost = _index_sets(ms, top, allowance - work)
+        work += cost
+        if sets is None:
+            return None, work
+        plan[rho] = sets
+    return plan, work
+
+
+def _subset_sums(shifts: Sequence[int]) -> list[int]:
+    sums = [0]
+    for s in shifts:
+        sums += [x + s for x in sums]
+    return sums
+
+
+def solve_rows(
+    op: FactoredOperator,
+    f: RealFunction,
+    ts: Sequence[float],
+    budget: TermBudget | None = None,
+    residuals: bool = True,
+) -> list[tuple[int, complex, float | None]]:
+    """(n, y(t), |op y - f|(t)) for each t, y the particular solution of op y = f.
+
+    n is the top layer's term count (the outermost factor's floor at t,
+    clamped at 0). One chain per remainder class serves all rows and their
+    residuals, so each layer value and each summand value is computed once
+    per call. Raises :class:`TermBudgetExceeded` before any summand call if
+    the work is above the budget. Without ``residuals`` the third field is
+    None and neither the shifted points nor f(t) are computed or charged.
     """
     max_terms = (budget or TermBudget()).max_terms
-    g: Callable[[float], complex] = functools.cache(lambda u: complex(f(u)))
-    for factor in op.factors:
-        g = _resolvent_layer(g, factor.lam, factor.h)
+    ts = [_require_finite(t) for t in ts]
+    lattice = common_lattice(op)
+    if lattice is None:
+        return _float_rows(op, f, ts, max_terms, residuals)
+    g, ms = lattice
+    cells = [floor_mod(t, g) for t in ts]
+    plan, work = _plan(ms, cells, residuals, max_terms)
+    if work > max_terms:
+        # A plan stopped early has counted only the layers above the budget.
+        least = "at least " if plan is None else ""
+        raise TermBudgetExceeded(f"nested sum needs {least}{work} evaluations, budget is {max_terms}")
+    lams = [factor.lam for factor in op.factors]
+    chains: dict[float, Callable] = {}
+    rows = []
+    for t, cell in zip(ts, cells):
+        index, rho = cell.n, cell.r
+        y = chains.get(rho)
+        if y is None:
+            summand = functools.cache(lambda i, rho=rho: complex(f(rho + i * g)))
+            y = chains[rho] = _chain(summand, op, ms, divmod)
+        value = y(index)
+        resid = abs(_expand(ms, lams, y, index) - f(t)) if residuals else None
+        rows.append((max(index // ms[-1], 0), value, resid))
+    return rows
 
-    def y(u: float) -> complex:
-        estimate = estimate_terms(op, u)
-        if estimate > max_terms:
-            msg = f"nested sum needs up to {estimate} evaluations, budget is {max_terms}"
-            raise TermBudgetExceeded(msg)
-        return g(u)
 
-    return y
-
-
-def residual(
-    op: FactoredOperator, y: Callable[[float], Scalar], f: RealFunction, t: float
-) -> float:
-    """|op y - f| at t: y is evaluated at all 2^k points t + sum of a subset of the h_i."""
-    return abs(apply_operator(op, y, t) - f(t))
+def _float_rows(op, f, ts, max_terms, residuals):
+    """:func:`solve_rows` off the common lattice: float layers and shifts, product bound."""
+    steps = [factor.h for factor in op.factors]
+    highest = ts
+    for h in reversed(steps if residuals else []):  # added as apply_operator adds them
+        highest = [u + h for u in highest]
+    estimate = max((estimate_terms(op, u) for u in highest), default=0)
+    if estimate > max_terms:
+        raise TermBudgetExceeded(f"nested sum needs up to {estimate} evaluations, budget is {max_terms}")
+    y = _chain(functools.cache(lambda u: complex(f(u))), op, steps, _float_split)
+    rows = []
+    for t in ts:
+        value = y(t)
+        resid = abs(apply_operator(op, y, t) - f(t)) if residuals else None
+        rows.append((max(floor_mod(t, steps[-1]).n, 0), value, resid))
+    return rows
 
 
 def particular_solution(
@@ -179,9 +368,9 @@ def particular_solution(
 
     The value equals the literal nested sum of the multi-factor solution
     formula term for term. Raises :class:`TermBudgetExceeded` before any
-    evaluation if :func:`estimate_terms` at t is above the budget.
+    evaluation if the work at t is above the budget.
     """
-    return solution(op, f, budget)(t)
+    return solve_rows(op, f, [t], budget, residuals=False)[0][1]
 
 
 def repeated_factor_solution(
@@ -201,9 +390,9 @@ def verify_particular(
 
     This is the universal residual: zero (to rounding) for every operator,
     summand, and point within budget. One memoized chain serves all 2^k
-    points t + sum of a subset of the h_i; the budget is checked at each.
+    points; the budget is charged once for all of them.
     """
-    return residual(op, solution(op, f, budget), f, t)
+    return solve_rows(op, f, [t], budget)[0][2]
 
 
 # Per identity: the factor pair's inner and outer lam (unit steps), the lam

@@ -23,9 +23,16 @@ from adiff.cli import (
     parse_complex,
     parse_factors,
 )
+from adiff.antidiff import lattice_sums_calls
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
-from adiff.opalgebra import verify_particular
+from adiff.opalgebra import (
+    FactoredOperator,
+    common_lattice,
+    lattice_plan,
+    particular_solution,
+    verify_particular,
+)
 
 
 def run_main(capsys, *argv):
@@ -212,9 +219,8 @@ class TestSolve:
     @pytest.mark.parametrize("h", ["0.1", "0.3", "0.3333333333333333", "0.7", "1.5"])
     @pytest.mark.parametrize("lam", ["0.9", "-1.3", "0.3-0.8i"])
     def test_one_factor_equals_eval(self, capsys, h, lam):
-        # Points with at least one term only: at n = 0 terms_used differs,
-        # as solve reports estimate_terms, which counts at least 1.
-        for t in ["7.3", "2.9", "11.05"]:
+        # terms_used is the top layer's n, so it is 0 for an empty sum.
+        for t in ["7.3", "2.9", "11.05", "0.05", "-2.5", h]:
             _, solved, _ = run_main(capsys, "solve", "--factors", f"{h}:{lam}", "--expr", "cos(t)", "--t", t)
             _, evaluated, _ = run_main(capsys, "eval", "--h", h, "--lambda", lam, "--expr", "cos(t)", "--t", t)
             solved, evaluated = record_fields(solved), record_fields(evaluated)
@@ -552,27 +558,33 @@ class TestSolveChain:
         return code, buffer.getvalue()
 
     @pytest.mark.parametrize(
-        "grid, factors, budget, message",
+        "grid, factors, charges",
         [
-            (("0", "12", "1"), "1:2;1:3", "100", "up to 121 evaluations, budget is 100"),
-            (("0.5", "12.5", "0.5"), "1:0.5;0.5:2", "300", "up to 338 evaluations, budget is 300"),
+            # Rows 0..11 of two unit factors: outer layer at indices 0..13
+            # (91 terms), inner at 0..12 (78), f at 0..11 and once per row
+            # (12 + 12) is 193; row 12 adds 29.
+            (("0", "12", "1"), "1:2;1:3", (193, 222)),
+            (("0.5", "12.5", "0.5"), "1:0.5;0.5:2", (596, 639)),
         ],
     )
-    def test_later_row_over_budget_exit_3(self, capsys, grid, factors, budget, message):
+    def test_later_row_charged_before_any_call(self, capsys, summand_calls, grid, factors, charges):
         lo, hi, step = grid
-        code, out, err = run_main(
-            capsys,
-            "table", "--expr", "1", "--from", lo, "--to", hi, "--step", step,
-            "--mode", "solve", "--factors", factors, "--budget", budget,
-        )
-        assert code == EXIT_BUDGET
-        assert out == ""
-        assert err == f"adiff: nested sum needs {message}\n"
-        # The first rows fit: the table fails on a later row, not on its first.
-        code, _, _ = run_main(
-            capsys, "solve", "--factors", factors, "--expr", "1", "--t", lo, "--budget", budget
-        )
+        op = parse_factors(factors)
+        ts = [float(lo) + i * float(step) for i in range(round((float(hi) - float(lo)) / float(step)) + 1)]
+        assert (lattice_plan(op, ts[:-1])[1], lattice_plan(op, ts)[1]) == charges
+        table = ("table", "--expr", "1", "--from", lo, "--step", step, "--mode", "solve", "--factors", factors)
+        budget = str(charges[0])
+        # The last row alone takes the table over budget: exit 3, no row, no call.
+        code, out, err = run_main(capsys, *table, "--to", hi, "--budget", budget)
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert err.startswith("adiff: nested sum needs ") and err.endswith(f"budget is {budget}\n")
+        # Without it the table fits exactly, and calls f as often as charged
+        # less the terms of the layers.
+        code, out, _ = run_main(capsys, *table, "--to", repr(ts[-2]), "--budget", budget)
         assert code == EXIT_OK
+        assert len(out.splitlines()) == len(ts)
+        code, _, _ = run_main(capsys, *table, "--to", repr(ts[-2]), "--budget", str(charges[0] - 1))
+        assert code == EXIT_BUDGET
 
     @pytest.mark.parametrize(
         "factors, lo, hi, step",
@@ -609,6 +621,105 @@ class TestSolveChain:
         # cli.as_function is the counting one here.
         verify_particular(parse_factors(factors), cli.as_function("cos(t)"), float(t))
         assert 0 < solve_calls <= summand_calls[0]
+
+
+_LAW_STEPS = ["0.1", "0.3", "0.25", "0.3333333333333333", "0.5", "1", "2"]
+_LAW_LAMBDAS = ["1", "-1", "0.5", "-0.9", "1i", "-1i", "0.6+0.8i", "0.5-0.5i"]
+
+
+@st.composite
+def _factor_texts(draw):
+    count = draw(st.integers(1, 3))
+    return ";".join(
+        f"{draw(st.sampled_from(_LAW_STEPS))}:{draw(st.sampled_from(_LAW_LAMBDAS))}"
+        for _ in range(count)
+    )
+
+
+def law_operators():
+    """1-3 factors at steps from _LAW_STEPS, each |lambda| <= 1, as --factors text.
+
+    Only operators on a common lattice: 1/3 with another step is above
+    LATTICE_MAX_RATIO and keeps the float shifts, whose residual can read
+    y across a lattice point (see TestCommonLattice in test_opalgebra).
+    """
+    return _factor_texts().filter(lambda text: common_lattice(parse_factors(text)) is not None)
+
+
+def _solve_law_bound(factors, expr, t):
+    """1e-8 times the scale bench/reference.py reads a solve residual against.
+
+    The scale is |f(t)| plus, over the 2^k shifted points t + d of op y, the
+    point's |weight| times the sum of the |terms| of y there: the solution
+    with every lambda and f replaced by their absolute values. With
+    |lambda| <= 1 a term summed twice or left out is far above it.
+    """
+    op = parse_factors(factors)
+    f = as_function(expr)
+    magnitudes = FactoredOperator.from_pairs([(x.h, abs(x.lam)) for x in op.factors])
+    scale = abs(f(t))
+    shifts = [(0.0, 1.0)]
+    for factor in op.factors:
+        shifts = [(d + factor.h, w) for d, w in shifts] + [(d, w * abs(factor.lam)) for d, w in shifts]
+    for d, w in shifts:
+        scale += w * abs(particular_solution(magnitudes, lambda u: abs(f(u)), t + d))
+    return 1e-8 * scale + 1e-300
+
+
+class TestSolveResidualLaw:
+    """op y - f vanishes to rounding at every point solve and its table print."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        law_operators(),
+        st.sampled_from(_SOLVE_EXPRS),
+        st.one_of(st.integers(0, 40).map(lambda k: repr(k * 0.1)), st.floats(0.0, 4.0).map(repr)),
+    )
+    def test_solve(self, factors, expr, t):
+        code, out = _main_quiet("solve", "--factors", factors, f"--expr={expr}", f"--t={t}")
+        assert code == EXIT_OK
+        row = record_fields(out)
+        assert float(row["residual"]) <= _solve_law_bound(factors, expr, float(t)), (factors, expr, row)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(
+        law_operators(),
+        st.sampled_from(_SOLVE_EXPRS),
+        st.sampled_from(["0.1", "0.3", "0.25", "0.5", "0.7"]),
+        st.integers(0, 10).map(lambda k: k / 10),
+    )
+    def test_table(self, factors, expr, step, lo):
+        code, out = _main_quiet(
+            "table", "--mode", "solve", "--factors", factors, f"--expr={expr}",
+            "--from", repr(lo), "--to", repr(lo + 3.0), "--step", step,
+        )
+        assert code == EXIT_OK
+        for line in out.splitlines()[1:]:
+            t, _, _, _, resid = line.split(",")
+            assert float(resid) <= _solve_law_bound(factors, expr, float(t)), (factors, expr, line)
+
+    def test_non_dyadic_table_has_no_residual(self, capsys):
+        # Rows k*0.1 of a 0.1-step solve: 6 of these 51 rows printed a
+        # nonzero residual when the residual shifted its points as floats.
+        code, out, _ = run_main(
+            capsys, "table", "--mode", "solve", "--factors", "0.1:1", "--expr", "1",
+            "--from", "0", "--to", "5", "--step", "0.1",
+        )
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert len(rows) == 51
+        assert [row.split(",")[4] for row in rows] == ["0"] * 51
+        code, out, _ = run_main(capsys, "solve", "--factors", "0.1:1", "--expr", "1", "--t", "1.7")
+        assert out == "t=1.7 value=16 imag=0 terms_used=16 residual=0\n"
+
+    def test_three_unit_factors_far_out_fit_the_default_budget(self, capsys):
+        # About 92 000 terms and 302 summand calls, where the product bound
+        # read 300^3 = 27 000 000.
+        code, out, _ = run_main(
+            capsys, "solve", "--factors", "1:0.9;1:0.9;1:0.9", "--expr", "1", "--t", "300.5"
+        )
+        assert code == EXIT_OK
+        assert record_fields(out)["terms_used"] == "300"
 
 
 class TestInequalityCommand:
@@ -914,6 +1025,40 @@ class TestLatticeRows:
         code, _, _ = run_main(capsys, "eval", "--expr", "cos(t)", "--t", "20.5", "--h", "0.5")
         assert code == EXIT_OK
         assert summand_calls[0] == 41 + 1 + 1
+
+    @pytest.mark.parametrize(
+        "t, h, calls",
+        [
+            ("20.5", "0.5", 41 + 1 + 1),
+            ("0.3", "0.5", 1 + 1),  # y(t) empty, y(t+h) one term
+            ("70000.5", "1", 70000 + 70001 + 1),  # over the class cap: each count refolds
+        ],
+    )
+    def test_eval_budget_is_the_exact_call_count(self, capsys, summand_calls, t, h, calls):
+        argv = ("eval", "--expr", "cos(t)", "--t", t, "--h", h, "--budget")
+        code, out, err = run_main(capsys, *argv, str(calls - 1))
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert err == f"adiff: eval needs {calls} evaluations, budget is {calls - 1} (set it with --budget)\n"
+        code, _, _ = run_main(capsys, *argv, str(calls))
+        assert (code, summand_calls[0]) == (EXIT_OK, calls)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.floats(-5.0, 300.0), st.sampled_from(["1", "0.5", "0.1", "0.3", "2", "7"]), st.integers(1, 400))
+    def test_eval_refused_exactly_when_over_budget(self, t, h, budget):
+        # Far below the budget eval skips the exact count; the verdict is the same.
+        calls = lattice_sums_calls([t], 1.0, float(h)) + 1
+        code, _ = _main_quiet("eval", "--expr", "1", f"--t={t!r}", "--h", h, "--budget", str(budget))
+        assert code == (EXIT_BUDGET if calls > budget else EXIT_OK), (t, h, budget, calls)
+
+    def test_eval_over_default_budget_exits_3_before_any_call(self, capsys, monkeypatch, summand_calls):
+        code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "1e9")
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert "eval needs 2000000002 evaluations, budget is 10000000" in err
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", "43")
+        code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "20.5", "--h", "0.5")
+        assert code == EXIT_OK
+        code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "21", "--h", "0.5")
+        assert code == EXIT_BUDGET
 
     def test_non_finite_summand_exit_2(self, capsys):
         code, out, err = run_main(capsys, "eval", "--expr", "exp(t*1000)", "--t", "2.5")

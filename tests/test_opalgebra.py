@@ -1,13 +1,14 @@
 """Tests for factored-operator application and nested-sum solutions.
 
 The reference oracle for two-factor solutions is a literal double loop over
-the nested-sum formula, written independently of the resolvent composition.
+the nested-sum formula, written independently of the resolvent composition;
+:func:`fresh_chain` writes the whole solution chain out again as index loops.
 """
 
 import cmath
-import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,16 +22,18 @@ from adiff.errors import (
 )
 from adiff.numkit import floor_mod
 from adiff.opalgebra import (
+    LATTICE_MAX_RATIO,
     FactoredOperator,
     LinearFactor,
     TermBudget,
     apply_operator,
+    common_lattice,
     estimate_terms,
     factorization_identity_check,
+    lattice_plan,
     particular_solution,
     repeated_factor_solution,
-    residual,
-    solution,
+    solve_rows,
     verify_particular,
 )
 
@@ -187,11 +190,17 @@ class TestParticularSolution:
             assert abs(y.imag) <= 1e-10 * (1.0 + abs(y))
 
     def test_budget_enforced(self):
+        # At 10.5 the outer layer sums 10 terms, the inner one 0 + 1 + ... + 9
+        # = 45 at its indices 0..9, and f is called at 0.5, ..., 8.5: 64.
         op = FactoredOperator.from_pairs([(1, 2), (1, 3)])
-        with pytest.raises(TermBudgetExceeded):
-            particular_solution(op, lambda u: 1.0, 10.5, TermBudget(99))
-        # 100 evaluations fit exactly
-        particular_solution(op, lambda u: 1.0, 10.5, TermBudget(100))
+        calls = []
+        f = lambda u: calls.append(u) or 1.0
+        with pytest.raises(TermBudgetExceeded, match="needs 64 evaluations, budget is 63"):
+            particular_solution(op, f, 10.5, TermBudget(63))
+        assert calls == []
+        # 64 fit exactly
+        particular_solution(op, f, 10.5, TermBudget(64))
+        assert len(calls) == 9
 
 
 class TestRepeatedFactor:
@@ -261,7 +270,9 @@ class TestSharedChain:
     """verify_particular evaluates one memoized solution at all 2^k points."""
 
     def test_matches_pointwise_solutions(self):
-        # Oracle: a fresh particular_solution at every shifted point.
+        # Oracle: every shifted point computed alone, by a fresh written-out
+        # chain at lattice index N + (sum of a subset of the m_i), or, off
+        # the lattice, by a fresh particular_solution at the float t + h.
         rng = random.Random(4242)
         for _ in range(60):
             pairs = [
@@ -273,17 +284,29 @@ class TestSharedChain:
             f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
             t = rng.uniform(0.0, 3.0)
             budget = TermBudget(10**6)
-            oracle = abs(
-                apply_operator(op, lambda u: particular_solution(op, f, u, budget), t) - f(t)
-            )
+            if common_lattice(op) is None:
+                y = lambda u: particular_solution(op, f, u, budget)
+                oracle = abs(apply_operator(op, y, t) - f(t))
+            else:
+                lattice = decimal_lattice(op)
+                n, rho = split(t, lattice[0])
+                y = lambda index: fresh_chain(op, f).value(rho, index)
+                oracle = abs(expand(lattice[1], [x.lam for x in op.factors], y, n) - f(t))
             assert verify_particular(op, f, t, budget) == oracle
 
     def test_budget_checked_at_shifted_points(self):
-        # 9 * 9 = 81 terms at t fit in 100; 11 * 11 = 121 at t + 2 do not.
+        # The value at 9.5 costs 9 + 36 + 8 = 53. Its residual reads the
+        # outer layer at indices 9..11 (30 terms), the inner at 0..10 (55),
+        # f at 0.5..9.5 (10 calls) and f(9.5) once more: 96.
         op = FactoredOperator.from_pairs([(1, 2), (1, 3)])
-        particular_solution(op, lambda u: 1.0, 9.5, TermBudget(100))
-        with pytest.raises(TermBudgetExceeded, match="up to 121 evaluations"):
-            verify_particular(op, lambda u: 1.0, 9.5, TermBudget(100))
+        particular_solution(op, lambda u: 1.0, 9.5, TermBudget(53))
+        calls = []
+        f = lambda u: calls.append(u) or 1.0
+        with pytest.raises(TermBudgetExceeded, match="needs 96 evaluations, budget is 95"):
+            verify_particular(op, f, 9.5, TermBudget(95))
+        assert calls == []
+        assert verify_particular(op, f, 9.5, TermBudget(96)) == 0.0
+        assert len(calls) == 11
 
     @pytest.mark.parametrize(
         "pairs, t",
@@ -303,25 +326,87 @@ class TestSharedChain:
         assert calls[0] <= 2 * solve_calls
 
 
-def fresh_chain(op, f):
-    """The layer chain written out again: one cached lattice resolvent per factor.
+def decimal_lattice(op):
+    """(g, [m_i]): the steps as exact decimal fractions, g their gcd, or None above the bound."""
+    steps = [Fraction(repr(factor.h)) for factor in op.factors]
+    den = math.lcm(*(x.denominator for x in steps))
+    unit = Fraction(math.gcd(*(x.numerator * (den // x.denominator) for x in steps)), den)
+    ms = [int(x / unit) for x in steps]
+    return (float(unit), ms) if max(ms) <= LATTICE_MAX_RATIO else None
 
-    A layer at u = n*h + r sums lam^(s-1) g(r + (n-s)*h) in ascending s.
+
+def split(t, h):
+    """t = n*h + r with 0 <= r < h, written out: floor of the quotient, corrected once."""
+    n = math.floor(t / h)
+    r = t - n * h
+    if r < 0.0:
+        n, r = n - 1, r + h
+    elif r >= h:
+        n, r = n + 1, r - h
+    return n, max(r, 0.0)
+
+
+def expand(shifts, lams, y, u):
+    """op y at u, written out: y(u + shift) - lam*y(u), the last factor first."""
+    if not shifts:
+        return complex(y(u))
+    rest, lam = shifts[:-1], lams[-1]
+    return expand(rest, lams[:-1], y, u + shifts[-1]) - lam * expand(rest, lams[:-1], y, u)
+
+
+class fresh_chain:
+    """The solution chain written out again as loops, calling no library code.
+
+    On the decimal lattice (g, m_i) a layer at index N = n*m + q sums
+    lam^(s-1) inner(q + (n-s)*m) in ascending s, the summand is f(rho + I*g)
+    and the residual reads the top layer at N + (sum of a subset of the m_i).
+    Off it, a layer at u = n*h + r sums lam^(s-1) inner(r + (n-s)*h) and the
+    residual shifts u by the float steps. Values are memoized per layer, by
+    (rho, index) or by float, and the memo keys and the terms and summand
+    calls are kept for the tests of the budget.
     """
-    g = lambda u: complex(f(u))
-    for factor in op.factors:
 
-        def layer(u, g=g, lam=factor.lam, h=factor.h):
-            cell = floor_mod(u, h)
-            n = max(cell.n, 0)
-            acc, w = 0j, 1.0 + 0j
-            for s in range(1, n + 1):
-                acc += w * g(cell.r + (n - s) * h)
-                w *= lam
-            return acc
+    def __init__(self, op, f):
+        self.f = f
+        self.lams = [factor.lam for factor in op.factors]
+        self.lattice = decimal_lattice(op)
+        self.steps = self.lattice[1] if self.lattice else [factor.h for factor in op.factors]
+        self.memos = {}
+        self.terms = self.calls = 0
 
-        g = functools.cache(layer)
-    return g
+    def value(self, rho, u, layer=None):
+        """The layer's value (the top layer by default) at index or float u."""
+        layer = len(self.steps) if layer is None else layer
+        memo = self.memos.setdefault(rho, [{} for _ in range(len(self.steps) + 1)])[layer]
+        if u not in memo:
+            if layer == 0:
+                self.calls += 1
+                memo[u] = complex(self.f(rho + u * self.lattice[0] if self.lattice else u))
+            else:
+                step, lam = self.steps[layer - 1], self.lams[layer - 1]
+                n, r = divmod(u, step) if self.lattice else split(u, step)
+                acc, w = 0j, 1.0 + 0j
+                for s in range(1, n + 1):
+                    self.terms += 1
+                    acc += w * self.value(rho, r + (n - s) * step, layer - 1)
+                    w *= lam
+                memo[u] = acc
+        return memo[u]
+
+    def row(self, t, residuals=True):
+        """(n, y(t), |op y - f|(t)) as solve_rows gives them."""
+        if self.lattice:
+            u, rho = split(t, self.lattice[0])
+            n = max(u // self.steps[-1], 0)
+        else:
+            u, rho = t, None
+            n = max(split(t, self.steps[-1])[0], 0)
+        value = self.value(rho, u)
+        if not residuals:
+            return n, value, None
+        self.calls += 1
+        y = lambda v: self.value(rho, v)
+        return n, value, abs(expand(self.steps, self.lams, y, u) - self.f(t))
 
 
 def random_operator(rng):
@@ -333,7 +418,7 @@ def random_operator(rng):
 
 
 class TestSolutionChain:
-    """One public chain: every point read from it equals that point alone."""
+    """One chain per command: every point read from it equals that point alone."""
 
     def test_entry_points_equal_the_chain_formulas(self):
         rng = random.Random(606)
@@ -341,10 +426,10 @@ class TestSolutionChain:
             op = random_operator(rng)
             f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
             t = rng.uniform(-0.5, 4.0)
-            assert particular_solution(op, f, t) == fresh_chain(op, f)(t)
-            assert verify_particular(op, f, t) == abs(
-                apply_operator(op, fresh_chain(op, f), t) - f(t)
-            )
+            n, value, resid = fresh_chain(op, f).row(t)
+            assert particular_solution(op, f, t) == value
+            assert verify_particular(op, f, t) == resid
+            assert solve_rows(op, f, [t]) == [(n, value, resid)]
 
     def test_shared_chain_equals_points_computed_alone(self):
         # One chain asked for many points in random order, as a table does.
@@ -352,23 +437,30 @@ class TestSolutionChain:
         for _ in range(30):
             op = random_operator(rng)
             f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
-            y = solution(op, f)
-            for _ in range(12):
-                t = rng.choice([rng.uniform(-0.5, 4.0), rng.randrange(0, 9) * 0.5])
-                assert y(t) == particular_solution(op, f, t)
-                assert residual(op, y, f, t) == verify_particular(op, f, t)
+            ts = [rng.choice([rng.uniform(-0.5, 4.0), rng.randrange(0, 9) * 0.5]) for _ in range(12)]
+            rows = solve_rows(op, f, ts)
+            for t, (n, value, resid) in zip(ts, rows):
+                assert value == particular_solution(op, f, t)
+                assert resid == verify_particular(op, f, t)
+                assert (n, value, resid) == solve_rows(op, f, [t])[0]
 
     def test_budget_checked_at_every_point_asked_for(self):
-        # 9 * 9 = 81 terms at 9.5 fit in 100; 11 * 11 = 121 at 11.5 do not,
-        # even after the chain has computed every layer value 11.5 needs.
+        # The budget is charged once for all rows and their shifted points,
+        # before the first summand call: rows 9.5 and 10.5 cost 121 together,
+        # and a third row at 11.5 raises the charge to 148. The residual's
+        # points alone take row 9.5 from 53 to 96.
         op = FactoredOperator.from_pairs([(1, 2), (1, 3)])
-        y = solution(op, lambda u: 1.0, TermBudget(100))
-        y(9.5)
-        y(10.5)
-        with pytest.raises(TermBudgetExceeded, match="up to 121 evaluations, budget is 100"):
-            y(11.5)
-        with pytest.raises(TermBudgetExceeded, match="up to 121 evaluations"):
-            residual(op, y, lambda u: 1.0, 9.5)
+        calls = []
+        f = lambda u: calls.append(u) or 1.0
+        assert lattice_plan(op, [9.5, 10.5, 11.5])[1] == 148
+        solve_rows(op, f, [9.5, 10.5], TermBudget(121))
+        calls.clear()
+        # The walk stops once the layers above it are over budget.
+        with pytest.raises(TermBudgetExceeded, match="needs at least 136 evaluations, budget is 121"):
+            solve_rows(op, f, [9.5, 10.5, 11.5], TermBudget(121))
+        with pytest.raises(TermBudgetExceeded, match="needs 96 evaluations, budget is 95"):
+            solve_rows(op, f, [9.5], TermBudget(95))
+        assert calls == []
 
     def test_no_value_outlives_its_chain(self):
         # A summand closing over state that changes between calls is
@@ -387,15 +479,105 @@ class TestSolutionChain:
     )
     def test_summand_called_once_per_argument(self, pairs, t):
         # The innermost layer is cached per chain like the others: a residual's
-        # 2^k points call f once per distinct argument (uncached, the first
-        # case makes 232 calls for 21 arguments).
+        # 2^k points call f once per distinct argument, and once more at t
+        # (uncached, the first case makes 232 calls for 21 arguments).
         op = FactoredOperator.from_pairs(pairs)
         seen = []
         f = lambda u: seen.append(u) or math.cos(u)
-        y = solution(op, f)
-        value = residual(op, y, math.cos, t)
-        assert len(seen) == len(set(seen))
+        [(_, _, value)] = solve_rows(op, f, [t])
+        assert len(seen) == len(set(seen)) + 1
+        assert seen.count(t) == 2
         assert value == verify_particular(op, math.cos, t)
+
+
+def lattice_operators(rng, count):
+    """count random operators on the common lattice, each with a summand and points."""
+    cases = []
+    while len(cases) < count:
+        op = random_operator(rng)
+        if common_lattice(op) is not None:
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            ts = [rng.uniform(-1.0, 4.0) for _ in range(rng.randrange(1, 4))]
+            cases.append((op, f, ts + [rng.randrange(0, 40) * 0.1]))
+    return cases
+
+
+class TestCommonLattice:
+    """Steps read as decimal ratios share one integer lattice up to LATTICE_MAX_RATIO."""
+
+    @pytest.mark.parametrize(
+        "steps, lattice",
+        [
+            ([0.1], (0.1, [1])),
+            ([0.1, 0.3], (0.1, [1, 3])),
+            ([0.25, 0.1], (0.05, [5, 2])),
+            ([2.0, 0.5, 1.0], (0.5, [4, 1, 2])),
+            ([1 / 3, 1 / 3], (1 / 3, [1, 1])),
+            ([1e-300], (1e-300, [1])),
+            ([1e-6, 1.0], (1e-6, [1, 10**6])),  # the bound itself
+            ([1e-7, 1.0], None),  # just above it
+            ([1.0, 1 / 3], None),
+            ([1.0, 1.4142135623730951], None),
+        ],
+    )
+    def test_lattice(self, steps, lattice):
+        op = FactoredOperator.from_pairs([(h, 1) for h in steps])
+        assert common_lattice(op) == lattice
+        assert decimal_lattice(op) == lattice
+
+    def test_residual_law_at_non_dyadic_grid_points(self):
+        # At h = 0.1 the float 1.7 + 0.1 sums as 18 terms, not 17 + 1.
+        op = FactoredOperator.from_pairs([(0.1, 1)])
+        ts = [i * 0.1 for i in range(51)]
+        rows = solve_rows(op, lambda u: 1.0, ts)
+        assert [resid for _, _, resid in rows] == [0.0] * 51
+        assert solve_rows(op, lambda u: 1.0, [1.7]) == [(16, 16 + 0j, 0.0)]
+
+    @pytest.mark.parametrize("tiny", [1e-6, 1e-7])
+    def test_both_sides_of_the_bound(self, tiny):
+        # 1e-6 and 1 sit on one lattice (m = 1 and 10^6); 1e-7 and 1 do not,
+        # and keep the float layers and the product bound, which counts
+        # 2e7 terms where 75 are summed.
+        op = FactoredOperator.from_pairs([(tiny, 0.5), (1.0, -0.75)])
+        oracle = fresh_chain(op, math.cos)
+        assert (oracle.lattice is not None) == (tiny == 1e-6)
+        for u in (5 * tiny, 37 * tiny):
+            assert solve_rows(op, math.cos, [u], TermBudget(10**8)) == [oracle.row(u)]
+        with pytest.raises(TermBudgetExceeded) as raised:
+            solve_rows(op, math.cos, [37 * tiny], TermBudget(10))
+        product = "up to " if tiny == 1e-7 else ""
+        assert str(raised.value).startswith(f"nested sum needs {product}")
+
+    def test_charge_equals_the_work_done(self):
+        # The planned index sets are the memo keys of the written-out chain,
+        # the planned work is its terms plus its summand calls, and the
+        # library calls f exactly as often as the plan says.
+        rng = random.Random(909)
+        for op, f, ts in lattice_operators(rng, 60):
+            residuals = rng.random() < 0.7
+            oracle = fresh_chain(op, f)
+            rows = [oracle.row(t, residuals) for t in ts]
+            plan, work = lattice_plan(op, ts, residuals)
+            assert set(plan) == set(oracle.memos)
+            for rho, sets in plan.items():
+                planned = [{index for r in ranges for index in r} for ranges in sets]
+                assert planned == [set(memo) for memo in oracle.memos[rho]]
+            assert work == oracle.terms + oracle.calls
+            calls = [0]
+            counting = lambda u: calls.__setitem__(0, calls[0] + 1) or f(u)
+            assert solve_rows(op, counting, ts, TermBudget(max(work, 1)), residuals) == rows
+            assert calls[0] == oracle.calls
+            if work > 1:
+                with pytest.raises(TermBudgetExceeded):
+                    solve_rows(op, counting, ts, TermBudget(work - 1), residuals)
+                assert calls[0] == oracle.calls
+
+    def test_charge_of_a_huge_point_is_found_without_the_sum(self):
+        op = FactoredOperator.from_pairs([(1, 0.9)] * 3)
+        calls = []
+        with pytest.raises(TermBudgetExceeded, match="budget is 10000000"):
+            solve_rows(op, calls.append, [1e12])
+        assert calls == []
 
 
 class TestFactorizationIdentity:
