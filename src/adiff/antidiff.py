@@ -37,8 +37,9 @@ each f(k) is computed once. :func:`lattice_sums` serves many points:
 those with the same remainder share their summand values, so a table of
 rows computes each f(r + k*h) once and folds the stored values with
 :func:`_fold` (folding stored values through a callable cost 2-3x per
-term); :func:`lattice_sums_calls` counts its summand calls without making
-them, so that a caller can charge a budget first. The particular part of
+term). It hands its exact summand call count to the caller's charge
+before the first call, and :func:`lattice_sums_calls` gives the same count
+without making the calls. The particular part of
 :mod:`adiff.inequality` reads these sums.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
@@ -163,7 +164,11 @@ _CLASS_VALUES_MAX = 1 << 16
 
 
 def lattice_sums(
-    f: RealFunction, ts: Sequence[float], lam: Scalar, h: float
+    f: RealFunction,
+    ts: Sequence[float],
+    lam: Scalar,
+    h: float,
+    charge: Callable[[int], None] | None = None,
 ) -> list[tuple[int, Scalar, Scalar]]:
     """Resolvent sums of f at the points ts, each summand value computed once.
 
@@ -173,12 +178,17 @@ def lattice_sums(
     0.0 and -0.0 give the same points r + k*h), one class at a time, so
     memory stays O(len(ts) + min(max n, _CLASS_VALUES_MAX)). One point calls
     f at s = 1..n in turn, then at the one extra point r + n*h. Accumulation
-    is complex exactly when ``lam`` is complex.
+    is complex exactly when ``lam`` is complex. ``charge``, if given, is
+    called with the number of summand calls the sums make (that of
+    :func:`lattice_sums_calls`) before the first of them, and may raise to
+    refuse them.
     """
     classes, lam, h = _classes(ts, lam, h)
+    if charge is not None:
+        charge(_calls(classes))
     out: list = [None] * len(ts)
-    for r, members in classes.items():
-        sums = _class_sums(f, r, h, _counts(members), lam)
+    for r, (members, counts) in classes.items():
+        sums = _class_sums(f, r, h, counts, lam)
         for i, n, up in members:
             out[i] = (n, sums[n], sums[up])
     return out
@@ -192,28 +202,31 @@ def lattice_sums_calls(ts: Sequence[float], lam: Scalar, h: float) -> int:
     arguments as lattice_sums does, so a caller can check the cost of the
     sums before it calls f.
     """
-    classes, _, _ = _classes(ts, lam, h)
+    return _calls(_classes(ts, lam, h)[0])
+
+
+def _calls(classes: dict) -> int:
     calls = 0
-    for members in classes.values():
-        counts = _counts(members)
+    for _, counts in classes.values():
         calls += sum(counts) if counts[-1] > _CLASS_VALUES_MAX else counts[-1]
     return calls
 
 
 def _classes(ts: Sequence[float], lam: Scalar, h: float):
-    """({r: [(i, n, n + 1)]}, lam, h): the points grouped by remainder, counts clamped at 0."""
+    """({r: ([(i, n, n + 1)], counts)}, lam, h): the points grouped by remainder.
+
+    Counts are clamped at 0; ``counts`` holds a class's distinct ones in
+    ascending order.
+    """
     ts = [_require_finite(t) for t in ts]
     lam = _coefficient(lam)
     h = _require_positive_shift(h)
-    classes: dict[float, list[tuple[int, int, int]]] = {}
+    members: dict[float, list[tuple[int, int, int]]] = {}
     for i, t in enumerate(ts):
         cell = floor_mod(t, h)
-        classes.setdefault(cell.r, []).append((i, max(cell.n, 0), max(cell.n + 1, 0)))
-    return classes, lam, h
-
-
-def _counts(members: list[tuple[int, int, int]]) -> list[int]:
-    return sorted({m for _, n, up in members for m in (n, up)})
+        members.setdefault(cell.r, []).append((i, max(cell.n, 0), max(cell.n + 1, 0)))
+    counts = lambda ms: sorted({m for _, n, up in ms for m in (n, up)})
+    return {r: (ms, counts(ms)) for r, ms in members.items()}, lam, h
 
 
 def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Scalar) -> dict:

@@ -13,14 +13,18 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
 error (parse, domain, sign/periodicity, bad flags, numbers out of
 floating-point range, non-finite values asked for as JSON), 3 term budget
 exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
-error; results to standard output. ``eval``, ``solve``, ``table --mode
-solve`` and ``sum`` take a term budget: --budget, else the environment
-variable ADIFF_TERM_BUDGET, else 10,000,000. Each charges its work once,
-before the first summand call, and exits 3 above the budget. ``sum`` and
-``eval`` charge their exact summand call counts (for ``eval`` that of
-``antidiff.lattice_sums`` plus the residual's f(t)); ``solve`` and its
-table charge the exact work of ``opalgebra.solve_rows``. ``sum`` exits 2
-on a result that is not finite.
+error; results to standard output. Every command but ``verify`` takes a
+term budget: --budget, else the environment variable ADIFF_TERM_BUDGET,
+else 10,000,000 (``inequality`` has no --budget). Each charges its work
+once, before the first summand call, and exits 3 above the budget. ``sum``
+charges its exact summand call count; ``eval`` and ``table --mode
+antidiff|resolvent`` that of ``antidiff.lattice_sums`` plus one f(t) per
+row for the residual; ``solve`` and its table the exact work of
+``opalgebra.solve_rows``; ``inequality`` the slack calls of its sign
+check, its sums and its slack match. A table first charges one call per
+row, before it builds its points, and ``inequality`` first two per
+sample, so a huge row or sample count is refused before its list is
+built. ``sum`` exits 2 on a result that is not finite.
 
 ``eval`` and ``table --mode antidiff|resolvent`` read every value and its
 shifted value y(t+h) from one ``antidiff.lattice_sums`` call, which puts
@@ -180,11 +184,17 @@ def _resolve_budget(flag_value: int | None) -> TermBudget:
     return TermBudget()
 
 
-def _charge(command: str, calls: int, max_terms: int) -> None:
-    """Refuse, before the first summand call, a command whose exact call count is over budget."""
+def _charge(
+    command: str, calls: int, max_terms: int, least: str = "", knob: str = "--budget"
+) -> None:
+    """Refuse, before the first summand call, a command whose call count is over budget.
+
+    ``least`` is "at least " when ``calls`` is a lower bound of the count.
+    """
     if calls > max_terms:
         raise TermBudgetExceeded(
-            f"{command} needs {calls} evaluations, budget is {max_terms} (set it with --budget)"
+            f"{command} needs {least}{calls} evaluations, budget is {max_terms} "
+            f"(set it with {knob})"
         )
 
 
@@ -194,14 +204,18 @@ def _split(value: float | complex) -> tuple[float, float]:
     return float(value), 0.0
 
 
-def _sum_rows(f, ts: list[float], lam: float | complex, h: float) -> list[OutputRecord]:
+def _sum_rows(
+    f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int
+) -> list[OutputRecord]:
     """Points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|.
 
     One :func:`lattice_sums` call gives y(t) and y(t+h) at every point, the
-    antidifference being lam = h = 1.0.
+    antidifference being lam = h = 1.0. It charges its summand calls plus
+    one f(t) per row before the first call.
     """
+    charge = lambda calls: _charge(command, calls + len(ts), max_terms)
     rows = []
-    for t, (n, value, ahead) in zip(ts, lattice_sums(f, ts, lam, h)):
+    for t, (n, value, ahead) in zip(ts, lattice_sums(f, ts, lam, h, charge)):
         real, imag = _split(value)
         rows.append(OutputRecord(t, real, imag, n, abs(ahead - lam * value - f(t))))
     return rows
@@ -227,12 +241,7 @@ def cmd_eval(args) -> int:
     f = as_function(args.expr)
     lam = parse_complex(args.lam)
     max_terms = _resolve_budget(args.budget).max_terms
-    # The sums call f at most 2n + 2 times, the residual's f(t) included,
-    # for n <= |t|/h + 1. Below half the budget by that bound the exact
-    # count cannot exceed it, and the second split of t is left out.
-    if not 4.0 * abs(args.t) + 8.0 * args.h <= max_terms * args.h:
-        _charge("eval", lattice_sums_calls([args.t], lam, args.h) + 1, max_terms)
-    record = _sum_rows(f, [args.t], lam, args.h)[0]
+    record = _sum_rows(f, [args.t], lam, args.h, "eval", max_terms)[0]
     if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
         term = nonfinite_term(f, args.t, args.h)
         if term is not None:
@@ -270,20 +279,23 @@ def cmd_sum(args) -> int:
 
 def _table_rows(args) -> list[OutputRecord]:
     f = as_function(args.expr)
+    budget = _resolve_budget(args.budget)
     if args.mode == "solve":
         if not args.factors:
             raise DomainError("mode 'solve' needs --factors")
         op = parse_factors(args.factors)
-        budget = _resolve_budget(args.budget)
         rows = lambda ts: _solve_rows(op, f, ts, budget)
     else:
         lam, h = (1.0, 1.0) if args.mode == "antidiff" else (parse_complex(args.lam), args.h)
-        rows = lambda ts: _sum_rows(f, ts, lam, h)
+        rows = lambda ts: _sum_rows(f, ts, lam, h, "table", budget.max_terms)
     span = (args.to - args.from_) / args.step
     if not math.isfinite(span):
         bounds = f"[{args.from_!r}, {args.to!r}]"
         raise DomainError(f"--step {args.step!r} is too small for {bounds}: row count overflows")
-    return rows([args.from_ + i * args.step for i in range(math.floor(span + 1e-9) + 1)])
+    count = math.floor(span + 1e-9) + 1
+    # Every row calls f at least once, for its residual's f(t).
+    _charge("table", count, budget.max_terms, "at least ")
+    return rows([args.from_ + i * args.step for i in range(count)])
 
 
 def _check_range(from_: float, to: float) -> None:
@@ -327,8 +339,14 @@ def cmd_inequality(args) -> int:
     spec = InequalitySpec(args.h, args.lam, Direction(args.direction))
     mu = as_function(args.mu)
     slack = as_function(args.slack)
+    # The sign check and the slack match each call slack once per sample.
+    max_terms = _resolve_budget(None).max_terms
+    _charge("inequality", 2 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
+    grid = _grid(args.from_, args.to, args.samples)
+    calls = 2 * args.samples + lattice_sums_calls(grid, spec.lam, spec.h)
+    _charge("inequality", calls, max_terms, knob=BUDGET_ENV_VAR)
     solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
-    report = check_inequality(solution, _grid(args.from_, args.to, args.samples))
+    report = check_inequality(solution, grid)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"direction={spec.direction.value} samples={report.samples} "

@@ -42,15 +42,14 @@ costs no more than the work it lets through, and a command far over budget
 is refused without enumerating its sum. :func:`lattice_plan` returns those
 sets and the work.
 
-Operators whose largest m_i is above :data:`LATTICE_MAX_RATIO` (steps with
-no short common decimal unit, such as 1 and 1/3 = 0.3333333333333333, which
-give g = 1e-16) keep a float chain: each layer splits its own float
-argument by its own step, the residual shifts its points as floats
-(:func:`apply_operator`, t + h), and the budget is the product bound
-:func:`estimate_terms` at the highest point asked for. Both chains come
-from :func:`_chain`. The one summing loop here besides it is the left side
-of :func:`factorization_identity_check`, kept apart as the independent
-route that the identity compares with the library's.
+Every operator has this lattice. Indices are Python integers and the index
+sets are ranges, so a large m_i adds no work: steps with no short common
+decimal unit, such as 1 and 1/3 = 0.3333333333333333, give g = 1e-16 with
+m = 10^16 and 3333333333333333. At so fine a g each point of a command
+mostly has a remainder of its own, so the rows share no chain. The one
+summing loop here besides the chain is the left side of
+:func:`factorization_identity_check`, kept apart as the independent route
+that the identity compares with the library's.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExc
 from .numkit import _require_finite, floor_mod
 
 _DEFAULT_MAX_TERMS = 10_000_000
-
-#: Largest step ratio m_i = h_i/g on a common lattice. Above it the operator
-#: keeps the float chain: its steps have no short common decimal unit.
-LATTICE_MAX_RATIO = 10**6
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def _expand(shifts: Sequence, lams: Sequence[complex], y: Callable, u) -> comple
 
     One factor contributes y(u + shift) - lam*y(u); the rest of the product
     acts on both pieces. The shifts are floats for :func:`apply_operator`
-    and lattice indices for a residual on the common lattice.
+    and lattice indices for the residual of :func:`solve_rows`.
     """
 
     def expand(i: int, u) -> complex:
@@ -141,7 +136,9 @@ def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float)
 
     Expands recursively: one factor contributes y(t+h) - lam*y(t); the rest
     of the product acts on both pieces. y is evaluated at every shifted
-    point t + sum of a subset of the h_i, summed as floats.
+    point t + sum of a subset of the h_i, summed as floats. No command reads
+    it: a float t + h can round across a lattice point, so
+    :func:`solve_rows` shifts lattice indices instead.
     """
     return _expand([f.h for f in op.factors], [f.lam for f in op.factors], y, t)
 
@@ -149,8 +146,9 @@ def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float)
 def estimate_terms(op: FactoredOperator, t: float) -> int:
     """Product over factors of max(floor_h(t), 1): a bound on summand count.
 
-    The budget of an operator off the common lattice (see the module
-    docstring); on the lattice the charge is exact (:func:`lattice_plan`).
+    No command charges it: :func:`solve_rows` charges the exact work that
+    :func:`lattice_plan` finds, which for k factors is about k*n^2/2 terms
+    where this bound reads n^k.
     """
     total = 1
     for f in op.factors:
@@ -167,42 +165,33 @@ def _decimal(h: float) -> tuple[int, int]:
     return (digits * 10**shift, 1) if shift >= 0 else (digits, 10**-shift)
 
 
-def common_lattice(op: FactoredOperator) -> tuple[float, list[int]] | None:
-    """(g, [m_i]) with h_i = m_i * g on the decimal lattice, or None above the bound.
+def common_lattice(op: FactoredOperator) -> tuple[float, list[int]]:
+    """(g, [m_i]) with h_i = m_i * g on the decimal lattice of the steps.
 
     g is the gcd of the steps read as decimal ratios, rounded once to a
-    float; the m_i are exact integers. None when the largest m_i is above
-    :data:`LATTICE_MAX_RATIO`.
+    float; the m_i are exact integers of any size (steps 1 and 1/3 give
+    g = 1e-16).
     """
     ratios = [_decimal(f.h) for f in op.factors]
     den = max(d for _, d in ratios)  # powers of ten: the largest is their lcm
     nums = [n * (den // d) for n, d in ratios]
     unit = math.gcd(*nums)
-    ms = [n // unit for n in nums]
-    if max(ms) > LATTICE_MAX_RATIO:
-        return None
-    return unit / den, ms
+    return unit / den, [n // unit for n in nums]
 
 
-def _float_split(u: float, h: float) -> tuple[int, float]:
-    cell = floor_mod(u, h)
-    return cell.n, cell.r
-
-
-def _chain(g: Callable, op: FactoredOperator, steps: Sequence, split: Callable) -> Callable:
+def _chain(g: Callable, op: FactoredOperator, ms: Sequence[int]) -> Callable:
     """The top layer of the solution over the summand g, one memoized layer per factor.
 
-    A layer at u sums its inner layer at r + k*step for the (n, r) that
-    ``split(u, step)`` gives: ``divmod`` of lattice indices, or floats off
-    the lattice. A negative n sums nothing.
-    Calls the summand loop directly: :func:`resolvent_sum`'s validation and
-    result record would add 1-2 us to every layer value.
+    The layer of step m at index N sums its inner layer at q + k*m for
+    (n, q) = divmod(N, m); a negative n sums nothing. Calls the summand loop
+    directly: :func:`resolvent_sum`'s validation and result record would
+    add 1-2 us to every layer value.
     """
-    for factor, step in zip(op.factors, steps):
+    for factor, m in zip(op.factors, ms):
 
-        def layer(u, g=g, step=step, lam=factor.lam):
-            n, r = split(u, step)
-            return _point_sum(g, r, n, step, lam)
+        def layer(index, g=g, m=m, lam=factor.lam):
+            n, q = divmod(index, m)
+            return _point_sum(g, q, n, m, lam)
 
         g = functools.cache(layer)
     return g
@@ -267,13 +256,9 @@ def lattice_plan(
     Returns ({rho: sets}, work), sets as in :func:`_index_sets`: the memo
     keys each layer of rho's chain ends with, and work the terms, summand
     calls and (with ``residuals``) f(t) calls the rows make. The sets are
-    None when the work is above ``allowance``; an operator off the common
-    lattice raises :class:`DomainError`.
+    None when the work is above ``allowance``.
     """
-    lattice = common_lattice(op)
-    if lattice is None:
-        raise DomainError(f"the steps have no common lattice with m_i <= {LATTICE_MAX_RATIO}")
-    g, ms = lattice
+    g, ms = common_lattice(op)
     return _plan(ms, [floor_mod(t, g) for t in ts], residuals, allowance)
 
 
@@ -318,10 +303,7 @@ def solve_rows(
     """
     max_terms = (budget or TermBudget()).max_terms
     ts = [_require_finite(t) for t in ts]
-    lattice = common_lattice(op)
-    if lattice is None:
-        return _float_rows(op, f, ts, max_terms, residuals)
-    g, ms = lattice
+    g, ms = common_lattice(op)
     cells = [floor_mod(t, g) for t in ts]
     plan, work = _plan(ms, cells, residuals, max_terms)
     if work > max_terms:
@@ -336,28 +318,10 @@ def solve_rows(
         y = chains.get(rho)
         if y is None:
             summand = functools.cache(lambda i, rho=rho: complex(f(rho + i * g)))
-            y = chains[rho] = _chain(summand, op, ms, divmod)
+            y = chains[rho] = _chain(summand, op, ms)
         value = y(index)
         resid = abs(_expand(ms, lams, y, index) - f(t)) if residuals else None
         rows.append((max(index // ms[-1], 0), value, resid))
-    return rows
-
-
-def _float_rows(op, f, ts, max_terms, residuals):
-    """:func:`solve_rows` off the common lattice: float layers and shifts, product bound."""
-    steps = [factor.h for factor in op.factors]
-    highest = ts
-    for h in reversed(steps if residuals else []):  # added as apply_operator adds them
-        highest = [u + h for u in highest]
-    estimate = max((estimate_terms(op, u) for u in highest), default=0)
-    if estimate > max_terms:
-        raise TermBudgetExceeded(f"nested sum needs up to {estimate} evaluations, budget is {max_terms}")
-    y = _chain(functools.cache(lambda u: complex(f(u))), op, steps, _float_split)
-    rows = []
-    for t in ts:
-        value = y(t)
-        resid = abs(apply_operator(op, y, t) - f(t)) if residuals else None
-        rows.append((max(floor_mod(t, steps[-1]).n, 0), value, resid))
     return rows
 
 

@@ -26,13 +26,7 @@ from adiff.cli import (
 from adiff.antidiff import lattice_sums_calls
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
-from adiff.opalgebra import (
-    FactoredOperator,
-    common_lattice,
-    lattice_plan,
-    particular_solution,
-    verify_particular,
-)
+from adiff.opalgebra import FactoredOperator, lattice_plan, particular_solution, verify_particular
 
 
 def run_main(capsys, *argv):
@@ -359,6 +353,40 @@ class TestTable:
         assert "infinity" not in err
 
     @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (("--to", "1e15"), "10000000"),
+            (("--to", "200000", "--mode", "resolvent", "--lambda", "0.5", "--budget", "1000"), "1000"),
+            (("--to", "200000", "--mode", "solve", "--factors", "1:0.5", "--budget", "1000"), "1000"),
+        ],
+        ids=["default-budget", "resolvent", "solve"],
+    )
+    def test_row_count_over_budget_exits_3(self, capsys, summand_calls, argv, budget):
+        # Every row calls f at least once, so the row count is charged
+        # before the points are built.
+        code, out, err = run_main(capsys, "table", "--expr", "1", "--from", "0", "--step", "1", *argv)
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        rows = int(float(argv[1])) + 1
+        assert err == f"adiff: table needs at least {rows} evaluations, budget is {budget} (set it with --budget)\n"
+
+    @pytest.mark.parametrize(
+        "mode, h, hi, step",
+        [("antidiff", "1", "12", "0.5"), ("resolvent", "0.3", "9.1", "0.7"), ("resolvent", "1", "70000", "35000")],
+    )
+    def test_sum_modes_charge_the_exact_call_count(self, capsys, summand_calls, mode, h, hi, step):
+        # The calls of lattice_sums plus each row's f(t); the last case is
+        # over the class cap, where each count refolds.
+        ts = [i * float(step) for i in range(round(float(hi) / float(step)) + 1)]
+        calls = lattice_sums_calls(ts, 1.0, float(h) if mode == "resolvent" else 1.0) + len(ts)
+        argv = ("table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
+                "--mode", mode, "--h", h, "--lambda", "0.5", "--budget")
+        code, out, err = run_main(capsys, *argv, str(calls - 1))
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert err == f"adiff: table needs {calls} evaluations, budget is {calls - 1} (set it with --budget)\n"
+        code, out, _ = run_main(capsys, *argv, str(calls))
+        assert (code, summand_calls[0], len(out.splitlines())) == (EXIT_OK, calls, len(ts) + 1)
+
+    @pytest.mark.parametrize(
         "lo, hi, flag",
         [("0", "inf", "--to"), ("-inf", "3", "--from"), ("nan", "3", "--from")],
     )
@@ -628,22 +656,16 @@ _LAW_LAMBDAS = ["1", "-1", "0.5", "-0.9", "1i", "-1i", "0.6+0.8i", "0.5-0.5i"]
 
 
 @st.composite
-def _factor_texts(draw):
+def law_operators(draw):
+    """1-3 factors at steps from _LAW_STEPS, each |lambda| <= 1, as --factors text.
+
+    1/3 with another step puts the operator on the lattice g = 1e-16.
+    """
     count = draw(st.integers(1, 3))
     return ";".join(
         f"{draw(st.sampled_from(_LAW_STEPS))}:{draw(st.sampled_from(_LAW_LAMBDAS))}"
         for _ in range(count)
     )
-
-
-def law_operators():
-    """1-3 factors at steps from _LAW_STEPS, each |lambda| <= 1, as --factors text.
-
-    Only operators on a common lattice: 1/3 with another step is above
-    LATTICE_MAX_RATIO and keeps the float shifts, whose residual can read
-    y across a lattice point (see TestCommonLattice in test_opalgebra).
-    """
-    return _factor_texts().filter(lambda text: common_lattice(parse_factors(text)) is not None)
 
 
 def _solve_law_bound(factors, expr, t):
@@ -711,6 +733,16 @@ class TestSolveResidualLaw:
         assert [row.split(",")[4] for row in rows] == ["0"] * 51
         code, out, _ = run_main(capsys, "solve", "--factors", "0.1:1", "--expr", "1", "--t", "1.7")
         assert out == "t=1.7 value=16 imag=0 terms_used=16 residual=0\n"
+
+    def test_steps_without_a_short_common_unit_have_no_residual(self, capsys):
+        # Steps 0.1 and 1/3 share g = 1e-16. Rows 0.2 and 0.8 read |f(t)| = 1
+        # when the residual shifted its points as floats.
+        code, out, _ = run_main(
+            capsys, "table", "--mode", "solve", "--factors", "0.1:1;0.3333333333333333:1",
+            "--expr", "1", "--from", "0", "--to", "1", "--step", "0.1",
+        )
+        assert code == EXIT_OK
+        assert [row.split(",")[4] for row in out.splitlines()[1:]] == ["0"] * 11
 
     def test_three_unit_factors_far_out_fit_the_default_budget(self, capsys):
         # About 92 000 terms and 302 summand calls, where the product bound
@@ -830,6 +862,34 @@ class TestInequalityCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert f"{flag} must be finite" in err
+
+    @pytest.mark.parametrize("argv", [("--to", "1e300", "--samples", "3"), ("--to", "10", "--samples", "100000000")])
+    def test_over_default_budget_exits_3_before_any_call(self, capsys, summand_calls, argv):
+        code, out, err = self.run_staircase(capsys, "--from", "0", *argv)
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert err.endswith("budget is 10000000 (set it with ADIFF_TERM_BUDGET)\n")
+
+    @pytest.mark.parametrize("h, lam, to, samples", [("1", "1", "10", "64"), ("0.5", "-0.5", "3", "148")])
+    def test_budget_is_the_exact_slack_call_count(self, capsys, monkeypatch, h, lam, to, samples):
+        # slack is called by the sign check and the slack match once per
+        # sample, and by the sums of the check grid.
+        seen = []
+
+        def recording(source):
+            f = as_function(source)
+            return (lambda u: seen.append(u) or f(u)) if source == "1" else f
+
+        monkeypatch.setattr(cli, "as_function", recording)
+        grid = cli._grid(0.0, float(to), int(samples))
+        calls = 2 * int(samples) + lattice_sums_calls(grid, float(lam), float(h))
+        argv = ("inequality", "--h", h, "--lambda", lam, "--direction", "geq", "--mu", "0",
+                "--slack", "1", "--from", "0", "--to", to, "--samples", samples)
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls - 1))
+        code, out, _ = run_main(capsys, *argv)
+        assert (code, out, len(seen)) == (EXIT_BUDGET, "", 0)
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls))
+        code, out, _ = run_main(capsys, *argv)
+        assert (code, len(seen)) == (EXIT_OK, calls)
 
 
 class TestArgparseContract:
@@ -1045,7 +1105,6 @@ class TestLatticeRows:
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.floats(-5.0, 300.0), st.sampled_from(["1", "0.5", "0.1", "0.3", "2", "7"]), st.integers(1, 400))
     def test_eval_refused_exactly_when_over_budget(self, t, h, budget):
-        # Far below the budget eval skips the exact count; the verdict is the same.
         calls = lattice_sums_calls([t], 1.0, float(h)) + 1
         code, _ = _main_quiet("eval", "--expr", "1", f"--t={t!r}", "--h", h, "--budget", str(budget))
         assert code == (EXIT_BUDGET if calls > budget else EXIT_OK), (t, h, budget, calls)

@@ -22,7 +22,6 @@ from adiff.errors import (
 )
 from adiff.numkit import floor_mod
 from adiff.opalgebra import (
-    LATTICE_MAX_RATIO,
     FactoredOperator,
     LinearFactor,
     TermBudget,
@@ -271,8 +270,7 @@ class TestSharedChain:
 
     def test_matches_pointwise_solutions(self):
         # Oracle: every shifted point computed alone, by a fresh written-out
-        # chain at lattice index N + (sum of a subset of the m_i), or, off
-        # the lattice, by a fresh particular_solution at the float t + h.
+        # chain at lattice index N + (sum of a subset of the m_i).
         rng = random.Random(4242)
         for _ in range(60):
             pairs = [
@@ -283,16 +281,11 @@ class TestSharedChain:
             op = FactoredOperator.from_pairs(pairs)
             f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
             t = rng.uniform(0.0, 3.0)
-            budget = TermBudget(10**6)
-            if common_lattice(op) is None:
-                y = lambda u: particular_solution(op, f, u, budget)
-                oracle = abs(apply_operator(op, y, t) - f(t))
-            else:
-                lattice = decimal_lattice(op)
-                n, rho = split(t, lattice[0])
-                y = lambda index: fresh_chain(op, f).value(rho, index)
-                oracle = abs(expand(lattice[1], [x.lam for x in op.factors], y, n) - f(t))
-            assert verify_particular(op, f, t, budget) == oracle
+            g, ms = decimal_lattice(op)
+            n, rho = split(t, g)
+            y = lambda index: fresh_chain(op, f).value(rho, index)
+            oracle = abs(expand(ms, [x.lam for x in op.factors], y, n) - f(t))
+            assert verify_particular(op, f, t, TermBudget(10**6)) == oracle
 
     def test_budget_checked_at_shifted_points(self):
         # The value at 9.5 costs 9 + 36 + 8 = 53. Its residual reads the
@@ -327,12 +320,12 @@ class TestSharedChain:
 
 
 def decimal_lattice(op):
-    """(g, [m_i]): the steps as exact decimal fractions, g their gcd, or None above the bound."""
+    """(g, [m_i]): the steps as exact decimal fractions, g their gcd."""
     steps = [Fraction(repr(factor.h)) for factor in op.factors]
     den = math.lcm(*(x.denominator for x in steps))
     unit = Fraction(math.gcd(*(x.numerator * (den // x.denominator) for x in steps)), den)
     ms = [int(x / unit) for x in steps]
-    return (float(unit), ms) if max(ms) <= LATTICE_MAX_RATIO else None
+    return float(unit), ms
 
 
 def split(t, h):
@@ -360,31 +353,28 @@ class fresh_chain:
     On the decimal lattice (g, m_i) a layer at index N = n*m + q sums
     lam^(s-1) inner(q + (n-s)*m) in ascending s, the summand is f(rho + I*g)
     and the residual reads the top layer at N + (sum of a subset of the m_i).
-    Off it, a layer at u = n*h + r sums lam^(s-1) inner(r + (n-s)*h) and the
-    residual shifts u by the float steps. Values are memoized per layer, by
-    (rho, index) or by float, and the memo keys and the terms and summand
-    calls are kept for the tests of the budget.
+    Values are memoized per layer by (rho, index), and the memo keys and the
+    terms and summand calls are kept for the tests of the budget.
     """
 
     def __init__(self, op, f):
         self.f = f
         self.lams = [factor.lam for factor in op.factors]
-        self.lattice = decimal_lattice(op)
-        self.steps = self.lattice[1] if self.lattice else [factor.h for factor in op.factors]
+        self.g, self.steps = decimal_lattice(op)
         self.memos = {}
         self.terms = self.calls = 0
 
     def value(self, rho, u, layer=None):
-        """The layer's value (the top layer by default) at index or float u."""
+        """The layer's value (the top layer by default) at index u."""
         layer = len(self.steps) if layer is None else layer
         memo = self.memos.setdefault(rho, [{} for _ in range(len(self.steps) + 1)])[layer]
         if u not in memo:
             if layer == 0:
                 self.calls += 1
-                memo[u] = complex(self.f(rho + u * self.lattice[0] if self.lattice else u))
+                memo[u] = complex(self.f(rho + u * self.g))
             else:
                 step, lam = self.steps[layer - 1], self.lams[layer - 1]
-                n, r = divmod(u, step) if self.lattice else split(u, step)
+                n, r = divmod(u, step)
                 acc, w = 0j, 1.0 + 0j
                 for s in range(1, n + 1):
                     self.terms += 1
@@ -395,12 +385,8 @@ class fresh_chain:
 
     def row(self, t, residuals=True):
         """(n, y(t), |op y - f|(t)) as solve_rows gives them."""
-        if self.lattice:
-            u, rho = split(t, self.lattice[0])
-            n = max(u // self.steps[-1], 0)
-        else:
-            u, rho = t, None
-            n = max(split(t, self.steps[-1])[0], 0)
+        u, rho = split(t, self.g)
+        n = max(u // self.steps[-1], 0)
         value = self.value(rho, u)
         if not residuals:
             return n, value, None
@@ -491,19 +477,18 @@ class TestSolutionChain:
 
 
 def lattice_operators(rng, count):
-    """count random operators on the common lattice, each with a summand and points."""
+    """count random operators, each with a summand and points."""
     cases = []
-    while len(cases) < count:
+    for _ in range(count):
         op = random_operator(rng)
-        if common_lattice(op) is not None:
-            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
-            ts = [rng.uniform(-1.0, 4.0) for _ in range(rng.randrange(1, 4))]
-            cases.append((op, f, ts + [rng.randrange(0, 40) * 0.1]))
+        f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+        ts = [rng.uniform(-1.0, 4.0) for _ in range(rng.randrange(1, 4))]
+        cases.append((op, f, ts + [rng.randrange(0, 40) * 0.1]))
     return cases
 
 
 class TestCommonLattice:
-    """Steps read as decimal ratios share one integer lattice up to LATTICE_MAX_RATIO."""
+    """Steps read as decimal ratios share one integer lattice, whatever their ratio."""
 
     @pytest.mark.parametrize(
         "steps, lattice",
@@ -514,10 +499,10 @@ class TestCommonLattice:
             ([2.0, 0.5, 1.0], (0.5, [4, 1, 2])),
             ([1 / 3, 1 / 3], (1 / 3, [1, 1])),
             ([1e-300], (1e-300, [1])),
-            ([1e-6, 1.0], (1e-6, [1, 10**6])),  # the bound itself
-            ([1e-7, 1.0], None),  # just above it
-            ([1.0, 1 / 3], None),
-            ([1.0, 1.4142135623730951], None),
+            ([1e-6, 1.0], (1e-6, [1, 10**6])),
+            ([1e-7, 1.0], (1e-7, [1, 10**7])),
+            ([1.0, 1 / 3], (1e-16, [10**16, 3333333333333333])),
+            ([1.0, 1.4142135623730951], (1e-16, [10**16, 14142135623730951])),
         ],
     )
     def test_lattice(self, steps, lattice):
@@ -535,18 +520,18 @@ class TestCommonLattice:
 
     @pytest.mark.parametrize("tiny", [1e-6, 1e-7])
     def test_both_sides_of_the_bound(self, tiny):
-        # 1e-6 and 1 sit on one lattice (m = 1 and 10^6); 1e-7 and 1 do not,
-        # and keep the float layers and the product bound, which counts
-        # 2e7 terms where 75 are summed.
+        # m = 10^6 and 10^7 for the unit step: the size of m_i changes
+        # neither the chain nor the charge, which is the exact work of the
+        # written-out chain, where a product bound counts 2e7 terms at 1e-7.
         op = FactoredOperator.from_pairs([(tiny, 0.5), (1.0, -0.75)])
-        oracle = fresh_chain(op, math.cos)
-        assert (oracle.lattice is not None) == (tiny == 1e-6)
         for u in (5 * tiny, 37 * tiny):
-            assert solve_rows(op, math.cos, [u], TermBudget(10**8)) == [oracle.row(u)]
-        with pytest.raises(TermBudgetExceeded) as raised:
-            solve_rows(op, math.cos, [37 * tiny], TermBudget(10))
-        product = "up to " if tiny == 1e-7 else ""
-        assert str(raised.value).startswith(f"nested sum needs {product}")
+            oracle = fresh_chain(op, math.cos)
+            row = oracle.row(u)
+            work = oracle.terms + oracle.calls
+            assert solve_rows(op, math.cos, [u], TermBudget(work)) == [row]
+            with pytest.raises(TermBudgetExceeded) as raised:
+                solve_rows(op, math.cos, [u], TermBudget(work - 1))
+            assert str(raised.value) == f"nested sum needs {work} evaluations, budget is {work - 1}"
 
     def test_charge_equals_the_work_done(self):
         # The planned index sets are the memo keys of the written-out chain,
