@@ -13,18 +13,19 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
 error (parse, domain, sign/periodicity, bad flags, numbers out of
 floating-point range, non-finite values asked for as JSON), 3 term budget
 exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
-error; results to standard output. Every command but ``verify`` takes a
-term budget: --budget, else the environment variable ADIFF_TERM_BUDGET,
-else 10,000,000 (``inequality`` has no --budget). Each charges its work
-once, before the first summand call, and exits 3 above the budget. ``sum``
-charges its exact summand call count; ``eval`` and ``table --mode
-antidiff|resolvent`` that of ``antidiff.lattice_sums`` plus one f(t) per
-row for the residual; ``solve`` and its table the exact work of
+error; results to standard output. Every command takes a term budget:
+--budget, else the environment variable ADIFF_TERM_BUDGET, else
+10,000,000 (``inequality`` and ``verify`` have no --budget). Each charges
+its work once, before the first summand call, and exits 3 above the
+budget. ``sum`` charges its exact summand call count; ``eval`` and ``table
+--mode antidiff|resolvent`` that of ``antidiff.lattice_sums`` plus one f(t)
+per row for the residual; ``solve`` and its table the exact work of
 ``opalgebra.solve_rows``; ``inequality`` the slack calls of its sign
-check, its sums and its slack match. A table first charges one call per
-row, before it builds its points, and ``inequality`` first two per
-sample, so a huge row or sample count is refused before its list is
-built. ``sum`` exits 2 on a result that is not finite.
+check, its sums and its slack match; ``verify`` at least one call per
+sample of each identity it runs. A table first charges one call per row,
+before it builds its points, and ``inequality`` first two per sample, so a
+huge row or sample count is refused before its list is built. ``sum``
+exits 2 on a result that is not finite.
 
 ``eval`` and ``table --mode antidiff|resolvent`` read every value and its
 shifted value y(t+h) from one ``antidiff.lattice_sums`` call, which puts
@@ -41,6 +42,12 @@ once per command; ``terms_used`` is the outermost factor's term count.
 ``main`` builds its argument parser on first use and reuses it for every
 later call in the process, so a program that calls ``main`` many times
 pays for the parser once; ``build_parser()`` returns a new one each call.
+When the first word names a subcommand, ``main`` hands the other words
+straight to that subcommand's parser, the one the full parser would hand
+them to, and reports words it leaves over through the full parser, so the
+output and exit code are the full parser's. Any other argv (none, -h, an
+unknown name) goes through the full parser, which then only prints help
+and errors.
 
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
@@ -326,6 +333,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Every identity calls its functions at least once per sample.
+    identities = len(IDENTITY_NAMES) if args.identity == "all" else 1
+    max_terms = _resolve_budget(None).max_terms
+    _charge("verify", identities * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
     reports = run_battery(args.identity, samples=args.samples, tol=args.tol, seed=args.seed)
     for report in reports:
         print(report.format_line())
@@ -370,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         "difference equations and inequalities, identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # main hands argv[1:] straight to the parser of the subcommand argv[0].
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("eval", help="resolvent sum of an expression at a point")
     p.add_argument("--expr", required=True, help="expression in t, e.g. 't^2 + 1'")
@@ -435,15 +448,34 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` reads its arguments with: built on first use and
-    reused for the rest of the process. It depends on no input, and
-    ``parse_args`` returns a fresh namespace each call, so nothing carries
-    over between commands."""
+    reused for the rest of the process. It depends on no input, and each
+    parse returns a fresh namespace, so nothing carries over between
+    commands."""
     return build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with the subcommand's own parser
+    reading the words after a subcommand name.
+
+    The top parser would hand those words to the same parser after
+    classifying each of them once more; it still reads every other argv
+    (no words, -h, an unknown name) and reports unrecognized arguments.
+    """
+    parser = _parser()
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extra = subparser.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:

