@@ -40,7 +40,8 @@ rows computes each f(r + k*h) once and folds the stored values with
 term). It hands its exact summand call count to the caller's charge
 before the first call, and :func:`lattice_sums_calls` gives the same count
 without making the calls. The particular part of
-:mod:`adiff.inequality` reads these sums.
+:mod:`adiff.inequality` reads these sums. A :class:`TermBudget` bounds the
+work one command may do; the callers of these sums charge it.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
@@ -64,8 +64,10 @@ from .errors import (
     ZeroLambda,
 )
 from .numkit import (
+    _Frozen,
     _require_finite,
     _require_positive_shift,
+    _set,
     falling_factorial,
     floor_mod,
     stirling2,
@@ -87,12 +89,28 @@ _PERIOD_SAMPLES = 16
 _PERIOD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AntidiffValue:
+class AntidiffValue(_Frozen):
     """A summation result plus the number of terms the sum used."""
 
-    value: Scalar
-    terms_used: int
+    __slots__ = _fields = ("value", "terms_used")
+
+    def __init__(self, value: Scalar, terms_used: int):
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+
+
+_DEFAULT_MAX_TERMS = 10_000_000
+
+
+class TermBudget(_Frozen):
+    """Upper bound on the work, in summand calls and layer terms, one command may do."""
+
+    __slots__ = _fields = ("max_terms",)
+
+    def __init__(self, max_terms: int = _DEFAULT_MAX_TERMS):
+        if max_terms < 1:
+            raise DomainError(f"budget must be positive, got {max_terms!r}")
+        _set(self, "max_terms", max_terms)
 
 
 def _term_count(t: float) -> int:

@@ -39,6 +39,15 @@ integer lattice and reads every value and residual from one chain per
 remainder class, so points shared between rows and residuals are computed
 once per command; ``terms_used`` is the outermost factor's term count.
 
+What loads when: importing this module loads ``errors``, ``numkit``,
+``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
+--mode antidiff|resolvent`` run. ``solve`` and ``table --mode solve``
+import ``opalgebra`` on their first call, ``inequality`` imports
+``inequality`` and ``verify`` imports ``verify`` (and through it
+``opalgebra``); nothing imports ``convkernel``. The help of ``verify
+--identity`` lists :data:`IDENTITY_NAMES`, a copy of the battery's names,
+so that it needs no import either.
+
 ``main`` builds its argument parser on first use and reuses it for every
 later call in the process, so a program that calls ``main`` many times
 pays for the parser once; ``build_parser()`` returns a new one each call.
@@ -62,10 +71,12 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .antidiff import (
+    TermBudget,
     definite_sum,
     definite_sum_calls,
     lattice_sums,
@@ -79,19 +90,13 @@ from .errors import (
     TermBudgetExceeded,
 )
 from .exprlang import as_function
-from .inequality import (
-    Direction,
-    InequalitySpec,
-    _grid,
-    build_solution,
-    check_inequality,
-)
-from .opalgebra import FactoredOperator, TermBudget, solve_rows
+from .numkit import _Record, fmt17
 
 # No command calls these; bench/tracing.py looks them up here by name.
 from .antidiff import antidifference, resolvent_sum  # noqa: F401
-from .opalgebra import particular_solution, verify_particular  # noqa: F401
-from .verify import IDENTITY_NAMES, fmt17, run_battery
+
+if TYPE_CHECKING:
+    from .opalgebra import FactoredOperator
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,18 +109,85 @@ BUDGET_ENV_VAR = "ADIFF_TERM_BUDGET"
 
 CSV_HEADER = "t,value,imag,terms_used,residual"
 
+#: The names ``verify --identity`` accepts, in battery order, for its help
+#: and its charge; they are the keys of ``adiff.verify``'s identity table,
+#: which ``verify.IDENTITY_NAMES`` exposes and a test holds equal to this.
+IDENTITY_NAMES = (
+    "digamma",
+    "lngamma",
+    "gammaratio",
+    "exponential",
+    "sincos",
+    "mueller",
+    "offset",
+    "factor-e2minus4",
+    "factor-e2plus1",
+    "periodic",
+    "fundamental",
+)
 
-@dataclass
-class OutputRecord:
+
+# ------------------------------------------------------- deferred layers
+#
+# opalgebra, inequality and verify load on the first call that needs them,
+# so eval, sum and the sum tables never import them. Each function below
+# imports its layer when called and forwards to the function of its name
+# there. Commands call those layers through these module globals, which
+# bench/tracing.py wraps by name (it alone looks up particular_solution and
+# verify_particular); a test reads _grid here.
+
+
+def particular_solution(*args, **kwargs):
+    from .opalgebra import particular_solution
+
+    return particular_solution(*args, **kwargs)
+
+
+def verify_particular(*args, **kwargs):
+    from .opalgebra import verify_particular
+
+    return verify_particular(*args, **kwargs)
+
+
+def build_solution(*args, **kwargs):
+    from .inequality import build_solution
+
+    return build_solution(*args, **kwargs)
+
+
+def check_inequality(*args, **kwargs):
+    from .inequality import check_inequality
+
+    return check_inequality(*args, **kwargs)
+
+
+def _grid(*args, **kwargs):
+    from .inequality import _grid
+
+    return _grid(*args, **kwargs)
+
+
+def run_battery(*args, **kwargs):
+    from .verify import run_battery
+
+    return run_battery(*args, **kwargs)
+
+
+class OutputRecord(_Record):
     """One evaluated grid point, ready for text/CSV/JSON rendering."""
 
-    t: float
-    value: float
-    imag: float
-    terms_used: int
-    residual: float | None = None
+    __slots__ = _fields = ("t", "value", "imag", "terms_used", "residual")
 
-    def _fields(self) -> list[tuple[str, str]]:
+    def __init__(
+        self, t: float, value: float, imag: float, terms_used: int, residual: float | None = None
+    ):
+        self.t = t
+        self.value = value
+        self.imag = imag
+        self.terms_used = terms_used
+        self.residual = residual
+
+    def _fields_text(self) -> list[tuple[str, str]]:
         resid = "" if self.residual is None else fmt17(self.residual)
         return [
             ("t", fmt17(self.t)),
@@ -126,14 +198,14 @@ class OutputRecord:
         ]
 
     def text_line(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self._fields() if v != "")
+        return " ".join(f"{k}={v}" for k, v in self._fields_text() if v != "")
 
     def csv_row(self) -> str:
-        return ",".join(v for _, v in self._fields())
+        return ",".join(v for _, v in self._fields_text())
 
     def json_line(self) -> str:
         parts = []
-        for key, value in self._fields():
+        for key, value in self._fields_text():
             if value in ("inf", "-inf", "nan"):
                 raise DomainError(
                     f"{key}={value} at t={fmt17(self.t)} has no JSON form; use --format csv"
@@ -165,6 +237,8 @@ def parse_complex(text: str) -> float | complex:
 
 def parse_factors(text: str) -> FactoredOperator:
     """Parse a factor list 'h:lambda;h:lambda;...' into an operator."""
+    from .opalgebra import FactoredOperator
+
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -234,6 +308,8 @@ def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) ->
     One :func:`solve_rows` call charges the budget once and reads every
     value and residual from one chain per remainder class.
     """
+    from .opalgebra import solve_rows
+
     rows = solve_rows(op, f, ts, budget)
     return [
         OutputRecord(t, value.real, value.imag, n, resid)
@@ -344,6 +420,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inequality(args) -> int:
+    from .inequality import Direction, InequalitySpec
+
     _check_range(args.from_, args.to)
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
@@ -373,9 +451,30 @@ def cmd_inequality(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every word starting "-" then a digit,
+    or "-." then a digit, as a value: ``--lambda -1i``, ``--lambda
+    -0.5+0.2i`` and ``--t -1e3`` parse as with ``=``.
+
+    argparse (through 3.13.0 at least) takes only plain negative decimals
+    such as -2 or -0.5 for values, and any other word starting "-" for an
+    option, so the option before it is left without its argument. The
+    pattern replaces its private ``_negative_number_matcher`` on every
+    version; no option of ours looks like a number, so no option is lost.
+    Subparsers are made of the parent parser's class, so they read the same.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the six subcommands on every call (``main`` keeps one)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="adiff",
         description="Discrete-calculus toolkit: finite indefinite sums, "
         "difference equations and inequalities, identity verification.",

@@ -16,11 +16,10 @@ into a comparison of one function with itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .antidiff import RealFunction, Scalar
 from .errors import ZeroLambda
-from .numkit import _require_finite
+from .numkit import _Frozen, _require_finite, _set
 
 
 def kernel_weights(lam: Scalar, t: float) -> list[tuple[int, Scalar]]:
@@ -45,12 +44,14 @@ def kernel_weights(lam: Scalar, t: float) -> list[tuple[int, Scalar]]:
     return weights
 
 
-@dataclass(frozen=True)
-class GreenKernel:
+class GreenKernel(_Frozen):
     """Kernel parameters (lam, t) with lazily derived weights."""
 
-    lam: Scalar
-    t: float
+    __slots__ = _fields = ("lam", "t")
+
+    def __init__(self, lam: Scalar, t: float):
+        _set(self, "lam", lam)
+        _set(self, "t", t)
 
     def weights(self) -> list[tuple[int, Scalar]]:
         return kernel_weights(self.lam, self.t)

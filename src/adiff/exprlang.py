@@ -23,8 +23,9 @@ the ASCII digits only. One regular-expression scan cuts the text into
 the tree; a character that starts no token is reported first, wherever it
 is.
 
-Trees are immutable dataclasses with structural equality; source offsets
-are carried on the side and ignored by comparisons, so
+Trees are immutable nodes with structural equality (plain classes with a
+dataclass's ``==``, hash and repr); source offsets are carried in ``pos``
+and ignored by comparisons, hashing and repr, so
 ``parse(unparse(tree)) == tree`` for any tree built by the parser or with
 nonnegative finite literals. The parser rejects trees deeper than 200
 nodes, whether the depth comes from nesting or from a long chain such as
@@ -40,10 +41,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from . import numkit
+from .numkit import _Frozen
 from .errors import EvalError, NonFiniteInput, ParseError, PoleError
 
 __all__ = [
@@ -73,43 +74,65 @@ _MAX_INT_POW = 32
 _MAX_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Number:
-    value: float
-    pos: int | None = field(default=None, compare=False, repr=False)
+# Tree nodes are immutable and compared, hashed and shown by their
+# ``_fields``; ``pos``, the node's offset in the source, is kept beside them.
+# A node keeps its attributes in its ``__dict__``, which ``__init__`` fills
+# with one ``update``: the parser makes a node per token, and that costs
+# less than setting each attribute through ``object.__setattr__``. Storing
+# the items one at a time builds faster still but leaves a dict whose
+# attribute reads, which building the closures does, run ~2.5x slower.
 
 
-@dataclass(frozen=True)
-class Variable:
-    pos: int | None = field(default=None, compare=False, repr=False)
+class Number(_Frozen):
+    """A numeric literal."""
+
+    _fields = ("value",)
+
+    def __init__(self, value: float, pos: int | None = None):
+        self.__dict__.update(value=value, pos=pos)
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str  # "pi" or "e"
-    pos: int | None = field(default=None, compare=False, repr=False)
+class Variable(_Frozen):
+    """The free variable t."""
+
+    def __init__(self, pos: int | None = None):
+        self.__dict__.update(pos=pos)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "-"
-    operand: "ExprAst"
-    pos: int | None = field(default=None, compare=False, repr=False)
+class Constant(_Frozen):
+    """A named constant: ``name`` is "pi" or "e"."""
+
+    _fields = ("name",)
+
+    def __init__(self, name: str, pos: int | None = None):
+        self.__dict__.update(name=name, pos=pos)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * / ^
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int | None = field(default=None, compare=False, repr=False)
+class Unary(_Frozen):
+    """A negation: ``op`` is "-"."""
+
+    _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: "ExprAst", pos: int | None = None):
+        self.__dict__.update(op=op, operand=operand, pos=pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "ExprAst"
-    pos: int | None = field(default=None, compare=False, repr=False)
+class Binary(_Frozen):
+    """A binary operation: ``op`` is one of + - * / ^."""
+
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "ExprAst", right: "ExprAst", pos: int | None = None):
+        self.__dict__.update(op=op, left=left, right=right, pos=pos)
+
+
+class Call(_Frozen):
+    """A call of one of :data:`FUNCTIONS` on ``arg``."""
+
+    _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: "ExprAst", pos: int | None = None):
+        self.__dict__.update(func=func, arg=arg, pos=pos)
 
 
 ExprAst = Union[Number, Variable, Constant, Unary, Binary, Call]
@@ -138,19 +161,6 @@ def _tokenize(source: str) -> list[_Token]:
     tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
     tokens.append(("end", "", len(source)))
     return tokens
-
-
-def _node(cls, **fields) -> ExprAst:
-    """``cls(**fields)`` for a tree node, every field given.
-
-    The parser makes a node per token. The frozen dataclasses' generated
-    ``__init__`` sets each field through ``object.__setattr__``; filling the
-    instance dict directly gives the same node at ~60% of that cost. The
-    node classes have no ``__post_init__`` to skip.
-    """
-    node = object.__new__(cls)
-    node.__dict__.update(fields)
-    return node
 
 
 class _Parser:
@@ -182,7 +192,7 @@ class _Parser:
             if op != "+" and op != "-":
                 return node
             self.k += 1
-            node = _node(Binary, op=op, left=node, right=self.term(depth), pos=pos)
+            node = Binary(op, node, self.term(depth), pos)
 
     def term(self, depth: int) -> ExprAst:
         node = self.factor(depth)
@@ -192,7 +202,7 @@ class _Parser:
             if op != "*" and op != "/":
                 return node
             self.k += 1
-            node = _node(Binary, op=op, left=node, right=self.factor(depth), pos=pos)
+            node = Binary(op, node, self.factor(depth), pos)
 
     def factor(self, depth: int) -> ExprAst:
         base = self.unary(depth)
@@ -203,7 +213,7 @@ class _Parser:
         depth += 1  # a chain of '^' recurses here, once per operator
         if depth > _MAX_DEPTH:
             raise _too_deep(self.tokens[self.k])
-        return _node(Binary, op="^", left=base, right=self.factor(depth), pos=pos)
+        return Binary("^", base, self.factor(depth), pos)
 
     def unary(self, depth: int) -> ExprAst:
         """unary := '-' unary | primary, the primary read in place."""
@@ -213,18 +223,18 @@ class _Parser:
             raise _too_deep(tok)
         if kind == "num":
             self.k += 1
-            return _node(Number, value=float(text), pos=pos)
+            return Number(float(text), pos)
         if kind == "ident":
             self.k += 1
             if text == "t":
-                return _node(Variable, pos=pos)
+                return Variable(pos)
             if text in _CONSTANTS:
-                return _node(Constant, name=text, pos=pos)
+                return Constant(text, pos)
             if text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr(depth)
                 self.expect_op(")")
-                return _node(Call, func=text, arg=arg, pos=pos)
+                return Call(text, arg, pos)
             raise ParseError(
                 pos,
                 f"unknown name {text!r}",
@@ -232,7 +242,7 @@ class _Parser:
             )
         if text == "-":
             self.k += 1
-            return _node(Unary, op="-", operand=self.unary(depth), pos=pos)
+            return Unary("-", self.unary(depth), pos)
         if text == "(":
             self.k += 1
             node = self.expr(depth)

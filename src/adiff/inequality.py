@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .antidiff import RealFunction, lattice_sums, resolvent_sum
 from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
+from .numkit import _Frozen, _Record, _set
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 
 MEMBERSHIP_TOL = 1e-10
@@ -47,33 +47,31 @@ class Periodicity(enum.Enum):
     ANTIPERIODIC = "antiperiodic"
 
 
-@dataclass(frozen=True)
-class InequalitySpec:
+class InequalitySpec(_Frozen):
     """Parameters of y(t+h) - lam*y(t) {>=, <=} 0."""
 
-    h: float
-    lam: float
-    direction: Direction
+    __slots__ = _fields = ("h", "lam", "direction")
 
-    def __post_init__(self):
-        h = float(self.h)
-        if not math.isfinite(h) or h <= 0.0:
-            raise NonPositiveShift(f"h must be positive and finite, got {self.h!r}")
-        lam = float(self.lam)
-        if lam == 0.0 or not math.isfinite(lam):
-            raise ZeroLambda(f"lambda must be a nonzero finite real, got {self.lam!r}")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lam", lam)
-        if not isinstance(self.direction, Direction):
-            object.__setattr__(self, "direction", Direction(self.direction))
+    def __init__(self, h: float, lam: float, direction: Direction):
+        shift = float(h)
+        if not math.isfinite(shift) or shift <= 0.0:
+            raise NonPositiveShift(f"h must be positive and finite, got {h!r}")
+        coefficient = float(lam)
+        if coefficient == 0.0 or not math.isfinite(coefficient):
+            raise ZeroLambda(f"lambda must be a nonzero finite real, got {lam!r}")
+        _set(self, "h", shift)
+        _set(self, "lam", coefficient)
+        _set(self, "direction", direction if isinstance(direction, Direction) else Direction(direction))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(_Frozen):
     """Outcome of an (anti)periodicity sampling check; falsy when it failed."""
 
-    ok: bool
-    witness: float | None = None
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: float | None = None):
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -108,13 +106,15 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-@dataclass
-class SolutionFunction:
+class SolutionFunction(_Record):
     """Constructed general solution; call it like a function of t."""
 
-    spec: InequalitySpec
-    mu: RealFunction
-    slack: RealFunction
+    __slots__ = _fields = ("spec", "mu", "slack")
+
+    def __init__(self, spec: InequalitySpec, mu: RealFunction, slack: RealFunction):
+        self.spec = spec
+        self.mu = mu
+        self.slack = slack
 
     def homogeneous(self, t: float) -> float:
         lam, h = self.spec.lam, self.spec.h
@@ -150,17 +150,36 @@ class SolutionFunction:
         return [(at + p, ahead + q) for (ahead, at), (p, q) in zip(homogeneous, parts)]
 
 
-@dataclass
-class InequalityReport:
+class InequalityReport(_Record):
     """check_inequality outcome over a sample set."""
 
-    direction: Direction
-    samples: int
-    min_residual: float
-    max_residual: float
-    violations: list[float] = field(default_factory=list)
-    max_slack_mismatch: float = 0.0
-    passed: bool = True
+    __slots__ = _fields = (
+        "direction",
+        "samples",
+        "min_residual",
+        "max_residual",
+        "violations",
+        "max_slack_mismatch",
+        "passed",
+    )
+
+    def __init__(
+        self,
+        direction: Direction,
+        samples: int,
+        min_residual: float,
+        max_residual: float,
+        violations: list[float] | None = None,
+        max_slack_mismatch: float = 0.0,
+        passed: bool = True,
+    ):
+        self.direction = direction
+        self.samples = samples
+        self.min_residual = min_residual
+        self.max_residual = max_residual
+        self.violations = [] if violations is None else violations
+        self.max_slack_mismatch = max_slack_mismatch
+        self.passed = passed
 
 
 def build_solution(

@@ -2,14 +2,19 @@
 
 Scalar binary64 implementations of the floor/fractional-part pair modulo a
 positive step h, factorial polynomials, Stirling numbers of the second kind
-(exact integers), and the digamma / log-gamma pair. Everything here is pure
-and safe for concurrent use.
+(exact integers), and the digamma / log-gamma pair, plus the package's
+17-digit number rendering. Everything here is pure and safe for concurrent
+use.
+
+The package's value types derive from :class:`_Record` or :class:`_Frozen`
+here, which give them a dataclass's equality, hashing and repr without
+importing :mod:`dataclasses` (whose import and per-class code generation
+are a large share of a command's start-up).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError, NonFiniteInput, NonPositiveShift, PoleError
 
@@ -27,16 +32,80 @@ _LN_SQRT_2PI = 0.9189385332046727  # log(2*pi)/2
 _ASYMPTOTIC_MIN = 8.0
 
 
-@dataclass(frozen=True)
-class FloorModResult:
+class _Record:
+    """A value type: == and repr over the attributes named in ``_fields``.
+
+    Instances compare equal only to instances of the same class, field by
+    field, and are unhashable; the repr is ``Name(field=value, ...)``. These
+    are a dataclass's ``__eq__``, ``__hash__`` and ``__repr__``. A subclass
+    sets ``_fields`` and writes its own ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` that is hashable and whose attributes cannot be
+    assigned or deleted: its ``__init__`` sets them with :data:`_set`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        """Fill a copied or unpickled instance, which assignment would refuse."""
+        if isinstance(state, tuple):  # (instance dict or None, slot values)
+            state = {**(state[0] or {}), **state[1]}
+        for name, value in state.items():
+            _set(self, name, value)
+
+
+#: How a frozen value type's ``__init__`` sets an attribute.
+_set = object.__setattr__
+
+
+class FloorModResult(_Frozen):
     """Quotient/remainder pair for the floor decomposition t = n*h + r.
 
     ``n`` is an integer and ``r`` lies in [0, h). For h = 1 this is the
     ordinary floor and fractional part of t.
     """
 
-    n: int
-    r: float
+    __slots__ = _fields = ("n", "r")
+
+    def __init__(self, n: int, r: float):
+        _set(self, "n", n)
+        _set(self, "r", r)
+
+
+def fmt17(x: float) -> str:
+    """Shortest-field rendering at 17 significant digits (binary64-exact)."""
+    x = float(x)
+    if x == 0.0:
+        x = 0.0  # fold -0.0 so renderings stay sign-stable
+    return format(x, ".17g")
 
 
 def _require_finite(x: float, name: str = "t") -> float:

@@ -56,63 +56,46 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, _point_sum, resolvent_sum
+from .antidiff import RealFunction, Scalar, TermBudget, _point_sum, resolvent_sum
 from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
-from .numkit import _require_finite, floor_mod
-
-_DEFAULT_MAX_TERMS = 10_000_000
+from .numkit import _Frozen, _require_finite, _set, floor_mod
 
 
-@dataclass(frozen=True)
-class LinearFactor:
+class LinearFactor(_Frozen):
     """One factor (E^h - lam*I) with positive shift h and nonzero lam."""
 
-    h: float
-    lam: complex
+    __slots__ = _fields = ("h", "lam")
 
-    def __post_init__(self):
-        h = float(self.h)
-        if not math.isfinite(h) or h <= 0.0:
-            raise NonPositiveShift(f"factor shift must be positive and finite, got {self.h!r}")
-        lam = complex(self.lam)
-        if lam == 0:
+    def __init__(self, h: float, lam: complex):
+        shift = float(h)
+        if not math.isfinite(shift) or shift <= 0.0:
+            raise NonPositiveShift(f"factor shift must be positive and finite, got {h!r}")
+        coefficient = complex(lam)
+        if coefficient == 0:
             raise ZeroLambda("factor coefficient must be nonzero")
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            raise NonFiniteInput(f"factor coefficient must be finite, got {self.lam!r}")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lam", lam)
+        if not (math.isfinite(coefficient.real) and math.isfinite(coefficient.imag)):
+            raise NonFiniteInput(f"factor coefficient must be finite, got {lam!r}")
+        _set(self, "h", shift)
+        _set(self, "lam", coefficient)
 
 
-@dataclass(frozen=True)
-class FactoredOperator:
+class FactoredOperator(_Frozen):
     """Ordered product of linear factors; order never changes the result."""
 
-    factors: tuple[LinearFactor, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: Sequence[LinearFactor]):
+        factors = tuple(factors)
         if not factors:
             raise DomainError("operator needs at least one factor")
-        object.__setattr__(self, "factors", factors)
+        _set(self, "factors", factors)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, Scalar]]) -> "FactoredOperator":
         """Build from (h, lam) pairs, e.g. [(1, 2), (1, -2)]."""
         return cls(tuple(LinearFactor(h, lam) for h, lam in pairs))
-
-
-@dataclass(frozen=True)
-class TermBudget:
-    """Upper bound on the work, in summand calls and layer terms, one command may do."""
-
-    max_terms: int = _DEFAULT_MAX_TERMS
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError(f"budget must be positive, got {self.max_terms!r}")
 
 
 def _expand(shifts: Sequence, lams: Sequence[complex], y: Callable, u) -> complex:

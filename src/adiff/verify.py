@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .antidiff import (
     antidifference,
@@ -29,30 +28,31 @@ from .antidiff import (
     sin_antidifference,
 )
 from .errors import DomainError
-from .numkit import digamma, ln_gamma
+from .numkit import _Record, digamma, fmt17, ln_gamma
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 from .opalgebra import _factorization_sides
 
 _INTEGER_MARGIN = 1e-6
 
 
-def fmt17(x: float) -> str:
-    """Shortest-field rendering at 17 significant digits (binary64-exact)."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # fold -0.0 so renderings stay sign-stable
-    return format(x, ".17g")
-
-
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record):
     """Residual summary for one identity; passed iff max residual <= tol."""
 
-    name: str
-    samples: int
-    max_abs_residual: float
-    passed: bool
-    witnesses: list[float] = field(default_factory=list)
+    __slots__ = _fields = ("name", "samples", "max_abs_residual", "passed", "witnesses")
+
+    def __init__(
+        self,
+        name: str,
+        samples: int,
+        max_abs_residual: float,
+        passed: bool,
+        witnesses: list[float] | None = None,
+    ):
+        self.name = name
+        self.samples = samples
+        self.max_abs_residual = max_abs_residual
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
 
     def format_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

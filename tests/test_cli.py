@@ -1251,3 +1251,63 @@ class TestLatticeRows:
         assert code == EXIT_OK
         # One call per distinct argument of the chain, and f(t) for the residual.
         assert len(seen) == len(set(seen)) + 1 == 22
+
+
+class TestNegativeNumberValues:
+    """A value starting "-" then a digit is read as the option's argument,
+    as ``--lambda=-1i`` is, on every supported Python."""
+
+    _COMMANDS = {
+        "eval": ["eval", "--expr", "t + 1", "--t", "3.5"],
+        "table": ["table", "--mode", "resolvent", "--expr", "t", "--from", "0", "--to", "2", "--step", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("lam", ["-1i", "-0.5+0.2i", "-0.5-0.2i", "-2", "-.5i", "-1e-1"])
+    def test_complex_lambda(self, capsys, command, lam):
+        argv = self._COMMANDS[command]
+        joined = run_main(capsys, *argv, f"--lambda={lam}")
+        assert joined[0] == EXIT_OK and joined[2] == ""
+        assert run_main(capsys, *argv, "--lambda", lam) == joined
+
+    def test_complex_lambda_value(self, capsys):
+        code, out, _ = run_main(capsys, "eval", "--expr", "1", "--t", "3", "--lambda", "-1i")
+        assert code == EXIT_OK
+        assert out == "t=3 value=0 imag=-1 terms_used=3 residual=0\n"
+
+    @pytest.mark.parametrize("lam", ["-1", "-1e0", "-0.5"])
+    def test_inequality_lambda(self, capsys, lam):
+        argv = ["inequality", "--h", "1", "--direction", "geq", "--mu", "0", "--slack", "1",
+                "--from", "0", "--to", "4", "--samples", "3"]
+        joined = run_main(capsys, *argv, f"--lambda={lam}")
+        assert joined[0] == EXIT_OK
+        assert run_main(capsys, *argv, "--lambda", lam) == joined
+
+    def test_solve_factor_lambda(self, capsys):
+        code, out, _ = run_main(capsys, "solve", "--factors", "1:-1i", "--expr", "1", "--t", "3")
+        assert (code, out) == run_main(capsys, "eval", "--expr", "1", "--t", "3", "--lambda", "-1i")[:2]
+
+    def test_scientific_point(self, capsys):
+        assert run_main(capsys, "eval", "--expr", "1", "--t", "-1e3") == run_main(
+            capsys, "eval", "--expr", "1", "--t=-1e3"
+        )
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--lambda", "--h", "1"], "argument --lambda: expected one argument"),
+            (["--lambda", "-i"], "argument --lambda: expected one argument"),
+            (["--lambda", "2", "-5x"], "unrecognized arguments: -5x"),
+            (["--lambda", "2", "--bogus"], "unrecognized arguments: --bogus"),
+            (["-x"], "unrecognized arguments: -x"),
+        ],
+    )
+    def test_option_errors_unchanged(self, capsys, extra, message):
+        code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "3", *extra)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines()[-1].endswith(message)
+
+    def test_unparseable_value_is_a_number_error(self, capsys):
+        code, _, err = run_main(capsys, "eval", "--expr", "1", "--t", "3", "--lambda", "-1x")
+        assert code == EXIT_INPUT
+        assert err == "adiff: cannot parse number '-1x'\n"
