@@ -419,26 +419,54 @@ def mueller_sum(
     |f(N)| + |f(N+x)| < tail_tol. Valid when f tends to zero at +infinity;
     raises :class:`NoConvergence` if max_terms is hit first. The result
     differs from the floor-bounded antidifference by a 1-periodic function
-    of x.
+    of x. It is the sum at x of :func:`mueller_sums`.
+    """
+    return mueller_sums(f, x, None, tail_tol, max_terms)[0]
 
-    One pass over n = 0, 1, ..., each term calling f at n and at n + x. The
+
+def mueller_sums(
+    f: RealFunction,
+    x: float,
+    y: float | None,
+    tail_tol: float = 1e-12,
+    max_terms: int = 1_000_000,
+) -> tuple[AntidiffValue, AntidiffValue | None]:
+    """:func:`mueller_sum` at x and at y (None: at x only), from one pass.
+
+    One pass over n = 0, 1, ... calls f(n) once for both sums and f(n + x),
+    f(n + y) for each sum not yet stopped: 3 calls per term for two points,
+    not 4. Each sum adds its terms and stops exactly as it would alone. The
     counter n is kept as a float (u += 1.0), which is exact below 2^53, so
     f sees the same arguments as with float(n) and n + x; f is first called
     at 0, so a failure names the lowest failing term.
     """
     x = _require_finite(x, "x")
+    if y is not None:
+        y = _require_finite(y, "y")
     if not tail_tol > 0.0:
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be a positive integer, got {max_terms!r}")
-    acc = 0.0
+    acc_x = acc_y = 0.0
+    sum_x = sum_y = None
+    run_x, run_y = True, y is not None
     u = 0.0
     for n in range(1, max_terms + 1):
         fn = f(u)
-        fnx = f(u + x)
-        acc += fn - fnx
-        if abs(fn) + abs(fnx) < tail_tol:
-            return AntidiffValue(acc, n)
+        if run_x:
+            fnx = f(u + x)
+            acc_x += fn - fnx
+            if abs(fn) + abs(fnx) < tail_tol:
+                sum_x, run_x = AntidiffValue(acc_x, n), False
+                if not run_y:
+                    return sum_x, sum_y
+        if run_y:
+            fny = f(u + y)
+            acc_y += fn - fny
+            if abs(fn) + abs(fny) < tail_tol:
+                sum_y, run_y = AntidiffValue(acc_y, n), False
+                if not run_x:
+                    return sum_x, sum_y
         u += 1.0
     raise NoConvergence(
         f"tail criterion {tail_tol!r} not met within {max_terms} terms"

@@ -48,15 +48,21 @@ import ``opalgebra`` on their first call, ``inequality`` imports
 --identity`` lists :data:`IDENTITY_NAMES`, a copy of the battery's names,
 so that it needs no import either.
 
-``main`` builds its argument parser on first use and reuses it for every
-later call in the process, so a program that calls ``main`` many times
-pays for the parser once; ``build_parser()`` returns a new one each call.
-When the first word names a subcommand, ``main`` hands the other words
-straight to that subcommand's parser, the one the full parser would hand
-them to, and reports words it leaves over through the full parser, so the
-output and exit code are the full parser's. Any other argv (none, -h, an
-unknown name) goes through the full parser, which then only prints help
-and errors.
+Each subcommand's options are declared once, in :data:`COMMANDS`;
+``build_parser()`` builds a new argparse tree from it on every call, and
+``main`` first reads argv with :func:`_read`, a short reader built from the
+same table. The reader takes a subcommand name and its exact flags as
+``--flag=value`` or ``--flag value``, converts and checks each value as
+argparse does and returns the namespace argparse would. It declines any
+argv it cannot show argparse reads the same way: an unknown or
+abbreviated word, -h, --, a missing value, a second word starting "-" as
+a value, a value its type or choices reject, a missing required flag.
+Only then does ``main`` build the argparse parser, once per process, and
+hand the words after a subcommand name straight to that subcommand's
+parser, reporting words it leaves over through the full parser; any other
+argv (none, -h, an unknown name) goes through the full parser. Help,
+error messages and exit codes are therefore always argparse's, and a
+process whose commands are all well formed never builds the parser.
 
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
@@ -472,6 +478,62 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+#: Each subcommand: its function, its help and its options in help order,
+#: each option a flag and the keyword arguments of ``add_argument`` for it
+#: (dest, type, default, required, choices, help). ``build_parser`` builds
+#: the argparse tree from this table and ``_read`` reads argv with it.
+COMMANDS = {
+    "eval": (cmd_eval, "resolvent sum of an expression at a point", [
+        ("--expr", dict(required=True, help="expression in t, e.g. 't^2 + 1'")),
+        ("--t", dict(type=float, required=True)),
+        ("--lambda", dict(dest="lam", default="1", help="coefficient, 'a+bi' syntax")),
+        ("--h", dict(type=float, default=1.0, help="shift step (default 1)")),
+        ("--budget", dict(type=int, default=None, help="max summand evaluations")),
+    ]),
+    "solve": (cmd_solve, "particular solution for factored operator", [
+        ("--factors", dict(required=True, help="'h:lambda;h:lambda;...', e.g. '1:2;1:-2'")),
+        ("--expr", dict(required=True)),
+        ("--t", dict(type=float, required=True)),
+        ("--budget", dict(type=int, default=None, help="max summand evaluations")),
+    ]),
+    "sum": (cmd_sum, "definite sum over integer bounds", [
+        ("--expr", dict(required=True)),
+        ("--from", dict(dest="from_", type=int, required=True)),
+        ("--to", dict(type=int, required=True)),
+        ("--budget", dict(type=int, default=None, help="max summand evaluations")),
+    ]),
+    "table": (cmd_table, "emit a value table as CSV or JSON lines", [
+        ("--expr", dict(required=True)),
+        ("--from", dict(dest="from_", type=float, required=True)),
+        ("--to", dict(type=float, required=True)),
+        ("--step", dict(type=float, required=True)),
+        ("--mode", dict(choices=["antidiff", "resolvent", "solve"], default="antidiff")),
+        ("--format", dict(choices=["csv", "json"], default="csv")),
+        ("--out", dict(default=None, help="output path (default: stdout)")),
+        ("--lambda", dict(dest="lam", default="1")),
+        ("--h", dict(type=float, default=1.0)),
+        ("--factors", dict(default=None)),
+        ("--budget", dict(type=int, default=None)),
+    ]),
+    "verify": (cmd_verify, "run the numerical identity battery", [
+        ("--identity", dict(default="all", help=f"identity name or 'all' ({', '.join(IDENTITY_NAMES)})")),
+        ("--samples", dict(type=int, default=200)),
+        ("--tol", dict(type=float, default=1e-8)),
+        ("--seed", dict(type=int, default=42)),
+    ]),
+    "inequality": (cmd_inequality, "build and check a difference-inequality solution", [
+        ("--h", dict(type=float, required=True)),
+        ("--lambda", dict(dest="lam", type=float, required=True)),
+        ("--direction", dict(choices=["geq", "leq"], required=True)),
+        ("--mu", dict(required=True, help="homogeneous seed expression")),
+        ("--slack", dict(required=True, help="sign-constrained slack expression")),
+        ("--from", dict(dest="from_", type=float, required=True)),
+        ("--to", dict(type=float, required=True)),
+        ("--samples", dict(type=int, default=64)),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the six subcommands on every call (``main`` keeps one)."""
     parser = _ArgumentParser(
@@ -480,68 +542,83 @@ def build_parser() -> argparse.ArgumentParser:
         "difference equations and inequalities, identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # main hands argv[1:] straight to the parser of the subcommand argv[0].
+    # _parse hands argv[1:] straight to the parser of the subcommand argv[0].
     parser.subcommands = sub.choices
-
-    p = sub.add_parser("eval", help="resolvent sum of an expression at a point")
-    p.add_argument("--expr", required=True, help="expression in t, e.g. 't^2 + 1'")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", default="1", help="coefficient, 'a+bi' syntax")
-    p.add_argument("--h", type=float, default=1.0, help="shift step (default 1)")
-    p.add_argument("--budget", type=int, default=None, help="max summand evaluations")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("solve", help="particular solution for factored operator")
-    p.add_argument("--factors", required=True, help="'h:lambda;h:lambda;...', e.g. '1:2;1:-2'")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--budget", type=int, default=None, help="max summand evaluations")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sum", help="definite sum over integer bounds")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--from", dest="from_", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="max summand evaluations")
-    p.set_defaults(func=cmd_sum)
-
-    p = sub.add_parser("table", help="emit a value table as CSV or JSON lines")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--from", dest="from_", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--mode", choices=["antidiff", "resolvent", "solve"], default="antidiff")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--factors", default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run the numerical identity battery")
-    p.add_argument(
-        "--identity",
-        default="all",
-        help=f"identity name or 'all' ({', '.join(IDENTITY_NAMES)})",
-    )
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("inequality", help="build and check a difference-inequality solution")
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--direction", choices=["geq", "leq"], required=True)
-    p.add_argument("--mu", required=True, help="homogeneous seed expression")
-    p.add_argument("--slack", required=True, help="sign-constrained slack expression")
-    p.add_argument("--from", dest="from_", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
-    p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=cmd_inequality)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+def _reader(func, options) -> tuple[dict, dict, frozenset]:
+    """One subcommand's flags (flag -> (dest, type, choices)), its namespace
+    before any flag is read (each default, a string one converted by the
+    option's type as argparse converts it, and ``func``) and its required
+    dests."""
+    flags, defaults, required = {}, {"func": func}, set()
+    for flag, kwargs in options:
+        dest, kind = kwargs.get("dest", flag[2:]), kwargs.get("type")
+        flags[flag] = (dest, kind, kwargs.get("choices"))
+        default = kwargs.get("default")
+        defaults[dest] = kind(default) if kind and isinstance(default, str) else default
+        if kwargs.get("required"):
+            required.add(dest)
+    return flags, defaults, frozenset(required)
+
+
+_READERS = {name: _reader(func, options) for name, (func, _, options) in COMMANDS.items()}
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for argv
+    that argparse is sure to read that way; None for any other argv.
+
+    It reads a subcommand name, then exact flags of that subcommand, each
+    as ``--flag=value`` or ``--flag value``, converting each value with the
+    option's type and checking its choices; a repeated flag keeps its last
+    value. It declines (returns None) an unknown or abbreviated word, -h,
+    --, a flag without its value, a second word starting "-" as a value
+    (argparse reads some as options), the value ``--`` (which argparse
+    drops), a value its type rejects, a value outside the choices and a
+    missing required flag, so the parser reads those and prints its own
+    help and errors.
+    """
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    flags, defaults, required = reader
+    values = {}
+    i, end = 1, len(argv)
+    while i < end:
+        flag, eq, value = argv[i].partition("=")
+        option = flags.get(flag)
+        if option is None:
+            return None
+        if not eq:
+            i += 1
+            if i == end or argv[i][:1] == "-":
+                return None
+            value = argv[i]
+        elif value == "--":
+            return None  # argparse drops a "--" even after "="
+        dest, kind, choices = option
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 1
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace(**defaults)
+    args.__dict__.update(values)
+    args.command = argv[0]
+    return args
 
 
 @functools.cache
@@ -554,13 +631,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with the subcommand's own parser
-    reading the words after a subcommand name.
+    """``_parser().parse_args(argv)``: :func:`_read`'s namespace when it
+    reads argv, else the subcommand's own parser reading the words after a
+    subcommand name.
 
     The top parser would hand those words to the same parser after
     classifying each of them once more; it still reads every other argv
     (no words, -h, an unknown name) and reports unrecognized arguments.
     """
+    args = _read(argv)
+    if args is not None:
+        return args
     parser = _parser()
     subparser = parser.subcommands.get(argv[0]) if argv else None
     if subparser is None:

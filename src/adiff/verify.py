@@ -21,7 +21,7 @@ from .antidiff import (
     definite_sum,
     exp_antidifference,
     gamma_ratio_product,
-    mueller_sum,
+    mueller_sums,
     offset_residual,
     periodic_antidifference,
     resolvent_sum,
@@ -117,10 +117,13 @@ def _mueller_residual(rng, i):
     f = lambda u: a**u
     x = rng.uniform(0.1, 10.0)
 
-    def defect(u):
-        return mueller_sum(f, u).value - resolvent_sum(f, u, 1.0).value
+    # One pass gives both Mueller sums; each adds and stops as it would alone.
+    ahead, here = mueller_sums(f, x + 1.0, x)
 
-    return x, abs(defect(x + 1.0) - defect(x))
+    def defect(u, mueller):
+        return mueller.value - resolvent_sum(f, u, 1.0).value
+
+    return x, abs(defect(x + 1.0, ahead) - defect(x, here))
 
 
 def _offset_residual_max(rng):

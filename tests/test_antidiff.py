@@ -23,6 +23,7 @@ from adiff.antidiff import (
     gamma_ratio_product,
     lattice_sums,
     mueller_sum,
+    mueller_sums,
     nonfinite_term,
     offset_residual,
     periodic_antidifference,
@@ -436,9 +437,21 @@ class TestMueller:
         assert (res.value, res.terms_used) == expected
         assert seen == expected_seen
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.sampled_from([0.3, 0.5, 0.9]), x=st.floats(-20.0, 60.0), y=st.floats(-20.0, 60.0))
+    def test_two_points_in_one_pass(self, a, x, y):
+        # Each sum is the one-point sum; f(n) is called once for both.
+        calls = []
+        at_x, at_y = mueller_sums(lambda u: calls.append(u) or a**u, x, y)
+        alone = [mueller_sum(lambda u: a**u, point) for point in (x, y)]
+        assert [(s.value, s.terms_used) for s in (at_x, at_y)] == [(s.value, s.terms_used) for s in alone]
+        assert len(calls) == max(at_x.terms_used, at_y.terms_used) + at_x.terms_used + at_y.terms_used
+
     def test_validation(self):
         with pytest.raises(DomainError):
             mueller_sum(lambda u: 0.0, 1.0, tail_tol=0.0)
+        with pytest.raises(NonFiniteInput):
+            mueller_sums(lambda u: 0.0, 1.0, math.inf)
         with pytest.raises(DomainError):
             mueller_sum(lambda u: 0.0, 1.0, max_terms=0)
 

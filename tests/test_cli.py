@@ -1,14 +1,16 @@
 """CLI contract tests: values, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from adiff import cli
@@ -27,6 +29,9 @@ from adiff.antidiff import lattice_sums_calls
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
 from adiff.opalgebra import FactoredOperator, lattice_plan, particular_solution, verify_particular
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def run_main(capsys, *argv):
@@ -946,6 +951,15 @@ class TestDispatch:
         ["eval", "--ex", "t", "--t=2", "--h", "0.5", "--budget", "9"],
         ["eval", "--t", "1", "--expr"],
         ["eval", "--expr", "1", "--t", "1", "--", "--t", "2"],
+        ["eval", "--expr", "1", "--lam", "0.5", "--t", "1"],
+        ["eval", "--expr", "1", "--lam=-1i", "--t", "1"],
+        ["eval", "--expr", "1", "--t", "1", "--t=2", "--expr", "t"],
+        ["eval", "--expr=", "--t", "1"],
+        ["eval", "--expr", "", "--t", "1", "--lambda="],
+        ["eval", "--expr", "1", "--t="],
+        ["eval", "--expr=--", "--t", "1"],
+        ["sum", "--expr", "t", "--from", "1", "--to", "4", "--from=2"],
+        ["sum", "--expr", "t", "--from", "1.5", "--to", "4"],
         ["solve", "--factors", "1:2;1:-2", "--expr", "t", "--t", "3.5"],
         ["sum", "--expr", "t", "--from", "1", "--to", "4", "--budget", "10"],
         ["sum", "--expr", "t", "--from", "1", "--to", "x"],
@@ -982,6 +996,181 @@ class TestDispatch:
 
     def test_every_subcommand_is_covered(self):
         assert {argv[0] for argv in self.ARGVS if argv} >= set(cli._parser().subcommands)
+
+
+def _namespace_reprs(args):
+    """vars(args) with each value as its repr, so that nan equals nan and
+    0 differs from 0.0."""
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+@functools.cache
+def _full_parser():
+    return cli.build_parser()
+
+
+def _full_read(argv):
+    """What the full parser makes of argv: its namespace, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _full_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _good_values(kwargs):
+    """Values an option's type and choices accept, as they appear in argv."""
+    kind, choices = kwargs.get("type"), kwargs.get("choices")
+    if choices:
+        return choices
+    if kind is float:
+        return ["1", "0.5", "2.5e3", " 3 ", "nan", "1_0.5", "-1e3"]
+    if kind is int:
+        return ["1", "42", "007", "1_000", "-3"]
+    return ["t", "1", "t^2 + 1", "1:2;1:0.5", "a=b", "", "-1i"]
+
+
+def _bad_values(kwargs):
+    """Values argparse rejects or reads otherwise than as they are: ones
+    the type or choices refuse, ones that start with "-", and "--", which
+    argparse drops."""
+    kind, choices = kwargs.get("type"), kwargs.get("choices")
+    if choices:
+        return ["bogus", "--"]
+    if kind is float:
+        return ["abc", "", "--", "-x"]
+    if kind is int:
+        return ["1.5", "", "--", "-x"]
+    return ["--", "-x", "--t", "- 1"]
+
+#: Words that are no flag of any subcommand.
+_STRAY = ["--", "-h", "--help", "extra", "-x", "--bogus", "", "-1"]
+
+
+class TestReader:
+    """``_read`` either declines argv or returns exactly the namespace of
+    ``build_parser().parse_args(argv)``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_full_parser(self, data):
+        # A well-formed argv with at most one fault: a bad value, an
+        # abbreviated flag, a flag without its value, a missing option or a
+        # stray word. Flags repeat, and each value is in either form.
+        name = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+        fault = data.draw(st.sampled_from([None, "value", "abbrev", "bare", "missing", "stray"]))
+        options = cli.COMMANDS[name][2]
+        at = data.draw(st.integers(0, len(options) - 1))
+        occurrences = []
+        for k, (flag, kwargs) in enumerate(options):
+            counts = [1, 1, 2] if kwargs.get("required") else [0, 1, 2]
+            count = 0 if fault == "missing" and k == at else data.draw(st.sampled_from(counts))
+            occurrences += [(k, flag, kwargs)] * count
+        words = []
+        for k, flag, kwargs in data.draw(st.permutations(occurrences)):
+            value = data.draw(st.sampled_from(_good_values(kwargs)))
+            if k == at and fault == "value":
+                value = data.draw(st.sampled_from(_bad_values(kwargs)))
+            elif k == at and fault == "abbrev":
+                flag = flag[: data.draw(st.integers(3, len(flag)))]
+            elif k == at and fault == "bare":
+                words.append(flag)
+                continue
+            words += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+        if fault == "stray":
+            words.insert(data.draw(st.integers(0, len(words))), data.draw(st.sampled_from(_STRAY)))
+        argv = [name, *words]
+        read = cli._read(argv)
+        event("read" if read is not None else "declined")
+        if read is not None:
+            full = _full_read(argv)
+            assert full is not None, argv
+            assert _namespace_reprs(read) == _namespace_reprs(full), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--expr=t", "--t", "3"],
+            ["eval", "--t=-1e3", "--expr", "1", "--lambda=-0.5+0.2i", "--h", "0.5", "--budget", "9"],
+            ["eval", "--expr", "", "--t", "1", "--t", "2"],
+            ["table", "--expr", "t", "--from", "0", "--to", "2", "--step", "1", "--mode=solve", "--format", "json"],
+            ["inequality", "--h", "1", "--lambda", "2", "--direction=leq", "--mu", "1", "--slack", "1",
+             "--from", "0", "--to", "9"],
+            ["verify"],
+        ],
+    )
+    def test_reads_well_formed_argv(self, argv):
+        read = cli._read(argv)
+        assert read is not None
+        assert _namespace_reprs(read) == _namespace_reprs(_full_read(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["ev", "--expr", "1", "--t", "1"],
+            ["eval", "--expr", "1", "--lam", "0.5", "--t", "1"],
+            ["eval", "--expr", "1", "--t", "-1"],
+            ["eval", "--expr", "1", "--t", "1", "-h"],
+            ["eval", "--expr", "1", "--t", "1", "--"],
+            ["verify", "--identity=--"],
+            ["eval", "--expr", "1", "--t"],
+            ["eval", "--expr", "1", "--t", "x"],
+            ["eval", "--t", "1"],
+            ["table", "--expr", "1", "--from", "0", "--to", "2", "--step", "1", "--mode", "bad"],
+            ["sum", "--expr", "t", "--from", "1.5", "--to", "4"],
+        ],
+    )
+    def test_declines_what_argparse_must_read(self, argv):
+        assert cli._read(argv) is None
+
+    def test_workload_argv(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        argvs = [list(cmd.argv) for seed in (1, 2, 3) for w in workloads.WORKLOADS for cmd in workloads.generate(w, seed)]
+        accepted = [(argv, args) for argv in argvs if (args := cli._read(argv)) is not None]
+        assert [argv for argv, args in accepted if _namespace_reprs(args) != _namespace_reprs(_full_read(argv))] == []
+        # Only negative two-word values and malformed commands go to argparse.
+        assert len(accepted) > 0.9 * len(argvs)
+
+
+class TestLazyParser:
+    """``main`` builds the parser only for argv that ``_read`` declines."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        cli._parser.cache_clear()
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_read_argv_builds_no_parser(self, capsys, builds):
+        for argv in (["eval", "--expr", "t", "--t", "3"], ["sum", "--expr=t", "--from=1", "--to=4"]):
+            assert run_main(capsys, *argv)[0] == EXIT_OK
+        assert builds == []
+
+    def test_declined_argv_builds_the_parser_once(self, capsys, builds):
+        for _ in range(3):
+            assert run_main(capsys, "eval", "--expr", "1", "--lam", "0.5", "--t", "1")[0] == EXIT_OK
+            assert run_main(capsys, "eval", "--t", "1")[0] == EXIT_INPUT
+        assert builds == [1]
+
+
+class TestHelpText:
+    """Help at 80 columns is the bytes recorded in tests/data before the
+    options moved into ``cli.COMMANDS`` (``verify --help`` is checked in a
+    fresh process in test_cold_start)."""
+
+    @pytest.mark.parametrize("command", ["", "eval", "solve", "sum", "table", "inequality"])
+    def test_help_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        expected = (DATA / f"{command or 'adiff'}_help.txt").read_text()
+        assert run_main(capsys, *argv) == (EXIT_OK, expected, "")
 
 
 class TestSharedParser:
