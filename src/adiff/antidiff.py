@@ -29,9 +29,8 @@ other h it may differ from that float shift in the last place, and so may
 the printed value, but never the term count.
 
 :func:`_point_sum` is the one summand loop: :func:`resolvent_sum`,
-:func:`antidifference`, :func:`backward_antidifference` and each factor
-layer of :mod:`adiff.opalgebra` call it for one point.
-:func:`definite_sum` writes out its lam = h = 1 case once for the two
+:func:`antidifference` and :func:`backward_antidifference` call it for one
+point. :func:`definite_sum` writes out its lam = h = 1 case once for the two
 antidifferences F(n+1) and F(m) together, in the same order, so that
 each f(k) is computed once. :func:`lattice_sums` serves many points:
 those with the same remainder share their summand values, so a table of
@@ -147,9 +146,8 @@ def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Sc
     :func:`_fold` written out: feeding it a generator of summand values cost
     10-25% per term, 7% of the benchmark's ``battery`` and ``solve``
     throughput (2-vCPU Xeon). Accumulation is complex exactly when ``lam``
-    is complex; at lam = 1.0 the multiplies are left out. r and h may be
-    integers, the lattice indices of :mod:`adiff.opalgebra`'s layers; a
-    negative n sums nothing.
+    is complex; at lam = 1.0 the multiplies are left out. A negative n sums
+    nothing.
     """
     ks = range(n - 1, -1, -1)
     if isinstance(lam, complex):

@@ -27,17 +27,13 @@ before it builds its points, and ``inequality`` first two per sample, so a
 huge row or sample count is refused before its list is built. ``sum``
 exits 2 on a result that is not finite.
 
-``eval`` and ``table --mode antidiff|resolvent`` read every value and its
-shifted value y(t+h) from one ``antidiff.lattice_sums`` call, which puts
-each point t = n*h + r on its lattice and computes each summand value
-f(r + k*h) once per command; y(t+h) is the lattice point (n+1, r), so the
-residual sums n+1 terms whatever the float t + h rounds to. ``eval``
-refuses (exit 2) a value or residual that is not finite and names the
-first non-finite summand value. ``solve`` and ``table --mode solve`` make
-one ``opalgebra.solve_rows`` call, which puts the operator's steps on one
-integer lattice and reads every value and residual from one chain per
-remainder class, so points shared between rows and residuals are computed
-once per command; ``terms_used`` is the outermost factor's term count.
+``eval`` and ``table --mode antidiff|resolvent`` read every y(t) and
+y(t+h) from one ``antidiff.lattice_sums`` call, ``solve`` and ``table
+--mode solve`` every value and residual from one ``opalgebra.solve_rows``
+call, so a summand value is computed once per command. ``eval`` refuses
+(exit 2) a value or residual that is not finite and names the first
+non-finite summand value; ``terms_used`` of a solve is the outermost
+factor's term count.
 
 What loads when: importing this module loads ``errors``, ``numkit``,
 ``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
@@ -48,21 +44,13 @@ import ``opalgebra`` on their first call, ``inequality`` imports
 --identity`` lists :data:`IDENTITY_NAMES`, a copy of the battery's names,
 so that it needs no import either.
 
-Each subcommand's options are declared once, in :data:`COMMANDS`;
-``build_parser()`` builds a new argparse tree from it on every call, and
-``main`` first reads argv with :func:`_read`, a short reader built from the
-same table. The reader takes a subcommand name and its exact flags as
-``--flag=value`` or ``--flag value``, converts and checks each value as
-argparse does and returns the namespace argparse would. It declines any
-argv it cannot show argparse reads the same way: an unknown or
-abbreviated word, -h, --, a missing value, a second word starting "-" as
-a value, a value its type or choices reject, a missing required flag.
-Only then does ``main`` build the argparse parser, once per process, and
-hand the words after a subcommand name straight to that subcommand's
-parser, reporting words it leaves over through the full parser; any other
-argv (none, -h, an unknown name) goes through the full parser. Help,
-error messages and exit codes are therefore always argparse's, and a
-process whose commands are all well formed never builds the parser.
+Each subcommand's options are declared once, in :data:`COMMANDS`. ``main``
+first reads argv with :func:`_read`, a short reader built from that table,
+and builds the argparse parser (once per process) only for argv the reader
+declines, so help, error messages and exit codes are always argparse's and
+a process whose commands are all well formed never builds the parser. The
+parser reads the value of ``--flag=--`` as "--" on every Python version,
+as argparse 3.13 does.
 
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
@@ -309,18 +297,12 @@ def _sum_rows(
 
 
 def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[OutputRecord]:
-    """Points ts of the particular solution y of op y = f, each with |op y - f|.
-
-    One :func:`solve_rows` call charges the budget once and reads every
-    value and residual from one chain per remainder class.
-    """
+    """Points ts of the particular solution y of op y = f, each with |op y - f|,
+    from one :func:`solve_rows` call, which charges the budget once."""
     from .opalgebra import solve_rows
 
-    rows = solve_rows(op, f, ts, budget)
-    return [
-        OutputRecord(t, value.real, value.imag, n, resid)
-        for t, (n, value, resid) in zip(ts, rows)
-    ]
+    rows = zip(ts, solve_rows(op, f, ts, budget))
+    return [OutputRecord(t, value.real, value.imag, n, resid) for t, (n, value, resid) in rows]
 
 
 # ---------------------------------------------------------------- commands
@@ -463,7 +445,9 @@ _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 class _ArgumentParser(argparse.ArgumentParser):
     """An ``ArgumentParser`` that reads every word starting "-" then a digit,
     or "-." then a digit, as a value: ``--lambda -1i``, ``--lambda
-    -0.5+0.2i`` and ``--t -1e3`` parse as with ``=``.
+    -0.5+0.2i`` and ``--t -1e3`` parse as with ``=``. It also reads the
+    value of ``--flag=--`` as the string "--", as argparse 3.13 does (older
+    versions store []).
 
     argparse (through 3.13.0 at least) takes only plain negative decimals
     such as -2 or -0.5 for values, and any other word starting "-" for an
@@ -476,6 +460,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _get_values(self, action, arg_strings):
+        # Before 3.13 argparse drops this "--" as if it ended the options.
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 #: Each subcommand: its function, its help and its options in help order,

@@ -123,12 +123,14 @@ def _require_positive_shift(h: float) -> float:
 
 
 def floor_mod(t: float, h: float) -> FloorModResult:
-    """Decompose t as n*h + r with integer n and remainder r in [0, h).
+    """Decompose t as n*h + r with integer n and a remainder r that is never negative.
 
-    The quotient equals floor(t/h); negative t follows the flooring
-    convention, so the remainder is never negative. A correction step keeps
-    the remainder inside [0, h) when the division rounds across an integer.
-    Raises :class:`DomainError` when t/h overflows to infinity.
+    n is floor(t/h) of the float quotient, moved by one when r = t - n*h
+    falls outside [0, h); negative t follows the flooring convention. For
+    t >= 0 that keeps r in [0, h) whenever h >= math.ulp(t). Below that the
+    floats t - n*h lie further apart than h and r may be h or more:
+    floor_mod(3.7, 1e-16) gives r = 3.44e-16. Raises :class:`DomainError`
+    when t/h overflows to infinity.
     """
     t = _require_finite(t, "t")
     h = _require_positive_shift(h)

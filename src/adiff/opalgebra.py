@@ -21,44 +21,44 @@ multiple m_i = h_i/g of it (steps 0.1 and 0.3: g = 1/10, m = 1 and 3). A
 point splits once as t = N*g + rho (:func:`adiff.numkit.floor_mod` at the
 float g), and everything below works on integer indices: the layer of
 factor i at index N takes (n, q) = divmod(N, m_i) and sums its inner layer
-at q + k*m_i with :func:`adiff.antidiff._point_sum`, in ascending s, and
-the summand is read at rho + I*g. The residual op y - f reads the top layer
-at the 2^k indices N + (sum of a subset of the m_i): y(t + h_i) is index
-N + m_i whatever the float t + h_i rounds to, so the residual law holds at
-non-dyadic steps. A one-factor chain has g = h and equals
+at q + k*m_i in ascending s, and the summand is read at rho + I*g. The
+residual op y - f reads the top layer at the 2^k indices N + (sum of a
+subset of the m_i): y(t + h_i) is index N + m_i whatever the float t + h_i
+rounds to, so the residual law holds at non-dyadic steps. A one-factor solution has g = h and equals
 :func:`adiff.antidiff.resolvent_sum` bit for bit.
 
-:func:`solve_rows` serves every point of a command from one chain per
-remainder rho, each layer and the summand memoized by index for the life
-of the call (f may close over state that changes between calls), and
-charges the budget once, before any summand call, with the exact work: the
-terms every layer loop adds plus one summand call per distinct summand
-index plus one f(t) per residual. The work comes from the index sets alone.
-Layer i at index N reads every index below N - m_i + 1 in N's class mod
-m_i, so per class only the largest index matters and each layer's set is a
-union of ranges whose loop lengths are floor sums. The walk down the
-layers stops once the layers above are over budget, so finding the charge
-costs no more than the work it lets through, and a command far over budget
-is refused without enumerating its sum. :func:`lattice_plan` returns those
-sets and the work.
+:func:`solve_rows` plans before it sums. Per remainder rho it finds each
+layer's index set, top down: layer i at index N reads every index below
+N - m_i + 1 in N's class mod m_i, so per class only the largest index
+matters and each set is a union of ranges whose loop lengths are floor
+sums. It charges the budget once, before any summand call, with the exact
+work: the terms every layer adds plus one summand call per summand index
+plus one f(t) per residual. The walk stops once the layers above are over
+budget, so a command far over budget is refused without enumerating its
+sum. The sets then are the schedule: the summand is called once per index
+of the lowest set and each layer is built over its set by folding the
+stored values of the layer below (:func:`_top_layer`). No value outlives
+the call, since f may close over state that changes between calls.
+:func:`lattice_plan` returns the sets and the work.
 
 Every operator has this lattice. Indices are Python integers and the index
 sets are ranges, so a large m_i adds no work: steps with no short common
 decimal unit, such as 1 and 1/3 = 0.3333333333333333, give g = 1e-16 with
 m = 10^16 and 3333333333333333. At so fine a g each point of a command
-mostly has a remainder of its own, so the rows share no chain. The one
-summing loop here besides the chain is the left side of
+mostly has a remainder of its own, so the rows share no layer values. The
+one summing loop here besides the layers is the left side of
 :func:`factorization_identity_check`, kept apart as the independent route
 that the identity compares with the library's.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+import operator
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, TermBudget, _point_sum, resolvent_sum
+from .antidiff import RealFunction, Scalar, TermBudget, resolvent_sum
 from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
 from .numkit import _Frozen, _require_finite, _set, floor_mod
 
@@ -115,13 +115,11 @@ def _expand(shifts: Sequence, lams: Sequence[complex], y: Callable, u) -> comple
 
 
 def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float) -> complex:
-    """Apply the factored difference operator to y at t.
+    """Apply the factored difference operator to y at t, as :func:`_expand` does.
 
-    Expands recursively: one factor contributes y(t+h) - lam*y(t); the rest
-    of the product acts on both pieces. y is evaluated at every shifted
-    point t + sum of a subset of the h_i, summed as floats. No command reads
-    it: a float t + h can round across a lattice point, so
-    :func:`solve_rows` shifts lattice indices instead.
+    y is evaluated at every shifted point t + sum of a subset of the h_i,
+    summed as floats. No command reads it: a float t + h can round across a
+    lattice point, so :func:`solve_rows` shifts lattice indices instead.
     """
     return _expand([f.h for f in op.factors], [f.lam for f in op.factors], y, t)
 
@@ -162,22 +160,33 @@ def common_lattice(op: FactoredOperator) -> tuple[float, list[int]]:
     return unit / den, [n // unit for n in nums]
 
 
-def _chain(g: Callable, op: FactoredOperator, ms: Sequence[int]) -> Callable:
-    """The top layer of the solution over the summand g, one memoized layer per factor.
+def _top_layer(f: RealFunction, rho: float, g: float, sets: list, ms: Sequence[int], lams) -> dict:
+    """{index: value} of rho's top layer, built bottom up over the plan ``sets``.
 
-    The layer of step m at index N sums its inner layer at q + k*m for
-    (n, q) = divmod(N, m); a negative n sums nothing. Calls the summand loop
-    directly: :func:`resolvent_sum`'s validation and result record would
-    add 1-2 us to every layer value.
+    f(rho + I*g) is called once per index I of sets[0], highest first, so a
+    failing summand names the highest failing point. At index N the layer
+    of step m folds the stored values of class q below it, for (n, q) =
+    divmod(N, m), with one weight row (the running product of lam) in the
+    order :func:`adiff.antidiff._point_sum` adds a point. Each layer is
+    dropped once the next one is built.
     """
-    for factor, m in zip(op.factors, ms):
-
-        def layer(index, g=g, m=m, lam=factor.lam):
-            n, q = divmod(index, m)
-            return _point_sum(g, q, n, m, lam)
-
-        g = functools.cache(layer)
-    return g
+    indices = sorted(itertools.chain.from_iterable(sets[0]), reverse=True)
+    values = {i: complex(f(rho + i * g)) for i in indices}
+    layer = {r.start: list(map(values.__getitem__, r)) for r in sets[0]}
+    for m, lam, ranges in zip(ms, lams, sets[1:]):
+        longest = max((r[-1] // m for r in ranges), default=1)
+        weights = [*itertools.accumulate([lam] * (longest - 1), operator.mul, initial=1.0 + 0j)]
+        inner, layer = layer, {}
+        for r in ranges:
+            xs = layer[r.start] = []
+            for index in r:
+                n, q = divmod(index, m)
+                acc = 0j
+                if n > 0:
+                    for p in map(operator.mul, weights, inner[q][n - 1 :: -1]):
+                        acc += p
+                xs.append(acc)
+    return {index: xs[0] for index, xs in layer.items()}
 
 
 def _floor_sum(count: int, m: int, a: int, b: int) -> int:
@@ -204,8 +213,9 @@ def _index_sets(ms: Sequence[int], top: Sequence[int], allowance: float) -> tupl
     largest index per class matters, and the top ``m_i / gcd(step, m_i)``
     indices of a range meet every class the range meets. Returns
     (sets, work) with sets[0] the summand indices and sets[-1] the top
-    layer, each a list of disjoint ranges, and work the terms of every layer
-    loop plus one per summand index. Stops early, with sets None, once the
+    layer, each a list of disjoint ranges (below the top, one per class mod
+    the step above, starting at the class), and work the terms of every
+    layer loop plus one per summand index. Stops early, with sets None, once the
     work is above ``allowance``; the ranges walked so far are read by the
     terms already counted, so the walk costs no more than the work.
     """
@@ -236,10 +246,10 @@ def lattice_plan(
 ) -> tuple[dict[float, list] | None, int]:
     """Index sets per remainder class and the exact work of :func:`solve_rows`.
 
-    Returns ({rho: sets}, work), sets as in :func:`_index_sets`: the memo
-    keys each layer of rho's chain ends with, and work the terms, summand
-    calls and (with ``residuals``) f(t) calls the rows make. The sets are
-    None when the work is above ``allowance``.
+    Returns ({rho: sets}, work), sets as in :func:`_index_sets`: the
+    indices at which :func:`solve_rows` computes each layer of rho, and
+    work the terms, summand calls and (with ``residuals``) f(t) calls the
+    rows make. The sets are None when the work is above ``allowance``.
     """
     g, ms = common_lattice(op)
     return _plan(ms, [floor_mod(t, g) for t in ts], residuals, allowance)
@@ -278,10 +288,11 @@ def solve_rows(
     """(n, y(t), |op y - f|(t)) for each t, y the particular solution of op y = f.
 
     n is the top layer's term count (the outermost factor's floor at t,
-    clamped at 0). One chain per remainder class serves all rows and their
-    residuals, so each layer value and each summand value is computed once
-    per call. Raises :class:`TermBudgetExceeded` before any summand call if
-    the work is above the budget. Without ``residuals`` the third field is
+    clamped at 0). The layers of each remainder class are built once, bottom
+    up over the plan's index sets, and serve all rows and their residuals,
+    so each layer value and each summand value is computed once per call.
+    Raises :class:`TermBudgetExceeded` before any summand call if the work
+    is above the budget. Without ``residuals`` the third field is
     None and neither the shifted points nor f(t) are computed or charged.
     """
     max_terms = (budget or TermBudget()).max_terms
@@ -294,17 +305,12 @@ def solve_rows(
         least = "at least " if plan is None else ""
         raise TermBudgetExceeded(f"nested sum needs {least}{work} evaluations, budget is {max_terms}")
     lams = [factor.lam for factor in op.factors]
-    chains: dict[float, Callable] = {}
+    tops = {rho: _top_layer(f, rho, g, sets, ms, lams) for rho, sets in plan.items()}
     rows = []
     for t, cell in zip(ts, cells):
-        index, rho = cell.n, cell.r
-        y = chains.get(rho)
-        if y is None:
-            summand = functools.cache(lambda i, rho=rho: complex(f(rho + i * g)))
-            y = chains[rho] = _chain(summand, op, ms)
-        value = y(index)
-        resid = abs(_expand(ms, lams, y, index) - f(t)) if residuals else None
-        rows.append((max(index // ms[-1], 0), value, resid))
+        y = tops[cell.r]
+        resid = abs(_expand(ms, lams, y.__getitem__, cell.n) - f(t)) if residuals else None
+        rows.append((max(cell.n // ms[-1], 0), y[cell.n], resid))
     return rows
 
 
@@ -336,7 +342,7 @@ def verify_particular(
     """|op y_p - f| at t for the constructed particular solution y_p.
 
     This is the universal residual: zero (to rounding) for every operator,
-    summand, and point within budget. One memoized chain serves all 2^k
+    summand, and point within budget. One set of layers serves all 2^k
     points; the budget is charged once for all of them.
     """
     return solve_rows(op, f, [t], budget)[0][2]

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import event, given, settings
@@ -225,6 +226,35 @@ class TestSolve:
             solved, evaluated = record_fields(solved), record_fields(evaluated)
             assert (solved["value"], solved["imag"]) == (evaluated["value"], evaluated["imag"]), (h, lam, t)
             assert solved["terms_used"] == evaluated["terms_used"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--mode", "solve", "--factors", "1:0.5;1:0.5", "--expr", "ln(t-30)",
+             "--from", "0", "--to", "40", "--step", "1"],
+            ["solve", "--factors", "1:0.5;1:0.5", "--expr", "ln(t-30)", "--t", "40"],
+        ],
+    )
+    def test_highest_failing_point_is_named(self, capsys, argv):
+        # The summand is called at its highest index first: ln(t-30) fails
+        # at 30 before it fails at 0, in a table as at one point.
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "adiff: domain: ln of non-positive value 0.0 (at position 0)\n"
+
+    @pytest.mark.parametrize(
+        "factors, expr, to, name",
+        [
+            ("0.1:1;0.3333333333333333:1", "1", "1", "solve_table_fine_unit.csv"),
+            ("1:0.9;0.3333333333333333:0.5", "cos(t)", "3", "solve_table_fine_cos.csv"),
+        ],
+    )
+    def test_fine_lattice_tables(self, capsys, factors, expr, to, name):
+        # CI's two tables on g = 1e-16, whose bytes its determinism job
+        # compares across Python versions.
+        argv = ["table", "--mode", "solve", "--factors", factors, "--expr", expr,
+                "--from", "0", "--to", to, "--step", "0.1"]
+        assert run_main(capsys, *argv) == (EXIT_OK, (DATA / name).read_text(), "")
 
 
 class TestSum:
@@ -1500,3 +1530,97 @@ class TestNegativeNumberValues:
         code, _, err = run_main(capsys, "eval", "--expr", "1", "--t", "3", "--lambda", "-1x")
         assert code == EXIT_INPUT
         assert err == "adiff: cannot parse number '-1x'\n"
+
+
+class TestDashDashValue:
+    """``--flag=--`` gives the flag the value "--" on every Python version,
+    as argparse 3.13 reads it; argparse before 3.13 stored [] there."""
+
+    def test_expr(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--expr=--", "--t", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "adiff: unexpected end of input (at position 2), expected primary\n"
+
+    def test_factors(self, capsys):
+        code, out, err = run_main(capsys, "solve", "--factors=--", "--expr", "1", "--t", "1")
+        assert (code, out, err) == (EXIT_INPUT, "", "adiff: factor '--' must look like h:lambda\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--expr", "1", "--t=--"], "argument --t: invalid float value: '--'"),
+            (["sum", "--expr", "1", "--from=--", "--to", "3"], "argument --from: invalid int value: '--'"),
+            (["sum", "--expr", "1", "--from", "0", "--to=--"], "argument --to: invalid int value: '--'"),
+            (["table", "--expr", "1", "--from=--", "--to", "1", "--step", "1"],
+             "argument --from: invalid float value: '--'"),
+            (["table", "--expr", "1", "--from", "0", "--to=--", "--step", "1"],
+             "argument --to: invalid float value: '--'"),
+        ],
+    )
+    def test_numbers(self, capsys, argv, message):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines()[-1] == f"adiff {argv[0]}: error: {message}"
+
+    def test_out(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["table", "--expr", "1", "--from", "0", "--to", "1", "--step", "1"]
+        assert run_main(capsys, *argv, "--out=--") == (EXIT_OK, "", "")
+        assert (tmp_path / "--").read_text() == run_main(capsys, *argv)[1]
+
+
+#: Values that no option expects, for the argv fuzz test. The integers are
+#: so large that, with any budget drawn here, every sum or table that takes
+#: one as a bound is refused before its first summand call.
+_HOSTILE = ["", "--", "-1i", "nan", "inf", "-inf", "1e400", str(10**30), str(-(10**30)),
+            "π", "t²", "１", "stray", "1 2"]
+
+#: A plain value per option kind, so that commands also get past their parser.
+_PLAIN = {"--expr": "t", "--mu": "1", "--slack": "1", "--factors": "1:0.5;0.5:2", "--identity": "mueller",
+          "--lambda": "0.5", "--h": "0.5", "--samples": "3", "--from": "0", "--to": "3", "--step": "0.5",
+          "--t": "2.5", "--budget": "1000", "--tol": "1e-8", "--seed": "7", "--out": "table.csv"}
+
+
+class TestArgvFuzz:
+    """No argv ends in a traceback, an undocumented exit code, output on
+    stdout with an error, or JSON that is not strict."""
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(st.data())
+    def test_every_argv_ends_in_a_documented_way(self, data):
+        name = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+        argv = [name]
+        for flag, kwargs in cli.COMMANDS[name][2]:
+            # Mostly plain values, so that most commands get past their parser.
+            kind = data.draw(st.sampled_from(["plain", "plain", "plain", "hostile", "omit"]))
+            if kind == "omit":
+                continue
+            choices = kwargs.get("choices")
+            plain = data.draw(st.sampled_from(choices)) if choices else _PLAIN[flag]
+            value = plain if kind == "plain" else data.draw(st.sampled_from(_HOSTILE))
+            argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        # --out writes into the current directory.
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_INPUT, EXIT_BUDGET, EXIT_CROSSCHECK, EXIT_IO), argv
+        assert code != EXIT_VERIFY_FAILED or name in ("verify", "inequality"), argv
+        assert "Traceback" not in err, argv
+        if code not in (EXIT_OK, EXIT_VERIFY_FAILED):
+            assert out == "", argv
+        json_format = "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
+        if code == EXIT_OK and json_format:
+            for line in out.splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")

@@ -11,6 +11,8 @@ from itertools import combinations
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adiff.errors import CapExceeded, DomainError, NonFiniteInput, NonPositiveShift, PoleError
 from adiff.numkit import (
@@ -110,6 +112,20 @@ class TestFloorMod:
                 res = floor_mod(t, h)
                 assert abs(h * res.n - t) <= h
                 assert res.r < h
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.0, 1e300), st.floats(1e-300, 1e300))
+    def test_remainder_below_h_from_the_float_spacing_up(self, t, h):
+        assume(h >= math.ulp(t))
+        res = floor_mod(t, h)
+        assert 0.0 <= res.r < h
+
+    def test_shift_below_the_float_spacing(self):
+        # ulp(3.7) is 4.4e-16: the floats t - n*h step by about 8.9e-16, so
+        # none is in [0, 1e-16) and one correction step leaves r above h.
+        res = floor_mod(3.7, 1e-16)
+        assert (res.n, res.r) == (37000000000000001, 3.440892098500626e-16)
+        assert res.r >= 1e-16
 
     def test_errors(self):
         with pytest.raises(NonPositiveShift):

@@ -476,6 +476,44 @@ class TestSolutionChain:
         assert value == verify_particular(op, math.cos, t)
 
 
+class TestLayerFolds:
+    """Each layer is built as folds of the layer below's stored values, and
+    every value and residual equals the written-out chain's bit for bit."""
+
+    STEPS = [0.1, 0.2, 0.3, 0.5, 1.0]  # m_i in {1, 2, 3, 5, 10} on g = 0.1
+
+    @staticmethod
+    def coefficient(rng):
+        kind = rng.choice(["real", "complex", "unit"])
+        if kind == "real":
+            return rng.choice([1.0, -1.0, rng.uniform(-1.5, 1.5)])
+        if kind == "complex":
+            return complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        return rng.choice([1j, -1j, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))])
+
+    def test_rows_equal_the_written_out_chain(self):
+        rng = random.Random(1616)
+        for _ in range(60):
+            op = FactoredOperator.from_pairs(
+                [(rng.choice(self.STEPS), self.coefficient(rng)) for _ in range(rng.choice([2, 3]))]
+            )
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            # A table's rows from below 0: on g = 0.1 most share their
+            # remainder class, and the last row is a shifted copy of a row.
+            lo, step = rng.uniform(-1.5, 0.0), rng.choice(self.STEPS)
+            ts = [lo + k * step for k in range(rng.randrange(2, 30))]
+            ts.append(ts[rng.randrange(len(ts))] + rng.choice(self.STEPS))
+            residuals = rng.random() < 0.8
+            oracle = fresh_chain(op, f)
+            assert solve_rows(op, f, ts, residuals=residuals) == [oracle.row(t, residuals) for t in ts]
+
+    def test_summand_is_called_highest_index_first(self):
+        op = FactoredOperator.from_pairs([(0.5, 0.9), (1.0, -0.7)])
+        seen = []
+        solve_rows(op, lambda u: seen.append(u) or math.cos(u), [2.25, -1.0, 4.75], residuals=False)
+        assert seen == sorted(set(seen), reverse=True)
+
+
 def lattice_operators(rng, count):
     """count random operators, each with a summand and points."""
     cases = []
