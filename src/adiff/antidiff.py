@@ -34,13 +34,15 @@ point. :func:`definite_sum` writes out its lam = h = 1 case once for the two
 antidifferences F(n+1) and F(m) together, in the same order, so that
 each f(k) is computed once. :func:`lattice_sums` serves many points:
 those with the same remainder share their summand values, so a table of
-rows computes each f(r + k*h) once and folds the stored values with
-:func:`_fold` (folding stored values through a callable cost 2-3x per
-term). It hands its exact summand call count to the caller's charge
-before the first call, and :func:`lattice_sums_calls` gives the same count
-without making the calls. The particular part of
-:mod:`adiff.inequality` reads these sums. A :class:`TermBudget` bounds the
-work one command may do; the callers of these sums charge it.
+rows computes each f(r + k*h) once and :func:`_class_sums` folds the
+stored values of each class against one weight row, the running product
+of lam, as :func:`adiff.opalgebra._top_layer` folds a solve layer
+(folding stored values through a callable cost 2-3x per term). It hands
+its exact summand call count to the caller's charge before the first
+call, and :func:`lattice_sums_calls` gives the same count without making
+the calls. The particular part of :mod:`adiff.inequality` reads these
+sums. A :class:`TermBudget` bounds the work one command may do; the
+callers of these sums charge it.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -51,8 +53,10 @@ sum_{s=1..floor(x)} f(x-s) = F(x) - F({x}).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from typing import Callable, Iterable, Sequence, Union
+import operator
+from typing import Callable, Sequence, Union
 
 from .errors import (
     BoundsError,
@@ -63,6 +67,7 @@ from .errors import (
     ZeroLambda,
 )
 from .numkit import (
+    _floor_mod,
     _Frozen,
     _require_finite,
     _require_positive_shift,
@@ -116,38 +121,15 @@ def _term_count(t: float) -> int:
     return max(math.floor(t), 0)
 
 
-def _fold(values: Iterable[Scalar], lam: Scalar) -> Scalar:
-    """sum_i lam^i values[i], accumulated in order with a running product of lam.
-
-    Accumulation is complex exactly when ``lam`` is a complex number. At
-    lam = 1.0 the multiplies are left out (1.0 * v is v for a real v).
-    """
-    if isinstance(lam, complex):
-        acc: Scalar = 0j
-        w: Scalar = 1.0 + 0j
-    elif lam == 1.0:
-        acc = 0.0
-        for v in values:
-            acc += v
-        return acc
-    else:
-        acc = 0.0
-        w = 1.0
-    for v in values:
-        acc += w * v
-        w *= lam
-    return acc
-
-
 def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Scalar) -> Scalar:
     """sum_{s=1..n} lam^(s-1) g(r + (n-s)*h), accumulated in ascending s.
 
-    The one-point lattice sum, folded as the summand values arrive. This is
-    :func:`_fold` written out: feeding it a generator of summand values cost
-    10-25% per term, 7% of the benchmark's ``battery`` and ``solve``
-    throughput (2-vCPU Xeon). Accumulation is complex exactly when ``lam``
-    is complex; at lam = 1.0 the multiplies are left out. A negative n sums
-    nothing.
+    The one-point lattice sum, folded as the summand values arrive with the
+    weight kept as a running product; feeding a fold a generator of summand
+    values cost 10-25% per term, 7% of the benchmark's ``battery`` and
+    ``solve`` throughput (2-vCPU Xeon). Accumulation is complex exactly
+    when ``lam`` is complex; at lam = 1.0 the multiplies are left out. A
+    negative n sums nothing.
     """
     ks = range(n - 1, -1, -1)
     if isinstance(lam, complex):
@@ -239,8 +221,8 @@ def _classes(ts: Sequence[float], lam: Scalar, h: float):
     h = _require_positive_shift(h)
     members: dict[float, list[tuple[int, int, int]]] = {}
     for i, t in enumerate(ts):
-        cell = floor_mod(t, h)
-        members.setdefault(cell.r, []).append((i, max(cell.n, 0), max(cell.n + 1, 0)))
+        n, r = _floor_mod(t, h)
+        members.setdefault(r, []).append((i, n, n + 1) if n >= 0 else (i, 0, 0))
     counts = lambda ms: sorted({m for _, n, up in ms for m in (n, up)})
     return {r: (ms, counts(ms)) for r, ms in members.items()}, lam, h
 
@@ -248,8 +230,10 @@ def _classes(ts: Sequence[float], lam: Scalar, h: float):
 def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Scalar) -> dict:
     """{m: y(m, r)} for the ascending term counts of one remainder class.
 
-    Each count folds the class's stored values in ascending s; a class whose
-    top count exceeds _CLASS_VALUES_MAX stores none and calls f per count.
+    Each count folds the class's stored values in ascending s against one
+    weight row, the running product of lam (none at lam = 1.0), as
+    :func:`_point_sum` adds them. A class whose top count exceeds
+    _CLASS_VALUES_MAX stores none and calls f per count.
     """
     lo, top = counts[0], counts[-1]
     if top > _CLASS_VALUES_MAX:
@@ -258,7 +242,18 @@ def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Sca
     values = [f(r + k * h) for k in range(lo - 1, -1, -1)]
     values.reverse()
     values += [f(r + k * h) for k in range(lo, top)]
-    return {m: _fold(reversed(values[:m]), lam) for m in counts}
+    zero: Scalar = 0j if isinstance(lam, complex) else 0.0
+    weights = None
+    if lam != 1.0 or isinstance(lam, complex):
+        weights = [*itertools.accumulate([lam] * (top - 1), operator.mul, initial=zero + 1.0)]
+    sums = {}
+    for m in counts:
+        terms = values[m - 1 :: -1] if m else []
+        acc = zero
+        for p in terms if weights is None else map(operator.mul, weights, terms):
+            acc += p
+        sums[m] = acc
+    return sums
 
 
 def nonfinite_term(f: RealFunction, t: float, h: float) -> tuple[int, float, Scalar] | None:

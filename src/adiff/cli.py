@@ -181,34 +181,34 @@ class OutputRecord(_Record):
         self.terms_used = terms_used
         self.residual = residual
 
-    def _fields_text(self) -> list[tuple[str, str]]:
-        resid = "" if self.residual is None else fmt17(self.residual)
-        return [
-            ("t", fmt17(self.t)),
-            ("value", fmt17(self.value)),
-            ("imag", fmt17(self.imag)),
-            ("terms_used", str(self.terms_used)),
-            ("residual", resid),
-        ]
+    # Each format's templates with a residual and without one. x + 0.0 folds
+    # -0.0, and '%.17g' % x gives the bytes of fmt17(x).
+    _TEXT = ("t=%.17g value=%.17g imag=%.17g terms_used=%d residual=%.17g",
+             "t=%.17g value=%.17g imag=%.17g terms_used=%d")
+    _CSV = ("%.17g,%.17g,%.17g,%d,%.17g", "%.17g,%.17g,%.17g,%d,")
+    _JSON = ('{"t": %.17g, "value": %.17g, "imag": %.17g, "terms_used": %d, "residual": %.17g}',
+             '{"t": %.17g, "value": %.17g, "imag": %.17g, "terms_used": %d, "residual": null}')
+
+    def _render(self, templates: tuple[str, str]) -> str:
+        head = (self.t + 0.0, self.value + 0.0, self.imag + 0.0, self.terms_used)
+        if self.residual is None:
+            return templates[1] % head
+        return templates[0] % (*head, self.residual + 0.0)
 
     def text_line(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self._fields_text() if v != "")
+        return self._render(self._TEXT)
 
     def csv_row(self) -> str:
-        return ",".join(v for _, v in self._fields_text())
+        return self._render(self._CSV)
 
     def json_line(self) -> str:
-        parts = []
-        for key, value in self._fields_text():
-            if value in ("inf", "-inf", "nan"):
-                raise DomainError(
-                    f"{key}={value} at t={fmt17(self.t)} has no JSON form; use --format csv"
-                )
-            if key == "terms_used":
-                parts.append(f'"{key}": {value}')
-            else:
-                parts.append(f'"{key}": {value if value != "" else "null"}')
-        return "{" + ", ".join(parts) + "}"
+        isfinite, resid = math.isfinite, self.residual
+        if not (isfinite(self.t) and isfinite(self.value) and isfinite(self.imag)
+                and (resid is None or isfinite(resid))):
+            key = next(k for k in ("t", "value", "imag", "residual") if not isfinite(getattr(self, k) or 0.0))
+            text = fmt17(getattr(self, key))
+            raise DomainError(f"{key}={text} at t={fmt17(self.t)} has no JSON form; use --format csv")
+        return self._render(self._JSON)
 
 
 def parse_complex(text: str) -> float | complex:
@@ -273,12 +273,6 @@ def _charge(
         )
 
 
-def _split(value: float | complex) -> tuple[float, float]:
-    if isinstance(value, complex):
-        return value.real, value.imag
-    return float(value), 0.0
-
-
 def _sum_rows(
     f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int
 ) -> list[OutputRecord]:
@@ -289,11 +283,8 @@ def _sum_rows(
     one f(t) per row before the first call.
     """
     charge = lambda calls: _charge(command, calls + len(ts), max_terms)
-    rows = []
-    for t, (n, value, ahead) in zip(ts, lattice_sums(f, ts, lam, h, charge)):
-        real, imag = _split(value)
-        rows.append(OutputRecord(t, real, imag, n, abs(ahead - lam * value - f(t))))
-    return rows
+    rows = zip(ts, lattice_sums(f, ts, lam, h, charge))
+    return [OutputRecord(t, y.real, y.imag, n, abs(ahead - lam * y - f(t))) for t, (n, y, ahead) in rows]
 
 
 def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[OutputRecord]:
@@ -391,8 +382,7 @@ def cmd_table(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -126,14 +126,19 @@ def floor_mod(t: float, h: float) -> FloorModResult:
     """Decompose t as n*h + r with integer n and a remainder r that is never negative.
 
     n is floor(t/h) of the float quotient, moved by one when r = t - n*h
-    falls outside [0, h); negative t follows the flooring convention. For
-    t >= 0 that keeps r in [0, h) whenever h >= math.ulp(t). Below that the
-    floats t - n*h lie further apart than h and r may be h or more:
-    floor_mod(3.7, 1e-16) gives r = 3.44e-16. Raises :class:`DomainError`
-    when t/h overflows to infinity.
+    falls outside [0, h); negative t follows the flooring convention. If
+    n*h overflows, or r is still h or more although h >= math.ulp(t), n and
+    r are the exact floor quotient and remainder, r rounded once (to 0 with
+    n one higher if it rounds to h). So r is finite, and in [0, h) whenever
+    h >= math.ulp(t); below that the floats t - n*h lie further apart than h
+    and r may be h or more: floor_mod(3.7, 1e-16) gives r = 3.44e-16.
+    Raises :class:`DomainError` when t/h overflows to infinity.
     """
-    t = _require_finite(t, "t")
-    h = _require_positive_shift(h)
+    return FloorModResult(*_floor_mod(_require_finite(t, "t"), _require_positive_shift(h)))
+
+
+def _floor_mod(t: float, h: float) -> tuple[int, float]:
+    """(n, r) of :func:`floor_mod` for a finite t and a positive finite h."""
     try:
         n = math.floor(t / h)
     except OverflowError:
@@ -142,12 +147,18 @@ def floor_mod(t: float, h: float) -> FloorModResult:
     if r < 0.0:
         n -= 1
         r += h
+        if r < 0.0:  # residual rounding from the correction, or n*h overflowed
+            r = 0.0 if r > -math.inf else math.inf
     elif r >= h:
         n += 1
         r -= h
-    if r < 0.0:  # residual rounding from the correction itself
-        r = 0.0
-    return FloorModResult(n, r)
+    if r < h or h < math.ulp(t) and r < math.inf:
+        return n, r
+    # Exact: t/h = tn*hd / (td*hn) and t - n*h = rem / (td*hd), rounded once.
+    (tn, td), (hn, hd) = t.as_integer_ratio(), h.as_integer_ratio()
+    n, rem = divmod(tn * hd, td * hn)
+    r = rem / (td * hd)
+    return (n, r) if r < h else (n + 1, 0.0)
 
 
 def frac_mod(t: float, h: float = 1.0) -> float:

@@ -542,6 +542,27 @@ def float_shift_sum(f, t, n, lam, h, first=1):
     return acc
 
 
+def running_product_fold(values, lam):
+    """sum_i lam^i values[i] in order, the weight a running product of lam.
+
+    Accumulates in complex exactly when lam is complex; at lam = 1.0 it adds
+    the values with no multiply.
+    """
+    if isinstance(lam, complex):
+        acc, w = 0j, 1.0 + 0j
+    elif lam == 1.0:
+        acc = 0.0
+        for v in values:
+            acc += v
+        return acc
+    else:
+        acc, w = 0.0, 1.0
+    for v in values:
+        acc += w * v
+        w *= lam
+    return acc
+
+
 class TestLatticeSums:
     """The lattice kernel: t = n*h + r, summands at r + k*h, one value list per class."""
 
@@ -645,6 +666,40 @@ class TestLatticeSums:
         [(n, _, _)] = lattice_sums(lambda u: seen.append(u) or 0.0, [9.5 * h], 2.0, h)
         assert n == cell.n > 3 and len(seen) == 2 * n + 1
         assert seen[: n + 1] == [cell.r + k * h for k in range(n, -1, -1)][1:] + [cell.r + n * h]
+
+    @pytest.mark.parametrize("h", [1.0, 0.3, 0.1, 4.758454107848294e285])
+    def test_classes_agree_with_floor_mod_per_point(self, h):
+        # Classing splits each point as floor_mod does: same remainder (0.0
+        # and -0.0 are one class), counts n and n + 1 clamped at 0.
+        rng = random.Random(19)
+        ts = [-0.0, 0.0, -1e-300, -1.175494351e-38, -3.5 * h, -h, h, 0.7 * h]
+        ts += [(antidiff_module._CLASS_VALUES_MAX + k + 0.5) * h for k in (-1, 0, 7)]
+        ts += [rng.uniform(-40.0, 40.0) * h for _ in range(40)] + ts[:4]
+        classes, _, _ = antidiff_module._classes(ts, 2.0, h)
+        seen = []
+        for r, (members, counts) in classes.items():
+            for i, n, up in members:
+                cell = floor_mod(ts[i], h)
+                assert cell.r == r and (n, up) == (max(cell.n, 0), max(cell.n + 1, 0)), ts[i]
+                seen.append(i)
+            assert counts == sorted({m for _, n, up in members for m in (n, up)})
+        assert sorted(seen) == list(range(len(ts)))
+        assert max(counts[-1] for _, counts in classes.values()) > antidiff_module._CLASS_VALUES_MAX
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324]), min_size=1, max_size=30),
+        st.sampled_from([1.0, -0.9, 1.7, 1e-3, -1.0, complex(0.3, -0.8), complex(1.0, 0.0), -1j]),
+        st.data(),
+    )
+    def test_class_fold_is_the_running_product_fold(self, values, lam, data):
+        # One weight row per class multiplies the same operands, in the same
+        # order, as a running product w *= lam kept per term: same bits.
+        counts = sorted(set(data.draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=6))))
+        sums = antidiff_module._class_sums(lambda u: values[int(u)], 0.0, 1.0, counts, lam)
+        assert list(sums) == counts
+        for m in counts:
+            assert repr(sums[m]) == repr(running_product_fold(values[m - 1 :: -1] if m else [], lam))
 
     def test_validation(self):
         with pytest.raises(NonFiniteInput):

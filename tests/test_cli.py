@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -22,6 +23,7 @@ from adiff.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    OutputRecord,
     main,
     parse_complex,
     parse_factors,
@@ -29,6 +31,7 @@ from adiff.cli import (
 from adiff.antidiff import lattice_sums_calls
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
+from adiff.numkit import fmt17
 from adiff.opalgebra import FactoredOperator, lattice_plan, particular_solution, verify_particular
 
 
@@ -323,6 +326,28 @@ class TestSum:
 
 
 class TestTable:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--mode", "resolvent", "--lambda", "0.5+0.5i", "--h", "0.3", "--expr", "cos(t)",
+              "--from", "-1", "--to", "6", "--step", "0.1", "--format", "csv"],
+             "resolvent_table_h03_complex.csv"),
+            (["--mode", "resolvent", "--lambda", "0.5+0.5i", "--h", "0.3", "--expr", "cos(t)",
+              "--from", "-1", "--to", "6", "--step", "0.1", "--format", "json"],
+             "resolvent_table_h03_complex.jsonl"),
+            (["--mode", "resolvent", "--lambda", "0.9", "--h", "0.1", "--expr", "exp(-t/4)*sin(3*t)",
+              "--from", "-0.5", "--to", "8", "--step", "0.05"],
+             "resolvent_table_h01.csv"),
+            (["--mode", "antidiff", "--expr", "sin(t)/(t*t+1)", "--from", "-2", "--to", "30",
+              "--step", "0.25"],
+             "antidiff_table_step025.csv"),
+        ],
+    )
+    def test_sum_tables_keep_their_recorded_bytes(self, capsys, argv, name):
+        # Recorded before rows were rendered from one template per format,
+        # classed without a result object and folded against a weight row.
+        assert run_main(capsys, "table", *argv) == (EXIT_OK, (DATA / name).read_text(), "")
+
     def test_csv_staircase(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -1313,6 +1338,15 @@ class TestLatticeRows:
         assert code == EXIT_OK
         assert out == "t=1.7 value=16 imag=0 terms_used=16 residual=0\n"
 
+    def test_summand_reads_the_binary64_lattice_point(self, capsys):
+        # f sees r + k*h in binary64. At h = 0.1 some of those points fall on
+        # the far side of an integer from their decimal: frac summed over the
+        # decimal points 0.1 ... 3.2 gives 13.8, over these points 15.8.
+        code, out, _ = run_main(capsys, "eval", "--expr", "frac(t)", "--t", "3.3", "--h", "0.1")
+        assert code == EXIT_OK
+        assert record_fields(out)["value"] == "15.799999999999992"
+        assert record_fields(out)["terms_used"] == "32"
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         st.sampled_from(_LATTICE_EXPRS), _steps, _lambdas, st.integers(0, 60), st.floats(0.0, 30.0)
@@ -1624,3 +1658,64 @@ class TestArgvFuzz:
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
+
+
+# ------------------------------------------------------------ row rendering
+
+
+def _fields_oracle(record):
+    """Each field of a row as fmt17 (the count as str) renders it, "" for no residual."""
+    resid = "" if record.residual is None else fmt17(record.residual)
+    return [("t", fmt17(record.t)), ("value", fmt17(record.value)), ("imag", fmt17(record.imag)),
+            ("terms_used", str(record.terms_used)), ("residual", resid)]
+
+
+def _json_oracle(record):
+    parts = []
+    for key, text in _fields_oracle(record):
+        if text in ("inf", "-inf", "nan"):
+            raise DomainError(f"{key}={text} at t={fmt17(record.t)} has no JSON form; use --format csv")
+        parts.append(f'"{key}": {text or "null"}')
+    return "{" + ", ".join(parts) + "}"
+
+
+_row_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.1, 1e16, 1e-7]),
+)
+
+
+class TestRowRendering:
+    """text_line, csv_row and json_line give the bytes of fmt17 per field, joined."""
+
+    @settings(max_examples=1500, deadline=None, database=None)
+    @given(_row_floats, _row_floats, _row_floats, st.integers(0, 10**30), st.none() | _row_floats)
+    def test_renderers_match_the_per_field_oracle(self, t, value, imag, terms_used, residual):
+        row = OutputRecord(t, value, imag, terms_used, residual)
+        fields = _fields_oracle(row)
+        assert row.text_line() == " ".join(f"{k}={v}" for k, v in fields if v != "")
+        assert row.csv_row() == ",".join(v for _, v in fields)
+        try:
+            expected = _json_oracle(row)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                row.json_line()
+            assert str(info.value) == str(exc)
+        else:
+            assert row.json_line() == expected
+            json.loads(expected, parse_constant=_refuse_constant)
+
+    @pytest.mark.parametrize("field", ["t", "value", "imag", "residual"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_json_names_the_first_non_finite_field(self, field, bad):
+        values = dict(t=2.5, value=-0.0, imag=1e-300, terms_used=7, residual=0.25)
+        values[field] = bad
+        row = OutputRecord(**values)
+        with pytest.raises(DomainError) as info:
+            row.json_line()
+        text = fmt17(bad)
+        assert str(info.value) == f"{field}={text} at t={fmt17(values['t'])} has no JSON form; use --format csv"
+        with pytest.raises(DomainError) as oracle:
+            _json_oracle(row)
+        assert str(info.value) == str(oracle.value)

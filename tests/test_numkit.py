@@ -7,6 +7,7 @@ Oracles: mpmath (digamma, loggamma), brute-force set-partition counting
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
@@ -139,11 +140,73 @@ class TestFloorMod:
         with pytest.raises(NonFiniteInput):
             floor_mod(math.nan, 1.0)
 
+    @pytest.mark.parametrize(
+        "t, h, n, r",
+        [
+            # n*h overflows to -inf, so t - n*h was inf.
+            (-1.7976931348623145e308, 1.84128489289954e293, -976325359424104, 1.6100666465071097e293),
+            # t/h underflows to -0.0 and t + h rounds to h: t is 0*h + 0 to
+            # within half an ulp of h.
+            (-1.175494351e-38, 4.758454107848294e285, 0, 0.0),
+            # n*h overflows to +inf, which the correction step clamped to r = 0.
+            (1.7976931348623157e308, 4.19684446507457e294, 42834399745389, 4.1865974105945817e294),
+        ],
+    )
+    def test_ends_of_the_float_range(self, t, h, n, r):
+        res = floor_mod(t, h)
+        assert (res.n, res.r) == (n, r)
+        assert 0.0 <= res.r < h
+
+    @settings(max_examples=3000, deadline=None, database=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_full_float_range(self, t, h):
+        # r is finite and never negative everywhere, and in [0, h) whenever
+        # h >= ulp(t). Where the quotient-and-correct route did not overflow
+        # and gave such an r, or h is below ulp(t), (n, r) are that route's,
+        # bit for bit.
+        try:
+            res = floor_mod(t, h)
+        except DomainError:
+            assert math.isinf(t / h)
+            return
+        assert math.isfinite(res.r) and res.r >= 0.0
+        if h >= math.ulp(t):
+            assert res.r < h
+        n = math.floor(t / h)
+        if math.isfinite(n * h):
+            old_n, old_r = _corrected_quotient(t, h)
+            if 0.0 <= old_r < h or h < math.ulp(t):
+                assert (res.n, repr(res.r)) == (old_n, repr(old_r))
+                return
+        # The exact route: n is the floor of the exact t/h, r the remainder
+        # rounded once (0 with n one higher where it rounds to h).
+        exact_n = math.floor(Fraction(t) / Fraction(h))
+        exact_r = Fraction(t) - exact_n * Fraction(h)
+        if float(exact_r) == h:
+            exact_n, exact_r = exact_n + 1, Fraction(0)
+        assert (res.n, res.r) == (exact_n, float(exact_r))
+
     @pytest.mark.parametrize("t,h", [(1e300, 1e-300), (-1e300, 1e-300), (1e10, 1e-300)])
     def test_quotient_overflow_names_t_and_h(self, t, h):
         with pytest.raises(DomainError) as info:
             floor_mod(t, h)
         assert repr(t) in str(info.value) and repr(h) in str(info.value)
+
+
+def _corrected_quotient(t, h):
+    """floor_mod's float route: the quotient's floor, corrected by one step."""
+    n = math.floor(t / h)
+    r = t - n * h
+    if r < 0.0:
+        n -= 1
+        r += h
+    elif r >= h:
+        n += 1
+        r -= h
+    return n, max(r, 0.0)
 
 
 # ------------------------------------------------------ factorial polynomials
