@@ -338,23 +338,30 @@ def definite_sum(f: RealFunction, m: int, n: int) -> float:
     when several points fail the highest one is named. Negative m falls
     back to the direct ascending loop (F vanishes below 1), whose first
     call is at m. Either way f is called n - min(m, 0) + 1 times, in O(1)
-    memory.
+    memory. f's argument is a float counter, u -= 1.0 down from n (u += 1.0
+    up from m < 0); each step is exact while |k| < 2^53, so f gets float(k),
+    and a sum that reaches further makes more than 2^53 calls.
     """
     definite_sum_calls(m, n)
     if m < 0:
         direct = 0.0
-        for k in range(m, n + 1):
-            direct += f(float(k))
+        u = float(m)
+        for _ in range(n - m + 1):
+            direct += f(u)
+            u += 1.0
         return direct
     acc = 0.0
-    for k in range(n, m - 1, -1):
-        acc += f(float(k))
+    u = float(n)
+    for _ in range(n - m + 1):
+        acc += f(u)
+        u -= 1.0
     direct = acc
     low = 0.0
-    for k in range(m - 1, -1, -1):
-        v = f(float(k))
+    for _ in range(m):
+        v = f(u)
         acc += v
         low += v
+        u -= 1.0
     via_theorem = acc - low
     if abs(via_theorem - direct) > _CROSSCHECK_TOL * (1.0 + abs(direct)):
         raise CrossCheckError(
@@ -428,10 +435,17 @@ def mueller_sums(
 
     One pass over n = 0, 1, ... calls f(n) once for both sums and f(n + x),
     f(n + y) for each sum not yet stopped: 3 calls per term for two points,
-    not 4. Each sum adds its terms and stops exactly as it would alone. The
-    counter n is kept as a float (u += 1.0), which is exact below 2^53, so
-    f sees the same arguments as with float(n) and n + x; f is first called
-    at 0, so a failure names the lowest failing term.
+    not 4, in that order. Each sum adds its terms and stops exactly as it
+    would alone; once one stops, the other runs on alone. The counter n is
+    kept as a float (u += 1.0), which is exact below 2^53, so f sees the
+    same arguments as with float(n) and n + x; f is first called at 0, so a
+    failure names the lowest failing term.
+
+    The tail criterion |f(n)| + |f(n + x)| < tail_tol is read only where
+    a = |f(n)| < tail_tol. That gate keeps every stop: a + b >= a for
+    b = |f(n + x)| >= 0 in IEEE arithmetic, since rounding is monotone and a
+    is a float, and a NaN in either term fails both comparisons. So a sum
+    stops at the same n, for NaN, +-inf and summands of either sign.
     """
     x = _require_finite(x, "x")
     if y is not None:
@@ -440,30 +454,47 @@ def mueller_sums(
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be a positive integer, got {max_terms!r}")
-    acc_x = acc_y = 0.0
-    sum_x = sum_y = None
-    run_x, run_y = True, y is not None
-    u = 0.0
+    if y is None:
+        return _mueller_run(f, x, 0.0, 0, tail_tol, max_terms), None
+    acc_x = acc_y = u = 0.0
     for n in range(1, max_terms + 1):
         fn = f(u)
-        if run_x:
-            fnx = f(u + x)
-            acc_x += fn - fnx
-            if abs(fn) + abs(fnx) < tail_tol:
-                sum_x, run_x = AntidiffValue(acc_x, n), False
-                if not run_y:
-                    return sum_x, sum_y
-        if run_y:
-            fny = f(u + y)
-            acc_y += fn - fny
-            if abs(fn) + abs(fny) < tail_tol:
-                sum_y, run_y = AntidiffValue(acc_y, n), False
-                if not run_x:
-                    return sum_x, sum_y
+        fnx = f(u + x)
+        acc_x += fn - fnx
+        fny = f(u + y)
+        acc_y += fn - fny
+        a = abs(fn)
+        if a < tail_tol and (a + abs(fnx) < tail_tol or a + abs(fny) < tail_tol):
+            break
         u += 1.0
-    raise NoConvergence(
-        f"tail criterion {tail_tol!r} not met within {max_terms} terms"
-    )
+    else:
+        raise _no_convergence(tail_tol, max_terms)
+    # One sum or both stopped at term n; a sum that did not runs on alone.
+    stop_x = a + abs(fnx) < tail_tol
+    stop_y = a + abs(fny) < tail_tol
+    sum_x = AntidiffValue(acc_x, n) if stop_x else _mueller_run(f, x, acc_x, n, tail_tol, max_terms)
+    sum_y = AntidiffValue(acc_y, n) if stop_y else _mueller_run(f, y, acc_y, n, tail_tol, max_terms)
+    return sum_x, sum_y
+
+
+def _mueller_run(
+    f: RealFunction, x: float, acc: float, done: int, tail_tol: float, max_terms: int
+) -> AntidiffValue:
+    """The one-point Mueller loop, from acc after ``done`` terms."""
+    u = float(done)
+    for n in range(done + 1, max_terms + 1):
+        fn = f(u)
+        fnx = f(u + x)
+        acc += fn - fnx
+        a = abs(fn)
+        if a < tail_tol and a + abs(fnx) < tail_tol:
+            return AntidiffValue(acc, n)
+        u += 1.0
+    raise _no_convergence(tail_tol, max_terms)
+
+
+def _no_convergence(tail_tol: float, max_terms: int) -> NoConvergence:
+    return NoConvergence(f"tail criterion {tail_tol!r} not met within {max_terms} terms")
 
 
 def offset_residual(F: RealFunction, f: RealFunction, x: float) -> float:

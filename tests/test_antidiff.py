@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from adiff import antidiff as antidiff_module
 from adiff.antidiff import (
+    AntidiffValue,
     antidifference,
     backward_antidifference,
     cos_antidifference,
@@ -325,6 +326,34 @@ class TestDefiniteSum:
         assert len(calls) == n - min(m, 0) + 1 == definite_sum_calls(m, n)
         assert sorted(calls) == [float(k) for k in range(min(m, 0), n + 1)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(-30, 40), length=st.integers(0, 60))
+    def test_points_in_call_order(self, m, length):
+        # Descending from n to 0 for m >= 0, ascending from m for m < 0;
+        # each point is the float of its integer (repr tells 3 from 3.0).
+        n = m + length
+        calls = []
+        definite_sum(lambda k: calls.append(k) or 1.0, m, n)
+        ks = range(n, -1, -1) if m >= 0 else range(m, n + 1)
+        assert [repr(k) for k in calls] == [repr(float(k)) for k in ks]
+
+    @pytest.mark.parametrize("m, n", [(2**53 - 3, 2**53 - 1), (-(2**53) + 1, -(2**53) + 3)])
+    def test_points_near_two_to_the_53(self, m, n):
+        # Every integer below 2^53 in magnitude is a float, so the points
+        # are exact up there too; f stops the sum after three calls.
+        calls = []
+
+        def f(k):
+            calls.append(k)
+            if len(calls) == 3:
+                raise ValueError(k)
+            return 0.0
+
+        with pytest.raises(ValueError):
+            definite_sum(f, m, n)
+        ks = (n, n - 1, n - 2) if m >= 0 else (m, m + 1, m + 2)
+        assert calls == [float(k) for k in ks]
+
 
 class TestPolyAntidifference:
     def test_square_closed_form(self):
@@ -389,6 +418,73 @@ class TestClosedForms:
         assert sin_antidifference(0.0) == pytest.approx(expected, rel=1e-15)
 
 
+def _flag_loop_mueller_sums(f, x, y, tail_tol, max_terms):
+    """mueller_sums' loop as first written, with a run flag per point (oracle)."""
+    acc_x = acc_y = 0.0
+    sum_x = sum_y = None
+    run_x, run_y = True, y is not None
+    u = 0.0
+    for n in range(1, max_terms + 1):
+        fn = f(u)
+        if run_x:
+            fnx = f(u + x)
+            acc_x += fn - fnx
+            if abs(fn) + abs(fnx) < tail_tol:
+                sum_x, run_x = AntidiffValue(acc_x, n), False
+                if not run_y:
+                    return sum_x, sum_y
+        if run_y:
+            fny = f(u + y)
+            acc_y += fn - fny
+            if abs(fn) + abs(fny) < tail_tol:
+                sum_y, run_y = AntidiffValue(acc_y, n), False
+                if not run_x:
+                    return sum_x, sum_y
+        u += 1.0
+    raise NoConvergence(
+        f"tail criterion {tail_tol!r} not met within {max_terms} terms"
+    )
+
+
+@st.composite
+def _mueller_summands(draw):
+    """A decaying or growing power of a, its sign flipped on some points, and
+    a window of points where it returns one special value or raises."""
+    a = draw(st.sampled_from([0.3, 0.5, 0.9, 1.0, 1.5]))
+    flip = draw(st.sampled_from(["none", "all", "odd", "above"]))
+    cut = draw(st.floats(-30.0, 80.0))
+    special = draw(st.sampled_from([None, 0.0, -0.0, math.nan, math.inf, -math.inf, "raise"]))
+    lo = draw(st.floats(-30.0, 80.0))
+    width = draw(st.floats(0.0, 20.0))
+
+    def f(u):
+        if special is not None and lo <= u < lo + width:
+            if special == "raise":
+                raise ValueError(u)
+            return special
+        v = a**u
+        if flip == "all" or flip == "odd" and math.floor(u) % 2 or flip == "above" and u > cut:
+            v = -v
+        return v
+
+    return f
+
+
+def _mueller_outcome(sums, f, x, y, tail_tol, max_terms):
+    """(result or failure, the points f saw) of sums(f, x, y, ...), by repr."""
+    calls = []
+
+    def g(u):
+        calls.append(repr(u))
+        return f(u)
+
+    try:
+        res = sums(g, x, y, tail_tol, max_terms)
+    except (NoConvergence, ValueError) as exc:
+        return type(exc), exc.args, calls
+    return [None if s is None else (repr(s.value), s.terms_used) for s in res], calls
+
+
 class TestMueller:
     def test_geometric_closed_form(self):
         # sum_n (a^n - a^(n+x)) = (1 - a^x)/(1 - a); at a=1/2, x=3: 1.75
@@ -446,6 +542,26 @@ class TestMueller:
         alone = [mueller_sum(lambda u: a**u, point) for point in (x, y)]
         assert [(s.value, s.terms_used) for s in (at_x, at_y)] == [(s.value, s.terms_used) for s in alone]
         assert len(calls) == max(at_x.terms_used, at_y.terms_used) + at_x.terms_used + at_y.terms_used
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        f=_mueller_summands(),
+        x=st.floats(-30.0, 60.0),
+        y=st.one_of(st.none(), st.just("x"), st.floats(-30.0, 60.0)),
+        tail_tol=st.one_of(
+            st.sampled_from([1e-12, 1e-3, 0.5, 2.0, math.inf]),
+            st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+        ),
+        max_terms=st.one_of(st.integers(1, 8), st.integers(1, 400)),
+    )
+    def test_equals_the_flag_loop(self, f, x, y, tail_tol, max_terms):
+        # Same values, term counts, calls, and the same failure at the same
+        # call, for summands that change sign, hit +-0.0, give NaN or +-inf,
+        # or raise, at one or two points (y == x and y < x included).
+        y = x if y == "x" else y
+        assert _mueller_outcome(mueller_sums, f, x, y, tail_tol, max_terms) == _mueller_outcome(
+            _flag_loop_mueller_sums, f, x, y, tail_tol, max_terms
+        )
 
     def test_validation(self):
         with pytest.raises(DomainError):

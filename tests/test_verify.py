@@ -1,14 +1,18 @@
 """Tests for the identity-verification battery."""
 
 import math
+import pathlib
 import random
 
 import pytest
 
+from adiff.cli import main
 from adiff.errors import DomainError
 from adiff.numkit import floor_mod
 from adiff.opalgebra import factorization_identity_check
 from adiff.verify import _FACTOR_CORPUS, IDENTITY_NAMES, fmt17, run_battery, run_identity
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 class TestRunIdentity:
@@ -68,6 +72,17 @@ class TestBattery:
     def test_single_name(self):
         reports = run_battery("gammaratio", samples=20)
         assert len(reports) == 1 and reports[0].name == "gammaratio"
+
+
+class TestRecordedBattery:
+    @pytest.mark.parametrize("seed", [1, 777, 12345])
+    def test_all_identities_keep_their_recorded_bytes(self, capsys, seed):
+        # Recorded before the Mueller and definite-sum loops were rewritten
+        # with fewer operations per term; the printed residuals are the
+        # identities' contract, so every digit must stay.
+        code = main(["verify", "--identity", "all", "--samples", "300", "--seed", str(seed)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (0, (DATA / f"verify_all_seed{seed}.txt").read_text(), "")
 
 
 class TestFmt17:
