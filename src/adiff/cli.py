@@ -30,10 +30,11 @@ exits 2 on a result that is not finite.
 ``eval`` and ``table --mode antidiff|resolvent`` read every y(t) and
 y(t+h) from one ``antidiff.lattice_sums`` call, ``solve`` and ``table
 --mode solve`` every value and residual from one ``opalgebra.solve_rows``
-call, so a summand value is computed once per command. ``eval`` refuses
-(exit 2) a value or residual that is not finite and names the first
-non-finite summand value; ``terms_used`` of a solve is the outermost
-factor's term count.
+call, so a summand value is computed once per command. ``eval`` and
+``solve`` refuse (exit 2) a value or residual that is not finite and name
+the first non-finite summand value in the order they call the summand, or
+say that the sum or solution overflows; ``terms_used`` of a solve is the
+outermost factor's term count.
 
 What loads when: importing this module loads ``errors``, ``numkit``,
 ``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
@@ -48,9 +49,9 @@ Each subcommand's options are declared once, in :data:`COMMANDS`. ``main``
 first reads argv with :func:`_read`, a short reader built from that table,
 and builds the argparse parser (once per process) only for argv the reader
 declines, so help, error messages and exit codes are always argparse's and
-a process whose commands are all well formed never builds the parser. The
-parser reads the value of ``--flag=--`` as "--" on every Python version,
-as argparse 3.13 does.
+a process whose commands are all well formed never builds the parser or
+imports argparse. The parser reads the value of ``--flag=--`` as "--" on
+every Python version, as argparse 3.13 does.
 
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
@@ -61,12 +62,12 @@ prints such fields as ``inf``/``nan``.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import re
 import sys
+import types
 from typing import TYPE_CHECKING
 
 from .antidiff import (
@@ -90,6 +91,8 @@ from .numkit import _Record, fmt17
 from .antidiff import antidifference, resolvent_sum  # noqa: F401
 
 if TYPE_CHECKING:
+    import argparse
+
     from .opalgebra import FactoredOperator
 
 EXIT_OK = 0
@@ -324,7 +327,17 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     op = parse_factors(args.factors)
     f = as_function(args.expr)
-    print(_solve_rows(op, f, [args.t], _resolve_budget(args.budget))[0].text_line())
+    record = _solve_rows(op, f, [args.t], _resolve_budget(args.budget))[0]
+    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
+        from .opalgebra import nonfinite_summand
+
+        term = nonfinite_summand(op, f, args.t)
+        if term is not None:
+            index, point, value = term
+            where = "the residual's f(t)" if index is None else f"lattice index {index} of t={fmt17(args.t)}"
+            raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
+        raise DomainError(f"the solution overflows: {record.text_line()}")
+    print(record.text_line())
     return EXIT_OK
 
 
@@ -432,34 +445,6 @@ def cmd_inequality(args) -> int:
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` that reads every word starting "-" then a digit,
-    or "-." then a digit, as a value: ``--lambda -1i``, ``--lambda
-    -0.5+0.2i`` and ``--t -1e3`` parse as with ``=``. It also reads the
-    value of ``--flag=--`` as the string "--", as argparse 3.13 does (older
-    versions store []).
-
-    argparse (through 3.13.0 at least) takes only plain negative decimals
-    such as -2 or -0.5 for values, and any other word starting "-" for an
-    option, so the option before it is left without its argument. The
-    pattern replaces its private ``_negative_number_matcher`` on every
-    version; no option of ours looks like a number, so no option is lost.
-    Subparsers are made of the parent parser's class, so they read the same.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def _get_values(self, action, arg_strings):
-        # Before 3.13 argparse drops this "--" as if it ended the options.
-        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
-
-
 #: Each subcommand: its function, its help and its options in help order,
 #: each option a flag and the keyword arguments of ``add_argument`` for it
 #: (dest, type, default, required, choices, help). ``build_parser`` builds
@@ -517,7 +502,41 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the six subcommands on every call (``main`` keeps one)."""
+    """A new parser for the six subcommands on every call (``main`` keeps one).
+
+    argparse is imported here, so a process that never builds the parser
+    never loads it (nor gettext, which it imports).
+    """
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """An ``ArgumentParser`` that reads every word starting "-" then a
+        digit, or "-." then a digit, as a value: ``--lambda -1i``,
+        ``--lambda -0.5+0.2i`` and ``--t -1e3`` parse as with ``=``. It also
+        reads the value of ``--flag=--`` as the string "--", as argparse
+        3.13 does (older versions store []).
+
+        argparse (through 3.13.0 at least) takes only plain negative
+        decimals such as -2 or -0.5 for values, and any other word starting
+        "-" for an option, so the option before it is left without its
+        argument. The pattern replaces its private
+        ``_negative_number_matcher`` on every version; no option of ours
+        looks like a number, so no option is lost. Subparsers are made of
+        the parent parser's class, so they read the same.
+        """
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def _get_values(self, action, arg_strings):
+            # Before 3.13 argparse drops this "--" as if it ended the options.
+            if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
     parser = _ArgumentParser(
         prog="adiff",
         description="Discrete-calculus toolkit: finite indefinite sums, "
@@ -553,9 +572,10 @@ def _reader(func, options) -> tuple[dict, dict, frozenset]:
 _READERS = {name: _reader(func, options) for name, (func, _, options) in COMMANDS.items()}
 
 
-def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` returns, for argv
-    that argparse is sure to read that way; None for any other argv.
+def _read(argv: list[str]) -> types.SimpleNamespace | None:
+    """The attributes of the namespace ``build_parser().parse_args(argv)``
+    returns, as a ``types.SimpleNamespace``, for argv that argparse is sure
+    to read that way; None for any other argv.
 
     It reads a subcommand name, then exact flags of that subcommand, each
     as ``--flag=value`` or ``--flag value``, converting each value with the
@@ -597,7 +617,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
         i += 1
     if not required <= values.keys():
         return None
-    args = argparse.Namespace(**defaults)
+    args = types.SimpleNamespace(**defaults)
     args.__dict__.update(values)
     args.command = argv[0]
     return args
@@ -612,7 +632,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> argparse.Namespace | types.SimpleNamespace:
     """``_parser().parse_args(argv)``: :func:`_read`'s namespace when it
     reads argv, else the subcommand's own parser reading the words after a
     subcommand name.

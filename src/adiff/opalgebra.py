@@ -41,6 +41,16 @@ stored values of the layer below (:func:`_top_layer`). No value outlives
 the call, since f may close over state that changes between calls.
 :func:`lattice_plan` returns the sets and the work.
 
+The field is chosen once per remainder class. Where every lam has
+imaginary part 0 and every summand value of the class is a float, the
+layers and the residual run in float arithmetic on the real parts of the
+lams; otherwise every summand value is taken as complex. A real operator's
+complex fold keeps every imaginary part at +-0 and starts every sum at
++0.0, so for finite values both fields give the same real parts, bit for
+bit; where a value overflows, the float fold gives what a one-factor sum
+gives (inf where the complex fold reads nan). Either way the values come
+back as complex numbers.
+
 Every operator has this lattice. Indices are Python integers and the index
 sets are ranges, so a large m_i adds no work: steps with no short common
 decimal unit, such as 1 and 1/3 = 0.3333333333333333, give g = 1e-16 with
@@ -53,6 +63,7 @@ that the identity compares with the library's.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -98,17 +109,18 @@ class FactoredOperator(_Frozen):
         return cls(tuple(LinearFactor(h, lam) for h, lam in pairs))
 
 
-def _expand(shifts: Sequence, lams: Sequence[complex], y: Callable, u) -> complex:
+def _expand(shifts: Sequence, lams: Sequence[Scalar], y: Callable, u) -> Scalar:
     """op y at u for the factors (shift, lam): y at every u + sum of a subset of shifts.
 
     One factor contributes y(u + shift) - lam*y(u); the rest of the product
-    acts on both pieces. The shifts are floats for :func:`apply_operator`
-    and lattice indices for the residual of :func:`solve_rows`.
+    acts on both pieces, in the field of the lams and of y's values. The
+    shifts are floats for :func:`apply_operator` and lattice indices for the
+    residual of :func:`solve_rows`.
     """
 
-    def expand(i: int, u) -> complex:
+    def expand(i: int, u) -> Scalar:
         if i < 0:
-            return complex(y(u))
+            return y(u)
         return expand(i - 1, u + shifts[i]) - lams[i] * expand(i - 1, u)
 
     return expand(len(shifts) - 1, u)
@@ -118,10 +130,11 @@ def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float)
     """Apply the factored difference operator to y at t, as :func:`_expand` does.
 
     y is evaluated at every shifted point t + sum of a subset of the h_i,
-    summed as floats. No command reads it: a float t + h can round across a
-    lattice point, so :func:`solve_rows` shifts lattice indices instead.
+    summed as floats, and each value is taken as complex. No command reads
+    it: a float t + h can round across a lattice point, so
+    :func:`solve_rows` shifts lattice indices instead.
     """
-    return _expand([f.h for f in op.factors], [f.lam for f in op.factors], y, t)
+    return _expand([f.h for f in op.factors], [f.lam for f in op.factors], lambda u: complex(y(u)), t)
 
 
 def estimate_terms(op: FactoredOperator, t: float) -> int:
@@ -160,33 +173,41 @@ def common_lattice(op: FactoredOperator) -> tuple[float, list[int]]:
     return unit / den, [n // unit for n in nums]
 
 
-def _top_layer(f: RealFunction, rho: float, g: float, sets: list, ms: Sequence[int], lams) -> dict:
-    """{index: value} of rho's top layer, built bottom up over the plan ``sets``.
+def _top_layer(f: RealFunction, rho: float, g: float, sets: list, ms: Sequence[int], lams) -> tuple[dict, list]:
+    """({index: value} of rho's top layer, the lams it was folded with),
+    built bottom up over the plan ``sets``.
 
     f(rho + I*g) is called once per index I of sets[0], highest first, so a
-    failing summand names the highest failing point. At index N the layer
-    of step m folds the stored values of class q below it, for (n, q) =
+    failing summand names the highest failing point. Then the field is
+    chosen, once: where every lam has imaginary part 0 and every value is a
+    float, the layers fold floats against the real parts of the lams;
+    otherwise each value is taken as complex. At index N the layer of step
+    m folds the stored values of class q below it, for (n, q) =
     divmod(N, m), with one weight row (the running product of lam) in the
     order :func:`adiff.antidiff._point_sum` adds a point. Each layer is
     dropped once the next one is built.
     """
     indices = sorted(itertools.chain.from_iterable(sets[0]), reverse=True)
-    values = {i: complex(f(rho + i * g)) for i in indices}
+    values = {i: f(rho + i * g) for i in indices}
+    if any(lam.imag for lam in lams) or not {*map(type, values.values())} <= {float}:
+        zero, values = 0j, {i: complex(v) for i, v in values.items()}
+    else:
+        zero, lams = 0.0, [lam.real for lam in lams]
     layer = {r.start: list(map(values.__getitem__, r)) for r in sets[0]}
     for m, lam, ranges in zip(ms, lams, sets[1:]):
         longest = max((r[-1] // m for r in ranges), default=1)
-        weights = [*itertools.accumulate([lam] * (longest - 1), operator.mul, initial=1.0 + 0j)]
+        weights = [*itertools.accumulate([lam] * (longest - 1), operator.mul, initial=zero + 1.0)]
         inner, layer = layer, {}
         for r in ranges:
             xs = layer[r.start] = []
             for index in r:
                 n, q = divmod(index, m)
-                acc = 0j
+                acc = zero
                 if n > 0:
                     for p in map(operator.mul, weights, inner[q][n - 1 :: -1]):
                         acc += p
                 xs.append(acc)
-    return {index: xs[0] for index, xs in layer.items()}
+    return {index: xs[0] for index, xs in layer.items()}, lams
 
 
 def _floor_sum(count: int, m: int, a: int, b: int) -> int:
@@ -291,9 +312,12 @@ def solve_rows(
     clamped at 0). The layers of each remainder class are built once, bottom
     up over the plan's index sets, and serve all rows and their residuals,
     so each layer value and each summand value is computed once per call.
-    Raises :class:`TermBudgetExceeded` before any summand call if the work
-    is above the budget. Without ``residuals`` the third field is
-    None and neither the shifted points nor f(t) are computed or charged.
+    A class whose lams are all real and whose summand values are all floats
+    is folded in float arithmetic, any other in complex (see the module
+    docstring); y(t) comes back complex either way. Raises
+    :class:`TermBudgetExceeded` before any summand call if the work is above
+    the budget. Without ``residuals`` the third field is None and neither
+    the shifted points nor f(t) are computed or charged.
     """
     max_terms = (budget or TermBudget()).max_terms
     ts = [_require_finite(t) for t in ts]
@@ -308,10 +332,40 @@ def solve_rows(
     tops = {rho: _top_layer(f, rho, g, sets, ms, lams) for rho, sets in plan.items()}
     rows = []
     for t, cell in zip(ts, cells):
-        y = tops[cell.r]
-        resid = abs(_expand(ms, lams, y.__getitem__, cell.n) - f(t)) if residuals else None
-        rows.append((max(cell.n // ms[-1], 0), y[cell.n], resid))
+        y, field = tops[cell.r]
+        resid = None
+        if residuals:
+            defect = _expand(ms, field, y.__getitem__, cell.n) - f(t)
+            try:
+                resid = abs(defect)
+            except OverflowError:
+                # Complex abs() raises past the float range, and also on a
+                # NaN part while errno still holds an ERANGE that a summand
+                # caught (exp of a large number): hypot reads both.
+                resid = math.hypot(defect.real, defect.imag)
+        rows.append((max(cell.n // ms[-1], 0), complex(y[cell.n]), resid))
     return rows
+
+
+def nonfinite_summand(op: FactoredOperator, f: RealFunction, t: float) -> tuple[int | None, float, Scalar] | None:
+    """The first summand value of a one-point :func:`solve_rows` at t that is
+    not finite, as (index, point, value), or None.
+
+    Visits the points in the order that call makes them: the lattice
+    indices I of t's remainder class at the points rho + I*g, highest
+    first, then the residual's f(t), whose index is None. It calls f again,
+    so it belongs on a failure path.
+    """
+    g, _ = common_lattice(op)
+    plan, _ = lattice_plan(op, [t])
+    [(rho, sets)] = plan.items()
+    for index in sorted(itertools.chain.from_iterable(sets[0]), reverse=True):
+        point = rho + index * g
+        value = f(point)
+        if not cmath.isfinite(value):
+            return index, point, value
+    value = f(t)
+    return None if cmath.isfinite(value) else (None, t, value)
 
 
 def particular_solution(

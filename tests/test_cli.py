@@ -1719,3 +1719,81 @@ class TestRowRendering:
         with pytest.raises(DomainError) as oracle:
             _json_oracle(row)
         assert str(info.value) == str(oracle.value)
+
+
+def _fresh_adiff(*argv):
+    """(exit code, stdout, stderr) of one command in a new interpreter, where
+    errno holds whatever the command's own caught overflows leave in it."""
+    result = subprocess.run([sys.executable, "-m", "adiff", *argv], capture_output=True, text=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestRealSolveTables:
+    """Real operators fold floats; these tables, written by the complex fold
+    before the float one existed, keep their bytes."""
+
+    @pytest.mark.parametrize(
+        "factors, expr, lo, hi, step, name",
+        [
+            ("1:0.72;1:0.72", "1.5*t^2 + 2.25*t + 4.5", "0", "20", "1", "solve_real_repeated_poly.csv"),
+            ("0.5:0.54;1:-0.6;1:0.81", "1.25*sin(0.7*t) + cos(t)", "0", "12", "0.5", "solve_real_mixed_trig.csv"),
+            ("0.1:1;0.3:-0.5", "cos(t)", "-1", "3", "0.1", "solve_real_lattice_cos.csv"),
+        ],
+    )
+    def test_recorded_tables(self, capsys, factors, expr, lo, hi, step, name):
+        argv = ["table", "--mode", "solve", "--factors", factors, "--expr", expr,
+                "--from", lo, "--to", hi, "--step", step]
+        assert run_main(capsys, *argv) == (EXIT_OK, (DATA / name).read_text(), "")
+
+
+class TestNonFiniteSolve:
+    """solve exits 2 on a value or residual that is not finite, as eval does;
+    CSV solve tables print inf and nan for real and complex operators."""
+
+    @pytest.mark.parametrize(
+        "factors, expr, t, message",
+        [
+            # Every point from 2 on is inf; the highest index comes first.
+            ("1:0.9;1:0.9", "(t*1e307)*100", "10", "summand is inf at 10 (lattice index 10 of t=10)"),
+            # math.exp overflows, which leaves errno at ERANGE.
+            ("1:0.9", "exp(t*100)", "10", "summand is inf at 10 (lattice index 10 of t=10)"),
+            ("1:1i;1:-1i", "exp(t*100)", "10", "summand is inf at 10 (lattice index 10 of t=10)"),
+            ("0.1:0.9;0.3:1i", "exp(t*100)", "10", "summand is inf at 10 (lattice index 100 of t=10)"),
+            # Below 0 every sum is empty and only the residual's f(t) is read.
+            ("0.25:0.9", "(t*1e307)*100", "-1", "summand is -inf at -1 (the residual's f(t))"),
+            ("1:1i;1:-1i", "(t*1e307)*100", "-1", "summand is -inf at -1 (the residual's f(t))"),
+            # Finite summand values, a sum past the float range.
+            ("1:2", "1e300", "30",
+             "the solution overflows: t=30 value=inf imag=0 terms_used=30 residual=nan"),
+        ],
+    )
+    def test_solve_names_the_first_non_finite_summand(self, capsys, factors, expr, t, message):
+        argv = ["solve", "--factors", factors, "--expr", expr, "--t", t]
+        expected = (EXIT_INPUT, "", f"adiff: {message}\n")
+        assert run_main(capsys, *argv) == expected
+        assert _fresh_adiff(*argv) == expected
+
+    def test_complex_csv_table_keeps_inf_and_nan(self, capsys):
+        argv = ["table", "--mode", "solve", "--factors", "1:1i;1:-1i", "--expr", "exp(t*100)",
+                "--from", "0", "--to", "10", "--step", "5"]
+        expected = (EXIT_OK, "t,value,imag,terms_used,residual\n0,0,0,0,0\n"
+                    "5,1.9424263952412558e+130,0,5,0\n10,nan,nan,10,nan\n", "")
+        assert _fresh_adiff(*argv) == expected
+        assert run_main(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("expr", ["exp(t*100)", "(t*1e307)*100", "cos(t)"])
+    def test_real_one_factor_csv_table_equals_the_resolvent_table(self, capsys, expr):
+        span = ["--expr", expr, "--from", "0", "--to", "10", "--step", "5"]
+        solved = _fresh_adiff("table", "--mode", "solve", "--factors", "1:0.9", *span)
+        summed = _fresh_adiff("table", "--mode", "resolvent", "--lambda", "0.9", *span)
+        assert solved == summed and solved[0] == EXIT_OK
+        if expr == "exp(t*100)":
+            assert solved[1].splitlines()[-1] == "10,inf,0,10,nan"
+        assert run_main(capsys, "table", "--mode", "solve", "--factors", "1:0.9", *span) == solved
+
+    @pytest.mark.parametrize("factors, field", [("1:0.9", "value=inf"), ("1:1i;1:-1i", "value=nan")])
+    def test_json_table_refuses_non_finite_fields(self, capsys, factors, field):
+        argv = ["table", "--mode", "solve", "--factors", factors, "--expr", "exp(t*100)",
+                "--from", "0", "--to", "10", "--step", "5", "--format", "json"]
+        expected = (EXIT_INPUT, "", f"adiff: {field} at t=10 has no JSON form; use --format csv\n")
+        assert run_main(capsys, *argv) == expected

@@ -133,6 +133,32 @@ class TestColdCommands:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["eval", "--expr", "1", "--t", "0.5"],
+            ["solve", "--factors", "1:0.5;0.5:-0.7", "--expr", "cos(t)", "--t", "6.3"],
+            ["table", "--expr", "t", "--from", "0", "--to", "2", "--step", "0.5", "--mode", "resolvent"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_well_formed_commands_load_no_argparse(self, argv):
+        # _read reads well-formed argv into a SimpleNamespace; argparse, and
+        # gettext through it, load only where the parser is built.
+        loaded = _fresh(
+            "import contextlib, io, json, sys\nimport adiff.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = adiff.cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in ('argparse', 'gettext') if m in sys.modules)]))"
+        )
+        assert loaded == [0, []]
+        assert _fresh(
+            "import contextlib, io, json, sys\nimport adiff.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = adiff.cli.main({argv[:1] + ['--help']!r})\n"
+            "print(json.dumps('argparse' in sys.modules))"
+        ) is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["eval", "--expr", "t^2 + 1", "--t", "4.5", "--lambda", "-0.5+0.2i"],
             ["solve", "--factors", "1:0.5;0.5:-0.7", "--expr", "cos(t)", "--t", "6.3"],
             ["sum", "--expr", "t", "--from", "1", "--to", "9"],

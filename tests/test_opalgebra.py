@@ -8,9 +8,12 @@ the nested-sum formula, written independently of the resolvent composition;
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiff.antidiff import resolvent_sum
 from adiff.errors import (
@@ -30,6 +33,7 @@ from adiff.opalgebra import (
     estimate_terms,
     factorization_identity_check,
     lattice_plan,
+    nonfinite_summand,
     particular_solution,
     repeated_factor_solution,
     solve_rows,
@@ -512,6 +516,139 @@ class TestLayerFolds:
         seen = []
         solve_rows(op, lambda u: seen.append(u) or math.cos(u), [2.25, -1.0, 4.75], residuals=False)
         assert seen == sorted(set(seen), reverse=True)
+
+
+REAL_STEPS = [0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 2.0, 1 / 3]
+
+
+@st.composite
+def real_solves(draw):
+    """(op, f, ts): 1-3 real factors, a summand of the corpus, rows from below 0."""
+    lam = st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.5, 1.5).filter(bool))
+    op = FactoredOperator.from_pairs(
+        [(draw(st.sampled_from(REAL_STEPS)), draw(lam)) for _ in range(draw(st.integers(1, 3)))]
+    )
+    f = draw(st.sampled_from(BOUNDED_CORPUS))
+    lo, step = draw(st.floats(-1.5, -0.01)), draw(st.sampled_from(REAL_STEPS))
+    ts = [lo + k * step for k in range(draw(st.integers(1, 12)))]
+    return op, f, [t for t in ts if t < 5.0]
+
+
+def _bits(rows):
+    """Each row's n and the repr of its real part and residual: -0.0 and
+    nan compare as themselves."""
+    return [(n, repr(value.real), repr(resid)) for n, value, resid in rows]
+
+
+class TestRealField:
+    """A real operator with float summand values is folded in floats; its
+    rows equal the complex written-out chain, real parts bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(real_solves(), st.booleans())
+    def test_rows_equal_the_complex_chain(self, case, residuals):
+        op, f, ts = case
+        oracle = fresh_chain(op, f)
+        expected = [oracle.row(t, residuals) for t in ts]
+        rows = solve_rows(op, f, ts, residuals=residuals)
+        assert rows == expected
+        assert _bits(rows) == _bits(expected)
+        assert all(type(value) is complex for _, value, _ in rows)
+
+    @pytest.mark.parametrize("lam", [complex(0.8, -0.0), -1e-200, 5e-324, -1e-160])
+    def test_signed_zeros_and_underflowing_weights(self, lam):
+        # An imaginary part of -0.0 is real; weights that underflow to +-0
+        # and summands of -0.0 give the complex fold's zeros.
+        op = FactoredOperator.from_pairs([(0.5, lam), (1.0, -0.7), (0.3, lam)])
+        ts = [-0.4 + 0.35 * k for k in range(14)]
+        for f in (lambda u: -0.0, lambda u: 0.0 * math.sin(u), math.cos):
+            oracle = fresh_chain(op, f)
+            expected = [oracle.row(t) for t in ts]
+            assert _bits(solve_rows(op, f, ts)) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "f, residuals",
+        [
+            (lambda u: 3, True),
+            (lambda u: math.floor(u), True),
+            (lambda u: complex(math.cos(u), 0.25), True),
+            (lambda u: complex(math.sin(u)), True),
+            # int values in some classes only: a table's classes choose apart.
+            (lambda u: 2 if u < 0.45 else math.cos(u), True),
+            (lambda u: Fraction(u), True),
+            # complex() reads a Decimal, which does not multiply a float; the
+            # residual's complex - Decimal fails as before, so values only.
+            (lambda u: Decimal(repr(u)), False),
+        ],
+    )
+    def test_non_float_summands_take_the_complex_fold(self, f, residuals):
+        # Under a real operator an int, complex or other number is taken as
+        # complex, as every value was before the float fold.
+        op = FactoredOperator.from_pairs([(0.3, 0.9), (0.5, -1.1)])
+        ts = [-0.7 + 0.25 * k for k in range(20)]
+        oracle = fresh_chain(op, f)
+        expected = [oracle.row(t, residuals) for t in ts]
+        rows = solve_rows(op, f, ts, residuals=residuals)
+        assert rows == expected
+        assert [(repr(v), repr(r)) for _, v, r in rows] == [(repr(v), repr(r)) for _, v, r in expected]
+
+    def test_an_overflow_reads_as_the_one_factor_sum(self):
+        # The float fold gives inf with imaginary part 0 where the complex
+        # fold gave nan for both, as resolvent_sum does.
+        op = FactoredOperator.from_pairs([(1.0, 0.9)])
+        f = lambda u: math.inf if u > 7 else 1.0
+        [(_, value, resid)] = solve_rows(op, f, [10.0])
+        assert (repr(value.real), repr(value.imag), repr(resid)) == ("inf", "0.0", "nan")
+        assert value == resolvent_sum(f, 10.0, 0.9).value
+
+
+class TestNonFiniteResiduals:
+    def test_complex_residual_with_a_nan_part(self):
+        # A summand that catches math.exp's OverflowError leaves errno at
+        # ERANGE, and CPython's complex abs() of a value with a NaN part then
+        # raises OverflowError; the residual is nan.
+        def f(u):
+            try:
+                math.exp(1000.0)
+            except OverflowError:
+                pass
+            return math.nan if u > 3.0 else 1.0
+
+        op = FactoredOperator.from_pairs([(1.0, 1j), (1.0, -1j)])
+        assert math.isnan(verify_particular(op, f, 5.0))
+        assert math.isnan(solve_rows(op, f, [5.0, 6.0])[1][2])
+
+    def test_complex_residual_past_the_float_range(self):
+        # Below 0 both sums are empty and the residual is |f(t)|, whose
+        # complex abs() overflows with finite parts.
+        op = FactoredOperator.from_pairs([(1.0, 1j)])
+        [(_, _, resid)] = solve_rows(op, lambda u: complex(1.7e308, 1.7e308), [-0.5])
+        assert resid == math.inf
+
+
+class TestNonFiniteSummand:
+    def test_none_when_every_value_is_finite(self):
+        op = FactoredOperator.from_pairs([(1.0, 0.9), (0.5, -1j)])
+        assert nonfinite_summand(op, math.cos, 6.25) is None
+
+    def test_highest_index_first_then_the_residual(self):
+        op = FactoredOperator.from_pairs([(0.5, 0.9), (1.0, -0.7)])
+        seen = []
+        solve_rows(op, lambda u: seen.append(u) or 1.0, [4.25])
+        bad = set(seen[1:-1:3])
+        f = lambda u: math.inf if u in bad else 1.0
+        index, point, value = nonfinite_summand(op, f, 4.25)
+        assert (point, value) == (max(bad), math.inf)
+        assert index == round((point - 0.25) / 0.5)
+        # At -0.75 every sum is empty: f(t) of the residual is the one call.
+        assert nonfinite_summand(op, lambda u: -math.inf, -0.75) == (None, -0.75, -math.inf)
+
+    def test_fine_lattice_point(self):
+        op = FactoredOperator.from_pairs([(1.0, 0.9), (1 / 3, 0.5)])
+        g, _ = common_lattice(op)
+        index, point, value = nonfinite_summand(op, lambda u: math.nan if u > 1.0 else 0.0, 2.5)
+        assert math.isnan(value) and point > 1.0
+        assert point == floor_mod(2.5, g).r + index * g
 
 
 def lattice_operators(rng, count):
