@@ -28,21 +28,22 @@ power-of-two h (1, 0.5, 0.25, 2, ...) r + k*h equals t - h*s exactly; at
 other h it may differ from that float shift in the last place, and so may
 the printed value, but never the term count.
 
-:func:`_point_sum` is the one summand loop: :func:`resolvent_sum`,
-:func:`antidifference` and :func:`backward_antidifference` call it for one
-point. :func:`definite_sum` writes out its lam = h = 1 case once for the two
+:func:`_point_sum` is the one-point summand loop: :func:`resolvent_sum`,
+:func:`antidifference` and :func:`backward_antidifference` call it.
+:func:`definite_sum` writes out its lam = h = 1 case once for the two
 antidifferences F(n+1) and F(m) together, in the same order, so that
-each f(k) is computed once. :func:`lattice_sums` serves many points:
-those with the same remainder share their summand values, so a table of
-rows computes each f(r + k*h) once and :func:`_class_sums` folds the
-stored values of each class against one weight row, the running product
-of lam, as :func:`adiff.opalgebra._top_layer` folds a solve layer
-(folding stored values through a callable cost 2-3x per term). It hands
-its exact summand call count to the caller's charge before the first
-call, and :func:`lattice_sums_calls` gives the same count without making
-the calls. The particular part of :mod:`adiff.inequality` reads these
-sums. A :class:`TermBudget` bounds the work one command may do; the
-callers of these sums charge it.
+each f(k) is computed once.
+
+Many points go through the package's one lattice engine (section "the
+engine" below), which splits each point with :func:`adiff.numkit.floor_mod`,
+plans each remainder class, calls the summand once per planned index,
+highest first, folds each layer against one weight row (the running
+product of lam, none at lam = 1.0) and reads |op y - f(t)|. It serves
+``eval``, the sum tables and :func:`adiff.opalgebra.solve_rows` through
+:func:`lattice_rows`, and :mod:`adiff.inequality` through
+:func:`lattice_sums`, its one-factor case g = h, m = [1], whose calls
+:func:`lattice_sums_calls` counts. A :class:`TermBudget` bounds the work
+one command may do; the engine hands it to a charge before any call.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -155,124 +156,281 @@ def _coefficient(lam: Scalar) -> Scalar:
     return lam if isinstance(lam, complex) else float(lam)
 
 
-# A remainder class keeps at most this many summand values. Above it each
-# term count of the class refolds from fresh summand calls, so one large
-# eval runs in constant memory at the cost of 2n + 1 calls.
+# ---------------------------------------------------------------- the engine
+#
+# The points of an operator with steps h_i = m_i * g split once as
+# t = N*g + rho. Each remainder rho is a class: its index sets are planned
+# and charged, its summand values computed once and its layers folded once
+# for every row of the class. One factor of step h is g = h, m = [1].
+
+# A one-layer class keeps at most this many summand values. Above it each
+# top index refolds from fresh summand calls, highest first, so one large
+# eval or one-factor solve runs in constant memory (2n + 1 calls, charged).
 _CLASS_VALUES_MAX = 1 << 16
 
 
-def lattice_sums(
-    f: RealFunction,
-    ts: Sequence[float],
-    lam: Scalar,
-    h: float,
-    charge: Callable[[int], None] | None = None,
-) -> list[tuple[int, Scalar, Scalar]]:
+def _floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """sum_{i < count} floor((a*i + b) / m) for nonnegative a, b and positive m."""
+    total = 0
+    while True:
+        if a >= m:
+            total += count * (count - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += count * (b // m)
+            b %= m
+        top = a * count + b
+        if top < m:
+            return total
+        count, b, m, a = top // m, top % m, a, m
+
+
+def _subset_sums(shifts: Sequence[int]) -> list[int]:
+    """The sums of the subsets of ``shifts``; bit i of a position says whether shifts[i] is in."""
+    sums = [0]
+    for s in shifts:
+        sums += map(operator.add, sums[:], itertools.repeat(s))
+    return sums
+
+
+def _ranges(highest: dict[int, int], m: int) -> list[range]:
+    """The indices below each class's highest index that a layer of step m reads."""
+    return [range(c, c + index // m * m, m) for c, index in highest.items() if index >= m]
+
+
+def _index_sets(ms: Sequence[int], top: list[int], allowance: float) -> tuple[list | None, int, int]:
+    """The indices each layer of one remainder class computes, and their terms and calls.
+
+    ``top`` holds the top layer's distinct indices in ascending order. Walks
+    the layers top down: the layer of step m at index N folds the n = N // m
+    values of N's class mod m below it, so per class only the largest index
+    matters, and the top ``m / gcd(step, m)`` indices of a range meet every
+    class the range meets. Returns (sets, terms, calls): sets[0] the summand
+    indices, sets[-1] ``top`` and every set between a list of disjoint
+    ranges, one per class mod the step above, starting at the class; terms
+    the values every layer folds; calls one per summand index (:func:`_plan`
+    counts one-layer classes). Stops early, with sets None, once the terms
+    pass ``allowance``: the walk costs no more than the work.
+    """
+    m = ms[-1]
+    # A negative index folds nothing.
+    terms = sum(map(operator.floordiv, top, itertools.repeat(m))) if top[0] >= 0 else sum([i // m for i in top if i > 0])
+    # Ascending, so the last index of a class is its largest.
+    highest = {index % m: index for index in top}
+    sets = [top]
+    for step in ms[-2::-1]:
+        if terms > allowance:
+            return None, terms, 0
+        layer = _ranges(highest, m)
+        sets.append(layer)
+        for r in layer:
+            terms += _floor_sum(len(r), step, m, r.start)
+        if terms > allowance:
+            return None, terms, 0
+        highest = {}
+        for r in layer:
+            for index in r[-(step // math.gcd(m, step)) :]:
+                c = index % step
+                if index > highest.get(c, -1):
+                    highest[c] = index
+        m = step
+    sets.append(_ranges(highest, m))
+    sets.reverse()
+    return sets, terms, sum(map(len, sets[0]))
+
+
+def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: float) -> tuple[dict | None, int, int]:
+    """({rho: index sets}, terms, calls) of :func:`_index_sets` for the points
+    ``cells`` = [(N, rho)], rho's top layer at N + s for each offset s
+    (offsets[0] is 0); the plan is None once terms + calls pass ``allowance``."""
+    members: dict[float, list[int]] = {}
+    for n, rho in cells:
+        members.setdefault(rho, []).append(n)
+    plan: dict[float, list] = {}
+    terms = calls = 0
+    for rho, ns in members.items():
+        top = sorted({n + s for n in ns for s in offsets})
+        if len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
+            n = top[-1]
+            more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
+            sets, more_calls = [[range(n)] if n > 0 else [], top], more_terms if n > _CLASS_VALUES_MAX else max(n, 0)
+        else:
+            sets, more_terms, more_calls = _index_sets(ms, top, allowance - terms - calls)
+        terms += more_terms
+        calls += more_calls
+        if sets is None:
+            return None, terms, calls
+        plan[rho] = sets
+    return plan, terms, calls
+
+
+def _descending(ranges: list[range]):
+    """The indices of ``ranges``, highest first."""
+    if len(ranges) == 1:
+        return ranges[0][::-1]
+    return sorted(itertools.chain.from_iterable(ranges), reverse=True)
+
+
+def _fold(indices, m: int, weights: list | None, inner: dict, zero: Scalar) -> list:
+    """The layer of step m at each index N: for (n, q) = divmod(N, m), the
+    first n values of class q of the layer below, ``inner[q]`` (held in
+    ascending index order), folded in ascending s against ``weights``."""
+    out = []
+    for index in indices:
+        n, q = divmod(index, m)
+        acc = zero
+        if n > 0:
+            terms = inner[q][n - 1 :: -1]
+            for p in terms if weights is None else map(operator.mul, weights, terms):
+                acc += p
+        out.append(acc)
+    return out
+
+
+def _weights(lam: Scalar, count: int, zero: Scalar) -> list | None:
+    """1, lam, lam^2, ... (``count`` + 1 entries) as a running product; None for a
+    float lam of 1.0, whose fold adds the values with no multiply (exactly)."""
+    if lam == 1.0 and isinstance(lam, float):
+        return None
+    return [*itertools.accumulate([lam] * count, operator.mul, initial=zero + 1.0)]
+
+
+def _lattice(f: RealFunction, ts: list[float], g: float, ms: Sequence[int], lams: list, offsets: Sequence[int],
+             charge: Callable[[int, int, bool], None], allowance: float = math.inf) -> tuple[list, dict]:
+    """(cells, {rho: (top layer, lams of its field)}): each t split as
+    (N, rho), and the top layer of each class at N + s for every offset s.
+
+    ``charge(terms, calls, complete)`` sees the plan's work before the first
+    summand call and may raise; ``complete`` is False when the plan stopped
+    above ``allowance``. Then each class in turn calls its summand once per
+    index, highest first, picks its field, floats where every lam has
+    imaginary part 0 and the values add up to a float (floats, ints and
+    fractions, which a float fold reads as the complex one does), complex
+    otherwise, and builds its layers bottom up with :func:`_fold`, each
+    dropped once the next is built; a class that refolds sums each top
+    index, highest first, from fresh values as :func:`_point_sum`.
+    """
+    cells = list(map(_floor_mod, ts, itertools.repeat(g)))
+    plan, terms, calls = _plan(ms, cells, offsets, allowance)
+    charge(terms, calls, plan is not None)
+    # The float field's lams, where every lam has imaginary part 0.
+    reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
+    tops = {}
+    for rho, sets in plan.items():
+        top, ranges = sets[-1], sets[0]
+        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:  # the class refolds each top index, highest first
+            field = reals or list(map(complex, lams))
+            tops[rho] = {index: _point_sum(f, rho, index, g, field[0]) for index in reversed(top)}, field
+            continue
+        values = [f(rho + index * g) for index in _descending(ranges)]
+        try:
+            floats = type(sum(values, 0.0)) is float
+        except TypeError:  # a value that does not add to a float (Decimal)
+            floats = False
+        if floats and reals:
+            zero, field = 0.0, reals
+        else:
+            zero, field = 0j, list(map(complex, lams))
+            if not floats:
+                values = list(map(complex, values))
+        if len(ranges) == 1:
+            values.reverse()
+            layer = {ranges[0].start: values}
+        else:
+            at = dict(zip(_descending(ranges), values))
+            layer = {r.start: list(map(at.__getitem__, r)) for r in ranges}
+        if len(sets) > 2:  # the layers below the top
+            for m, lam, indices in zip(ms, field, sets[1:-1]):
+                row = _weights(lam, max((r[-1] for r in indices), default=0) // m, zero)
+                layer = {r.start: _fold(r, m, row, layer, zero) for r in indices}
+        m = ms[-1]
+        tops[rho] = dict(zip(top, _fold(top, m, _weights(field[-1], top[-1] // m, zero), layer, zero))), field
+    return cells, tops
+
+
+def _combine(v: list, lams: Sequence[Scalar]) -> Scalar:
+    """op y from y at the 2^k shifted points, v[j] being y shifted by the steps
+    of the factors whose bits are set in j: each factor i, first to last,
+    makes v[S] = v[S + {i}] - lam_i * v[S] in place, which is the arithmetic
+    of expanding op y one factor at a time."""
+    step = 1
+    for lam in lams:
+        for j in range(0, len(v), 2 * step):
+            v[j] = v[j + step] - lam * v[j]
+        step *= 2
+    return v[0]
+
+
+def lattice_rows(f: RealFunction, ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequence[Scalar],
+                 charge: Callable[[int, int, bool], None], residuals: bool = True,
+                 allowance: float = math.inf) -> tuple[list[int], list[Scalar], list[float] | None]:
+    """The columns n, y(t) and |op y - f|(t) for the points ts, y the
+    particular solution of prod_i (E^(m_i g) - lam_i) y = f: the engine's
+    one entry for rows.
+
+    n is N // m_k clamped at 0. The residual combines the top layer at the
+    2^k indices N + (sum of a subset of the m_i) with the lams of the row's
+    field by :func:`_combine` and subtracts f(t) at the float t; without
+    ``residuals`` its column is None and neither is computed. ``charge``,
+    ``allowance`` and the fields are those of :func:`_lattice`.
+    """
+    ts = list(map(_require_finite, ts))
+    lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
+    offsets = _subset_sums(ms) if residuals else [0]
+    cells, tops = _lattice(f, ts, g, ms, lams, offsets, charge, allowance)
+    m = ms[-1]
+    counts, values, resids = [], [], []
+    for t, (n, rho) in zip(ts, cells):
+        y, field = tops[rho]
+        counts.append(n // m if n > 0 else 0)
+        values.append(y[n])
+        if residuals:
+            d = _combine([y[n + s] for s in offsets], field) - f(t)
+            try:
+                resids.append(abs(d))
+            except OverflowError:
+                # Complex abs() raises past the float range, and on a NaN part while
+                # errno holds an ERANGE a summand caught (exp overflow); hypot reads both.
+                resids.append(math.hypot(d.real, d.imag))
+    return counts, values, resids if residuals else None
+
+
+def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:
+    """The first value that a one-point :func:`lattice_rows` call at t reads
+    and that is not finite, as (index, point, value), or None: the summand
+    at rho + I*g, highest index I first, then the residual's f(t), whose
+    index is None. It calls f again, so it belongs on a failure path."""
+    n, rho = _floor_mod(t, g)
+    plan, _, _ = _plan(ms, [(n, rho)], _subset_sums(ms), math.inf)
+    for index in _descending(plan[rho][0]):
+        point = rho + index * g
+        value = f(point)
+        if not cmath.isfinite(value):
+            return index, point, value
+    value = f(t)
+    return None if cmath.isfinite(value) else (None, t, value)
+
+
+def lattice_sums(f: RealFunction, ts: Sequence[float], lam: Scalar, h: float,
+                 charge: Callable[[int], None] | None = None) -> list[tuple[int, Scalar, Scalar]]:
     """Resolvent sums of f at the points ts, each summand value computed once.
 
     Returns (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0,
     y(t) = y(n, r) and y(t+h) = y(n+1, r) in the lattice coordinates of the
-    module docstring. Points are grouped by their remainder r (equal floats;
-    0.0 and -0.0 give the same points r + k*h), one class at a time, so
-    memory stays O(len(ts) + min(max n, _CLASS_VALUES_MAX)). One point calls
-    f at s = 1..n in turn, then at the one extra point r + n*h. Accumulation
-    is complex exactly when ``lam`` is complex. ``charge``, if given, is
-    called with the number of summand calls the sums make (that of
-    :func:`lattice_sums_calls`) before the first of them, and may raise to
-    refuse them.
+    module docstring: the engine at g = h, m = [1], in its field. ``charge``,
+    if given, is called with the number of summand calls the sums make (that
+    of :func:`lattice_sums_calls`) before the first of them, and may raise.
     """
-    classes, lam, h = _classes(ts, lam, h)
-    if charge is not None:
-        charge(_calls(classes))
-    out: list = [None] * len(ts)
-    for r, (members, counts) in classes.items():
-        sums = _class_sums(f, r, h, counts, lam)
-        for i, n, up in members:
-            out[i] = (n, sums[n], sums[up])
-    return out
+    ts, lam, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
+    cells, tops = _lattice(f, ts, h, [1], [lam], (0, 1), lambda terms, calls, _: charge and charge(calls))
+    return [(n if n > 0 else 0, tops[r][0][n], tops[r][0][n + 1]) for n, r in cells]
 
 
 def lattice_sums_calls(ts: Sequence[float], lam: Scalar, h: float) -> int:
-    """The number of summand calls lattice_sums(f, ts, lam, h) makes.
-
-    A class calls f once per k below its top count, or, above
-    _CLASS_VALUES_MAX, m times for each of its counts m. Validates its
-    arguments as lattice_sums does, so a caller can check the cost of the
-    sums before it calls f.
-    """
-    return _calls(_classes(ts, lam, h)[0])
-
-
-def _calls(classes: dict) -> int:
-    calls = 0
-    for _, counts in classes.values():
-        calls += sum(counts) if counts[-1] > _CLASS_VALUES_MAX else counts[-1]
-    return calls
-
-
-def _classes(ts: Sequence[float], lam: Scalar, h: float):
-    """({r: ([(i, n, n + 1)], counts)}, lam, h): the points grouped by remainder.
-
-    Counts are clamped at 0; ``counts`` holds a class's distinct ones in
-    ascending order.
-    """
-    ts = [_require_finite(t) for t in ts]
-    lam = _coefficient(lam)
-    h = _require_positive_shift(h)
-    members: dict[float, list[tuple[int, int, int]]] = {}
-    for i, t in enumerate(ts):
-        n, r = _floor_mod(t, h)
-        members.setdefault(r, []).append((i, n, n + 1) if n >= 0 else (i, 0, 0))
-    counts = lambda ms: sorted({m for _, n, up in ms for m in (n, up)})
-    return {r: (ms, counts(ms)) for r, ms in members.items()}, lam, h
-
-
-def _class_sums(f: RealFunction, r: float, h: float, counts: list[int], lam: Scalar) -> dict:
-    """{m: y(m, r)} for the ascending term counts of one remainder class.
-
-    Each count folds the class's stored values in ascending s against one
-    weight row, the running product of lam (none at lam = 1.0), as
-    :func:`_point_sum` adds them. A class whose top count exceeds
-    _CLASS_VALUES_MAX stores none and calls f per count.
-    """
-    lo, top = counts[0], counts[-1]
-    if top > _CLASS_VALUES_MAX:
-        return {m: _point_sum(f, r, m, h, lam) for m in counts}
-    # Below the lowest count in the one-point order (k descending), then up.
-    values = [f(r + k * h) for k in range(lo - 1, -1, -1)]
-    values.reverse()
-    values += [f(r + k * h) for k in range(lo, top)]
-    zero: Scalar = 0j if isinstance(lam, complex) else 0.0
-    weights = None
-    if lam != 1.0 or isinstance(lam, complex):
-        weights = [*itertools.accumulate([lam] * (top - 1), operator.mul, initial=zero + 1.0)]
-    sums = {}
-    for m in counts:
-        terms = values[m - 1 :: -1] if m else []
-        acc = zero
-        for p in terms if weights is None else map(operator.mul, weights, terms):
-            acc += p
-        sums[m] = acc
-    return sums
-
-
-def nonfinite_term(f: RealFunction, t: float, h: float) -> tuple[int, float, Scalar] | None:
-    """The first summand value of y(t) and y(t+h) that is not finite.
-
-    Visits the lattice points r + k*h of t = n*h + r in the order a one-point
-    :func:`lattice_sums` call evaluates them and returns (k, point, value)
-    for the first non-finite value, or None. It calls f again, so it belongs
-    on a failure path.
-    """
-    cell = floor_mod(t, h)
-    n = max(cell.n, 0)
-    order = [*range(n - 1, -1, -1), n] if cell.n >= 0 else []
-    for k in order:
-        x = cell.r + k * h
-        v = f(x)
-        if not cmath.isfinite(v):
-            return k, x, v
-    return None
+    """The number of summand calls lattice_sums(f, ts, lam, h) makes, its
+    arguments validated alike, so a caller can check the cost before any call."""
+    ts, _, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
+    return _plan([1], [_floor_mod(t, h) for t in ts], (0, 1), math.inf)[2]
 
 
 def antidifference(f: RealFunction, t: float) -> AntidiffValue:

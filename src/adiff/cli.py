@@ -18,23 +18,24 @@ error; results to standard output. Every command takes a term budget:
 10,000,000 (``inequality`` and ``verify`` have no --budget). Each charges
 its work once, before the first summand call, and exits 3 above the
 budget. ``sum`` charges its exact summand call count; ``eval`` and ``table
---mode antidiff|resolvent`` that of ``antidiff.lattice_sums`` plus one f(t)
-per row for the residual; ``solve`` and its table the exact work of
-``opalgebra.solve_rows``; ``inequality`` the slack calls of its sign
-check, its sums and its slack match; ``verify`` at least one call per
-sample of each identity it runs. A table first charges one call per row,
-before it builds its points, and ``inequality`` first two per sample, so a
-huge row or sample count is refused before its list is built. ``sum``
-exits 2 on a result that is not finite.
+--mode antidiff|resolvent`` the summand calls of the lattice engine plus
+one f(t) per row for the residual; ``solve`` and its table the exact work
+of ``opalgebra.solve_rows`` (layer terms, summand calls and rows);
+``inequality`` the slack calls of its sign check, its sums and its slack
+match; ``verify`` at least one call per sample of each identity it runs.
+A table first charges one call per row, before it builds its points, and
+``inequality`` first two per sample, so a huge row or sample count is
+refused before its list is built. ``sum`` exits 2 on a result that is not
+finite.
 
-``eval`` and ``table --mode antidiff|resolvent`` read every y(t) and
-y(t+h) from one ``antidiff.lattice_sums`` call, ``solve`` and ``table
---mode solve`` every value and residual from one ``opalgebra.solve_rows``
-call, so a summand value is computed once per command. ``eval`` and
-``solve`` refuse (exit 2) a value or residual that is not finite and name
-the first non-finite summand value in the order they call the summand, or
-say that the sum or solution overflows; ``terms_used`` of a solve is the
-outermost factor's term count.
+``eval``, the sum tables and ``solve`` and its table read every value and
+residual from one call of the lattice engine ``antidiff.lattice_rows`` (the
+sums as its one-factor case g = h, m = [1], ``solve`` through
+``opalgebra.solve_rows``), which computes each summand value once, highest
+lattice index first. ``eval`` and ``solve`` refuse (exit 2) a value or
+residual that is not finite through one helper, naming the first
+non-finite summand value in that order, or say that the sum or solution
+overflows; ``terms_used`` of a solve is the outermost factor's term count.
 
 What loads when: importing this module loads ``errors``, ``numkit``,
 ``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
@@ -74,9 +75,9 @@ from .antidiff import (
     TermBudget,
     definite_sum,
     definite_sum_calls,
-    lattice_sums,
+    lattice_rows,
     lattice_sums_calls,
-    nonfinite_term,
+    nonfinite_summand,
 )
 from .errors import (
     AdiffError,
@@ -276,18 +277,13 @@ def _charge(
         )
 
 
-def _sum_rows(
-    f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int
-) -> list[OutputRecord]:
-    """Points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|.
-
-    One :func:`lattice_sums` call gives y(t) and y(t+h) at every point, the
-    antidifference being lam = h = 1.0. It charges its summand calls plus
-    one f(t) per row before the first call.
-    """
-    charge = lambda calls: _charge(command, calls + len(ts), max_terms)
-    rows = zip(ts, lattice_sums(f, ts, lam, h, charge))
-    return [OutputRecord(t, y.real, y.imag, n, abs(ahead - lam * y - f(t))) for t, (n, y, ahead) in rows]
+def _sum_rows(f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int) -> list[OutputRecord]:
+    """The points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|
+    (the antidifference is lam = h = 1.0): the lattice engine at g = h, m = [1],
+    charging its summand calls plus one f(t) per row before the first call."""
+    charge = lambda terms, calls, complete: _charge(command, calls + len(ts), max_terms)
+    counts, values, resids = lattice_rows(f, ts, h, [1], [lam], charge)
+    return [OutputRecord(t, y.real, y.imag, n, r) for t, n, y, r in zip(ts, counts, values, resids)]
 
 
 def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[OutputRecord]:
@@ -299,6 +295,18 @@ def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) ->
     return [OutputRecord(t, value.real, value.imag, n, resid) for t, (n, value, resid) in rows]
 
 
+def _refuse(record: OutputRecord, f, lattice: tuple, place, result: str) -> None:
+    """Refuse a record with a field that is not finite: name the first non-finite value
+    its row read on ``lattice`` = (g, [m_i]), its index described by ``place``, or else
+    say that the ``result`` overflows."""
+    term = nonfinite_summand(f, record.t, *lattice)
+    if term is None:
+        raise DomainError(f"the {result} overflows: {record.text_line()}")
+    index, point, value = term
+    where = "the residual's f(t)" if index is None else place(index)
+    raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -308,18 +316,8 @@ def cmd_eval(args) -> int:
     max_terms = _resolve_budget(args.budget).max_terms
     record = _sum_rows(f, [args.t], lam, args.h, "eval", max_terms)[0]
     if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
-        term = nonfinite_term(f, args.t, args.h)
-        if term is not None:
-            k, point, value = term
-            raise DomainError(
-                f"summand is {fmt17(value)} at {fmt17(point)} "
-                f"(lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)})"
-            )
-        # The residual's own f(t), at the float t, is the last summand value read.
-        value = f(args.t)
-        if not math.isfinite(value):
-            raise DomainError(f"summand is {fmt17(value)} at {fmt17(args.t)} (the residual's f(t))")
-        raise DomainError(f"the sum overflows: {record.text_line()}")
+        place = lambda k: f"lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)}"
+        _refuse(record, f, (args.h, [1]), place, "sum")
     print(record.text_line())
     return EXIT_OK
 
@@ -329,14 +327,9 @@ def cmd_solve(args) -> int:
     f = as_function(args.expr)
     record = _solve_rows(op, f, [args.t], _resolve_budget(args.budget))[0]
     if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
-        from .opalgebra import nonfinite_summand
+        from .opalgebra import common_lattice
 
-        term = nonfinite_summand(op, f, args.t)
-        if term is not None:
-            index, point, value = term
-            where = "the residual's f(t)" if index is None else f"lattice index {index} of t={fmt17(args.t)}"
-            raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
-        raise DomainError(f"the solution overflows: {record.text_line()}")
+        _refuse(record, f, common_lattice(op), lambda i: f"lattice index {i} of t={fmt17(args.t)}", "solution")
     print(record.text_line())
     return EXIT_OK
 

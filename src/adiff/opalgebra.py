@@ -17,39 +17,30 @@ with bound floor_{h_i}(t - sum of the outer offsets) on each level.
 One integer lattice per operator. Each step is read as the exact ratio of
 its shortest decimal form, repr(h), so 0.1 is 1/10 and 0.3 is 3/10. The
 lattice unit g is the gcd of these ratios and every step is an integer
-multiple m_i = h_i/g of it (steps 0.1 and 0.3: g = 1/10, m = 1 and 3). A
-point splits once as t = N*g + rho (:func:`adiff.numkit.floor_mod` at the
-float g), and everything below works on integer indices: the layer of
+multiple m_i = h_i/g of it (steps 0.1 and 0.3: g = 1/10, m = 1 and 3; one
+step h: g = h, m = [1]). :func:`solve_rows` hands this lattice to the
+package's lattice engine, :func:`adiff.antidiff.lattice_rows`, which works
+on integer indices: a point splits once as t = N*g + rho, the layer of
 factor i at index N takes (n, q) = divmod(N, m_i) and sums its inner layer
-at q + k*m_i in ascending s, and the summand is read at rho + I*g. The
-residual op y - f reads the top layer at the 2^k indices N + (sum of a
-subset of the m_i): y(t + h_i) is index N + m_i whatever the float t + h_i
-rounds to, so the residual law holds at non-dyadic steps. A one-factor solution has g = h and equals
+at q + k*m_i in ascending s, and the summand is read at rho + I*g, once
+per planned index, highest first. The residual op y - f reads the top
+layer at the 2^k indices N + (sum of a subset of the m_i): y(t + h_i) is
+index N + m_i whatever the float t + h_i rounds to, so the residual law
+holds at non-dyadic steps. A one-factor solution equals ``eval`` and
 :func:`adiff.antidiff.resolvent_sum` bit for bit.
 
-:func:`solve_rows` plans before it sums. Per remainder rho it finds each
-layer's index set, top down: layer i at index N reads every index below
-N - m_i + 1 in N's class mod m_i, so per class only the largest index
-matters and each set is a union of ranges whose loop lengths are floor
-sums. It charges the budget once, before any summand call, with the exact
-work: the terms every layer adds plus one summand call per summand index
-plus one f(t) per residual. The walk stops once the layers above are over
-budget, so a command far over budget is refused without enumerating its
-sum. The sets then are the schedule: the summand is called once per index
-of the lowest set and each layer is built over its set by folding the
-stored values of the layer below (:func:`_top_layer`). No value outlives
-the call, since f may close over state that changes between calls.
-:func:`lattice_plan` returns the sets and the work.
-
-The field is chosen once per remainder class. Where every lam has
-imaginary part 0 and every summand value of the class is a float, the
-layers and the residual run in float arithmetic on the real parts of the
-lams; otherwise every summand value is taken as complex. A real operator's
-complex fold keeps every imaginary part at +-0 and starts every sum at
-+0.0, so for finite values both fields give the same real parts, bit for
-bit; where a value overflows, the float fold gives what a one-factor sum
-gives (inf where the complex fold reads nan). Either way the values come
-back as complex numbers.
+The engine plans before it sums: per remainder rho, each layer's index
+set, top down, a union of ranges whose loop lengths are floor sums.
+:func:`solve_rows` charges the budget once, before any summand call, with
+the exact work (the terms every layer adds, one summand call per summand
+index, one f(t) per residual), and the walk stops once the layers above
+are over budget; :func:`lattice_plan` returns the sets and the work. No
+value outlives the call, since f may close over state that changes
+between calls. A remainder class whose lams are all real and whose
+summand values add up to a float runs in float arithmetic, any other in
+complex: the same real parts, bit for bit, for finite values; where a
+value overflows, inf where the complex fold reads nan. Either way the
+values come back as complex numbers.
 
 Every operator has this lattice. Indices are Python integers and the index
 sets are ranges, so a large m_i adds no work: steps with no short common
@@ -63,13 +54,20 @@ that the identity compares with the library's.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-import operator
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, TermBudget, resolvent_sum
+from .antidiff import (
+    RealFunction,
+    Scalar,
+    TermBudget,
+    _combine,
+    _plan,
+    _subset_sums,
+    lattice_rows,
+    resolvent_sum,
+)
 from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
 from .numkit import _Frozen, _require_finite, _set, floor_mod
 
@@ -109,32 +107,20 @@ class FactoredOperator(_Frozen):
         return cls(tuple(LinearFactor(h, lam) for h, lam in pairs))
 
 
-def _expand(shifts: Sequence, lams: Sequence[Scalar], y: Callable, u) -> Scalar:
-    """op y at u for the factors (shift, lam): y at every u + sum of a subset of shifts.
-
-    One factor contributes y(u + shift) - lam*y(u); the rest of the product
-    acts on both pieces, in the field of the lams and of y's values. The
-    shifts are floats for :func:`apply_operator` and lattice indices for the
-    residual of :func:`solve_rows`.
-    """
-
-    def expand(i: int, u) -> Scalar:
-        if i < 0:
-            return y(u)
-        return expand(i - 1, u + shifts[i]) - lams[i] * expand(i - 1, u)
-
-    return expand(len(shifts) - 1, u)
-
-
 def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float) -> complex:
-    """Apply the factored difference operator to y at t, as :func:`_expand` does.
+    """Apply the factored difference operator to y at t.
 
-    y is evaluated at every shifted point t + sum of a subset of the h_i,
-    summed as floats, and each value is taken as complex. No command reads
-    it: a float t + h can round across a lattice point, so
+    y is evaluated once at every shifted point t + sum of a subset of the
+    h_i, each sum added from the last factor's step down to the first, and
+    each value is taken as complex; the values combine one level per factor
+    as the residual of :func:`adiff.antidiff.lattice_rows` combines them. No
+    command reads it: a float t + h can round across a lattice point, so
     :func:`solve_rows` shifts lattice indices instead.
     """
-    return _expand([f.h for f in op.factors], [f.lam for f in op.factors], lambda u: complex(y(u)), t)
+    points = [t]
+    for factor in reversed(op.factors):
+        points = [q for p in points for q in (p, p + factor.h)]
+    return _combine([complex(y(p)) for p in points], [factor.lam for factor in op.factors])
 
 
 def estimate_terms(op: FactoredOperator, t: float) -> int:
@@ -173,130 +159,18 @@ def common_lattice(op: FactoredOperator) -> tuple[float, list[int]]:
     return unit / den, [n // unit for n in nums]
 
 
-def _top_layer(f: RealFunction, rho: float, g: float, sets: list, ms: Sequence[int], lams) -> tuple[dict, list]:
-    """({index: value} of rho's top layer, the lams it was folded with),
-    built bottom up over the plan ``sets``.
-
-    f(rho + I*g) is called once per index I of sets[0], highest first, so a
-    failing summand names the highest failing point. Then the field is
-    chosen, once: where every lam has imaginary part 0 and every value is a
-    float, the layers fold floats against the real parts of the lams;
-    otherwise each value is taken as complex. At index N the layer of step
-    m folds the stored values of class q below it, for (n, q) =
-    divmod(N, m), with one weight row (the running product of lam) in the
-    order :func:`adiff.antidiff._point_sum` adds a point. Each layer is
-    dropped once the next one is built.
-    """
-    indices = sorted(itertools.chain.from_iterable(sets[0]), reverse=True)
-    values = {i: f(rho + i * g) for i in indices}
-    if any(lam.imag for lam in lams) or not {*map(type, values.values())} <= {float}:
-        zero, values = 0j, {i: complex(v) for i, v in values.items()}
-    else:
-        zero, lams = 0.0, [lam.real for lam in lams]
-    layer = {r.start: list(map(values.__getitem__, r)) for r in sets[0]}
-    for m, lam, ranges in zip(ms, lams, sets[1:]):
-        longest = max((r[-1] // m for r in ranges), default=1)
-        weights = [*itertools.accumulate([lam] * (longest - 1), operator.mul, initial=zero + 1.0)]
-        inner, layer = layer, {}
-        for r in ranges:
-            xs = layer[r.start] = []
-            for index in r:
-                n, q = divmod(index, m)
-                acc = zero
-                if n > 0:
-                    for p in map(operator.mul, weights, inner[q][n - 1 :: -1]):
-                        acc += p
-                xs.append(acc)
-    return {index: xs[0] for index, xs in layer.items()}, lams
-
-
-def _floor_sum(count: int, m: int, a: int, b: int) -> int:
-    """sum_{i < count} floor((a*i + b) / m) for nonnegative a, b and positive m."""
-    total = 0
-    while True:
-        if a >= m:
-            total += count * (count - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += count * (b // m)
-            b %= m
-        top = a * count + b
-        if top < m:
-            return total
-        count, b, m, a = top // m, top % m, a, m
-
-
-def _index_sets(ms: Sequence[int], top: Sequence[int], allowance: float) -> tuple[list, int]:
-    """The index ranges each layer of one remainder class computes, and their work.
-
-    ``top`` holds the top layer's indices. Walks the layers top down: layer
-    i at index N reads N's class mod m_i below N - m_i + 1, so only the
-    largest index per class matters, and the top ``m_i / gcd(step, m_i)``
-    indices of a range meet every class the range meets. Returns
-    (sets, work) with sets[0] the summand indices and sets[-1] the top
-    layer, each a list of disjoint ranges (below the top, one per class mod
-    the step above, starting at the class), and work the terms of every
-    layer loop plus one per summand index. Stops early, with sets None, once the
-    work is above ``allowance``; the ranges walked so far are read by the
-    terms already counted, so the walk costs no more than the work.
-    """
-    layer = [range(index, index + 1) for index in sorted(set(top))]
-    sets = [layer]
-    work = 0
-    for m in reversed(ms):
-        for r in layer:
-            if r.start < 0:  # below the origin a layer sums nothing
-                r = r[-(r.start // r.step):]
-            work += _floor_sum(len(r), m, r.step, r.start)
-        if work > allowance:
-            return None, work
-        highest: dict[int, int] = {}
-        for r in layer:
-            for index in r[-(m // math.gcd(r.step, m)):]:
-                c = index % m
-                if index > highest.get(c, -1):
-                    highest[c] = index
-        layer = [range(c, c + index // m * m, m) for c, index in highest.items() if index >= m]
-        sets.append(layer)
-    work += sum(map(len, layer))
-    return sets[::-1], work
-
-
 def lattice_plan(
     op: FactoredOperator, ts: Sequence[float], residuals: bool = True, allowance: float = math.inf
 ) -> tuple[dict[float, list] | None, int]:
-    """Index sets per remainder class and the exact work of :func:`solve_rows`.
-
-    Returns ({rho: sets}, work), sets as in :func:`_index_sets`: the
-    indices at which :func:`solve_rows` computes each layer of rho, and
-    work the terms, summand calls and (with ``residuals``) f(t) calls the
-    rows make. The sets are None when the work is above ``allowance``.
-    """
+    """({rho: sets}, work) of :func:`solve_rows`: the index sets of
+    :func:`adiff.antidiff._index_sets` per remainder class, and the terms,
+    summand calls and (with ``residuals``) f(t) calls the rows make; the
+    sets are None when the work is above ``allowance``."""
     g, ms = common_lattice(op)
-    return _plan(ms, [floor_mod(t, g) for t in ts], residuals, allowance)
-
-
-def _plan(ms: Sequence[int], cells: Sequence, residuals: bool, allowance: float):
-    shifts = _subset_sums(ms) if residuals else [0]
-    tops: dict[float, list[int]] = {}
-    for cell in cells:
-        tops.setdefault(cell.r, []).extend(cell.n + s for s in shifts)
-    work = len(cells) if residuals else 0
-    plan: dict[float, list] | None = {}
-    for rho, top in tops.items():
-        sets, cost = _index_sets(ms, top, allowance - work)
-        work += cost
-        if sets is None:
-            return None, work
-        plan[rho] = sets
-    return plan, work
-
-
-def _subset_sums(shifts: Sequence[int]) -> list[int]:
-    sums = [0]
-    for s in shifts:
-        sums += [x + s for x in sums]
-    return sums
+    rows = len(ts) if residuals else 0
+    cells = [(cell.n, cell.r) for cell in (floor_mod(t, g) for t in ts)]
+    plan, terms, calls = _plan(ms, cells, _subset_sums(ms) if residuals else [0], allowance - rows)
+    return plan, rows + terms + calls
 
 
 def solve_rows(
@@ -308,64 +182,25 @@ def solve_rows(
 ) -> list[tuple[int, complex, float | None]]:
     """(n, y(t), |op y - f|(t)) for each t, y the particular solution of op y = f.
 
-    n is the top layer's term count (the outermost factor's floor at t,
-    clamped at 0). The layers of each remainder class are built once, bottom
-    up over the plan's index sets, and serve all rows and their residuals,
-    so each layer value and each summand value is computed once per call.
-    A class whose lams are all real and whose summand values are all floats
-    is folded in float arithmetic, any other in complex (see the module
-    docstring); y(t) comes back complex either way. Raises
-    :class:`TermBudgetExceeded` before any summand call if the work is above
+    :func:`adiff.antidiff.lattice_rows` on the :func:`common_lattice`: n is
+    the outermost factor's floor at t, clamped at 0, and y(t) comes back
+    complex. Raises :class:`TermBudgetExceeded` before any summand call if
+    the work (layer terms, summand calls and one f(t) per residual) is above
     the budget. Without ``residuals`` the third field is None and neither
     the shifted points nor f(t) are computed or charged.
     """
     max_terms = (budget or TermBudget()).max_terms
-    ts = [_require_finite(t) for t in ts]
+    rows = len(ts) if residuals else 0
+
+    def charge(terms: int, calls: int, complete: bool) -> None:
+        if rows + terms + calls > max_terms:  # a plan stopped early counts only the layers above
+            least = "" if complete else "at least "
+            raise TermBudgetExceeded(f"nested sum needs {least}{rows + terms + calls} evaluations, budget is {max_terms}")
+
     g, ms = common_lattice(op)
-    cells = [floor_mod(t, g) for t in ts]
-    plan, work = _plan(ms, cells, residuals, max_terms)
-    if work > max_terms:
-        # A plan stopped early has counted only the layers above the budget.
-        least = "at least " if plan is None else ""
-        raise TermBudgetExceeded(f"nested sum needs {least}{work} evaluations, budget is {max_terms}")
-    lams = [factor.lam for factor in op.factors]
-    tops = {rho: _top_layer(f, rho, g, sets, ms, lams) for rho, sets in plan.items()}
-    rows = []
-    for t, cell in zip(ts, cells):
-        y, field = tops[cell.r]
-        resid = None
-        if residuals:
-            defect = _expand(ms, field, y.__getitem__, cell.n) - f(t)
-            try:
-                resid = abs(defect)
-            except OverflowError:
-                # Complex abs() raises past the float range, and also on a
-                # NaN part while errno still holds an ERANGE that a summand
-                # caught (exp of a large number): hypot reads both.
-                resid = math.hypot(defect.real, defect.imag)
-        rows.append((max(cell.n // ms[-1], 0), complex(y[cell.n]), resid))
-    return rows
-
-
-def nonfinite_summand(op: FactoredOperator, f: RealFunction, t: float) -> tuple[int | None, float, Scalar] | None:
-    """The first summand value of a one-point :func:`solve_rows` at t that is
-    not finite, as (index, point, value), or None.
-
-    Visits the points in the order that call makes them: the lattice
-    indices I of t's remainder class at the points rho + I*g, highest
-    first, then the residual's f(t), whose index is None. It calls f again,
-    so it belongs on a failure path.
-    """
-    g, _ = common_lattice(op)
-    plan, _ = lattice_plan(op, [t])
-    [(rho, sets)] = plan.items()
-    for index in sorted(itertools.chain.from_iterable(sets[0]), reverse=True):
-        point = rho + index * g
-        value = f(point)
-        if not cmath.isfinite(value):
-            return index, point, value
-    value = f(t)
-    return None if cmath.isfinite(value) else (None, t, value)
+    counts, values, resids = lattice_rows(f, ts, g, ms, [factor.lam for factor in op.factors], charge, residuals,
+                                          max_terms - rows)
+    return list(zip(counts, map(complex, values), resids or itertools.repeat(None)))
 
 
 def particular_solution(

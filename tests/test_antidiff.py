@@ -25,7 +25,7 @@ from adiff.antidiff import (
     lattice_sums,
     mueller_sum,
     mueller_sums,
-    nonfinite_term,
+    nonfinite_summand,
     offset_residual,
     periodic_antidifference,
     poly_antidifference,
@@ -741,10 +741,10 @@ class TestLatticeSums:
             assert (antidifference(f, t).terms_used, antidifference(f, t).value) == (n, value), t
 
     def test_one_point_call_order(self):
-        # s = 1..n for y(t), then the one extra point of y(t+h).
+        # The summand indices of y(t) and y(t+h), highest first.
         seen = []
         lattice_sums(lambda u: seen.append(u) or 0.0, [3.5], 1.0, 1.0)
-        assert seen == [2.5, 1.5, 0.5, 3.5]
+        assert seen == [3.5, 2.5, 1.5, 0.5]
         seen.clear()
         resolvent_sum(lambda u: seen.append(u) or 0.0, 3.5, 2.0)
         assert seen == [2.5, 1.5, 0.5]
@@ -764,9 +764,10 @@ class TestLatticeSums:
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
     def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
-        # Above the cap each term count refolds from fresh summand calls: the
-        # same bits, and one point costs the float-shift sums' 2n + 1 calls
-        # (n + 1 here, n more for y(t+h); the residual's f(t) is the caller's).
+        # Above the cap each term count refolds from fresh summand calls,
+        # highest first: the same bits, and one point costs the float-shift
+        # sums' 2n + 1 calls (n + 1 for y(t+h), then n for y(t); the
+        # residual's f(t) is the caller's).
         rng = random.Random(17)
         cases = []
         for _ in range(40):
@@ -781,26 +782,25 @@ class TestLatticeSums:
         cell = floor_mod(9.5 * h, h)
         [(n, _, _)] = lattice_sums(lambda u: seen.append(u) or 0.0, [9.5 * h], 2.0, h)
         assert n == cell.n > 3 and len(seen) == 2 * n + 1
-        assert seen[: n + 1] == [cell.r + k * h for k in range(n, -1, -1)][1:] + [cell.r + n * h]
+        assert seen == [cell.r + k * h for k in [*range(n, -1, -1), *range(n - 1, -1, -1)]]
 
     @pytest.mark.parametrize("h", [1.0, 0.3, 0.1, 4.758454107848294e285])
     def test_classes_agree_with_floor_mod_per_point(self, h):
-        # Classing splits each point as floor_mod does: same remainder (0.0
-        # and -0.0 are one class), counts n and n + 1 clamped at 0.
+        # The engine splits each point as floor_mod does and groups it by
+        # its remainder (0.0 and -0.0 are one class); the top layer of a
+        # class holds n and n + 1 for each of its points.
         rng = random.Random(19)
         ts = [-0.0, 0.0, -1e-300, -1.175494351e-38, -3.5 * h, -h, h, 0.7 * h]
         ts += [(antidiff_module._CLASS_VALUES_MAX + k + 0.5) * h for k in (-1, 0, 7)]
         ts += [rng.uniform(-40.0, 40.0) * h for _ in range(40)] + ts[:4]
-        classes, _, _ = antidiff_module._classes(ts, 2.0, h)
-        seen = []
-        for r, (members, counts) in classes.items():
-            for i, n, up in members:
-                cell = floor_mod(ts[i], h)
-                assert cell.r == r and (n, up) == (max(cell.n, 0), max(cell.n + 1, 0)), ts[i]
-                seen.append(i)
-            assert counts == sorted({m for _, n, up in members for m in (n, up)})
-        assert sorted(seen) == list(range(len(ts)))
-        assert max(counts[-1] for _, counts in classes.values()) > antidiff_module._CLASS_VALUES_MAX
+        cells, tops = antidiff_module._lattice(lambda u: 0.0, ts, h, [1], [2.0], (0, 1), lambda *work: None)
+        members = {}
+        for t, (n, r) in zip(ts, cells):
+            cell = floor_mod(t, h)
+            assert (n, r) == (cell.n, cell.r) and r in tops, t
+            members.setdefault(r, set()).update((n, n + 1))
+        assert {r: set(y) for r, (y, _) in tops.items()} == members
+        assert max(max(y) for y, _ in tops.values()) > antidiff_module._CLASS_VALUES_MAX
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -809,13 +809,18 @@ class TestLatticeSums:
         st.data(),
     )
     def test_class_fold_is_the_running_product_fold(self, values, lam, data):
-        # One weight row per class multiplies the same operands, in the same
-        # order, as a running product w *= lam kept per term: same bits.
+        # One weight row per layer multiplies the same operands, in the same
+        # order, as a running product w *= lam kept per term: same bits. A
+        # lam with imaginary part 0 folds these float values in floats.
         counts = sorted(set(data.draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=6))))
-        sums = antidiff_module._class_sums(lambda u: values[int(u)], 0.0, 1.0, counts, lam)
+        field_lam = lam if lam.imag else lam.real
+        _, tops = antidiff_module._lattice(
+            lambda u: values[int(u)], [float(m) for m in counts], 1.0, [1], [lam], (0,), lambda *work: None
+        )
+        sums = tops[0.0][0]
         assert list(sums) == counts
         for m in counts:
-            assert repr(sums[m]) == repr(running_product_fold(values[m - 1 :: -1] if m else [], lam))
+            assert repr(sums[m]) == repr(running_product_fold(values[m - 1 :: -1] if m else [], field_lam))
 
     def test_validation(self):
         with pytest.raises(NonFiniteInput):
@@ -827,15 +832,24 @@ class TestLatticeSums:
 
 
 class TestNonfiniteTerm:
+    """The engine's non-finite walker on one factor (g = h, m = [1]), as eval reads it."""
+
     def test_first_in_evaluation_order(self):
+        # Highest index first: y(t+h)'s top point comes before the rest.
         f = lambda u: math.inf if u in (1.5, 3.5) else 1.0
-        assert nonfinite_term(f, 3.5, 1.0) == (1, 1.5, math.inf)
+        assert nonfinite_summand(f, 3.5, 1.0, [1]) == (3, 3.5, math.inf)
 
     def test_extra_point_is_visited_last(self):
-        f = lambda u: math.nan if u == 3.5 else 1.0
-        k, point, value = nonfinite_term(f, 3.5, 1.0)
-        assert (k, point) == (3, 3.5) and math.isnan(value)
+        # The residual's f(t) comes after every lattice point. At h = 0.1 the
+        # point of index 72 of t = 7.3 is 7.299999999999999, not t.
+        f = lambda u: math.nan if u == 7.3 else 1.0
+        index, point, value = nonfinite_summand(f, 7.3, 0.1, [1])
+        assert (index, point) == (None, 7.3) and math.isnan(value)
+        g = lambda u: math.nan if u in (7.3, 0.09999999999999912) else 1.0
+        index, point, value = nonfinite_summand(g, 7.3, 0.1, [1])
+        assert (index, point) == (0, 0.09999999999999912) and math.isnan(value)
 
     def test_all_finite(self):
-        assert nonfinite_term(math.sin, 7.3, 0.3) is None
-        assert nonfinite_term(lambda u: 1 / 0, -1.0, 1.0) is None
+        assert nonfinite_summand(math.sin, 7.3, 0.3, [1]) is None
+        # Below 0 both sums are empty: f(t) is the one point read.
+        assert nonfinite_summand(lambda u: 1.0 if u == -1.0 else 1 / 0, -1.0, 1.0, [1]) is None

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +34,7 @@ from adiff.errors import DomainError
 from adiff.exprlang import as_function
 from adiff.numkit import fmt17
 from adiff.opalgebra import FactoredOperator, lattice_plan, particular_solution, verify_particular
+from conftest import CORPUS_EXPRS
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -1453,11 +1455,26 @@ class TestLatticeRows:
         code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "21", "--h", "0.5")
         assert code == EXIT_BUDGET
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--h", "-1"), "shift must be a positive finite real, got -1.0"),
+            (("--h", "0"), "shift must be a positive finite real, got 0.0"),
+            (("--lambda", "0"), "lambda must be nonzero"),
+            (("--lambda", "0+0i"), "lambda must be nonzero"),
+        ],
+    )
+    def test_bad_step_or_lambda_exit_2(self, capsys, summand_calls, argv, message):
+        for command in (("eval", "--t", "4.1"), ("table", "--mode", "resolvent", "--from", "0", "--to", "2", "--step", "1")):
+            code, out, err = run_main(capsys, *command, "--expr", "t", *argv)
+            assert (code, out, err, summand_calls[0]) == (EXIT_INPUT, "", f"adiff: {message}\n", 0)
+
     def test_non_finite_summand_exit_2(self, capsys):
         code, out, err = run_main(capsys, "eval", "--expr", "exp(t*1000)", "--t", "2.5")
         assert code == EXIT_INPUT
         assert out == ""
-        assert err == "adiff: summand is inf at 1.5 (lattice point k=1 of t=2.5, h=1)\n"
+        # The summand is called highest index first, as solve calls it.
+        assert err == "adiff: summand is inf at 2.5 (lattice point k=2 of t=2.5, h=1)\n"
 
     def test_non_finite_sum_exit_2(self, capsys):
         code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "5", "--lambda", "1e300")
@@ -1797,3 +1814,61 @@ class TestNonFiniteSolve:
                 "--from", "0", "--to", "10", "--step", "5", "--format", "json"]
         expected = (EXIT_INPUT, "", f"adiff: {field} at t=10 has no JSON form; use --format csv\n")
         assert run_main(capsys, *argv) == expected
+
+
+def _main_all(*argv):
+    """(exit code, stdout, stderr) of main; hypothesis does not mix with capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _as_solve_wording(err):
+    """eval's diagnostics in solve's words: the same summand, point and value."""
+    err = re.sub(r"\(lattice point k=(\d+) of t=(\S+), h=\S+\)", r"(lattice index \1 of t=\2)", err)
+    return err.replace("the sum overflows", "the solution overflows")
+
+
+class TestOneEngine:
+    """eval and the sum tables are the one-factor case of solve: one engine,
+    the same bytes, whatever the step, lambda or summand."""
+
+    _H = ["1", "0.5", "0.25", "0.1", "0.3", repr(1 / 3)]
+    _LAMBDA = st.sampled_from(["1", "-0.9", "0.5", "1.7", "0.3+0.4i", "-1i", "1i"])
+    _EXPRS = st.sampled_from(CORPUS_EXPRS + ["exp(t*100)"])
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_EXPRS, st.sampled_from(_H), _LAMBDA, st.floats(-2.0, 80.0) | st.integers(-2, 80).map(float))
+    def test_eval_is_the_one_factor_solve(self, expr, h, lam, t):
+        summed = _main_all("eval", f"--expr={expr}", f"--t={t!r}", "--h", h, f"--lambda={lam}")
+        solved = _main_all("solve", f"--factors={h}:{lam}", f"--expr={expr}", f"--t={t!r}")
+        assert (summed[0], summed[1], _as_solve_wording(summed[2])) == solved, (expr, h, lam, t)
+        event(f"exit {summed[0]}")
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_EXPRS, st.sampled_from(_H), _LAMBDA, st.integers(-20, 40), st.sampled_from(["h", "0.5", "0.37"]), st.integers(1, 50))
+    def test_resolvent_table_is_the_one_factor_solve_table(self, expr, h, lam, lo, step, rows):
+        step = h if step == "h" else step
+        lo = repr(lo * float(h) / 4)
+        hi = repr(float(lo) + rows * float(step))
+        span = (f"--expr={expr}", f"--from={lo}", "--to", hi, "--step", step)
+        summed = _main_all("table", *span, "--mode", "resolvent", "--h", h, f"--lambda={lam}")
+        solved = _main_all("table", *span, "--mode", "solve", f"--factors={h}:{lam}")
+        assert summed == solved and summed[0] == EXIT_OK, (expr, h, lam, lo, step)
+
+    def test_complex_eval_past_the_float_range_names_the_summand(self, capsys):
+        # The residual's complex abs() used to raise "absolute value too large".
+        argv = ["eval", "--lambda", "1i", "--expr", "exp(t*100)", "--t", "10"]
+        expected = (EXIT_INPUT, "", "adiff: summand is inf at 10 (lattice point k=10 of t=10, h=1)\n")
+        assert run_main(capsys, *argv) == expected
+        assert _fresh_adiff(*argv) == expected
+
+    def test_complex_resolvent_csv_table_keeps_inf_and_nan(self, capsys):
+        span = ["--expr", "exp(t*100)", "--from", "0", "--to", "10", "--step", "5"]
+        expected = (EXIT_OK, "t,value,imag,terms_used,residual\n0,0,0,0,0\n"
+                    "5,5.2214696897641443e+173,1.9424263952412558e+130,5,0\n10,nan,nan,10,nan\n", "")
+        argv = ["table", "--mode", "resolvent", "--lambda", "1i", *span]
+        assert run_main(capsys, *argv) == expected
+        assert _fresh_adiff(*argv) == expected
+        assert _fresh_adiff("table", "--mode", "solve", "--factors", "1:1i", *span) == expected

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiff.antidiff import resolvent_sum
+from adiff import antidiff as antidiff_module
+from adiff.antidiff import _combine, _subset_sums, nonfinite_summand, resolvent_sum
 from adiff.errors import (
     DomainError,
     NonFiniteInput,
@@ -33,7 +34,6 @@ from adiff.opalgebra import (
     estimate_terms,
     factorization_identity_check,
     lattice_plan,
-    nonfinite_summand,
     particular_solution,
     repeated_factor_solution,
     solve_rows,
@@ -573,7 +573,7 @@ class TestRealField:
             (lambda u: math.floor(u), True),
             (lambda u: complex(math.cos(u), 0.25), True),
             (lambda u: complex(math.sin(u)), True),
-            # int values in some classes only: a table's classes choose apart.
+            # int values at some points only.
             (lambda u: 2 if u < 0.45 else math.cos(u), True),
             (lambda u: Fraction(u), True),
             # complex() reads a Decimal, which does not multiply a float; the
@@ -582,8 +582,10 @@ class TestRealField:
         ],
     )
     def test_non_float_summands_take_the_complex_fold(self, f, residuals):
-        # Under a real operator an int, complex or other number is taken as
-        # complex, as every value was before the float fold.
+        # Under a real operator a complex, Decimal or other number is taken
+        # as complex, as every value was before the float fold; ints and
+        # fractions add up to a float and fold in floats, which read them
+        # exactly as the complex fold does. Either way: the complex chain.
         op = FactoredOperator.from_pairs([(0.3, 0.9), (0.5, -1.1)])
         ts = [-0.7 + 0.25 * k for k in range(20)]
         oracle = fresh_chain(op, f)
@@ -591,6 +593,16 @@ class TestRealField:
         rows = solve_rows(op, f, ts, residuals=residuals)
         assert rows == expected
         assert [(repr(v), repr(r)) for _, v, r in rows] == [(repr(v), repr(r)) for _, v, r in expected]
+
+    def test_one_field_per_class(self):
+        # Complex values in some remainder classes only: each class chooses
+        # its field, and every row has the complex chain's bits.
+        op = FactoredOperator.from_pairs([(0.3, 0.9), (0.5, -1.1)])
+        f = lambda u: complex(math.cos(u), 0.25) if round(u * 100) % 10 == 5 else math.cos(u)
+        ts = [-0.7 + 0.25 * k for k in range(20)]
+        assert len(lattice_plan(op, ts)[0]) > 1
+        oracle = fresh_chain(op, f)
+        assert _bits(solve_rows(op, f, ts)) == _bits([oracle.row(t) for t in ts])
 
     def test_an_overflow_reads_as_the_one_factor_sum(self):
         # The float fold gives inf with imaginary part 0 where the complex
@@ -629,7 +641,7 @@ class TestNonFiniteResiduals:
 class TestNonFiniteSummand:
     def test_none_when_every_value_is_finite(self):
         op = FactoredOperator.from_pairs([(1.0, 0.9), (0.5, -1j)])
-        assert nonfinite_summand(op, math.cos, 6.25) is None
+        assert nonfinite_summand(math.cos, 6.25, *common_lattice(op)) is None
 
     def test_highest_index_first_then_the_residual(self):
         op = FactoredOperator.from_pairs([(0.5, 0.9), (1.0, -0.7)])
@@ -637,16 +649,16 @@ class TestNonFiniteSummand:
         solve_rows(op, lambda u: seen.append(u) or 1.0, [4.25])
         bad = set(seen[1:-1:3])
         f = lambda u: math.inf if u in bad else 1.0
-        index, point, value = nonfinite_summand(op, f, 4.25)
+        index, point, value = nonfinite_summand(f, 4.25, *common_lattice(op))
         assert (point, value) == (max(bad), math.inf)
         assert index == round((point - 0.25) / 0.5)
         # At -0.75 every sum is empty: f(t) of the residual is the one call.
-        assert nonfinite_summand(op, lambda u: -math.inf, -0.75) == (None, -0.75, -math.inf)
+        assert nonfinite_summand(lambda u: -math.inf, -0.75, *common_lattice(op)) == (None, -0.75, -math.inf)
 
     def test_fine_lattice_point(self):
         op = FactoredOperator.from_pairs([(1.0, 0.9), (1 / 3, 0.5)])
-        g, _ = common_lattice(op)
-        index, point, value = nonfinite_summand(op, lambda u: math.nan if u > 1.0 else 0.0, 2.5)
+        g, ms = common_lattice(op)
+        index, point, value = nonfinite_summand(lambda u: math.nan if u > 1.0 else 0.0, 2.5, g, ms)
         assert math.isnan(value) and point > 1.0
         assert point == floor_mod(2.5, g).r + index * g
 
@@ -685,6 +697,12 @@ class TestCommonLattice:
         assert common_lattice(op) == lattice
         assert decimal_lattice(op) == lattice
 
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.floats(min_value=5e-324, max_value=1.8e308, allow_infinity=False))
+    def test_one_factor_lattice_is_its_step(self, h):
+        # One factor is the engine's g = h, m = [1] case: repr(h) reads back as h.
+        assert common_lattice(FactoredOperator.from_pairs([(h, 1.0)])) == (h, [1])
+
     def test_residual_law_at_non_dyadic_grid_points(self):
         # At h = 0.1 the float 1.7 + 0.1 sums as 18 terms, not 17 + 1.
         op = FactoredOperator.from_pairs([(0.1, 1)])
@@ -720,7 +738,8 @@ class TestCommonLattice:
             plan, work = lattice_plan(op, ts, residuals)
             assert set(plan) == set(oracle.memos)
             for rho, sets in plan.items():
-                planned = [{index for r in ranges for index in r} for ranges in sets]
+                # The top layer is its list of indices, each layer below a list of ranges.
+                planned = [{index for r in ranges for index in r} for ranges in sets[:-1]] + [set(sets[-1])]
                 assert planned == [set(memo) for memo in oracle.memos[rho]]
             assert work == oracle.terms + oracle.calls
             calls = [0]
@@ -738,6 +757,87 @@ class TestCommonLattice:
         with pytest.raises(TermBudgetExceeded, match="budget is 10000000"):
             solve_rows(op, calls.append, [1e12])
         assert calls == []
+
+
+def recursive_expand(shifts, lams, y, u):
+    """op y at u, written out as the recursion the residual once ran: one
+    factor gives y(u + shift) - lam*y(u), and the rest of the product acts
+    on both pieces."""
+
+    def expand(i, u):
+        if i < 0:
+            return y(u)
+        return expand(i - 1, u + shifts[i]) - lams[i] * expand(i - 1, u)
+
+    return expand(len(shifts) - 1, u)
+
+
+_FACTOR_LAMS = st.sampled_from([0.9, -1.1, 1.0, 2.0, 2j, complex(0.3, -0.8), complex(-1.0, 0.0)])
+
+
+class TestResidualLoop:
+    """The residual reads the 2^k shifted values once and combines them one
+    level per factor; that is the recursion's arithmetic, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 7), _FACTOR_LAMS), min_size=1, max_size=4),
+        st.integers(-5, 30),
+        st.data(),
+    )
+    def test_level_loop_is_the_recursion(self, factors, n, data):
+        ms, lams = [m for m, _ in factors], [lam for _, lam in factors]
+        value = st.floats() | st.complex_numbers() | st.sampled_from([0.0, -0.0, math.inf, math.nan])
+        y = {index: data.draw(value) for index in {n + s for s in _subset_sums(ms)}}
+        got = _combine([y[n + s] for s in _subset_sums(ms)], lams)
+        assert repr(got) == repr(recursive_expand(ms, lams, y.__getitem__, n))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([1.0, 0.5, 0.1, 0.3, 2.0, 1 / 3]), _FACTOR_LAMS), min_size=1, max_size=4),
+        st.floats(-20.0, 20.0),
+    )
+    def test_apply_operator_is_the_recursion(self, pairs, t):
+        # Each shifted point adds the steps from the last factor's down.
+        op = FactoredOperator.from_pairs(pairs)
+        y = lambda u: math.sin(u) + u * u
+        expected = recursive_expand([f.h for f in op.factors], [f.lam for f in op.factors], lambda u: complex(y(u)), t)
+        assert repr(apply_operator(op, y, t)) == repr(expected)
+
+
+class TestOneFactorCap:
+    """A one-factor solve is the engine's one-layer class: above the value cap
+    it refolds each top index from fresh calls, as eval does."""
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
+    def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
+        rng = random.Random(29)
+        cases = []
+        for _ in range(30):
+            f = BOUNDED_CORPUS[rng.randrange(len(BOUNDED_CORPUS))]
+            op = FactoredOperator.from_pairs([(h, rng.choice([1.0, -0.9, complex(0.6, 0.6)]))])
+            ts = [rng.uniform(-1.0, 12.0) for _ in range(rng.randint(1, 6))]
+            cases.append((op, f, ts, solve_rows(op, f, ts)))
+        monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
+        for op, f, ts, stored in cases:
+            assert repr(solve_rows(op, f, ts)) == repr(stored), (op, ts)
+        # One point: the top indices n + 1 and n refold in turn, highest
+        # first, then the residual reads f(t); the charge is one row, the
+        # 2n + 1 terms and as many summand calls.
+        op = FactoredOperator.from_pairs([(h, 2.0)])
+        t = 9.5 * h
+        cell = floor_mod(t, h)
+        n = cell.n
+        work = 1 + 2 * (2 * n + 1)
+        assert lattice_plan(op, [t])[1] == work
+        seen = []
+        [(terms, _, _)] = solve_rows(op, lambda u: seen.append(u) or 1.0, [t], TermBudget(work))
+        assert terms == n > 3
+        assert seen == [cell.r + k * h for k in [*range(n, -1, -1), *range(n - 1, -1, -1)]] + [t]
+        seen.clear()
+        with pytest.raises(TermBudgetExceeded, match=f"nested sum needs {work} evaluations, budget is {work - 1}"):
+            solve_rows(op, lambda u: seen.append(u) or 1.0, [t], TermBudget(work - 1))
+        assert seen == []
 
 
 class TestFactorizationIdentity:
