@@ -41,9 +41,9 @@ highest first, folds each layer against one weight row (the running
 product of lam, none at lam = 1.0) and reads |op y - f(t)|. It serves
 ``eval``, the sum tables and :func:`adiff.opalgebra.solve_rows` through
 :func:`lattice_rows`, and :mod:`adiff.inequality` through
-:func:`lattice_sums`, its one-factor case g = h, m = [1], whose calls
-:func:`lattice_sums_calls` counts. A :class:`TermBudget` bounds the work
-one command may do; the engine hands it to a charge before any call.
+:func:`lattice_sums`, its one-factor case g = h, m = [1], planned and
+counted by :func:`lattice_sums_plan`. A :class:`TermBudget` bounds the
+work one command may do; the engine hands it to a charge before any call.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -189,7 +189,7 @@ def _subset_sums(shifts: Sequence[int]) -> list[int]:
     """The sums of the subsets of ``shifts``; bit i of a position says whether shifts[i] is in."""
     sums = [0]
     for s in shifts:
-        sums += map(operator.add, sums[:], itertools.repeat(s))
+        sums += [total + s for total in sums]
     return sums
 
 
@@ -249,12 +249,13 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
     plan: dict[float, list] = {}
     terms = calls = 0
     for rho, ns in members.items():
-        top = sorted({n + s for n in ns for s in offsets})
-        if len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
+        if len(ms) == 1:  # one layer, m = 1 (offsets [0] or [0, 1]): the summand indices are 0 .. top[-1] - 1
+            top = [ns[0] + s for s in offsets] if len(ns) == 1 else sorted({n + s for n in ns for s in offsets})
             n = top[-1]
             more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
             sets, more_calls = [[range(n)] if n > 0 else [], top], more_terms if n > _CLASS_VALUES_MAX else max(n, 0)
         else:
+            top = sorted({n + s for n in ns for s in offsets})
             sets, more_terms, more_calls = _index_sets(ms, top, allowance - terms - calls)
         terms += more_terms
         calls += more_calls
@@ -276,11 +277,14 @@ def _fold(indices, m: int, weights: list | None, inner: dict, zero: Scalar) -> l
     first n values of class q of the layer below, ``inner[q]`` (held in
     ascending index order), folded in ascending s against ``weights``."""
     out = []
-    for index in indices:
-        n, q = divmod(index, m)
+    column = inner.get(0)
+    for n in indices:
+        if m > 1:
+            n, q = divmod(n, m)
+            column = inner.get(q)
         acc = zero
         if n > 0:
-            terms = inner[q][n - 1 :: -1]
+            terms = column[n - 1 :: -1]
             for p in terms if weights is None else map(operator.mul, weights, terms):
                 acc += p
         out.append(acc)
@@ -295,24 +299,15 @@ def _weights(lam: Scalar, count: int, zero: Scalar) -> list | None:
     return [*itertools.accumulate([lam] * count, operator.mul, initial=zero + 1.0)]
 
 
-def _lattice(f: RealFunction, ts: list[float], g: float, ms: Sequence[int], lams: list, offsets: Sequence[int],
-             charge: Callable[[int, int, bool], None], allowance: float = math.inf) -> tuple[list, dict]:
-    """(cells, {rho: (top layer, lams of its field)}): each t split as
-    (N, rho), and the top layer of each class at N + s for every offset s.
-
-    ``charge(terms, calls, complete)`` sees the plan's work before the first
-    summand call and may raise; ``complete`` is False when the plan stopped
-    above ``allowance``. Then each class in turn calls its summand once per
-    index, highest first, picks its field, floats where every lam has
-    imaginary part 0 and the values add up to a float (floats, ints and
-    fractions, which a float fold reads as the complex one does), complex
-    otherwise, and builds its layers bottom up with :func:`_fold`, each
-    dropped once the next is built; a class that refolds sums each top
-    index, highest first, from fresh values as :func:`_point_sum`.
-    """
-    cells = list(map(_floor_mod, ts, itertools.repeat(g)))
-    plan, terms, calls = _plan(ms, cells, offsets, allowance)
-    charge(terms, calls, plan is not None)
+def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dict) -> dict:
+    """{rho: (top layer, lams of its field)} for each class of a :func:`_plan`:
+    each class in turn calls its summand once per index, highest first,
+    picks its field, floats where every lam has imaginary part 0 and the
+    values add up to a float (floats, ints and fractions, which a float fold
+    reads as the complex one does), complex otherwise, and builds its layers
+    bottom up with :func:`_fold`, each dropped once the next is built; a
+    class that refolds sums each top index, highest first, from fresh values
+    as :func:`_point_sum`."""
     # The float field's lams, where every lam has imaginary part 0.
     reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
     tops = {}
@@ -345,7 +340,7 @@ def _lattice(f: RealFunction, ts: list[float], g: float, ms: Sequence[int], lams
                 layer = {r.start: _fold(r, m, row, layer, zero) for r in indices}
         m = ms[-1]
         tops[rho] = dict(zip(top, _fold(top, m, _weights(field[-1], top[-1] // m, zero), layer, zero))), field
-    return cells, tops
+    return tops
 
 
 def _combine(v: list, lams: Sequence[Scalar]) -> Scalar:
@@ -368,24 +363,30 @@ def lattice_rows(f: RealFunction, ts: Sequence[float], g: float, ms: Sequence[in
     particular solution of prod_i (E^(m_i g) - lam_i) y = f: the engine's
     one entry for rows.
 
-    n is N // m_k clamped at 0. The residual combines the top layer at the
-    2^k indices N + (sum of a subset of the m_i) with the lams of the row's
-    field by :func:`_combine` and subtracts f(t) at the float t; without
-    ``residuals`` its column is None and neither is computed. ``charge``,
-    ``allowance`` and the fields are those of :func:`_lattice`.
+    n is N // m_k clamped at 0. The residual reads y(t + h) - lam*y(t) at one
+    factor, else combines the top layer at the 2^k indices N + (sum of a
+    subset of the m_i) by :func:`_combine` (the same arithmetic at k = 1),
+    with the lams of the row's field, and subtracts f(t) at the float t;
+    without ``residuals`` its column is None and neither is computed.
+    ``charge(terms, calls, complete)`` sees the plan's work before the first
+    summand call and may raise; ``complete`` is False above ``allowance``.
     """
     ts = list(map(_require_finite, ts))
     lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
     offsets = _subset_sums(ms) if residuals else [0]
-    cells, tops = _lattice(f, ts, g, ms, lams, offsets, charge, allowance)
+    cells = list(map(_floor_mod, ts, itertools.repeat(g)))
+    plan, terms, calls = _plan(ms, cells, offsets, allowance)
+    charge(terms, calls, plan is not None)
+    tops = _lattice(f, g, ms, lams, plan)
     m = ms[-1]
+    one = len(ms) == 1
     counts, values, resids = [], [], []
     for t, (n, rho) in zip(ts, cells):
         y, field = tops[rho]
         counts.append(n // m if n > 0 else 0)
         values.append(y[n])
         if residuals:
-            d = _combine([y[n + s] for s in offsets], field) - f(t)
+            d = (y[n + 1] - field[0] * y[n] if one else _combine([y[n + s] for s in offsets], field)) - f(t)
             try:
                 resids.append(abs(d))
             except OverflowError:
@@ -413,24 +414,36 @@ def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) ->
 
 def lattice_sums(f: RealFunction, ts: Sequence[float], lam: Scalar, h: float,
                  charge: Callable[[int], None] | None = None) -> list[tuple[int, Scalar, Scalar]]:
-    """Resolvent sums of f at the points ts, each summand value computed once.
+    """Resolvent sums of f at the points ts, each summand value computed once:
+    (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0, y(t) = y(n, r)
+    and y(t+h) = y(n+1, r) in the lattice coordinates of the module docstring,
+    the engine at g = h, m = [1], in its field. ``charge``, if given, is called
+    with the summand calls of :func:`lattice_sums_plan` before the first of
+    them, and may raise."""
+    calls, sums = lattice_sums_plan(ts, lam, h)
+    if charge is not None:
+        charge(calls)
+    return sums(f)
 
-    Returns (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0,
-    y(t) = y(n, r) and y(t+h) = y(n+1, r) in the lattice coordinates of the
-    module docstring: the engine at g = h, m = [1], in its field. ``charge``,
-    if given, is called with the number of summand calls the sums make (that
-    of :func:`lattice_sums_calls`) before the first of them, and may raise.
-    """
+
+def lattice_sums_plan(ts: Sequence[float], lam: Scalar, h: float) -> tuple[int, Callable[[RealFunction], list]]:
+    """(calls, sums): the arguments of lattice_sums(f, ts, lam, h) validated,
+    its points split and planned once, its summand calls counted, and
+    ``sums(f)``, which is lattice_sums(f, ts, lam, h) on that plan."""
     ts, lam, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
-    cells, tops = _lattice(f, ts, h, [1], [lam], (0, 1), lambda terms, calls, _: charge and charge(calls))
-    return [(n if n > 0 else 0, tops[r][0][n], tops[r][0][n + 1]) for n, r in cells]
+    cells = list(map(_floor_mod, ts, itertools.repeat(h)))
+    plan, _, calls = _plan([1], cells, (0, 1), math.inf)
+
+    def sums(f: RealFunction) -> list[tuple[int, Scalar, Scalar]]:
+        tops = _lattice(f, h, [1], [lam], plan)
+        return [(n if n > 0 else 0, tops[r][0][n], tops[r][0][n + 1]) for n, r in cells]
+
+    return calls, sums
 
 
 def lattice_sums_calls(ts: Sequence[float], lam: Scalar, h: float) -> int:
-    """The number of summand calls lattice_sums(f, ts, lam, h) makes, its
-    arguments validated alike, so a caller can check the cost before any call."""
-    ts, _, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
-    return _plan([1], [_floor_mod(t, h) for t in ts], (0, 1), math.inf)[2]
+    """The summand calls of lattice_sums(f, ts, lam, h), its arguments validated alike."""
+    return lattice_sums_plan(ts, lam, h)[0]
 
 
 def antidifference(f: RealFunction, t: float) -> AntidiffValue:

@@ -22,7 +22,7 @@ import enum
 import math
 from typing import Sequence
 
-from .antidiff import RealFunction, lattice_sums, resolvent_sum
+from .antidiff import RealFunction, lattice_sums_plan, resolvent_sum
 from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
 from .numkit import _Frozen, _Record, _set
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
@@ -109,12 +109,14 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
 class SolutionFunction(_Record):
     """Constructed general solution; call it like a function of t."""
 
-    __slots__ = _fields = ("spec", "mu", "slack")
+    __slots__ = ("spec", "mu", "slack", "planned")
+    _fields = ("spec", "mu", "slack")
 
-    def __init__(self, spec: InequalitySpec, mu: RealFunction, slack: RealFunction):
+    def __init__(self, spec: InequalitySpec, mu: RealFunction, slack: RealFunction, planned: tuple | None = None):
         self.spec = spec
         self.mu = mu
         self.slack = slack
+        self.planned = planned  # (points, sums of adiff.antidiff.lattice_sums_plan) or None
 
     def homogeneous(self, t: float) -> float:
         lam, h = self.spec.lam, self.spec.h
@@ -135,16 +137,18 @@ class SolutionFunction(_Record):
         """(y(t), y(t+h)) at each t.
 
         The particular part is read at the lattice points (n, r) and (n+1, r)
-        of t = n*h + r from one :func:`lattice_sums` call, so y(t+h) sums n+1
-        slack terms whatever the float t + h rounds to; the homogeneous part
-        is read at t and t + h. A subclass that replaces :meth:`particular`
-        gives no lattice form, so its particular part is read at t and t + h.
+        of t = n*h + r from one :func:`adiff.antidiff.lattice_sums` call (on
+        the kept plan at its points), so y(t+h) sums n+1 slack terms whatever
+        the float t + h rounds to; the homogeneous part is read at t and t + h.
+        A subclass that replaces :meth:`particular` gives no lattice form, so
+        its particular part is read at t and t + h.
         """
         lam, h = self.spec.lam, self.spec.h
         # The homogeneous part first, so an overflow names its sample at once.
         homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
         if type(self).particular is SolutionFunction.particular:
-            parts = [(p, q) for _, p, q in lattice_sums(self.slack, ts, lam, h)]
+            sums = self.planned[1] if self.planned and self.planned[0] == ts else lattice_sums_plan(ts, lam, h)[1]
+            parts = [(p, q) for _, p, q in sums(self.slack)]
         else:
             parts = [(self.particular(t), self.particular(t + h)) for t in ts]
         return [(at + p, ahead + q) for (ahead, at), (p, q) in zip(homogeneous, parts)]
@@ -188,12 +192,15 @@ def build_solution(
     slack: RealFunction,
     t_range: tuple[float, float] = (0.0, 10.0),
     samples: int = DEFAULT_SAMPLES,
+    planned: tuple | None = None,
 ) -> SolutionFunction:
     """Validate the ingredients by sampling, then assemble the solution.
 
     slack must be >= 0 (direction GEQ) or <= 0 (LEQ) across t_range; mu
     must be h-periodic for lam > 0 and h-antiperiodic for lam < 0, checked
-    on [0, 4h]. Violations raise with the failing sample as witness.
+    on [0, 4h]. Violations raise with the failing sample as witness. The
+    solution keeps ``planned``, points and the sums of lattice_sums_plan(points,
+    spec.lam, spec.h) in :mod:`adiff.antidiff`, for :meth:`SolutionFunction.pairs`.
     """
     lo, hi = t_range
     for t in _grid(lo, hi, samples):
@@ -215,7 +222,7 @@ def build_solution(
             f"mu is not {kind.value} with period {spec.h} (fails at t = {membership.witness!r})",
             witness=membership.witness,
         )
-    return SolutionFunction(spec, mu, slack)
+    return SolutionFunction(spec, mu, slack, planned)
 
 
 def check_inequality(

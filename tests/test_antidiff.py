@@ -658,6 +658,14 @@ def float_shift_sum(f, t, n, lam, h, first=1):
     return acc
 
 
+def engine_classes(f, ts, h, lam, offsets):
+    """(cells, tops) of the engine on one factor: the points split as
+    lattice_rows and lattice_sums_plan split them, planned, then summed."""
+    cells = [antidiff_module._floor_mod(t, h) for t in ts]
+    plan, _, _ = antidiff_module._plan([1], cells, offsets, math.inf)
+    return cells, antidiff_module._lattice(f, h, [1], [lam], plan)
+
+
 def running_product_fold(values, lam):
     """sum_i lam^i values[i] in order, the weight a running product of lam.
 
@@ -793,7 +801,7 @@ class TestLatticeSums:
         ts = [-0.0, 0.0, -1e-300, -1.175494351e-38, -3.5 * h, -h, h, 0.7 * h]
         ts += [(antidiff_module._CLASS_VALUES_MAX + k + 0.5) * h for k in (-1, 0, 7)]
         ts += [rng.uniform(-40.0, 40.0) * h for _ in range(40)] + ts[:4]
-        cells, tops = antidiff_module._lattice(lambda u: 0.0, ts, h, [1], [2.0], (0, 1), lambda *work: None)
+        cells, tops = engine_classes(lambda u: 0.0, ts, h, 2.0, (0, 1))
         members = {}
         for t, (n, r) in zip(ts, cells):
             cell = floor_mod(t, h)
@@ -814,9 +822,7 @@ class TestLatticeSums:
         # lam with imaginary part 0 folds these float values in floats.
         counts = sorted(set(data.draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=6))))
         field_lam = lam if lam.imag else lam.real
-        _, tops = antidiff_module._lattice(
-            lambda u: values[int(u)], [float(m) for m in counts], 1.0, [1], [lam], (0,), lambda *work: None
-        )
+        _, tops = engine_classes(lambda u: values[int(u)], [float(m) for m in counts], 1.0, lam, (0,))
         sums = tops[0.0][0]
         assert list(sums) == counts
         for m in counts:

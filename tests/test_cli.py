@@ -165,6 +165,20 @@ class TestEval:
         assert code == EXIT_OK
         assert record_fields(out)["terms_used"] == "0"
 
+    def test_grid_scale_residuals_keep_their_recorded_bytes(self, capsys):
+        # About a thousand terms per eval, one summand of each grid family,
+        # on a lattice point (shift 0) and off it, recorded before the
+        # one-factor residual was written out as y(t+h) - lam*y(t).
+        lines = []
+        for h in ("1", "0.5", "0.25", "0.1", "0.3"):
+            for lam, shift in (("1", 0.0), ("-0.73", 0.1), ("0.35+0.6i", -0.07)):
+                t = repr(round(1000 * float(h) + shift, 6))
+                for expr in ("0.5*t^2 + 2.8*t + 4.1", "2.7*sin(1.4*t) + cos(t)", "1.5*0.5^t"):
+                    code, out, err = run_main(capsys, "eval", "--expr", expr, "--t", t, "--h", h, f"--lambda={lam}")
+                    assert (code, err) == (EXIT_OK, "")
+                    lines.append(out)
+        assert "".join(lines) == (DATA / "eval_grid_residuals.txt").read_text()
+
 
 class TestSolve:
     def test_factor_pair_value(self, capsys):
@@ -844,6 +858,20 @@ class TestInequalityCommand:
         assert code == EXIT_OK
         assert "PASS" in out
         assert "min_residual=1" in out
+
+    @pytest.mark.parametrize("h, lam, to", [("1", "1", "10"), ("0.5", "-0.5", "3"), ("0.3", "2", "7")])
+    def test_sums_are_planned_once(self, capsys, monkeypatch, h, lam, to):
+        # The plan charged before build_solution's first slack call is the one
+        # check_inequality sums on: one plan, and the bytes of the command.
+        from adiff import antidiff
+
+        argv = ("inequality", "--h", h, "--lambda", lam, "--direction", "geq", "--mu", "0",
+                "--slack", "1 + t*t", "--from", "0", "--to", to)
+        unpatched = run_main(capsys, *argv)
+        original, plans = antidiff._plan, []
+        monkeypatch.setattr(antidiff, "_plan", lambda *args: plans.append(args) or original(*args))
+        assert run_main(capsys, *argv) == unpatched and unpatched[0] == EXIT_OK
+        assert len(plans) == 1
 
     def test_boundary_antiperiodic_passes(self, capsys):
         code, out, _ = run_main(

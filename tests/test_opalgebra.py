@@ -792,6 +792,42 @@ class TestResidualLoop:
         got = _combine([y[n + s] for s in _subset_sums(ms)], lams)
         assert repr(got) == repr(recursive_expand(ms, lams, y.__getitem__, n))
 
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        st.floats() | st.complex_numbers() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.floats() | st.complex_numbers() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.sampled_from([1.0]) | st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+        | st.complex_numbers(allow_nan=False, allow_infinity=False).filter(bool),
+    )
+    def test_one_factor_residual_is_the_level_loop(self, y0, y1, lam):
+        # lattice_rows writes a one-factor row's op y as y(t + h) - lam*y(t).
+        assert repr(y1 - lam * y0) == repr(_combine([y0, y1], [lam]))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.3]),
+        st.sampled_from([1.0, 0.9, -0.73, 2j, complex(0.35, 0.6), complex(-1.0, 0.0)]),
+        st.integers(-12, 160).map(lambda k: k / 4) | st.floats(-3.0, 40.0),
+        st.integers(2, 12),
+    )
+    def test_one_factor_rows_read_their_own_values(self, h, lam, start, count):
+        # Each row's residual is |op y - f(t)| with y at N and N + 1 taken from
+        # the value column of the same call, wherever both are rows of it: at
+        # every row but the last where the points are exact (dyadic h and start).
+        f = lambda u: math.sin(u) + u * u
+        ts = [start + k * h for k in range(count)]
+        _, values, resids = antidiff_module.lattice_rows(f, ts, h, [1], [lam], lambda *work: None)
+        field_lam = lam if isinstance(lam, complex) and lam.imag else complex(lam).real
+        row = {antidiff_module._floor_mod(t, h): i for i, t in enumerate(ts)}
+        checked = 0
+        for (n, rho), i in row.items():
+            j = row.get((n + 1, rho))
+            if j is not None:
+                checked += 1
+                expected = abs(_combine([values[i], values[j]], [field_lam]) - f(ts[i]))
+                assert repr(resids[i]) == repr(expected), (ts[i], lam)
+        assert checked == count - 1 or h not in (1.0, 0.5, 0.25) or not (4 * start).is_integer()
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(
         st.lists(st.tuples(st.sampled_from([1.0, 0.5, 0.1, 0.3, 2.0, 1 / 3]), _FACTOR_LAMS), min_size=1, max_size=4),
