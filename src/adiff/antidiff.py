@@ -189,7 +189,7 @@ def _subset_sums(shifts: Sequence[int]) -> list[int]:
     """The sums of the subsets of ``shifts``; bit i of a position says whether shifts[i] is in."""
     sums = [0]
     for s in shifts:
-        sums += [total + s for total in sums]
+        sums += map(operator.add, sums[:], itertools.repeat(s))
     return sums
 
 
@@ -249,13 +249,12 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
     plan: dict[float, list] = {}
     terms = calls = 0
     for rho, ns in members.items():
-        if len(ms) == 1:  # one layer, m = 1 (offsets [0] or [0, 1]): the summand indices are 0 .. top[-1] - 1
-            top = [ns[0] + s for s in offsets] if len(ns) == 1 else sorted({n + s for n in ns for s in offsets})
+        top = sorted({n + s for n in ns for s in offsets})
+        if len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
             n = top[-1]
             more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
             sets, more_calls = [[range(n)] if n > 0 else [], top], more_terms if n > _CLASS_VALUES_MAX else max(n, 0)
         else:
-            top = sorted({n + s for n in ns for s in offsets})
             sets, more_terms, more_calls = _index_sets(ms, top, allowance - terms - calls)
         terms += more_terms
         calls += more_calls
@@ -277,14 +276,11 @@ def _fold(indices, m: int, weights: list | None, inner: dict, zero: Scalar) -> l
     first n values of class q of the layer below, ``inner[q]`` (held in
     ascending index order), folded in ascending s against ``weights``."""
     out = []
-    column = inner.get(0)
-    for n in indices:
-        if m > 1:
-            n, q = divmod(n, m)
-            column = inner.get(q)
+    for index in indices:
+        n, q = divmod(index, m)
         acc = zero
         if n > 0:
-            terms = column[n - 1 :: -1]
+            terms = inner[q][n - 1 :: -1]
             for p in terms if weights is None else map(operator.mul, weights, terms):
                 acc += p
         out.append(acc)
@@ -300,14 +296,17 @@ def _weights(lam: Scalar, count: int, zero: Scalar) -> list | None:
 
 
 def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dict) -> dict:
-    """{rho: (top layer, lams of its field)} for each class of a :func:`_plan`:
-    each class in turn calls its summand once per index, highest first,
+    """{rho: (top layer, lams of its field)} for the classes of ``plan``, a
+    plan of :func:`_plan` that the caller has charged.
+
+    Each class in turn calls its summand once per index, highest first,
     picks its field, floats where every lam has imaginary part 0 and the
     values add up to a float (floats, ints and fractions, which a float fold
     reads as the complex one does), complex otherwise, and builds its layers
     bottom up with :func:`_fold`, each dropped once the next is built; a
     class that refolds sums each top index, highest first, from fresh values
-    as :func:`_point_sum`."""
+    as :func:`_point_sum`.
+    """
     # The float field's lams, where every lam has imaginary part 0.
     reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
     tops = {}
@@ -414,12 +413,14 @@ def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) ->
 
 def lattice_sums(f: RealFunction, ts: Sequence[float], lam: Scalar, h: float,
                  charge: Callable[[int], None] | None = None) -> list[tuple[int, Scalar, Scalar]]:
-    """Resolvent sums of f at the points ts, each summand value computed once:
-    (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0, y(t) = y(n, r)
-    and y(t+h) = y(n+1, r) in the lattice coordinates of the module docstring,
-    the engine at g = h, m = [1], in its field. ``charge``, if given, is called
-    with the summand calls of :func:`lattice_sums_plan` before the first of
-    them, and may raise."""
+    """Resolvent sums of f at the points ts, each summand value computed once.
+
+    Returns (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0,
+    y(t) = y(n, r) and y(t+h) = y(n+1, r) in the lattice coordinates of the
+    module docstring: the engine at g = h, m = [1], in its field. ``charge``,
+    if given, is called with the number of summand calls the sums make (that
+    of :func:`lattice_sums_calls`) before the first of them, and may raise.
+    """
     calls, sums = lattice_sums_plan(ts, lam, h)
     if charge is not None:
         charge(calls)
@@ -427,9 +428,13 @@ def lattice_sums(f: RealFunction, ts: Sequence[float], lam: Scalar, h: float,
 
 
 def lattice_sums_plan(ts: Sequence[float], lam: Scalar, h: float) -> tuple[int, Callable[[RealFunction], list]]:
-    """(calls, sums): the arguments of lattice_sums(f, ts, lam, h) validated,
-    its points split and planned once, its summand calls counted, and
-    ``sums(f)``, which is lattice_sums(f, ts, lam, h) on that plan."""
+    """(calls, sums) for lattice_sums(f, ts, lam, h), its points planned once.
+
+    The arguments are validated as lattice_sums does, ``calls`` is the number
+    of summand calls the sums make, and ``sums(f)`` returns lattice_sums(f,
+    ts, lam, h) on the plan, so a caller can charge the cost before any call
+    and sum without planning again.
+    """
     ts, lam, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
     cells = list(map(_floor_mod, ts, itertools.repeat(h)))
     plan, _, calls = _plan([1], cells, (0, 1), math.inf)
@@ -442,7 +447,8 @@ def lattice_sums_plan(ts: Sequence[float], lam: Scalar, h: float) -> tuple[int, 
 
 
 def lattice_sums_calls(ts: Sequence[float], lam: Scalar, h: float) -> int:
-    """The summand calls of lattice_sums(f, ts, lam, h), its arguments validated alike."""
+    """The number of summand calls lattice_sums(f, ts, lam, h) makes, its
+    arguments validated alike, so a caller can check the cost before any call."""
     return lattice_sums_plan(ts, lam, h)[0]
 
 

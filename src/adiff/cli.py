@@ -64,7 +64,6 @@ prints such fields as ``inf``/``nan``.
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 import os
 import re
@@ -136,22 +135,40 @@ IDENTITY_NAMES = (
 # verify_particular); a test reads _grid here.
 
 
-def _deferred(module: str, name: str):
-    """A function that imports ``module`` when called and forwards to its ``name``."""
+def particular_solution(*args, **kwargs):
+    from .opalgebra import particular_solution
 
-    def forward(*args, **kwargs):
-        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
-
-    forward.__name__ = forward.__qualname__ = name
-    return forward
+    return particular_solution(*args, **kwargs)
 
 
-particular_solution = _deferred("opalgebra", "particular_solution")
-verify_particular = _deferred("opalgebra", "verify_particular")
-build_solution = _deferred("inequality", "build_solution")
-check_inequality = _deferred("inequality", "check_inequality")
-_grid = _deferred("inequality", "_grid")
-run_battery = _deferred("verify", "run_battery")
+def verify_particular(*args, **kwargs):
+    from .opalgebra import verify_particular
+
+    return verify_particular(*args, **kwargs)
+
+
+def build_solution(*args, **kwargs):
+    from .inequality import build_solution
+
+    return build_solution(*args, **kwargs)
+
+
+def check_inequality(*args, **kwargs):
+    from .inequality import check_inequality
+
+    return check_inequality(*args, **kwargs)
+
+
+def _grid(*args, **kwargs):
+    from .inequality import _grid
+
+    return _grid(*args, **kwargs)
+
+
+def run_battery(*args, **kwargs):
+    from .verify import run_battery
+
+    return run_battery(*args, **kwargs)
 
 
 class OutputRecord(_Record):
@@ -396,14 +413,14 @@ def cmd_inequality(args) -> int:
     mu = as_function(args.mu)
     slack = as_function(args.slack)
     # The sign check and the slack match each call slack once per sample; the
-    # sums are planned once, here, and run on that plan by check_inequality.
+    # sums are planned once, here, and charged before build_solution samples.
     max_terms = _resolve_budget(None).max_terms
     _charge("inequality", 2 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
     grid = _grid(args.from_, args.to, args.samples)
     calls, sums = lattice_sums_plan(grid, spec.lam, spec.h)
     _charge("inequality", 2 * args.samples + calls, max_terms, knob=BUDGET_ENV_VAR)
-    solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples, planned=(grid, sums))
-    report = check_inequality(solution, grid)
+    solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
+    report = check_inequality(solution, grid, sums)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"direction={spec.direction.value} samples={report.samples} "
@@ -632,11 +649,6 @@ def _parse(argv: list[str]) -> argparse.Namespace | types.SimpleNamespace:
     return args
 
 
-#: The exit code of an error ``main`` reports: that of the first entry it is an instance of.
-_EXIT_CODES = ((TermBudgetExceeded, EXIT_BUDGET), (CrossCheckError, EXIT_CROSSCHECK), (OSError, EXIT_IO),
-               ((AdiffError, ValueError, OverflowError), EXIT_INPUT))
-
-
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -644,9 +656,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (AdiffError, ValueError, OverflowError, OSError) as exc:
+    except TermBudgetExceeded as exc:
         print(f"adiff: {exc}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        return EXIT_BUDGET
+    except CrossCheckError as exc:
+        print(f"adiff: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
+    except OSError as exc:
+        print(f"adiff: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (AdiffError, ValueError, OverflowError) as exc:
+        print(f"adiff: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

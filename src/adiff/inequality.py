@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .antidiff import RealFunction, lattice_sums_plan, resolvent_sum
 from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
@@ -109,14 +109,12 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
 class SolutionFunction(_Record):
     """Constructed general solution; call it like a function of t."""
 
-    __slots__ = ("spec", "mu", "slack", "planned")
-    _fields = ("spec", "mu", "slack")
+    __slots__ = _fields = ("spec", "mu", "slack")
 
-    def __init__(self, spec: InequalitySpec, mu: RealFunction, slack: RealFunction, planned: tuple | None = None):
+    def __init__(self, spec: InequalitySpec, mu: RealFunction, slack: RealFunction):
         self.spec = spec
         self.mu = mu
         self.slack = slack
-        self.planned = planned  # (points, sums of adiff.antidiff.lattice_sums_plan) or None
 
     def homogeneous(self, t: float) -> float:
         lam, h = self.spec.lam, self.spec.h
@@ -133,13 +131,14 @@ class SolutionFunction(_Record):
     def __call__(self, t: float) -> float:
         return self.homogeneous(t) + self.particular(t)
 
-    def pairs(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+    def pairs(self, ts: Sequence[float], sums: Callable | None = None) -> list[tuple[float, float]]:
         """(y(t), y(t+h)) at each t.
 
         The particular part is read at the lattice points (n, r) and (n+1, r)
-        of t = n*h + r from one :func:`adiff.antidiff.lattice_sums` call (on
-        the kept plan at its points), so y(t+h) sums n+1 slack terms whatever
-        the float t + h rounds to; the homogeneous part is read at t and t + h.
+        of t = n*h + r from one lattice_sums call of :mod:`adiff.antidiff`
+        (or ``sums``, the sums of its lattice_sums_plan(ts, spec.lam, spec.h)
+        planned by the caller), so y(t+h) sums n+1 slack terms whatever the
+        float t + h rounds to; the homogeneous part is read at t and t + h.
         A subclass that replaces :meth:`particular` gives no lattice form, so
         its particular part is read at t and t + h.
         """
@@ -147,7 +146,7 @@ class SolutionFunction(_Record):
         # The homogeneous part first, so an overflow names its sample at once.
         homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
         if type(self).particular is SolutionFunction.particular:
-            sums = self.planned[1] if self.planned and self.planned[0] == ts else lattice_sums_plan(ts, lam, h)[1]
+            sums = sums or lattice_sums_plan(ts, lam, h)[1]
             parts = [(p, q) for _, p, q in sums(self.slack)]
         else:
             parts = [(self.particular(t), self.particular(t + h)) for t in ts]
@@ -192,15 +191,12 @@ def build_solution(
     slack: RealFunction,
     t_range: tuple[float, float] = (0.0, 10.0),
     samples: int = DEFAULT_SAMPLES,
-    planned: tuple | None = None,
 ) -> SolutionFunction:
     """Validate the ingredients by sampling, then assemble the solution.
 
     slack must be >= 0 (direction GEQ) or <= 0 (LEQ) across t_range; mu
     must be h-periodic for lam > 0 and h-antiperiodic for lam < 0, checked
-    on [0, 4h]. Violations raise with the failing sample as witness. The
-    solution keeps ``planned``, points and the sums of lattice_sums_plan(points,
-    spec.lam, spec.h) in :mod:`adiff.antidiff`, for :meth:`SolutionFunction.pairs`.
+    on [0, 4h]. Violations raise with the failing sample as witness.
     """
     lo, hi = t_range
     for t in _grid(lo, hi, samples):
@@ -222,16 +218,18 @@ def build_solution(
             f"mu is not {kind.value} with period {spec.h} (fails at t = {membership.witness!r})",
             witness=membership.witness,
         )
-    return SolutionFunction(spec, mu, slack, planned)
+    return SolutionFunction(spec, mu, slack)
 
 
 def check_inequality(
-    y: SolutionFunction, t_samples: Sequence[float]
+    y: SolutionFunction, t_samples: Sequence[float], sums: Callable | None = None
 ) -> InequalityReport:
     """Evaluate r(t) = y(t+h) - lam*y(t) at each sample and grade it.
 
     y(t) and y(t+h) come from :meth:`SolutionFunction.pairs`, which reads the
-    particular part at the lattice points (n, r) and (n+1, r) of t.
+    particular part at the lattice points (n, r) and (n+1, r) of t; ``sums``,
+    if given, is the sums of lattice_sums_plan(t_samples, spec.lam, spec.h)
+    in :mod:`adiff.antidiff`, which pairs then runs instead of planning again.
 
     Records the residual range, any sample where the residual crosses the
     direction boundary beyond BOUNDARY_TOL, and how far the residual drifts
@@ -246,7 +244,7 @@ def check_inequality(
         min_residual=math.inf,
         max_residual=-math.inf,
     )
-    for t, (y_t, ahead) in zip(t_samples, y.pairs(t_samples)):
+    for t, (y_t, ahead) in zip(t_samples, y.pairs(t_samples, sums)):
         behind = spec.lam * y_t
         r = ahead - behind
         scale = 1.0 + abs(ahead) + abs(behind)
