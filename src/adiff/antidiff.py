@@ -41,9 +41,9 @@ highest first, folds each layer against one weight row (the running
 product of lam, none at lam = 1.0) and reads |op y - f(t)|. It serves
 ``eval``, the sum tables and :func:`adiff.opalgebra.solve_rows` through
 :func:`lattice_rows`, and :mod:`adiff.inequality` through
-:func:`lattice_sums`, its one-factor case g = h, m = [1], planned and
-counted by :func:`lattice_sums_plan`. A :class:`TermBudget` bounds the
-work one command may do; the engine hands it to a charge before any call.
+:func:`lattice_sums_plan`, its one-factor case g = h, m = [1], planned
+and counted once. A :class:`TermBudget` bounds the work one command may
+do; the engine hands it to a charge before any call.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -411,29 +411,15 @@ def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) ->
     return None if cmath.isfinite(value) else (None, t, value)
 
 
-def lattice_sums(f: RealFunction, ts: Sequence[float], lam: Scalar, h: float,
-                 charge: Callable[[int], None] | None = None) -> list[tuple[int, Scalar, Scalar]]:
-    """Resolvent sums of f at the points ts, each summand value computed once.
-
-    Returns (n, y(t), y(t+h)) for each t = n*h + r, with n clamped at 0,
-    y(t) = y(n, r) and y(t+h) = y(n+1, r) in the lattice coordinates of the
-    module docstring: the engine at g = h, m = [1], in its field. ``charge``,
-    if given, is called with the number of summand calls the sums make (that
-    of :func:`lattice_sums_calls`) before the first of them, and may raise.
-    """
-    calls, sums = lattice_sums_plan(ts, lam, h)
-    if charge is not None:
-        charge(calls)
-    return sums(f)
-
-
 def lattice_sums_plan(ts: Sequence[float], lam: Scalar, h: float) -> tuple[int, Callable[[RealFunction], list]]:
-    """(calls, sums) for lattice_sums(f, ts, lam, h), its points planned once.
+    """(calls, sums) for the resolvent sums at the points ts, planned once.
 
-    The arguments are validated as lattice_sums does, ``calls`` is the number
-    of summand calls the sums make, and ``sums(f)`` returns lattice_sums(f,
-    ts, lam, h) on the plan, so a caller can charge the cost before any call
-    and sum without planning again.
+    ``calls`` is the number of summand calls the sums make, so a caller can
+    charge the cost before any call, and ``sums(f)`` returns (n, y(t),
+    y(t+h)) for each t = n*h + r, with n clamped at 0, y(t) = y(n, r) and
+    y(t+h) = y(n+1, r) in the lattice coordinates of the module docstring:
+    the engine at g = h, m = [1], in its field, each summand value computed
+    once.
     """
     ts, lam, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
     cells = list(map(_floor_mod, ts, itertools.repeat(h)))
@@ -444,12 +430,6 @@ def lattice_sums_plan(ts: Sequence[float], lam: Scalar, h: float) -> tuple[int, 
         return [(n if n > 0 else 0, tops[r][0][n], tops[r][0][n + 1]) for n, r in cells]
 
     return calls, sums
-
-
-def lattice_sums_calls(ts: Sequence[float], lam: Scalar, h: float) -> int:
-    """The number of summand calls lattice_sums(f, ts, lam, h) makes, its
-    arguments validated alike, so a caller can check the cost before any call."""
-    return lattice_sums_plan(ts, lam, h)[0]
 
 
 def antidifference(f: RealFunction, t: float) -> AntidiffValue:
@@ -465,10 +445,10 @@ def antidifference(f: RealFunction, t: float) -> AntidiffValue:
 def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> AntidiffValue:
     """Particular solution of y(t+h) - lam*y(t) = f(t) as a finite sum.
 
-    The one-point case of :func:`lattice_sums`: for t = n*h + r, the sum
-    sum_{s=1..n} lam^(s-1) f(r + (n-s)*h) in ascending s, with the weight
-    kept as a running product. Accumulation is complex exactly when ``lam``
-    is passed as a complex number.
+    The one-point case of :func:`lattice_sums_plan`: for t = n*h + r, the
+    sum sum_{s=1..n} lam^(s-1) f(r + (n-s)*h) in ascending s, with the
+    weight kept as a running product. Accumulation is complex exactly when
+    ``lam`` is passed as a complex number.
     """
     t = _require_finite(t)
     lam = _coefficient(lam)

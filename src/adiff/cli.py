@@ -132,7 +132,7 @@ IDENTITY_NAMES = (
 # imports its layer when called and forwards to the function of its name
 # there. Commands call those layers through these module globals, which
 # bench/tracing.py wraps by name (it alone looks up particular_solution and
-# verify_particular); a test reads _grid here.
+# verify_particular).
 
 
 def particular_solution(*args, **kwargs):
@@ -159,12 +159,6 @@ def check_inequality(*args, **kwargs):
     return check_inequality(*args, **kwargs)
 
 
-def _grid(*args, **kwargs):
-    from .inequality import _grid
-
-    return _grid(*args, **kwargs)
-
-
 def run_battery(*args, **kwargs):
     from .verify import run_battery
 
@@ -176,28 +170,21 @@ class OutputRecord(_Record):
 
     __slots__ = _fields = ("t", "value", "imag", "terms_used", "residual")
 
-    def __init__(
-        self, t: float, value: float, imag: float, terms_used: int, residual: float | None = None
-    ):
+    def __init__(self, t: float, value: float, imag: float, terms_used: int, residual: float):
         self.t = t
         self.value = value
         self.imag = imag
         self.terms_used = terms_used
         self.residual = residual
 
-    # Each format's templates with a residual and without one. x + 0.0 folds
-    # -0.0, and '%.17g' % x gives the bytes of fmt17(x).
-    _TEXT = ("t=%.17g value=%.17g imag=%.17g terms_used=%d residual=%.17g",
-             "t=%.17g value=%.17g imag=%.17g terms_used=%d")
-    _CSV = ("%.17g,%.17g,%.17g,%d,%.17g", "%.17g,%.17g,%.17g,%d,")
-    _JSON = ('{"t": %.17g, "value": %.17g, "imag": %.17g, "terms_used": %d, "residual": %.17g}',
-             '{"t": %.17g, "value": %.17g, "imag": %.17g, "terms_used": %d, "residual": null}')
+    # Each format's template. x + 0.0 folds -0.0, and '%.17g' % x gives the
+    # bytes of fmt17(x).
+    _TEXT = "t=%.17g value=%.17g imag=%.17g terms_used=%d residual=%.17g"
+    _CSV = "%.17g,%.17g,%.17g,%d,%.17g"
+    _JSON = '{"t": %.17g, "value": %.17g, "imag": %.17g, "terms_used": %d, "residual": %.17g}'
 
-    def _render(self, templates: tuple[str, str]) -> str:
-        head = (self.t + 0.0, self.value + 0.0, self.imag + 0.0, self.terms_used)
-        if self.residual is None:
-            return templates[1] % head
-        return templates[0] % (*head, self.residual + 0.0)
+    def _render(self, template: str) -> str:
+        return template % (self.t + 0.0, self.value + 0.0, self.imag + 0.0, self.terms_used, self.residual + 0.0)
 
     def text_line(self) -> str:
         return self._render(self._TEXT)
@@ -206,10 +193,9 @@ class OutputRecord(_Record):
         return self._render(self._CSV)
 
     def json_line(self) -> str:
-        isfinite, resid = math.isfinite, self.residual
-        if not (isfinite(self.t) and isfinite(self.value) and isfinite(self.imag)
-                and (resid is None or isfinite(resid))):
-            key = next(k for k in ("t", "value", "imag", "residual") if not isfinite(getattr(self, k) or 0.0))
+        isfinite = math.isfinite
+        if not (isfinite(self.t) and isfinite(self.value) and isfinite(self.imag) and isfinite(self.residual)):
+            key = next(k for k in ("t", "value", "imag", "residual") if not isfinite(getattr(self, k)))
             text = fmt17(getattr(self, key))
             raise DomainError(f"{key}={text} at t={fmt17(self.t)} has no JSON form; use --format csv")
         return self._render(self._JSON)
@@ -404,7 +390,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inequality(args) -> int:
-    from .inequality import Direction, InequalitySpec
+    from .inequality import Direction, InequalitySpec, _grid
 
     _check_range(args.from_, args.to)
     if args.samples < 1:

@@ -135,10 +135,10 @@ class SolutionFunction(_Record):
         """(y(t), y(t+h)) at each t.
 
         The particular part is read at the lattice points (n, r) and (n+1, r)
-        of t = n*h + r from one lattice_sums call of :mod:`adiff.antidiff`
-        (or ``sums``, the sums of its lattice_sums_plan(ts, spec.lam, spec.h)
-        planned by the caller), so y(t+h) sums n+1 slack terms whatever the
-        float t + h rounds to; the homogeneous part is read at t and t + h.
+        of t = n*h + r from the sums of lattice_sums_plan(ts, spec.lam,
+        spec.h) in :mod:`adiff.antidiff` (``sums``, if the caller planned
+        them), so y(t+h) sums n+1 slack terms whatever the float t + h rounds
+        to; the homogeneous part is read at t and t + h.
         A subclass that replaces :meth:`particular` gives no lattice form, so
         its particular part is read at t and t + h.
         """

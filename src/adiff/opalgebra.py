@@ -159,17 +159,14 @@ def common_lattice(op: FactoredOperator) -> tuple[float, list[int]]:
     return unit / den, [n // unit for n in nums]
 
 
-def lattice_plan(
-    op: FactoredOperator, ts: Sequence[float], residuals: bool = True, allowance: float = math.inf
-) -> tuple[dict[float, list] | None, int]:
+def lattice_plan(op: FactoredOperator, ts: Sequence[float], residuals: bool = True) -> tuple[dict[float, list], int]:
     """({rho: sets}, work) of :func:`solve_rows`: the index sets of
     :func:`adiff.antidiff._index_sets` per remainder class, and the terms,
-    summand calls and (with ``residuals``) f(t) calls the rows make; the
-    sets are None when the work is above ``allowance``."""
+    summand calls and (with ``residuals``) f(t) calls the rows make."""
     g, ms = common_lattice(op)
     rows = len(ts) if residuals else 0
     cells = [(cell.n, cell.r) for cell in (floor_mod(t, g) for t in ts)]
-    plan, terms, calls = _plan(ms, cells, _subset_sums(ms) if residuals else [0], allowance - rows)
+    plan, terms, calls = _plan(ms, cells, _subset_sums(ms) if residuals else [0], math.inf)
     return plan, rows + terms + calls
 
 

@@ -22,7 +22,7 @@ from adiff.antidiff import (
     definite_sum_calls,
     exp_antidifference,
     gamma_ratio_product,
-    lattice_sums,
+    lattice_sums_plan,
     mueller_sum,
     mueller_sums,
     nonfinite_summand,
@@ -656,6 +656,10 @@ def float_shift_sum(f, t, n, lam, h, first=1):
         acc += w * f(t - h * s)
         w *= lam
     return acc
+
+
+def lattice_sums(f, ts, lam, h):
+    return lattice_sums_plan(ts, lam, h)[1](f)
 
 
 def engine_classes(f, ts, h, lam, offsets):

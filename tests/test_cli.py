@@ -29,9 +29,10 @@ from adiff.cli import (
     parse_complex,
     parse_factors,
 )
-from adiff.antidiff import lattice_sums_calls
+from adiff.antidiff import lattice_sums_plan
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
+from adiff.inequality import _grid
 from adiff.numkit import fmt17
 from adiff.opalgebra import FactoredOperator, lattice_plan, particular_solution, verify_particular
 from conftest import CORPUS_EXPRS
@@ -68,10 +69,12 @@ class TestParseComplex:
         assert got == expected
         assert isinstance(got, complex) == isinstance(expected, complex)
 
-    @pytest.mark.parametrize("text", ["", "pi", "1+", "2x", "1 + 2i"])
+    @pytest.mark.parametrize("text", ["", "pi", "1+", "2x", "1 + 2i", "nan", "1e400"])
     def test_rejected(self, text):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             parse_complex(text)
+        if text in ("nan", "1e400"):  # complex() reads these, as nan and inf
+            assert str(info.value) == f"number {text!r} is not finite"
 
 
 class TestParseFactors:
@@ -450,10 +453,10 @@ class TestTable:
         [("antidiff", "1", "12", "0.5"), ("resolvent", "0.3", "9.1", "0.7"), ("resolvent", "1", "70000", "35000")],
     )
     def test_sum_modes_charge_the_exact_call_count(self, capsys, summand_calls, mode, h, hi, step):
-        # The calls of lattice_sums plus each row's f(t); the last case is
+        # The calls of the sums plus each row's f(t); the last case is
         # over the class cap, where each count refolds.
         ts = [i * float(step) for i in range(round(float(hi) / float(step)) + 1)]
-        calls = lattice_sums_calls(ts, 1.0, float(h) if mode == "resolvent" else 1.0) + len(ts)
+        calls = lattice_sums_plan(ts, 1.0, float(h) if mode == "resolvent" else 1.0)[0] + len(ts)
         argv = ("table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
                 "--mode", mode, "--h", h, "--lambda", "0.5", "--budget")
         code, out, err = run_main(capsys, *argv, str(calls - 1))
@@ -873,6 +876,20 @@ class TestInequalityCommand:
         assert run_main(capsys, *argv) == unpatched and unpatched[0] == EXIT_OK
         assert len(plans) == 1
 
+    def test_violations_are_reported(self, capsys):
+        # mu passes the periodicity check on [0, 4h] but jumps at 10 and 20,
+        # so y(t+h) - y(t) is 1 at the samples just below each jump.
+        code, out, _ = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", "1", "--direction", "leq", "--mu", "floor(t/10)",
+            "--slack", "0", "--from", "0", "--to", "20", "--samples", "41",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines() == [
+            "direction=leq samples=41 min_residual=0 max_residual=1 max_slack_mismatch=0.5 violations=4 FAIL",
+            *(f"violation at t={t}" for t in ("9", "9.5", "19", "19.5")),
+        ]
+
     def test_boundary_antiperiodic_passes(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -988,8 +1005,8 @@ class TestInequalityCommand:
             return (lambda u: seen.append(u) or f(u)) if source == "1" else f
 
         monkeypatch.setattr(cli, "as_function", recording)
-        grid = cli._grid(0.0, float(to), int(samples))
-        calls = 2 * int(samples) + lattice_sums_calls(grid, float(lam), float(h))
+        grid = _grid(0.0, float(to), int(samples))
+        calls = 2 * int(samples) + lattice_sums_plan(grid, float(lam), float(h))[0]
         argv = ("inequality", "--h", h, "--lambda", lam, "--direction", "geq", "--mu", "0",
                 "--slack", "1", "--from", "0", "--to", to, "--samples", samples)
         monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls - 1))
@@ -1469,7 +1486,7 @@ class TestLatticeRows:
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.floats(-5.0, 300.0), st.sampled_from(["1", "0.5", "0.1", "0.3", "2", "7"]), st.integers(1, 400))
     def test_eval_refused_exactly_when_over_budget(self, t, h, budget):
-        calls = lattice_sums_calls([t], 1.0, float(h)) + 1
+        calls = lattice_sums_plan([t], 1.0, float(h))[0] + 1
         code, _ = _main_quiet("eval", "--expr", "1", f"--t={t!r}", "--h", h, "--budget", str(budget))
         assert code == (EXIT_BUDGET if calls > budget else EXIT_OK), (t, h, budget, calls)
 
@@ -1482,6 +1499,12 @@ class TestLatticeRows:
         assert code == EXIT_OK
         code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "21", "--h", "0.5")
         assert code == EXIT_BUDGET
+
+    def test_non_integer_env_budget_exits_2(self, capsys, monkeypatch, summand_calls):
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", "abc")
+        code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "1")
+        assert (code, out, summand_calls[0]) == (EXIT_INPUT, "", 0)
+        assert err == "adiff: ADIFF_TERM_BUDGET must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1735,7 +1758,7 @@ class TestRowRendering:
     """text_line, csv_row and json_line give the bytes of fmt17 per field, joined."""
 
     @settings(max_examples=1500, deadline=None, database=None)
-    @given(_row_floats, _row_floats, _row_floats, st.integers(0, 10**30), st.none() | _row_floats)
+    @given(_row_floats, _row_floats, _row_floats, st.integers(0, 10**30), _row_floats)
     def test_renderers_match_the_per_field_oracle(self, t, value, imag, terms_used, residual):
         row = OutputRecord(t, value, imag, terms_used, residual)
         fields = _fields_oracle(row)

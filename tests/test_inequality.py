@@ -189,12 +189,13 @@ class TestCheckInequality:
         assert not report.violations
         assert report.max_slack_mismatch > 100 * SLACK_MATCH_TOL
 
-    def test_direction_violation_reported(self):
+    @pytest.mark.parametrize("direction, slack", [(Direction.GEQ, -0.5), (Direction.LEQ, 0.5)], ids=["geq", "leq"])
+    def test_direction_violation_reported(self, direction, slack):
         # Bypass build-time checks to exercise the reporting path.
         from adiff.inequality import SolutionFunction
 
-        spec = InequalitySpec(1.0, 1.0, Direction.GEQ)
-        bad = SolutionFunction(spec, ZERO, lambda t: -0.5)
+        spec = InequalitySpec(1.0, 1.0, direction)
+        bad = SolutionFunction(spec, ZERO, lambda t: slack)
         report = check_inequality(bad, grid(0.0, 6.0, 32))
         assert not report.passed
         assert report.violations

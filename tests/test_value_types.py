@@ -165,10 +165,6 @@ class TestDefaultsAndKeywords:
         assert report == InequalityReport(Direction.GEQ, 3, -1.0, 2.0, [], 0.0, True)
 
     def test_defaults(self):
-        assert OutputRecord(0.5, 1.0, 0.0, 3).residual is None
-        assert repr(OutputRecord(0.5, 1.0, 0.0, 3)) == (
-            "OutputRecord(t=0.5, value=1.0, imag=0.0, terms_used=3, residual=None)"
-        )
         assert repr(MembershipResult(True)) == "MembershipResult(ok=True, witness=None)"
         assert TermBudget() == TermBudget(10_000_000)
         assert repr(TermBudget()) == "TermBudget(max_terms=10000000)"
