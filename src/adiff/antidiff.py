@@ -35,15 +35,14 @@ antidifferences F(n+1) and F(m) together, in the same order, so that
 each f(k) is computed once.
 
 Many points go through the package's one lattice engine (section "the
-engine" below), which splits each point with :func:`adiff.numkit.floor_mod`,
-plans each remainder class, calls the summand once per planned index,
-highest first, folds each layer against one weight row (the running
-product of lam, none at lam = 1.0) and reads |op y - f(t)|. It serves
-``eval``, the sum tables and :func:`adiff.opalgebra.solve_rows` through
-:func:`lattice_rows`, and :mod:`adiff.inequality` through
-:func:`lattice_sums_plan`, its one-factor case g = h, m = [1], planned
-and counted once. A :class:`TermBudget` bounds the work one command may
-do; the engine hands it to a charge before any call.
+engine" below). Its one entry, :func:`lattice_plan`, splits each point
+with :func:`adiff.numkit.floor_mod`, plans each remainder class and
+returns the plan's work with ``rows``, which calls the summand once per
+planned index, highest first, folds each layer against one weight row
+(the running product of lam, none at lam = 1.0) and reads |op y - f(t)|,
+or y(t+h). ``eval``, the sum tables, :mod:`adiff.inequality` (the
+one-factor case g = h, m = [1]) and :func:`adiff.opalgebra.solve_rows`
+use it: each charges the work against its :class:`TermBudget`, then sums.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -54,6 +53,7 @@ sum_{s=1..floor(x)} f(x-s) = F(x) - F({x}).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -355,51 +355,66 @@ def _combine(v: list, lams: Sequence[Scalar]) -> Scalar:
     return v[0]
 
 
-def lattice_rows(f: RealFunction, ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequence[Scalar],
-                 charge: Callable[[int, int, bool], None], residuals: bool = True,
-                 allowance: float = math.inf) -> tuple[list[int], list[Scalar], list[float] | None]:
-    """The columns n, y(t) and |op y - f|(t) for the points ts, y the
-    particular solution of prod_i (E^(m_i g) - lam_i) y = f: the engine's
-    one entry for rows.
+def lattice_plan(ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequence[Scalar], residuals: bool = True,
+                 allowance: float = math.inf) -> tuple[int, int, Callable | None]:
+    """(terms, calls, rows) for the points ts of y, the particular solution of
+    prod_i (E^(m_i g) - lam_i) y = f: the engine's one entry.
+
+    It splits each point once and plans each remainder class once.
+    ``terms`` and ``calls`` are the plan's layer terms and summand calls,
+    for the caller to charge before any summand call; past ``allowance``
+    the plan stops, they count only the layers walked, and ``rows`` is
+    None. ``rows(f)`` sums the plan and returns the columns of
+    :func:`_rows`. Without ``residuals`` the plan reads no shifted point.
+    """
+    ts = list(map(_require_finite, ts))
+    lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
+    offsets = _subset_sums(ms) if residuals else None
+    cells = list(map(_floor_mod, ts, itertools.repeat(g)))
+    plan, terms, calls = _plan(ms, cells, offsets or [0], allowance)
+    if plan is None:
+        return terms, calls, None
+    return terms, calls, functools.partial(_rows, ts, g, ms, lams, cells, plan, offsets)
+
+
+def _rows(ts: list[float], g: float, ms: Sequence[int], lams: list, cells: list, plan: dict, offsets: list[int] | None,
+          f: RealFunction, ahead: bool = False) -> tuple[list[int], list[Scalar], list | None]:
+    """The columns n, y(t) and |op y - f|(t) of a plan of :func:`lattice_plan`.
 
     n is N // m_k clamped at 0. The residual reads y(t + h) - lam*y(t) at one
     factor, else combines the top layer at the 2^k indices N + (sum of a
     subset of the m_i) by :func:`_combine` (the same arithmetic at k = 1),
-    with the lams of the row's field, and subtracts f(t) at the float t;
-    without ``residuals`` its column is None and neither is computed.
-    ``charge(terms, calls, complete)`` sees the plan's work before the first
-    summand call and may raise; ``complete`` is False above ``allowance``.
+    with the lams of the row's field, and subtracts f(t) at the float t, one
+    call per row that ``calls`` leaves out. With ``ahead`` the third column
+    is y(t + h) of a one-factor plan instead, and f(t) is not called;
+    without ``offsets`` (no residuals) it is None.
     """
-    ts = list(map(_require_finite, ts))
-    lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
-    offsets = _subset_sums(ms) if residuals else [0]
-    cells = list(map(_floor_mod, ts, itertools.repeat(g)))
-    plan, terms, calls = _plan(ms, cells, offsets, allowance)
-    charge(terms, calls, plan is not None)
     tops = _lattice(f, g, ms, lams, plan)
     m = ms[-1]
     one = len(ms) == 1
-    counts, values, resids = [], [], []
+    counts, values, thirds = [], [], []
     for t, (n, rho) in zip(ts, cells):
         y, field = tops[rho]
         counts.append(n // m if n > 0 else 0)
         values.append(y[n])
-        if residuals:
+        if ahead:
+            thirds.append(y[n + 1])
+        elif offsets:
             d = (y[n + 1] - field[0] * y[n] if one else _combine([y[n + s] for s in offsets], field)) - f(t)
             try:
-                resids.append(abs(d))
+                thirds.append(abs(d))
             except OverflowError:
                 # Complex abs() raises past the float range, and on a NaN part while
                 # errno holds an ERANGE a summand caught (exp overflow); hypot reads both.
-                resids.append(math.hypot(d.real, d.imag))
-    return counts, values, resids if residuals else None
+                thirds.append(math.hypot(d.real, d.imag))
+    return counts, values, thirds if offsets else None
 
 
 def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:
-    """The first value that a one-point :func:`lattice_rows` call at t reads
-    and that is not finite, as (index, point, value), or None: the summand
-    at rho + I*g, highest index I first, then the residual's f(t), whose
-    index is None. It calls f again, so it belongs on a failure path."""
+    """The first value that the rows of a one-point :func:`lattice_plan` at t
+    read and that is not finite, as (index, point, value), or None: the
+    summand at rho + I*g, highest index I first, then the residual's f(t),
+    whose index is None. It calls f again, so it belongs on a failure path."""
     n, rho = _floor_mod(t, g)
     plan, _, _ = _plan(ms, [(n, rho)], _subset_sums(ms), math.inf)
     for index in _descending(plan[rho][0]):
@@ -409,27 +424,6 @@ def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) ->
             return index, point, value
     value = f(t)
     return None if cmath.isfinite(value) else (None, t, value)
-
-
-def lattice_sums_plan(ts: Sequence[float], lam: Scalar, h: float) -> tuple[int, Callable[[RealFunction], list]]:
-    """(calls, sums) for the resolvent sums at the points ts, planned once.
-
-    ``calls`` is the number of summand calls the sums make, so a caller can
-    charge the cost before any call, and ``sums(f)`` returns (n, y(t),
-    y(t+h)) for each t = n*h + r, with n clamped at 0, y(t) = y(n, r) and
-    y(t+h) = y(n+1, r) in the lattice coordinates of the module docstring:
-    the engine at g = h, m = [1], in its field, each summand value computed
-    once.
-    """
-    ts, lam, h = [_require_finite(t) for t in ts], _coefficient(lam), _require_positive_shift(h)
-    cells = list(map(_floor_mod, ts, itertools.repeat(h)))
-    plan, _, calls = _plan([1], cells, (0, 1), math.inf)
-
-    def sums(f: RealFunction) -> list[tuple[int, Scalar, Scalar]]:
-        tops = _lattice(f, h, [1], [lam], plan)
-        return [(n if n > 0 else 0, tops[r][0][n], tops[r][0][n + 1]) for n, r in cells]
-
-    return calls, sums
 
 
 def antidifference(f: RealFunction, t: float) -> AntidiffValue:
@@ -445,10 +439,10 @@ def antidifference(f: RealFunction, t: float) -> AntidiffValue:
 def resolvent_sum(f: RealFunction, t: float, lam: Scalar, h: float = 1.0) -> AntidiffValue:
     """Particular solution of y(t+h) - lam*y(t) = f(t) as a finite sum.
 
-    The one-point case of :func:`lattice_sums_plan`: for t = n*h + r, the
-    sum sum_{s=1..n} lam^(s-1) f(r + (n-s)*h) in ascending s, with the
-    weight kept as a running product. Accumulation is complex exactly when
-    ``lam`` is passed as a complex number.
+    The one-point case of the rows of :func:`lattice_plan`: for
+    t = n*h + r, the sum sum_{s=1..n} lam^(s-1) f(r + (n-s)*h) in ascending
+    s, with the weight kept as a running product. Accumulation is complex
+    exactly when ``lam`` is passed as a complex number.
     """
     t = _require_finite(t)
     lam = _coefficient(lam)

@@ -28,14 +28,16 @@ A table first charges one call per row, before it builds its points, and
 refused before its list is built. ``sum`` exits 2 on a result that is not
 finite.
 
-``eval``, the sum tables and ``solve`` and its table read every value and
-residual from one call of the lattice engine ``antidiff.lattice_rows`` (the
-sums as its one-factor case g = h, m = [1], ``solve`` through
-``opalgebra.solve_rows``), which computes each summand value once, highest
-lattice index first. ``eval`` and ``solve`` refuse (exit 2) a value or
-residual that is not finite through one helper, naming the first
-non-finite summand value in that order, or say that the sum or solution
-overflows; ``terms_used`` of a solve is the outermost factor's term count.
+``eval``, the sum tables, ``inequality`` and ``solve`` and its table plan
+their points once with the lattice engine's one entry
+``antidiff.lattice_plan`` (the sums as its one-factor case g = h, m = [1],
+``solve`` through ``opalgebra.solve_rows``), charge the work it returns,
+then read every value and residual from its rows, which compute each
+summand value once, highest lattice index first. ``eval`` and ``solve``
+refuse (exit 2) a value or residual that is not finite through one
+helper, naming the first non-finite summand value in that order, or say
+that the sum or solution overflows; ``terms_used`` of a solve is the
+outermost factor's term count.
 
 What loads when: importing this module loads ``errors``, ``numkit``,
 ``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
@@ -75,8 +77,7 @@ from .antidiff import (
     TermBudget,
     definite_sum,
     definite_sum_calls,
-    lattice_rows,
-    lattice_sums_plan,
+    lattice_plan,
     nonfinite_summand,
 )
 from .errors import (
@@ -267,8 +268,9 @@ def _sum_rows(f, ts: list[float], lam: float | complex, h: float, command: str, 
     """The points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|
     (the antidifference is lam = h = 1.0): the lattice engine at g = h, m = [1],
     charging its summand calls plus one f(t) per row before the first call."""
-    charge = lambda terms, calls, complete: _charge(command, calls + len(ts), max_terms)
-    counts, values, resids = lattice_rows(f, ts, h, [1], [lam], charge)
+    _, calls, rows = lattice_plan(ts, h, [1], [lam])
+    _charge(command, calls + len(ts), max_terms)
+    counts, values, resids = rows(f)
     return [OutputRecord(t, y.real, y.imag, n, r) for t, n, y, r in zip(ts, counts, values, resids)]
 
 
@@ -403,10 +405,10 @@ def cmd_inequality(args) -> int:
     max_terms = _resolve_budget(None).max_terms
     _charge("inequality", 2 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
     grid = _grid(args.from_, args.to, args.samples)
-    calls, sums = lattice_sums_plan(grid, spec.lam, spec.h)
+    _, calls, rows = lattice_plan(grid, spec.h, [1], [spec.lam])
     _charge("inequality", 2 * args.samples + calls, max_terms, knob=BUDGET_ENV_VAR)
     solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
-    report = check_inequality(solution, grid, sums)
+    report = check_inequality(solution, grid, rows)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"direction={spec.direction.value} samples={report.samples} "

@@ -210,9 +210,7 @@ class _Parser:
         if op != "^":
             return base
         self.k += 1
-        depth += 1  # a chain of '^' recurses here, once per operator
-        if depth > _MAX_DEPTH:
-            raise _too_deep(self.tokens[self.k])
+        depth += 1  # a chain of '^' recurses here, once per operator; unary checks it
         return Binary("^", base, self.factor(depth), pos)
 
     def unary(self, depth: int) -> ExprAst:

@@ -22,7 +22,7 @@ import enum
 import math
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, lattice_sums_plan, resolvent_sum
+from .antidiff import RealFunction, lattice_plan, resolvent_sum
 from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
 from .numkit import _Frozen, _Record, _set
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
@@ -131,14 +131,15 @@ class SolutionFunction(_Record):
     def __call__(self, t: float) -> float:
         return self.homogeneous(t) + self.particular(t)
 
-    def pairs(self, ts: Sequence[float], sums: Callable | None = None) -> list[tuple[float, float]]:
+    def pairs(self, ts: Sequence[float], rows: Callable | None = None) -> list[tuple[float, float]]:
         """(y(t), y(t+h)) at each t.
 
         The particular part is read at the lattice points (n, r) and (n+1, r)
-        of t = n*h + r from the sums of lattice_sums_plan(ts, spec.lam,
-        spec.h) in :mod:`adiff.antidiff` (``sums``, if the caller planned
-        them), so y(t+h) sums n+1 slack terms whatever the float t + h rounds
-        to; the homogeneous part is read at t and t + h.
+        of t = n*h + r by ``rows(slack, ahead=True)``, the rows of
+        lattice_plan(ts, spec.h, [1], [spec.lam]) in :mod:`adiff.antidiff`
+        (``rows``, if the caller planned them), so y(t+h) sums n+1 slack
+        terms whatever the float t + h rounds to; the homogeneous part is
+        read at t and t + h.
         A subclass that replaces :meth:`particular` gives no lattice form, so
         its particular part is read at t and t + h.
         """
@@ -146,8 +147,8 @@ class SolutionFunction(_Record):
         # The homogeneous part first, so an overflow names its sample at once.
         homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
         if type(self).particular is SolutionFunction.particular:
-            sums = sums or lattice_sums_plan(ts, lam, h)[1]
-            parts = [(p, q) for _, p, q in sums(self.slack)]
+            rows = rows or lattice_plan(ts, h, [1], [lam])[2]
+            parts = zip(*rows(self.slack, ahead=True)[1:])
         else:
             parts = [(self.particular(t), self.particular(t + h)) for t in ts]
         return [(at + p, ahead + q) for (ahead, at), (p, q) in zip(homogeneous, parts)]
@@ -222,14 +223,14 @@ def build_solution(
 
 
 def check_inequality(
-    y: SolutionFunction, t_samples: Sequence[float], sums: Callable | None = None
+    y: SolutionFunction, t_samples: Sequence[float], rows: Callable | None = None
 ) -> InequalityReport:
     """Evaluate r(t) = y(t+h) - lam*y(t) at each sample and grade it.
 
     y(t) and y(t+h) come from :meth:`SolutionFunction.pairs`, which reads the
-    particular part at the lattice points (n, r) and (n+1, r) of t; ``sums``,
-    if given, is the sums of lattice_sums_plan(t_samples, spec.lam, spec.h)
-    in :mod:`adiff.antidiff`, which pairs then runs instead of planning again.
+    particular part at the lattice points (n, r) and (n+1, r) of t; ``rows``,
+    if given, is the rows of lattice_plan(t_samples, spec.h, [1], [spec.lam])
+    in :mod:`adiff.antidiff`, which pairs then sums instead of planning again.
 
     Records the residual range, any sample where the residual crosses the
     direction boundary beyond BOUNDARY_TOL, and how far the residual drifts
@@ -244,7 +245,7 @@ def check_inequality(
         min_residual=math.inf,
         max_residual=-math.inf,
     )
-    for t, (y_t, ahead) in zip(t_samples, y.pairs(t_samples, sums)):
+    for t, (y_t, ahead) in zip(t_samples, y.pairs(t_samples, rows)):
         behind = spec.lam * y_t
         r = ahead - behind
         scale = 1.0 + abs(ahead) + abs(behind)

@@ -19,7 +19,7 @@ its shortest decimal form, repr(h), so 0.1 is 1/10 and 0.3 is 3/10. The
 lattice unit g is the gcd of these ratios and every step is an integer
 multiple m_i = h_i/g of it (steps 0.1 and 0.3: g = 1/10, m = 1 and 3; one
 step h: g = h, m = [1]). :func:`solve_rows` hands this lattice to the
-package's lattice engine, :func:`adiff.antidiff.lattice_rows`, which works
+package's lattice engine, :func:`adiff.antidiff.lattice_plan`, which works
 on integer indices: a point splits once as t = N*g + rho, the layer of
 factor i at index N takes (n, q) = divmod(N, m_i) and sums its inner layer
 at q + k*m_i in ascending s, and the summand is read at rho + I*g, once
@@ -31,16 +31,16 @@ holds at non-dyadic steps. A one-factor solution equals ``eval`` and
 
 The engine plans before it sums: per remainder rho, each layer's index
 set, top down, a union of ranges whose loop lengths are floor sums.
-:func:`solve_rows` charges the budget once, before any summand call, with
-the exact work (the terms every layer adds, one summand call per summand
-index, one f(t) per residual), and the walk stops once the layers above
-are over budget; :func:`lattice_plan` returns the sets and the work. No
-value outlives the call, since f may close over state that changes
-between calls. A remainder class whose lams are all real and whose
-summand values add up to a float runs in float arithmetic, any other in
-complex: the same real parts, bit for bit, for finite values; where a
-value overflows, inf where the complex fold reads nan. Either way the
-values come back as complex numbers.
+:func:`solve_rows` charges the budget once, between the plan and the
+first summand call, with the exact work (the terms every layer adds, one
+summand call per summand index, one f(t) per residual), and the walk
+stops once the layers above are over budget. No value outlives the
+call, since f may close over state that changes between calls. A
+remainder class whose lams are all real and whose summand values add up
+to a float runs in float arithmetic, any other in complex: the same real
+parts, bit for bit, for finite values; where a value overflows, inf
+where the complex fold reads nan. Either way the values come back as
+complex numbers.
 
 Every operator has this lattice. Indices are Python integers and the index
 sets are ranges, so a large m_i adds no work: steps with no short common
@@ -58,16 +58,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from .antidiff import (
-    RealFunction,
-    Scalar,
-    TermBudget,
-    _combine,
-    _plan,
-    _subset_sums,
-    lattice_rows,
-    resolvent_sum,
-)
+from .antidiff import RealFunction, Scalar, TermBudget, _combine, lattice_plan, resolvent_sum
 from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
 from .numkit import _Frozen, _require_finite, _set, floor_mod
 
@@ -113,7 +104,7 @@ def apply_operator(op: FactoredOperator, y: Callable[[float], Scalar], t: float)
     y is evaluated once at every shifted point t + sum of a subset of the
     h_i, each sum added from the last factor's step down to the first, and
     each value is taken as complex; the values combine one level per factor
-    as the residual of :func:`adiff.antidiff.lattice_rows` combines them. No
+    as the residual of :func:`adiff.antidiff.lattice_plan`'s rows does. No
     command reads it: a float t + h can round across a lattice point, so
     :func:`solve_rows` shifts lattice indices instead.
     """
@@ -127,8 +118,8 @@ def estimate_terms(op: FactoredOperator, t: float) -> int:
     """Product over factors of max(floor_h(t), 1): a bound on summand count.
 
     No command charges it: :func:`solve_rows` charges the exact work that
-    :func:`lattice_plan` finds, which for k factors is about k*n^2/2 terms
-    where this bound reads n^k.
+    :func:`adiff.antidiff.lattice_plan` finds, which for k factors is about
+    k*n^2/2 terms where this bound reads n^k.
     """
     total = 1
     for f in op.factors:
@@ -159,17 +150,6 @@ def common_lattice(op: FactoredOperator) -> tuple[float, list[int]]:
     return unit / den, [n // unit for n in nums]
 
 
-def lattice_plan(op: FactoredOperator, ts: Sequence[float], residuals: bool = True) -> tuple[dict[float, list], int]:
-    """({rho: sets}, work) of :func:`solve_rows`: the index sets of
-    :func:`adiff.antidiff._index_sets` per remainder class, and the terms,
-    summand calls and (with ``residuals``) f(t) calls the rows make."""
-    g, ms = common_lattice(op)
-    rows = len(ts) if residuals else 0
-    cells = [(cell.n, cell.r) for cell in (floor_mod(t, g) for t in ts)]
-    plan, terms, calls = _plan(ms, cells, _subset_sums(ms) if residuals else [0], math.inf)
-    return plan, rows + terms + calls
-
-
 def solve_rows(
     op: FactoredOperator,
     f: RealFunction,
@@ -179,7 +159,7 @@ def solve_rows(
 ) -> list[tuple[int, complex, float | None]]:
     """(n, y(t), |op y - f|(t)) for each t, y the particular solution of op y = f.
 
-    :func:`adiff.antidiff.lattice_rows` on the :func:`common_lattice`: n is
+    :func:`adiff.antidiff.lattice_plan` on the :func:`common_lattice`: n is
     the outermost factor's floor at t, clamped at 0, and y(t) comes back
     complex. Raises :class:`TermBudgetExceeded` before any summand call if
     the work (layer terms, summand calls and one f(t) per residual) is above
@@ -187,16 +167,14 @@ def solve_rows(
     the shifted points nor f(t) are computed or charged.
     """
     max_terms = (budget or TermBudget()).max_terms
-    rows = len(ts) if residuals else 0
-
-    def charge(terms: int, calls: int, complete: bool) -> None:
-        if rows + terms + calls > max_terms:  # a plan stopped early counts only the layers above
-            least = "" if complete else "at least "
-            raise TermBudgetExceeded(f"nested sum needs {least}{rows + terms + calls} evaluations, budget is {max_terms}")
-
+    checks = len(ts) if residuals else 0
     g, ms = common_lattice(op)
-    counts, values, resids = lattice_rows(f, ts, g, ms, [factor.lam for factor in op.factors], charge, residuals,
-                                          max_terms - rows)
+    terms, calls, rows = lattice_plan(ts, g, ms, [factor.lam for factor in op.factors], residuals, max_terms - checks)
+    work = checks + terms + calls
+    if work > max_terms:  # a plan stopped early counts only the layers above
+        least = "" if rows else "at least "
+        raise TermBudgetExceeded(f"nested sum needs {least}{work} evaluations, budget is {max_terms}")
+    counts, values, resids = rows(f)
     return list(zip(counts, map(complex, values), resids or itertools.repeat(None)))
 
 

@@ -22,7 +22,7 @@ from adiff.antidiff import (
     definite_sum_calls,
     exp_antidifference,
     gamma_ratio_product,
-    lattice_sums_plan,
+    lattice_plan,
     mueller_sum,
     mueller_sums,
     nonfinite_summand,
@@ -638,6 +638,11 @@ class TestPeriodicAntidifference:
         with pytest.raises(PeriodicityViolation):
             periodic_antidifference(lambda x: x, 1.0, 3.5)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_period_must_be_positive_and_finite(self, T):
+        with pytest.raises(PeriodicityViolation, match="period must be a positive finite real"):
+            periodic_antidifference(math.sin, T, 1.0)
+
 
 _LATTICE_CORPUS = (
     lambda u: 1.0,
@@ -659,12 +664,12 @@ def float_shift_sum(f, t, n, lam, h, first=1):
 
 
 def lattice_sums(f, ts, lam, h):
-    return lattice_sums_plan(ts, lam, h)[1](f)
+    return list(zip(*lattice_plan(ts, h, [1], [lam])[2](f, ahead=True)))
 
 
 def engine_classes(f, ts, h, lam, offsets):
     """(cells, tops) of the engine on one factor: the points split as
-    lattice_rows and lattice_sums_plan split them, planned, then summed."""
+    lattice_plan splits them, planned, then summed."""
     cells = [antidiff_module._floor_mod(t, h) for t in ts]
     plan, _, _ = antidiff_module._plan([1], cells, offsets, math.inf)
     return cells, antidiff_module._lattice(f, h, [1], [lam], plan)

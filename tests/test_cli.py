@@ -29,12 +29,12 @@ from adiff.cli import (
     parse_complex,
     parse_factors,
 )
-from adiff.antidiff import lattice_sums_plan
+from adiff.antidiff import lattice_plan
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
 from adiff.inequality import _grid
 from adiff.numkit import fmt17
-from adiff.opalgebra import FactoredOperator, lattice_plan, particular_solution, verify_particular
+from adiff.opalgebra import FactoredOperator, common_lattice, particular_solution, verify_particular
 from conftest import CORPUS_EXPRS
 
 
@@ -456,7 +456,7 @@ class TestTable:
         # The calls of the sums plus each row's f(t); the last case is
         # over the class cap, where each count refolds.
         ts = [i * float(step) for i in range(round(float(hi) / float(step)) + 1)]
-        calls = lattice_sums_plan(ts, 1.0, float(h) if mode == "resolvent" else 1.0)[0] + len(ts)
+        calls = lattice_plan(ts, float(h) if mode == "resolvent" else 1.0, [1], [1.0])[1] + len(ts)
         argv = ("table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
                 "--mode", mode, "--h", h, "--lambda", "0.5", "--budget")
         code, out, err = run_main(capsys, *argv, str(calls - 1))
@@ -696,7 +696,9 @@ class TestSolveChain:
         lo, hi, step = grid
         op = parse_factors(factors)
         ts = [float(lo) + i * float(step) for i in range(round((float(hi) - float(lo)) / float(step)) + 1)]
-        assert (lattice_plan(op, ts[:-1])[1], lattice_plan(op, ts)[1]) == charges
+        lams = [factor.lam for factor in op.factors]
+        work = lambda ts: len(ts) + sum(lattice_plan(ts, *common_lattice(op), lams)[:2])
+        assert (work(ts[:-1]), work(ts)) == charges
         table = ("table", "--expr", "1", "--from", lo, "--step", step, "--mode", "solve", "--factors", factors)
         budget = str(charges[0])
         # The last row alone takes the table over budget: exit 3, no row, no call.
@@ -1006,7 +1008,7 @@ class TestInequalityCommand:
 
         monkeypatch.setattr(cli, "as_function", recording)
         grid = _grid(0.0, float(to), int(samples))
-        calls = 2 * int(samples) + lattice_sums_plan(grid, float(lam), float(h))[0]
+        calls = 2 * int(samples) + lattice_plan(grid, float(h), [1], [float(lam)])[1]
         argv = ("inequality", "--h", h, "--lambda", lam, "--direction", "geq", "--mu", "0",
                 "--slack", "1", "--from", "0", "--to", to, "--samples", samples)
         monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls - 1))
@@ -1262,6 +1264,18 @@ class TestLazyParser:
         assert builds == [1]
 
 
+class TestForwarders:
+    """``cli.particular_solution`` and ``cli.verify_particular`` import
+    ``opalgebra`` and forward to the functions of their names there."""
+
+    @pytest.mark.parametrize("t", [0.5, 7.3, 12.0])
+    def test_forwarders_return_the_opalgebra_results(self, t):
+        op = parse_factors("1:2;0.5:-0.7")
+        f = as_function("cos(t) + t^2")
+        assert repr(cli.particular_solution(op, f, t)) == repr(particular_solution(op, f, t))
+        assert repr(cli.verify_particular(op, f, t)) == repr(verify_particular(op, f, t))
+
+
 class TestHelpText:
     """Help at 80 columns is the bytes recorded in tests/data before the
     options moved into ``cli.COMMANDS`` (``verify --help`` is checked in a
@@ -1486,7 +1500,7 @@ class TestLatticeRows:
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.floats(-5.0, 300.0), st.sampled_from(["1", "0.5", "0.1", "0.3", "2", "7"]), st.integers(1, 400))
     def test_eval_refused_exactly_when_over_budget(self, t, h, budget):
-        calls = lattice_sums_plan([t], 1.0, float(h))[0] + 1
+        calls = lattice_plan([t], float(h), [1], [1.0])[1] + 1
         code, _ = _main_quiet("eval", "--expr", "1", f"--t={t!r}", "--h", h, "--budget", str(budget))
         assert code == (EXIT_BUDGET if calls > budget else EXIT_OK), (t, h, budget, calls)
 

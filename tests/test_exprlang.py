@@ -237,6 +237,15 @@ class TestParse:
         assert "nests too deeply" in str(exc.value)
         assert 0 < exc.value.position < 6000
 
+    def test_power_chain_depth_boundary(self):
+        # Each '^' adds one to the depth that unary then checks: 199 operands
+        # parse, and the 200th operand is the first token too deep.
+        parse("^".join(["t"] * 199))
+        with pytest.raises(ParseError) as exc:
+            parse("^".join(["t"] * 200))
+        assert "nests too deeply" in str(exc.value)
+        assert exc.value.position == 398
+
     def test_chain_within_the_bound_evaluates(self):
         assert as_function("+".join(["t"] * 199))(1.0) == 199.0
         assert as_function("^".join(["1"] * 150))(0.0) == 1.0
@@ -312,6 +321,11 @@ class TestEvaluate:
         with pytest.raises(EvalError) as exc:
             evaluate(g, -3.0)
         assert exc.value.kind == EvalError.POLE
+
+    def test_gamma_reflection_underflows_to_zero(self):
+        # At -200.5 the reflection's Gamma(1 - v) overflows, and the value
+        # reads 0.0 (math.gamma gives -0.0 there).
+        assert repr(evaluate(parse("gamma(t)"), -200.5)) == "0.0"
 
     def test_digamma_pole_carries_position(self):
         with pytest.raises(EvalError) as exc:

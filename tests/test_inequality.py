@@ -6,7 +6,7 @@ import random
 import pytest
 
 from adiff.antidiff import resolvent_sum
-from adiff.errors import DomainError, PeriodicityViolation, SignViolation, ZeroLambda
+from adiff.errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
 from adiff.inequality import (
     Direction,
     InequalitySpec,
@@ -51,6 +51,11 @@ class TestMembership:
         for mu in candidates:
             assert check_membership(mu, 1.0, Periodicity.ANTIPERIODIC, samples)
             assert check_membership(mu, 2.0, Periodicity.PERIODIC, samples)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_shift_must_be_positive_and_finite(self, h):
+        with pytest.raises(NonPositiveShift, match="h must be positive and finite"):
+            check_membership(math.sin, h, Periodicity.PERIODIC, [0.0])
 
 
 class TestBuildSolution:

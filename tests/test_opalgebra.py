@@ -33,7 +33,6 @@ from adiff.opalgebra import (
     common_lattice,
     estimate_terms,
     factorization_identity_check,
-    lattice_plan,
     particular_solution,
     repeated_factor_solution,
     solve_rows,
@@ -663,6 +662,15 @@ class TestNonFiniteSummand:
         assert point == floor_mod(2.5, g).r + index * g
 
 
+def lattice_plan(op, ts, residuals=True):
+    """({rho: sets}, work) of solve_rows: the plan of each remainder class on
+    the common lattice, and the work charged for it."""
+    g, ms = common_lattice(op)
+    cells = [antidiff_module._floor_mod(t, g) for t in ts]
+    plan, terms, calls = antidiff_module._plan(ms, cells, _subset_sums(ms) if residuals else [0], math.inf)
+    return plan, (len(ts) if residuals else 0) + terms + calls
+
+
 def lattice_operators(rng, count):
     """count random operators, each with a summand and points."""
     cases = []
@@ -800,7 +808,7 @@ class TestResidualLoop:
         | st.complex_numbers(allow_nan=False, allow_infinity=False).filter(bool),
     )
     def test_one_factor_residual_is_the_level_loop(self, y0, y1, lam):
-        # lattice_rows writes a one-factor row's op y as y(t + h) - lam*y(t).
+        # lattice_plan's rows write a one-factor row's op y as y(t + h) - lam*y(t).
         assert repr(y1 - lam * y0) == repr(_combine([y0, y1], [lam]))
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -816,7 +824,7 @@ class TestResidualLoop:
         # every row but the last where the points are exact (dyadic h and start).
         f = lambda u: math.sin(u) + u * u
         ts = [start + k * h for k in range(count)]
-        _, values, resids = antidiff_module.lattice_rows(f, ts, h, [1], [lam], lambda *work: None)
+        _, values, resids = antidiff_module.lattice_plan(ts, h, [1], [lam])[2](f)
         field_lam = lam if isinstance(lam, complex) and lam.imag else complex(lam).real
         row = {antidiff_module._floor_mod(t, h): i for i, t in enumerate(ts)}
         checked = 0
