@@ -42,7 +42,8 @@ planned index, highest first, folds each layer against one weight row
 (the running product of lam, none at lam = 1.0) and reads |op y - f(t)|,
 or y(t+h). ``eval``, the sum tables, :mod:`adiff.inequality` (the
 one-factor case g = h, m = [1]) and :func:`adiff.opalgebra.solve_rows`
-use it: each charges the work against its :class:`TermBudget`, then sums.
+use it: each charges the work against its :class:`TermBudget` with
+:func:`_charge`, the one place a budget is refused, then sums.
 
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
@@ -65,6 +66,7 @@ from .errors import (
     DomainError,
     NoConvergence,
     PeriodicityViolation,
+    TermBudgetExceeded,
     ZeroLambda,
 )
 from .numkit import (
@@ -116,6 +118,17 @@ class TermBudget(_Frozen):
         if max_terms < 1:
             raise DomainError(f"budget must be positive, got {max_terms!r}")
         _set(self, "max_terms", max_terms)
+
+
+def _charge(command: str, work: int, max_terms: int, least: str = "", knob: str | None = "--budget") -> None:
+    """Refuse, before the first summand call, a command whose work is over budget.
+
+    ``least`` is "at least " when ``work`` is a lower bound of the count;
+    ``knob`` names the setting of the budget, None for no hint.
+    """
+    if work > max_terms:
+        hint = f" (set it with {knob})" if knob else ""
+        raise TermBudgetExceeded(f"{command} needs {least}{work} evaluations, budget is {max_terms}{hint}")
 
 
 def _term_count(t: float) -> int:

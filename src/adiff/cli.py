@@ -16,17 +16,17 @@ exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
 error; results to standard output. Every command takes a term budget:
 --budget, else the environment variable ADIFF_TERM_BUDGET, else
 10,000,000 (``inequality`` and ``verify`` have no --budget). Each charges
-its work once, before the first summand call, and exits 3 above the
-budget. ``sum`` charges its exact summand call count; ``eval`` and ``table
---mode antidiff|resolvent`` the summand calls of the lattice engine plus
-one f(t) per row for the residual; ``solve`` and its table the exact work
-of ``opalgebra.solve_rows`` (layer terms, summand calls and rows);
-``inequality`` the slack calls of its sign check, its sums and its slack
-match; ``verify`` at least one call per sample of each identity it runs.
-A table first charges one call per row, before it builds its points, and
-``inequality`` first two per sample, so a huge row or sample count is
-refused before its list is built. ``sum`` exits 2 on a result that is not
-finite.
+its work once, before the first summand call, through ``antidiff._charge``,
+and exits 3 above the budget. ``sum`` charges its exact summand call
+count; ``eval`` and ``table --mode antidiff|resolvent`` the summand calls
+of the lattice engine plus one f(t) per row for the residual; ``solve``
+and its table the exact work of ``opalgebra.solve_rows`` (layer terms,
+summand calls and rows); ``inequality`` the slack calls of its sign
+check, its sums and its slack match; ``verify`` at least one call per
+sample of each identity it runs. A table first charges one call per row,
+before it builds its points, and ``inequality`` first two per sample, so
+a huge row or sample count is refused before its list is built. ``sum``
+exits 2 on a result that is not finite.
 
 ``eval``, the sum tables, ``inequality`` and ``solve`` and its table plan
 their points once with the lattice engine's one entry
@@ -34,10 +34,10 @@ their points once with the lattice engine's one entry
 ``solve`` through ``opalgebra.solve_rows``), charge the work it returns,
 then read every value and residual from its rows, which compute each
 summand value once, highest lattice index first. ``eval`` and ``solve``
-refuse (exit 2) a value or residual that is not finite through one
-helper, naming the first non-finite summand value in that order, or say
-that the sum or solution overflows; ``terms_used`` of a solve is the
-outermost factor's term count.
+print their row through one helper, which refuses (exit 2) a value or
+residual that is not finite, naming the first non-finite summand value
+in that order, or saying that the sum or solution overflows;
+``terms_used`` of a solve is the outermost factor's term count.
 
 What loads when: importing this module loads ``errors``, ``numkit``,
 ``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
@@ -75,6 +75,7 @@ from typing import TYPE_CHECKING
 
 from .antidiff import (
     TermBudget,
+    _charge,
     definite_sum,
     definite_sum_calls,
     lattice_plan,
@@ -250,20 +251,6 @@ def _resolve_budget(flag_value: int | None) -> TermBudget:
     return TermBudget()
 
 
-def _charge(
-    command: str, calls: int, max_terms: int, least: str = "", knob: str = "--budget"
-) -> None:
-    """Refuse, before the first summand call, a command whose call count is over budget.
-
-    ``least`` is "at least " when ``calls`` is a lower bound of the count.
-    """
-    if calls > max_terms:
-        raise TermBudgetExceeded(
-            f"{command} needs {least}{calls} evaluations, budget is {max_terms} "
-            f"(set it with {knob})"
-        )
-
-
 def _sum_rows(f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int) -> list[OutputRecord]:
     """The points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|
     (the antidifference is lam = h = 1.0): the lattice engine at g = h, m = [1],
@@ -283,16 +270,19 @@ def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) ->
     return [OutputRecord(t, value.real, value.imag, n, resid) for t, (n, value, resid) in rows]
 
 
-def _refuse(record: OutputRecord, f, lattice: tuple, place, result: str) -> None:
-    """Refuse a record with a field that is not finite: name the first non-finite value
-    its row read on ``lattice`` = (g, [m_i]), its index described by ``place``, or else
-    say that the ``result`` overflows."""
-    term = nonfinite_summand(f, record.t, *lattice)
-    if term is None:
-        raise DomainError(f"the {result} overflows: {record.text_line()}")
-    index, point, value = term
-    where = "the residual's f(t)" if index is None else place(index)
-    raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
+def _print_finite(record: OutputRecord, f, lattice, place, result: str) -> int:
+    """Print a record whose fields are all finite. Refuse any other: name the first
+    non-finite value its row read on ``lattice()`` = (g, [m_i]), its index described
+    by ``place``, or else say that the ``result`` overflows."""
+    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
+        term = nonfinite_summand(f, record.t, *lattice())
+        if term is None:
+            raise DomainError(f"the {result} overflows: {record.text_line()}")
+        index, point, value = term
+        where = "the residual's f(t)" if index is None else place(index)
+        raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
+    print(record.text_line())
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
@@ -303,23 +293,18 @@ def cmd_eval(args) -> int:
     lam = parse_complex(args.lam)
     max_terms = _resolve_budget(args.budget).max_terms
     record = _sum_rows(f, [args.t], lam, args.h, "eval", max_terms)[0]
-    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
-        place = lambda k: f"lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)}"
-        _refuse(record, f, (args.h, [1]), place, "sum")
-    print(record.text_line())
-    return EXIT_OK
+    place = lambda k: f"lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)}"
+    return _print_finite(record, f, lambda: (args.h, [1]), place, "sum")
 
 
 def cmd_solve(args) -> int:
+    from .opalgebra import common_lattice
+
     op = parse_factors(args.factors)
     f = as_function(args.expr)
     record = _solve_rows(op, f, [args.t], _resolve_budget(args.budget))[0]
-    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
-        from .opalgebra import common_lattice
-
-        _refuse(record, f, common_lattice(op), lambda i: f"lattice index {i} of t={fmt17(args.t)}", "solution")
-    print(record.text_line())
-    return EXIT_OK
+    place = lambda i: f"lattice index {i} of t={fmt17(args.t)}"
+    return _print_finite(record, f, lambda: common_lattice(op), place, "solution")
 
 
 def cmd_sum(args) -> int:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .antidiff import RealFunction, Scalar
-from .errors import ZeroLambda
+from .antidiff import RealFunction, Scalar, _coefficient
 from .numkit import _Frozen, _require_finite, _set
 
 
@@ -29,14 +28,9 @@ def kernel_weights(lam: Scalar, t: float) -> list[tuple[int, Scalar]]:
     exactly when lam is passed complex.
     """
     t = _require_finite(t)
-    if lam == 0:
-        raise ZeroLambda("lambda must be nonzero")
+    lam = _coefficient(lam)
     n = max(math.floor(t), 0)
-    if isinstance(lam, complex):
-        w: Scalar = 1.0 + 0j
-    else:
-        lam = float(lam)
-        w = 1.0
+    w: Scalar = 1.0 + 0j if isinstance(lam, complex) else 1.0
     weights = []
     for s in range(1, n + 1):
         weights.append((s, w))

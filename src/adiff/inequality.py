@@ -141,14 +141,18 @@ class SolutionFunction(_Record):
         terms whatever the float t + h rounds to; the homogeneous part is
         read at t and t + h.
         A subclass that replaces :meth:`particular` gives no lattice form, so
-        its particular part is read at t and t + h.
+        its particular part is read at t and t + h. Raises
+        :class:`DomainError` when ``rows`` holds a row count other than len(ts).
         """
         lam, h = self.spec.lam, self.spec.h
         # The homogeneous part first, so an overflow names its sample at once.
         homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
         if type(self).particular is SolutionFunction.particular:
             rows = rows or lattice_plan(ts, h, [1], [lam])[2]
-            parts = zip(*rows(self.slack, ahead=True)[1:])
+            _, at, ahead = rows(self.slack, ahead=True)
+            if len(at) != len(ts):
+                raise DomainError(f"the rows hold {len(at)} points, not the {len(ts)} asked for")
+            parts = zip(at, ahead)
         else:
             parts = [(self.particular(t), self.particular(t + h)) for t in ts]
         return [(at + p, ahead + q) for (ahead, at), (p, q) in zip(homogeneous, parts)]
@@ -195,23 +199,17 @@ def build_solution(
 ) -> SolutionFunction:
     """Validate the ingredients by sampling, then assemble the solution.
 
-    slack must be >= 0 (direction GEQ) or <= 0 (LEQ) across t_range; mu
-    must be h-periodic for lam > 0 and h-antiperiodic for lam < 0, checked
-    on [0, 4h]. Violations raise with the failing sample as witness.
+    slack must be >= 0 (direction GEQ) or <= 0 (LEQ), and a number, across
+    t_range; mu must be h-periodic for lam > 0 and h-antiperiodic for lam < 0,
+    checked on [0, 4h]. Violations raise with the failing sample as witness.
     """
+    sign, wrong, symbol = (1.0, "negative", ">=") if spec.direction is Direction.GEQ else (-1.0, "positive", "<=")
     lo, hi = t_range
     for t in _grid(lo, hi, samples):
         v = slack(t)
-        if spec.direction is Direction.GEQ and v < -SIGN_TOL:
-            raise SignViolation(
-                f"slack({t!r}) = {v!r} is negative but the inequality direction is >=",
-                witness=t,
-            )
-        if spec.direction is Direction.LEQ and v > SIGN_TOL:
-            raise SignViolation(
-                f"slack({t!r}) = {v!r} is positive but the inequality direction is <=",
-                witness=t,
-            )
+        if not sign * v >= -SIGN_TOL:
+            what = wrong if v == v else "not a number"
+            raise SignViolation(f"slack({t!r}) = {v!r} is {what} but the inequality direction is {symbol}", witness=t)
     kind = Periodicity.PERIODIC if spec.lam > 0 else Periodicity.ANTIPERIODIC
     membership = check_membership(mu, spec.h, kind, _grid(0.0, 4.0 * spec.h, samples))
     if not membership:
@@ -233,12 +231,13 @@ def check_inequality(
     in :mod:`adiff.antidiff`, which pairs then sums instead of planning again.
 
     Records the residual range, any sample where the residual crosses the
-    direction boundary beyond BOUNDARY_TOL, and how far the residual drifts
+    direction boundary beyond BOUNDARY_TOL or is NaN, and how far it drifts
     from slack(t). r is exact up to the rounding of a difference, so both
     are read against the scale 1 + |y(t+h)| + |lam*y(t)|: where y grows
     like |lam|^(t/h), r loses the low digits of both terms.
     """
     spec = y.spec
+    sign = 1.0 if spec.direction is Direction.GEQ else -1.0
     report = InequalityReport(
         direction=spec.direction,
         samples=len(t_samples),
@@ -251,9 +250,7 @@ def check_inequality(
         scale = 1.0 + abs(ahead) + abs(behind)
         report.min_residual = min(report.min_residual, r)
         report.max_residual = max(report.max_residual, r)
-        if spec.direction is Direction.GEQ and r < -BOUNDARY_TOL * scale:
-            report.violations.append(t)
-        elif spec.direction is Direction.LEQ and r > BOUNDARY_TOL * scale:
+        if not sign * r >= -BOUNDARY_TOL * scale:
             report.violations.append(t)
         mismatch = abs(r - y.slack(t)) / scale
         report.max_slack_mismatch = max(report.max_slack_mismatch, mismatch)

@@ -101,11 +101,10 @@ class FloorModResult(_Frozen):
 
 
 def fmt17(x: float) -> str:
-    """Shortest-field rendering at 17 significant digits (binary64-exact)."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # fold -0.0 so renderings stay sign-stable
-    return format(x, ".17g")
+    """Shortest-field rendering at 17 significant digits (binary64-exact).
+
+    Adding 0.0 folds -0.0 to 0.0, so renderings stay sign-stable."""
+    return "%.17g" % (float(x) + 0.0)
 
 
 def _require_finite(x: float, name: str = "t") -> float:
@@ -131,7 +130,10 @@ def floor_mod(t: float, h: float) -> FloorModResult:
     r are the exact floor quotient and remainder, r rounded once (to 0 with
     n one higher if it rounds to h). So r is finite, and in [0, h) whenever
     h >= math.ulp(t); below that the floats t - n*h lie further apart than h
-    and r may be h or more: floor_mod(3.7, 1e-16) gives r = 3.44e-16.
+    and r may be h or more: floor_mod(3.7, 1e-16) gives r = 3.44e-16, and n
+    may be far from the floor: floor_mod(2.0269111924121726e307,
+    8.229472148797057e193) gives r = 0.0 with n 6.0e96 above it, where
+    t - n*h is -4.97e290. There only n an integer and r finite and >= 0 hold.
     Raises :class:`DomainError` when t/h overflows to infinity.
     """
     return FloorModResult(*_floor_mod(_require_finite(t, "t"), _require_positive_shift(h)))

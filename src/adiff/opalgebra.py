@@ -58,8 +58,8 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, TermBudget, _combine, lattice_plan, resolvent_sum
-from .errors import DomainError, NonFiniteInput, NonPositiveShift, TermBudgetExceeded, ZeroLambda
+from .antidiff import RealFunction, Scalar, TermBudget, _charge, _combine, lattice_plan, resolvent_sum
+from .errors import DomainError, NonFiniteInput, NonPositiveShift, ZeroLambda
 from .numkit import _Frozen, _require_finite, _set, floor_mod
 
 
@@ -170,10 +170,8 @@ def solve_rows(
     checks = len(ts) if residuals else 0
     g, ms = common_lattice(op)
     terms, calls, rows = lattice_plan(ts, g, ms, [factor.lam for factor in op.factors], residuals, max_terms - checks)
-    work = checks + terms + calls
-    if work > max_terms:  # a plan stopped early counts only the layers above
-        least = "" if rows else "at least "
-        raise TermBudgetExceeded(f"nested sum needs {least}{work} evaluations, budget is {max_terms}")
+    # A plan stopped early counts only the layers above.
+    _charge("nested sum", checks + terms + calls, max_terms, "" if rows else "at least ", None)
     counts, values, resids = rows(f)
     return list(zip(counts, map(complex, values), resids or itertools.repeat(None)))
 

@@ -919,6 +919,31 @@ class TestInequalityCommand:
         assert code == EXIT_INPUT
         assert "negative" in err
 
+    @pytest.mark.parametrize("direction", ["geq", "leq"])
+    def test_nan_slack_exit_2(self, capsys, direction):
+        code, out, err = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", "1", "--direction", direction, "--mu", "0",
+            "--slack", "exp(1000) - exp(1000)", "--from", "0", "--to", "5", "--samples", "4",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        symbol = ">=" if direction == "geq" else "<="
+        assert err == f"adiff: slack(0.0) = nan is not a number but the inequality direction is {symbol}\n"
+
+    def test_nan_residual_fails(self, capsys):
+        # A NaN mu passes the periodicity check, so every residual is NaN.
+        code, out, _ = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", "1", "--direction", "leq", "--mu", "exp(1000) - exp(1000)",
+            "--slack", "0", "--from", "0", "--to", "5", "--samples", "4",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines() == [
+            "direction=leq samples=4 min_residual=inf max_residual=-inf max_slack_mismatch=0 violations=4 FAIL",
+            *(f"violation at t={t}" for t in ("0", "1.6666666666666667", "3.3333333333333335", "5")),
+        ]
+
     def test_overflow_exit_2(self, capsys):
         code, out, err = run_main(
             capsys,

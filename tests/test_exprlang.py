@@ -405,6 +405,16 @@ class TestAsFunction:
         f, g = as_function("t"), as_function("t")
         assert f is not g and f.ast == g.ast
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: evaluate(object(), 1.0), "not an expression node: <object object at "),
+        (lambda: unparse(object()), "not an expression node: <object object at "),
+        (lambda: as_function(Call("sinh", Variable())), "unknown function node: 'sinh'"),
+    ], ids=["evaluate", "unparse", "as_function"])
+    def test_a_node_the_parser_never_makes_is_a_type_error(self, call, message):
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value).startswith(message)
+
 
 SPECIAL_T = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
 SMALL_T = [-2.5, -1.0, 1.0, 2.0, 3.0, math.pi]

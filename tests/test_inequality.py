@@ -90,6 +90,20 @@ class TestBuildSolution:
                 InequalitySpec(1.0, 1.0, Direction.LEQ), ZERO, ONE, t_range=(0.0, 10.0)
             )
 
+    @pytest.mark.parametrize("direction, slack, message", [
+        (Direction.GEQ, -1.0, "is negative but the inequality direction is >="),
+        (Direction.LEQ, 1.0, "is positive but the inequality direction is <="),
+        (Direction.GEQ, math.nan, "is not a number but the inequality direction is >="),
+        (Direction.LEQ, math.nan, "is not a number but the inequality direction is <="),
+    ], ids=["geq", "leq", "geq-nan", "leq-nan"])
+    def test_slack_without_the_sign_is_refused(self, direction, slack, message):
+        # NaN has no sign, so it fails the sign check in either direction.
+        spec = InequalitySpec(1.0, 1.0, direction)
+        with pytest.raises(SignViolation) as exc:
+            build_solution(spec, ZERO, lambda t: slack, t_range=(0.0, 5.0), samples=4)
+        assert str(exc.value) == f"slack(0.0) = {slack!r} {message}"
+        assert exc.value.witness == 0.0
+
     def test_periodicity_violation(self):
         spec = InequalitySpec(1.0, 2.0, Direction.GEQ)
         with pytest.raises(PeriodicityViolation):
@@ -206,6 +220,19 @@ class TestCheckInequality:
         assert report.violations
 
 
+    @pytest.mark.parametrize("direction", [Direction.GEQ, Direction.LEQ], ids=["geq", "leq"])
+    def test_nan_residual_is_a_violation(self, direction):
+        # A NaN mu passes the (anti)periodicity check, which compares with
+        # '>', but every residual is then NaN: each sample is a violation.
+        from adiff.inequality import SolutionFunction
+
+        spec = InequalitySpec(1.0, 1.0, direction)
+        ts = grid(0.0, 5.0, 4)
+        report = check_inequality(SolutionFunction(spec, lambda t: math.nan, ZERO), ts)
+        assert not report.passed
+        assert report.violations == ts
+
+
 class TestLatticePairs:
     """check_inequality reads y(t) and y(t+h) from one lattice pair."""
 
@@ -232,3 +259,16 @@ class TestLatticePairs:
                 for t, (y_t, ahead) in zip(ts, y.pairs(ts)):
                     assert y_t == y(t), (h, lam, t)
                     assert abs(ahead - lam * y_t - slack(t)) <= 1e-9 * (1.0 + abs(ahead)), (h, lam, t)
+
+    def test_rows_for_other_points_are_refused(self):
+        # Rows planned for the first 3 samples would check only those 3.
+        from adiff.antidiff import lattice_plan
+
+        spec = InequalitySpec(1.0, 2.0, Direction.GEQ)
+        y = build_solution(spec, ZERO, ONE, t_range=(0.0, 7.0), samples=8)
+        ts = grid(0.0, 7.0, 8)
+        rows = lattice_plan(ts[:3], 1.0, [1], [2.0])[2]
+        with pytest.raises(DomainError, match="the rows hold 3 points, not the 8 asked for"):
+            check_inequality(y, ts, rows)
+        with pytest.raises(DomainError, match="the rows hold 3 points, not the 8 asked for"):
+            y.pairs(ts, rows)

@@ -128,6 +128,16 @@ class TestFloorMod:
         assert (res.n, res.r) == (37000000000000001, 3.440892098500626e-16)
         assert res.r >= 1e-16
 
+    def test_quotient_below_the_float_spacing(self):
+        # Below ulp(t) floor_mod promises only an integer n and a finite
+        # r >= 0; here n is about 6e96 above the exact floor, so nothing
+        # more is held.
+        t, h = 2.0269111924121726e307, 8.229472148797057e193
+        assert h < math.ulp(t)
+        res = floor_mod(t, h)
+        assert isinstance(res.n, int)
+        assert math.isfinite(res.r) and res.r >= 0.0
+
     def test_errors(self):
         with pytest.raises(NonPositiveShift):
             floor_mod(1.0, 0.0)
