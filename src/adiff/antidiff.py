@@ -45,6 +45,9 @@ one-factor case g = h, m = [1]) and :func:`adiff.opalgebra.solve_rows`
 use it: each charges the work against its :class:`TermBudget` with
 :func:`_charge`, the one place a budget is refused, then sums.
 
+A coefficient is read by :func:`_coefficient` and a sampled (anti)period
+by :func:`_period_break`, here and in :mod:`adiff.inequality` alike.
+
 Closed forms (polynomial, exponential, sin/cos) return the classical
 tabulated expressions; they differ from the finite sum by a 1-periodic
 function of t, which :func:`offset_residual` exposes via the identity
@@ -65,6 +68,7 @@ from .errors import (
     CrossCheckError,
     DomainError,
     NoConvergence,
+    NonFiniteInput,
     PeriodicityViolation,
     TermBudgetExceeded,
     ZeroLambda,
@@ -164,9 +168,24 @@ def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Sc
 
 
 def _coefficient(lam: Scalar) -> Scalar:
+    lam = lam if isinstance(lam, complex) else float(lam)
     if lam == 0:
         raise ZeroLambda("lambda must be nonzero")
-    return lam if isinstance(lam, complex) else float(lam)
+    if lam - lam != 0:  # NaN or infinite, in either part
+        raise NonFiniteInput(f"lambda must be finite, got {lam!r}")
+    return lam
+
+
+def _period_break(f: RealFunction, T: float, sign: float, xs: Sequence[float], tol: float) -> tuple | None:
+    """The first x of xs where f(x + T) is not sign*f(x) within tol*(1 + |f(x)|),
+    as (x, f(x), f(x + T)), or None; f(x) is called first. A NaN or infinite
+    value fails (an infinite f(x) would make the tolerance infinite)."""
+    for x in xs:
+        base = f(x)
+        shifted = f(x + T)
+        if abs(base) == math.inf or not abs(shifted - sign * base) <= tol * (1.0 + abs(base)):
+            return x, base, shifted
+    return None
 
 
 # ---------------------------------------------------------------- the engine
@@ -690,21 +709,18 @@ def gamma_ratio_product(t: float) -> float:
 def periodic_antidifference(f: RealFunction, T: float, t: float) -> float:
     """Antidifference of t -> f(T*t) for f with period T: floor(t) * f(T*t).
 
-    The periodicity claim is spot-checked on a fixed sample grid; a failure
-    beyond 1e-9 (mixed absolute/relative) raises
-    :class:`PeriodicityViolation`. The result differs from t*f(T*t) by a
-    1-periodic function of t.
+    The periodicity claim is spot-checked on a fixed sample grid by
+    :func:`_period_break`; a failure beyond 1e-9 (mixed absolute/relative),
+    or a NaN or infinite value, raises :class:`PeriodicityViolation`. The result differs from
+    t*f(T*t) by a 1-periodic function of t.
     """
     t = _require_finite(t)
     if not (math.isfinite(T) and T > 0.0):
         raise PeriodicityViolation(f"period must be a positive finite real, got {T!r}")
     span = max(abs(t), 1.0)
-    for j in range(_PERIOD_SAMPLES):
-        x = -span + (2.0 * span) * j / _PERIOD_SAMPLES
-        base = f(x)
-        shifted = f(x + T)
-        if abs(shifted - base) > _PERIOD_TOL * (1.0 + abs(base)):
-            raise PeriodicityViolation(
-                f"f({x + T!r}) = {shifted!r} != f({x!r}) = {base!r}", witness=x
-            )
+    xs = [-span + (2.0 * span) * j / _PERIOD_SAMPLES for j in range(_PERIOD_SAMPLES)]
+    miss = _period_break(f, T, 1.0, xs, _PERIOD_TOL)
+    if miss is not None:
+        x, base, shifted = miss
+        raise PeriodicityViolation(f"f({x + T!r}) = {shifted!r} != f({x!r}) = {base!r}", witness=x)
     return _term_count(t) * f(T * t)

@@ -350,8 +350,8 @@ def _check_range(from_: float, to: float) -> None:
 
 def cmd_table(args) -> int:
     _check_range(args.from_, args.to)
-    if not (args.step > 0.0):
-        raise DomainError(f"--step must be positive, got {args.step!r}")
+    if not 0.0 < args.step < math.inf:
+        raise DomainError(f"--step must be a positive finite real, got {args.step!r}")
     rows = _table_rows(args)
     if args.format == "csv":
         lines = [CSV_HEADER] + [r.csv_row() for r in rows]

@@ -13,7 +13,7 @@ y(t+h) - lam*y(t) = slack(t), which has the required sign.
 
 Constraints are enforced by sampling, not proof: construction checks the
 slack sign on the caller's range and mu's (anti)periodicity on [0, 4h],
-64 points each by default.
+64 points each by default. A NaN slack and a NaN or infinite mu fail.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import enum
 import math
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, lattice_plan, resolvent_sum
-from .errors import DomainError, NonPositiveShift, PeriodicityViolation, SignViolation, ZeroLambda
-from .numkit import _Frozen, _Record, _set
+from .antidiff import RealFunction, _coefficient, _period_break, lattice_plan, resolvent_sum
+from .errors import DomainError, PeriodicityViolation, SignViolation
+from .numkit import _Frozen, _Record, _require_positive_shift, _set
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 
 MEMBERSHIP_TOL = 1e-10
@@ -53,14 +53,8 @@ class InequalitySpec(_Frozen):
     __slots__ = _fields = ("h", "lam", "direction")
 
     def __init__(self, h: float, lam: float, direction: Direction):
-        shift = float(h)
-        if not math.isfinite(shift) or shift <= 0.0:
-            raise NonPositiveShift(f"h must be positive and finite, got {h!r}")
-        coefficient = float(lam)
-        if coefficient == 0.0 or not math.isfinite(coefficient):
-            raise ZeroLambda(f"lambda must be a nonzero finite real, got {lam!r}")
-        _set(self, "h", shift)
-        _set(self, "lam", coefficient)
+        _set(self, "h", _require_positive_shift(h))
+        _set(self, "lam", _coefficient(float(lam)))
         _set(self, "direction", direction if isinstance(direction, Direction) else Direction(direction))
 
 
@@ -86,17 +80,12 @@ def check_membership(
 ) -> MembershipResult:
     """Sample mu(t+h) = mu(t) (PERIODIC) or = -mu(t) (ANTIPERIODIC).
 
-    Tolerance is mixed: |difference| <= tol * (1 + |mu(t)|). Returns the
-    first failing sample as witness instead of raising.
+    Tolerance is mixed: |difference| <= tol * (1 + |mu(t)|); a NaN or infinite
+    mu fails. Returns the first failing sample as witness instead of raising.
     """
-    if not math.isfinite(h) or h <= 0.0:
-        raise NonPositiveShift(f"h must be positive and finite, got {h!r}")
     sign = 1.0 if kind is Periodicity.PERIODIC else -1.0
-    for t in t_samples:
-        base = mu(t)
-        if abs(mu(t + h) - sign * base) > tol * (1.0 + abs(base)):
-            return MembershipResult(False, witness=t)
-    return MembershipResult(True)
+    miss = _period_break(mu, _require_positive_shift(h), sign, t_samples, tol)
+    return MembershipResult(True) if miss is None else MembershipResult(False, witness=miss[0])
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:
@@ -200,8 +189,8 @@ def build_solution(
     """Validate the ingredients by sampling, then assemble the solution.
 
     slack must be >= 0 (direction GEQ) or <= 0 (LEQ), and a number, across
-    t_range; mu must be h-periodic for lam > 0 and h-antiperiodic for lam < 0,
-    checked on [0, 4h]. Violations raise with the failing sample as witness.
+    t_range; mu must be finite, h-periodic for lam > 0 and h-antiperiodic for
+    lam < 0, checked on [0, 4h]. Violations raise with the failing sample as witness.
     """
     sign, wrong, symbol = (1.0, "negative", ">=") if spec.direction is Direction.GEQ else (-1.0, "positive", "<=")
     lo, hi = t_range
@@ -232,9 +221,9 @@ def check_inequality(
 
     Records the residual range, any sample where the residual crosses the
     direction boundary beyond BOUNDARY_TOL or is NaN, and how far it drifts
-    from slack(t). r is exact up to the rounding of a difference, so both
-    are read against the scale 1 + |y(t+h)| + |lam*y(t)|: where y grows
-    like |lam|^(t/h), r loses the low digits of both terms.
+    from slack(t), NaN if any drift is. r is exact up to the rounding of a
+    difference, so both are read against the scale 1 + |y(t+h)| + |lam*y(t)|:
+    where y grows like |lam|^(t/h), r loses the low digits of both terms.
     """
     spec = y.spec
     sign = 1.0 if spec.direction is Direction.GEQ else -1.0
@@ -253,6 +242,7 @@ def check_inequality(
         if not sign * r >= -BOUNDARY_TOL * scale:
             report.violations.append(t)
         mismatch = abs(r - y.slack(t)) / scale
-        report.max_slack_mismatch = max(report.max_slack_mismatch, mismatch)
+        if mismatch > report.max_slack_mismatch or mismatch != mismatch:  # a NaN stays, and fails
+            report.max_slack_mismatch = mismatch
     report.passed = not report.violations and report.max_slack_mismatch <= SLACK_MATCH_TOL
     return report

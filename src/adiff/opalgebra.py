@@ -58,9 +58,9 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, TermBudget, _charge, _combine, lattice_plan, resolvent_sum
-from .errors import DomainError, NonFiniteInput, NonPositiveShift, ZeroLambda
-from .numkit import _Frozen, _require_finite, _set, floor_mod
+from .antidiff import RealFunction, Scalar, TermBudget, _charge, _coefficient, _combine, lattice_plan, resolvent_sum
+from .errors import DomainError
+from .numkit import _Frozen, _require_finite, _require_positive_shift, _set, floor_mod
 
 
 class LinearFactor(_Frozen):
@@ -69,16 +69,8 @@ class LinearFactor(_Frozen):
     __slots__ = _fields = ("h", "lam")
 
     def __init__(self, h: float, lam: complex):
-        shift = float(h)
-        if not math.isfinite(shift) or shift <= 0.0:
-            raise NonPositiveShift(f"factor shift must be positive and finite, got {h!r}")
-        coefficient = complex(lam)
-        if coefficient == 0:
-            raise ZeroLambda("factor coefficient must be nonzero")
-        if not (math.isfinite(coefficient.real) and math.isfinite(coefficient.imag)):
-            raise NonFiniteInput(f"factor coefficient must be finite, got {lam!r}")
-        _set(self, "h", shift)
-        _set(self, "lam", coefficient)
+        _set(self, "h", _require_positive_shift(h))
+        _set(self, "lam", _coefficient(complex(lam)))
 
 
 class FactoredOperator(_Frozen):

@@ -431,6 +431,13 @@ class TestTable:
         assert err.startswith("adiff: --step 1e-300 ")
         assert "infinity" not in err
 
+    @pytest.mark.parametrize("step", ["inf", "-inf", "nan", "0", "-1"])
+    def test_step_must_be_positive_and_finite(self, capsys, summand_calls, step):
+        # Unrefused, an infinite step would build the row 0 + 0*inf = nan.
+        code, out, err = run_main(capsys, "table", "--expr", "1", "--from", "0", "--to", "5", f"--step={step}")
+        assert (code, out, summand_calls[0]) == (EXIT_INPUT, "", 0)
+        assert err == f"adiff: --step must be a positive finite real, got {float(step)!r}\n"
+
     @pytest.mark.parametrize(
         "argv, budget",
         [
@@ -932,17 +939,41 @@ class TestInequalityCommand:
         assert err == f"adiff: slack(0.0) = nan is not a number but the inequality direction is {symbol}\n"
 
     def test_nan_residual_fails(self, capsys):
-        # A NaN mu passes the periodicity check, so every residual is NaN.
+        # The slack sum overflows: y(t+1) is inf from t = 1 on, and inf - inf
+        # is a NaN residual from t = 2 on; each NaN residual is a violation.
         code, out, _ = run_main(
             capsys,
-            "inequality", "--h", "1", "--lambda", "1", "--direction", "leq", "--mu", "exp(1000) - exp(1000)",
-            "--slack", "0", "--from", "0", "--to", "5", "--samples", "4",
+            "inequality", "--h", "1", "--lambda", "1", "--direction", "geq", "--mu", "0",
+            "--slack", "1e308", "--from", "0", "--to", "5", "--samples", "4",
         )
         assert code == EXIT_VERIFY_FAILED
         assert out.splitlines() == [
-            "direction=leq samples=4 min_residual=inf max_residual=-inf max_slack_mismatch=0 violations=4 FAIL",
-            *(f"violation at t={t}" for t in ("0", "1.6666666666666667", "3.3333333333333335", "5")),
+            "direction=geq samples=4 min_residual=1e+308 max_residual=inf max_slack_mismatch=nan violations=2 FAIL",
+            "violation at t=3.3333333333333335",
+            "violation at t=5",
         ]
+
+    def test_nan_slack_mismatch_fails(self, capsys):
+        # Every residual is inf, which has the sign, but each mismatch
+        # inf/inf is NaN: the report prints it and fails.
+        code, out, _ = run_main(
+            capsys,
+            "inequality", "--h", "1", "--lambda", "1", "--direction", "geq", "--mu", "0",
+            "--slack", "1e308", "--from", "1.5", "--to", "1.9", "--samples", "2",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert out == "direction=geq samples=2 min_residual=inf max_residual=inf max_slack_mismatch=nan violations=0 FAIL\n"
+
+    @pytest.mark.parametrize("lam, kind", [("1", "periodic"), ("-1", "antiperiodic")])
+    def test_nan_mu_exit_2(self, capsys, lam, kind):
+        # A NaN mu is neither periodic nor antiperiodic.
+        code, out, err = run_main(
+            capsys,
+            "inequality", "--h", "1", f"--lambda={lam}", "--direction", "leq", "--mu", "exp(1000) - exp(1000)",
+            "--slack", "0", "--from", "0", "--to", "5", "--samples", "4",
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"adiff: mu is not {kind} with period 1.0 (fails at t = 0.0)\n"
 
     def test_overflow_exit_2(self, capsys):
         code, out, err = run_main(

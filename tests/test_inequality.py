@@ -54,7 +54,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     def test_shift_must_be_positive_and_finite(self, h):
-        with pytest.raises(NonPositiveShift, match="h must be positive and finite"):
+        with pytest.raises(NonPositiveShift, match="shift must be a positive finite real"):
             check_membership(math.sin, h, Periodicity.PERIODIC, [0.0])
 
 
@@ -222,8 +222,8 @@ class TestCheckInequality:
 
     @pytest.mark.parametrize("direction", [Direction.GEQ, Direction.LEQ], ids=["geq", "leq"])
     def test_nan_residual_is_a_violation(self, direction):
-        # A NaN mu passes the (anti)periodicity check, which compares with
-        # '>', but every residual is then NaN: each sample is a violation.
+        # build_solution refuses a NaN mu; built without it, the solution
+        # has a NaN residual at every sample, and each is a violation.
         from adiff.inequality import SolutionFunction
 
         spec = InequalitySpec(1.0, 1.0, direction)

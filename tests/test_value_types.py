@@ -231,15 +231,24 @@ class TestValidation:
     @pytest.mark.parametrize(
         "make,error,message",
         [
-            (lambda: LinearFactor(0, 1), NonPositiveShift, "factor shift must be positive and finite, got 0"),
-            (lambda: LinearFactor(math.inf, 1), NonPositiveShift, "factor shift must be positive and finite, got inf"),
-            (lambda: LinearFactor(1, 0), ZeroLambda, "factor coefficient must be nonzero"),
-            (lambda: LinearFactor(1, complex("nan")), NonFiniteInput, "factor coefficient must be finite, got (nan+0j)"),
+            pytest.param(
+                lambda: LinearFactor(0, 1), NonPositiveShift, "shift must be a positive finite real, got 0.0",
+                id="LinearFactor-h=0",
+            ),
+            pytest.param(
+                lambda: LinearFactor(math.inf, 1), NonPositiveShift, "shift must be a positive finite real, got inf",
+                id="LinearFactor-h=inf",
+            ),
+            (lambda: LinearFactor(1, 0), ZeroLambda, "lambda must be nonzero"),
+            (lambda: LinearFactor(1, complex("nan")), NonFiniteInput, "lambda must be finite, got (nan+0j)"),
             (lambda: LinearFactor("x", 1), ValueError, "could not convert string to float: 'x'"),
             (lambda: FactoredOperator([]), DomainError, "operator needs at least one factor"),
-            (lambda: InequalitySpec(0, 1, "geq"), NonPositiveShift, "h must be positive and finite, got 0"),
-            (lambda: InequalitySpec(1, 0, "geq"), ZeroLambda, "lambda must be a nonzero finite real, got 0"),
-            (lambda: InequalitySpec(1, math.nan, "geq"), ZeroLambda, "lambda must be a nonzero finite real, got nan"),
+            pytest.param(
+                lambda: InequalitySpec(0, 1, "geq"), NonPositiveShift, "shift must be a positive finite real, got 0.0",
+                id="InequalitySpec-h=0",
+            ),
+            (lambda: InequalitySpec(1, 0, "geq"), ZeroLambda, "lambda must be nonzero"),
+            (lambda: InequalitySpec(1, math.nan, "geq"), NonFiniteInput, "lambda must be finite, got nan"),
             (lambda: InequalitySpec(1, 1, "up"), ValueError, "'up' is not a valid Direction"),
             (lambda: InequalitySpec(1, "a", "geq"), ValueError, "could not convert string to float: 'a'"),
             (lambda: TermBudget(0), DomainError, "budget must be positive, got 0"),
