@@ -29,7 +29,8 @@ other h it may differ from that float shift in the last place, and so may
 the printed value, but never the term count.
 
 :func:`_point_sum` is the one-point summand loop: :func:`resolvent_sum`,
-:func:`antidifference` and :func:`backward_antidifference` call it.
+:func:`antidifference` and :func:`backward_antidifference` call it, and
+:func:`_sweep` is its many-point form, one pass over the summand values.
 :func:`definite_sum` writes out its lam = h = 1 case once for the two
 antidifferences F(n+1) and F(m) together, in the same order, so that
 each f(k) is computed once.
@@ -40,10 +41,11 @@ with :func:`adiff.numkit.floor_mod`, plans each remainder class and
 returns the plan's work with ``rows``, which calls the summand once per
 planned index, highest first, folds each layer against one weight row
 (the running product of lam, none at lam = 1.0) and reads |op y - f(t)|,
-or y(t+h). ``eval``, the sum tables, :mod:`adiff.inequality` (the
-one-factor case g = h, m = [1]) and :func:`adiff.opalgebra.solve_rows`
-use it: each charges the work against its :class:`TermBudget` with
-:func:`_charge`, the one place a budget is refused, then sums.
+or y(t+h); one point of one factor skips the planner. ``eval``, the sum
+tables, :mod:`adiff.inequality` (the one-factor case g = h, m = [1]) and
+:func:`adiff.opalgebra.solve_rows` use it: each charges the work against
+its :class:`TermBudget` with :func:`_charge`, the one place a budget is
+refused, then sums.
 
 A coefficient is read by :func:`_coefficient` and a sampled (anti)period
 by :func:`_period_break`, here and in :mod:`adiff.inequality` alike.
@@ -167,6 +169,37 @@ def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Sc
     return acc
 
 
+def _sweep(g: Callable[[float], Scalar], r: float, top: Sequence[int], h: float, lam: Scalar) -> list:
+    """:func:`_point_sum` at each N of ``top`` (ascending, distinct), in one
+    pass over k = top[-1] - 1, ..., 0 that calls g once per k: the sum of N
+    joins at k = N - 1 with its own accumulator and running weight, and each
+    stretch of at most :data:`_SWEEP_CHUNK` values is added to every joined
+    sum in turn, in :func:`_point_sum`'s order, in O(len(top)) memory."""
+    if len(top) == 1:
+        return [_point_sum(g, r, top[0], h, lam)]
+    zero: Scalar = 0j if isinstance(lam, complex) else 0.0
+    unit = lam == 1.0 and not isinstance(lam, complex)
+    sums: list = []  # [acc, w] of each joined sum, highest N first
+    for j in range(len(top) - 1, -1, -1):
+        if top[j] <= 0:
+            break
+        sums.append([zero, zero + 1.0])
+        low = max(top[j - 1], 0) if j else 0
+        for high in range(top[j], low, -_SWEEP_CHUNK):
+            values = [g(r + k * h) for k in range(high - 1, max(high - _SWEEP_CHUNK, low) - 1, -1)]
+            for state in sums:
+                acc, w = state
+                for v in values:
+                    acc += v if unit else w * v
+                    w *= lam
+                state[:] = acc, w
+    return [zero] * (len(top) - len(sums)) + [acc for acc, _ in reversed(sums)]
+
+
+#: The most summand values :func:`_sweep` holds at once.
+_SWEEP_CHUNK = 4096
+
+
 def _coefficient(lam: Scalar) -> Scalar:
     lam = lam if isinstance(lam, complex) else float(lam)
     if lam == 0:
@@ -195,9 +228,10 @@ def _period_break(f: RealFunction, T: float, sign: float, xs: Sequence[float], t
 # and charged, its summand values computed once and its layers folded once
 # for every row of the class. One factor of step h is g = h, m = [1].
 
-# A one-layer class keeps at most this many summand values. Above it each
-# top index refolds from fresh summand calls, highest first, so one large
-# eval or one-factor solve runs in constant memory (2n + 1 calls, charged).
+# A one-layer class keeps at most this many summand values. Above it the
+# class is swept once, highest index first, with one accumulator per top
+# index, so one large eval or one-factor solve runs in constant memory and
+# calls the summand once per index (n + 1 calls for y(t) and y(t + h)).
 _CLASS_VALUES_MAX = 1 << 16
 
 
@@ -285,7 +319,7 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
         if len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
             n = top[-1]
             more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
-            sets, more_calls = [[range(n)] if n > 0 else [], top], more_terms if n > _CLASS_VALUES_MAX else max(n, 0)
+            sets, more_calls = [[range(n)] if n > 0 else [], top], max(n, 0)
         else:
             sets, more_terms, more_calls = _index_sets(ms, top, allowance - terms - calls)
         terms += more_terms
@@ -327,38 +361,40 @@ def _weights(lam: Scalar, count: int, zero: Scalar) -> list | None:
     return [*itertools.accumulate([lam] * count, operator.mul, initial=zero + 1.0)]
 
 
+def _field(values: list, reals: list | None, lams: list) -> tuple[list, Scalar, list]:
+    """(values, zero, lams) in a class's field: floats where every lam is real
+    (``reals``, else None) and the values add up to a float (floats, ints and
+    fractions, which a float fold reads as the complex one does), else complex,
+    with any values that do not add up to a float read through complex()."""
+    try:
+        floats = type(sum(values, 0.0)) is float
+    except TypeError:  # a value that does not add to a float (Decimal)
+        floats = False
+    if floats and reals:
+        return values, 0.0, reals
+    return values if floats else list(map(complex, values)), 0j, list(map(complex, lams))
+
+
 def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dict) -> dict:
     """{rho: (top layer, lams of its field)} for the classes of ``plan``, a
     plan of :func:`_plan` that the caller has charged.
 
     Each class in turn calls its summand once per index, highest first,
-    picks its field, floats where every lam has imaginary part 0 and the
-    values add up to a float (floats, ints and fractions, which a float fold
-    reads as the complex one does), complex otherwise, and builds its layers
-    bottom up with :func:`_fold`, each dropped once the next is built; a
-    class that refolds sums each top index, highest first, from fresh values
-    as :func:`_point_sum`.
+    picks its :func:`_field` and builds its layers bottom up with
+    :func:`_fold`, each dropped once the next is built. A one-layer class
+    above the cap stores no value: :func:`_sweep` sums all its top indices
+    in one pass, highest index first, complex exactly when its lam is.
     """
     # The float field's lams, where every lam has imaginary part 0.
     reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
     tops = {}
     for rho, sets in plan.items():
         top, ranges = sets[-1], sets[0]
-        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:  # the class refolds each top index, highest first
+        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:
             field = reals or list(map(complex, lams))
-            tops[rho] = {index: _point_sum(f, rho, index, g, field[0]) for index in reversed(top)}, field
+            tops[rho] = dict(zip(top, _sweep(f, rho, top, g, field[0]))), field
             continue
-        values = [f(rho + index * g) for index in _descending(ranges)]
-        try:
-            floats = type(sum(values, 0.0)) is float
-        except TypeError:  # a value that does not add to a float (Decimal)
-            floats = False
-        if floats and reals:
-            zero, field = 0.0, reals
-        else:
-            zero, field = 0j, list(map(complex, lams))
-            if not floats:
-                values = list(map(complex, values))
+        values, zero, field = _field([f(rho + index * g) for index in _descending(ranges)], reals, lams)
         if len(ranges) == 1:
             values.reverse()
             layer = {ranges[0].start: values}
@@ -401,8 +437,13 @@ def lattice_plan(ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequenc
     """
     ts = list(map(_require_finite, ts))
     lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
-    offsets = _subset_sums(ms) if residuals else None
     cells = list(map(_floor_mod, ts, itertools.repeat(g)))
+    if len(ms) == len(cells) == 1 and cells[0][0] < _CLASS_VALUES_MAX:  # one point of one factor: no class to plan
+        n = cells[0][0]
+        calls = max(n + 1 if residuals else n, 0)
+        rows = functools.partial(_point_rows, ts[0], g, lams, cells[0], residuals)
+        return max(n, 0) + (calls if residuals else 0), calls, rows
+    offsets = _subset_sums(ms) if residuals else None
     plan, terms, calls = _plan(ms, cells, offsets or [0], allowance)
     if plan is None:
         return terms, calls, None
@@ -433,13 +474,47 @@ def _rows(ts: list[float], g: float, ms: Sequence[int], lams: list, cells: list,
             thirds.append(y[n + 1])
         elif offsets:
             d = (y[n + 1] - field[0] * y[n] if one else _combine([y[n + s] for s in offsets], field)) - f(t)
-            try:
-                thirds.append(abs(d))
-            except OverflowError:
-                # Complex abs() raises past the float range, and on a NaN part while
-                # errno holds an ERANGE a summand caught (exp overflow); hypot reads both.
-                thirds.append(math.hypot(d.real, d.imag))
+            thirds.append(_magnitude(d))
     return counts, values, thirds if offsets else None
+
+
+def _magnitude(d: Scalar) -> float:
+    """abs(d). Complex abs() raises past the float range, and on a NaN part while
+    errno holds an ERANGE a summand caught (exp overflow); hypot reads both."""
+    try:
+        return abs(d)
+    except OverflowError:
+        return math.hypot(d.real, d.imag)
+
+
+def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residuals: bool, f: RealFunction,
+                ahead: bool = False) -> tuple[list[int], list[Scalar], list | None]:
+    """:func:`_rows` of one point t = n*g + rho of one factor below the class
+    cap: the values at rho + k*g, k = n, ..., 0 (from n - 1 without
+    residuals), in a class's :func:`_field`, then y(t) and y(t + h) in one
+    pass with two accumulators and one running weight, in :func:`_fold`'s order."""
+    n, rho = cell
+    reals = None if lams[0].imag else [lams[0].real]
+    values, zero, field = _field([f(rho + k * g) for k in range(n if residuals else n - 1, -1, -1)], reals, lams)
+    lam = field[0]
+    y = y_next = zero
+    if values:
+        rest = itertools.islice(values, 1, None)
+        if lam == 1.0 and isinstance(lam, float):
+            y_next += values[0]
+            for v in rest:
+                y += v
+                y_next += v
+        else:
+            w = zero + 1.0
+            y_next += w * values[0]
+            for v in rest:
+                y += w * v
+                w *= lam
+                y_next += w * v
+    if not residuals:
+        return [max(n, 0)], [y_next], None
+    return [max(n, 0)], [y], [y_next if ahead else _magnitude((y_next - lam * y) - f(t))]
 
 
 def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:

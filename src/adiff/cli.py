@@ -203,21 +203,24 @@ class OutputRecord(_Record):
         return self._render(self._JSON)
 
 
+_IMAGINARY_UNIT = re.compile(r"inf(?:inity)?|i", re.IGNORECASE)
+
+
 def parse_complex(text: str) -> float | complex:
     """Parse 'a+bi' style numbers: '2', '1i', '-1i', '0.5-0.5i', 'i'.
 
     Returns a float when the imaginary part is zero, so purely real
-    coefficients take the real accumulation path downstream.
+    coefficients take the real accumulation path downstream. 'inf' and
+    'nan' are numbers here (the i of 'inf' is no imaginary unit); the
+    coefficient rule, ``antidiff._coefficient``, refuses them.
     """
     s = str(text).strip()
     if not s:
         raise DomainError("empty number")
     try:
-        z = complex(s.replace("i", "j").replace("I", "j"))
+        z = complex(_IMAGINARY_UNIT.sub(lambda m: "j" if len(m[0]) == 1 else m[0], s))
     except ValueError:
         raise DomainError(f"cannot parse number {text!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"number {text!r} is not finite")
     return z.real if z.imag == 0.0 else z
 
 

@@ -219,11 +219,12 @@ def check_inequality(
     if given, is the rows of lattice_plan(t_samples, spec.h, [1], [spec.lam])
     in :mod:`adiff.antidiff`, which pairs then sums instead of planning again.
 
-    Records the residual range, any sample where the residual crosses the
-    direction boundary beyond BOUNDARY_TOL or is NaN, and how far it drifts
-    from slack(t), NaN if any drift is. r is exact up to the rounding of a
-    difference, so both are read against the scale 1 + |y(t+h)| + |lam*y(t)|:
-    where y grows like |lam|^(t/h), r loses the low digits of both terms.
+    Records the residual range, NaN once any residual is, any sample where
+    the residual crosses the direction boundary beyond BOUNDARY_TOL or is
+    NaN, and how far it drifts from slack(t), NaN if any drift is. r is
+    exact up to the rounding of a difference, so both are read against the
+    scale 1 + |y(t+h)| + |lam*y(t)|: where y grows like |lam|^(t/h), r
+    loses the low digits of both terms.
     """
     spec = y.spec
     sign = 1.0 if spec.direction is Direction.GEQ else -1.0
@@ -237,8 +238,9 @@ def check_inequality(
         behind = spec.lam * y_t
         r = ahead - behind
         scale = 1.0 + abs(ahead) + abs(behind)
-        report.min_residual = min(report.min_residual, r)
-        report.max_residual = max(report.max_residual, r)
+        # min and max keep their first argument against a NaN: once r is NaN, so is the range.
+        report.min_residual = min(report.min_residual, r) if r == r else r
+        report.max_residual = max(report.max_residual, r) if r == r else r
         if not sign * r >= -BOUNDARY_TOL * scale:
             report.violations.append(t)
         mismatch = abs(r - y.slack(t)) / scale

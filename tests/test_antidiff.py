@@ -7,6 +7,7 @@ and the special-function layer (itself checked against mpmath elsewhere).
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -653,6 +654,20 @@ _LATTICE_CORPUS = (
 )
 
 
+# Summands of every kind a one-point row reads: floats, ints, fractions,
+# complex values (one with an infinite imaginary part, which a multiply by
+# complex(1, 0) would turn into a NaN real part), NaN and values that overflow.
+_ONE_POINT_SUMMANDS = _LATTICE_CORPUS + (
+    lambda u: 3,
+    lambda u: math.floor(u),
+    lambda u: Fraction(u),
+    lambda u: complex(math.cos(u), 0.25),
+    lambda u: complex(u, math.inf if u > 3.0 else 1.0),
+    lambda u: math.nan if 2.0 < u < 4.0 else u,
+    lambda u: 1e300 * u * u,
+)
+
+
 def float_shift_sum(f, t, n, lam, h, first=1):
     """sum_{s=first..n+first-1} lam^(s-first) f(t - h*s), written out in ascending s."""
     acc = 0j if isinstance(lam, complex) else 0.0
@@ -781,10 +796,10 @@ class TestLatticeSums:
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
     def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
-        # Above the cap each term count refolds from fresh summand calls,
-        # highest first: the same bits, and one point costs the float-shift
-        # sums' 2n + 1 calls (n + 1 for y(t+h), then n for y(t); the
-        # residual's f(t) is the caller's).
+        # Above the cap a class is swept once, highest index first, with one
+        # accumulator per top index: the same bits, and one point costs
+        # n + 1 calls, one per index n, ..., 0 (the residual's f(t) is the
+        # caller's).
         rng = random.Random(17)
         cases = []
         for _ in range(40):
@@ -798,8 +813,8 @@ class TestLatticeSums:
         seen = []
         cell = floor_mod(9.5 * h, h)
         [(n, _, _)] = lattice_sums(lambda u: seen.append(u) or 0.0, [9.5 * h], 2.0, h)
-        assert n == cell.n > 3 and len(seen) == 2 * n + 1
-        assert seen == [cell.r + k * h for k in [*range(n, -1, -1), *range(n - 1, -1, -1)]]
+        assert n == cell.n > 3 and len(seen) == n + 1
+        assert seen == [cell.r + k * h for k in range(n, -1, -1)]
 
     @pytest.mark.parametrize("h", [1.0, 0.3, 0.1, 4.758454107848294e285])
     def test_classes_agree_with_floor_mod_per_point(self, h):
@@ -836,6 +851,59 @@ class TestLatticeSums:
         assert list(sums) == counts
         for m in counts:
             assert repr(sums[m]) == repr(running_product_fold(values[m - 1 :: -1] if m else [], field_lam))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        st.floats(-3.0, 120.0),
+        st.sampled_from([1.0, 0.5, 0.3, 0.1]),
+        st.sampled_from([1.0, -0.9, 1.7, complex(0.6, 0.6), -1j, complex(1.0, 0.0)]),
+        st.integers(0, len(_ONE_POINT_SUMMANDS) - 1),
+        st.sampled_from([(True, False), (True, True), (False, False)]),
+    )
+    def test_one_point_rows_are_the_class_rows(self, t, h, lam, which, mode):
+        # One point of one factor skips the class planner; a plan of the
+        # point twice takes it, and reads the same work and the same bits.
+        residuals, ahead = mode
+        f = _ONE_POINT_SUMMANDS[which]
+        terms, calls, rows = lattice_plan([t], h, [1], [lam], residuals)
+        class_terms, class_calls, class_rows = lattice_plan([t, t], h, [1], [lam], residuals)
+        assert (terms, calls) == (class_terms, class_calls)
+        got = rows(f, ahead=ahead)
+        expected = [column if column is None else column[:1] for column in class_rows(f, ahead=ahead)]
+        assert repr(list(got)) == repr(expected), (t, h, lam, which, mode)
+
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("lam", [1.0, 0.999, complex(0.6, 0.7)])
+    def test_one_point_calls_are_the_plan_on_both_sides_of_the_cap(self, n, lam):
+        # Below the cap the one-point path, above it one sweep of the class:
+        # either way one call per index n, ..., 0, as planned, and the bits of
+        # resolvent_sum at t and t + h.
+        t = n + 0.5
+        terms, calls, rows = lattice_plan([t], 1.0, [1], [lam])
+        assert (terms, calls) == (2 * n + 1, n + 1)
+        seen = []
+        [count], [y], [ahead] = rows(lambda u: seen.append(u) or math.cos(u), ahead=True)
+        assert count == n and len(seen) == calls
+        assert seen == [0.5 + k for k in range(n, -1, -1)]
+        assert repr(y) == repr(resolvent_sum(math.cos, t, lam).value)
+        assert repr(ahead) == repr(resolvent_sum(math.cos, t + 1.0, lam).value)
+
+    @pytest.mark.parametrize("chunk", [4096, 3, 2])
+    @pytest.mark.parametrize("lam", [1.0, -0.9, complex(0.6, 0.6)])
+    def test_a_class_above_the_cap_is_swept_once(self, lam, chunk, monkeypatch):
+        # Points of one class, some repeated or negative: above the cap the
+        # class sums all its top indices in one pass, whatever stretch of
+        # values is held at once, with the stored fold's bits.
+        ts = [2.25, 9.25, 5.25, 9.25, -1.75, 0.25, 6.25]
+        f = lambda u: math.sin(u) + u
+        stored = lattice_sums(f, ts, lam, 1.0)
+        monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
+        monkeypatch.setattr(antidiff_module, "_SWEEP_CHUNK", chunk)
+        seen = []
+        swept = lattice_sums(lambda u: seen.append(u) or f(u), ts, lam, 1.0)
+        assert repr(swept) == repr(stored)
+        assert seen == [0.25 + k for k in range(9, -1, -1)]
+        assert lattice_plan(ts, 1.0, [1], [lam])[1] == len(seen)
 
     def test_validation(self):
         with pytest.raises(NonFiniteInput):

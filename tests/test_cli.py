@@ -70,11 +70,55 @@ class TestParseComplex:
         assert isinstance(got, complex) == isinstance(expected, complex)
 
     @pytest.mark.parametrize("text", ["", "pi", "1+", "2x", "1 + 2i", "nan", "1e400"])
-    def test_rejected(self, text):
-        with pytest.raises(DomainError) as info:
-            parse_complex(text)
-        if text in ("nan", "1e400"):  # complex() reads these, as nan and inf
-            assert str(info.value) == f"number {text!r} is not finite"
+    def test_rejected(self, capsys, text):
+        # parse_complex reads nan and 1e400 as the numbers nan and inf; the
+        # coefficient rule refuses them, in eval as in every other command.
+        code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "1", f"--lambda={text}")
+        assert (code, out) == (EXIT_INPUT, "")
+        if text in ("nan", "1e400"):
+            assert err == f"adiff: lambda must be finite, got {float(text)!r}\n"
+        else:
+            with pytest.raises(DomainError) as info:
+                parse_complex(text)
+            assert err == f"adiff: {info.value}\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("inf", math.inf),
+            ("-inf", -math.inf),
+            ("Infinity", math.inf),
+            ("1e400", math.inf),
+            ("nan", math.nan),
+            ("infi", complex(0.0, math.inf)),
+            ("1-infi", complex(1.0, -math.inf)),
+            ("2+Infinityi", complex(2.0, math.inf)),
+        ],
+    )
+    def test_non_finite_text_is_a_number(self, text, expected):
+        # The i of "inf" is no imaginary unit.
+        assert repr(parse_complex(text)) == repr(expected)
+
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--expr", "1", "--t", "3", "--lambda={}"),
+            ("table", "--mode", "resolvent", "--expr", "1", "--from", "0", "--to", "3", "--step", "1", "--lambda={}"),
+            ("inequality", "--h", "1", "--lambda={}", "--direction", "geq", "--mu", "1", "--slack", "1",
+             "--from", "0", "--to", "3"),
+            ("solve", "--factors", "1:{}", "--expr", "1", "--t", "3"),
+            ("table", "--mode", "solve", "--factors", "1:0.5;1:{}", "--expr", "1", "--from", "0", "--to", "3",
+             "--step", "1"),
+        ],
+        ids=["eval", "table-resolvent", "inequality", "solve", "table-solve"],
+    )
+    def test_non_finite_lambda_has_one_message(self, capsys, argv, lam):
+        # One rule: every command refuses with the coefficient rule's words
+        # and exit 2; solve holds each lambda complex and names it so.
+        code, out, err = run_main(capsys, *(word.format(lam) for word in argv))
+        shown = complex(float(lam)) if "solve" in argv else float(lam)
+        assert (code, out, err) == (EXIT_INPUT, "", f"adiff: lambda must be finite, got {shown!r}\n")
 
 
 class TestParseFactors:
@@ -461,7 +505,7 @@ class TestTable:
     )
     def test_sum_modes_charge_the_exact_call_count(self, capsys, summand_calls, mode, h, hi, step):
         # The calls of the sums plus each row's f(t); the last case is
-        # over the class cap, where each count refolds.
+        # over the class cap, where the class is swept once (70 001 calls).
         ts = [i * float(step) for i in range(round(float(hi) / float(step)) + 1)]
         calls = lattice_plan(ts, float(h) if mode == "resolvent" else 1.0, [1], [1.0])[1] + len(ts)
         argv = ("table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
@@ -940,7 +984,8 @@ class TestInequalityCommand:
 
     def test_nan_residual_fails(self, capsys):
         # The slack sum overflows: y(t+1) is inf from t = 1 on, and inf - inf
-        # is a NaN residual from t = 2 on; each NaN residual is a violation.
+        # is a NaN residual from t = 2 on; each NaN residual is a violation,
+        # and the residual range is NaN once one residual is.
         code, out, _ = run_main(
             capsys,
             "inequality", "--h", "1", "--lambda", "1", "--direction", "geq", "--mu", "0",
@@ -948,7 +993,7 @@ class TestInequalityCommand:
         )
         assert code == EXIT_VERIFY_FAILED
         assert out.splitlines() == [
-            "direction=geq samples=4 min_residual=1e+308 max_residual=inf max_slack_mismatch=nan violations=2 FAIL",
+            "direction=geq samples=4 min_residual=nan max_residual=nan max_slack_mismatch=nan violations=2 FAIL",
             "violation at t=3.3333333333333335",
             "violation at t=5",
         ]
@@ -1542,7 +1587,11 @@ class TestLatticeRows:
         [
             ("20.5", "0.5", 41 + 1 + 1),
             ("0.3", "0.5", 1 + 1),  # y(t) empty, y(t+h) one term
-            ("70000.5", "1", 70000 + 70001 + 1),  # over the class cap: each count refolds
+            ("70000.5", "1", 70001 + 1),  # over the class cap: one sweep, one call per index
+            # Either side of the cap of 2^16 values: n = 2^16 - 1, 2^16 and 2^16 + 1.
+            ("65535.5", "1", 65536 + 1),
+            ("65536.5", "1", 65537 + 1),
+            ("65537.5", "1", 65538 + 1),
         ],
     )
     def test_eval_budget_is_the_exact_call_count(self, capsys, summand_calls, t, h, calls):
@@ -1563,7 +1612,7 @@ class TestLatticeRows:
     def test_eval_over_default_budget_exits_3_before_any_call(self, capsys, monkeypatch, summand_calls):
         code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "1e9")
         assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
-        assert "eval needs 2000000002 evaluations, budget is 10000000" in err
+        assert "eval needs 1000000002 evaluations, budget is 10000000" in err
         monkeypatch.setenv("ADIFF_TERM_BUDGET", "43")
         code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "20.5", "--h", "0.5")
         assert code == EXIT_OK

@@ -539,6 +539,20 @@ def _bits(rows):
     return [(n, repr(value.real), repr(resid)) for n, value, resid in rows]
 
 
+_NON_FLOAT_SUMMANDS = [
+    (lambda u: 3, True),
+    (lambda u: math.floor(u), True),
+    (lambda u: complex(math.cos(u), 0.25), True),
+    (lambda u: complex(math.sin(u)), True),
+    # int values at some points only.
+    (lambda u: 2 if u < 0.45 else math.cos(u), True),
+    (lambda u: Fraction(u), True),
+    # complex() reads a Decimal, which does not multiply a float; the
+    # residual's complex - Decimal fails as before, so values only.
+    (lambda u: Decimal(repr(u)), False),
+]
+
+
 class TestRealField:
     """A real operator with float summand values is folded in floats; its
     rows equal the complex written-out chain, real parts bit for bit."""
@@ -565,21 +579,7 @@ class TestRealField:
             expected = [oracle.row(t) for t in ts]
             assert _bits(solve_rows(op, f, ts)) == _bits(expected)
 
-    @pytest.mark.parametrize(
-        "f, residuals",
-        [
-            (lambda u: 3, True),
-            (lambda u: math.floor(u), True),
-            (lambda u: complex(math.cos(u), 0.25), True),
-            (lambda u: complex(math.sin(u)), True),
-            # int values at some points only.
-            (lambda u: 2 if u < 0.45 else math.cos(u), True),
-            (lambda u: Fraction(u), True),
-            # complex() reads a Decimal, which does not multiply a float; the
-            # residual's complex - Decimal fails as before, so values only.
-            (lambda u: Decimal(repr(u)), False),
-        ],
-    )
+    @pytest.mark.parametrize("f, residuals", _NON_FLOAT_SUMMANDS)
     def test_non_float_summands_take_the_complex_fold(self, f, residuals):
         # Under a real operator a complex, Decimal or other number is taken
         # as complex, as every value was before the float fold; ints and
@@ -849,9 +849,28 @@ class TestResidualLoop:
         assert repr(apply_operator(op, y, t)) == repr(expected)
 
 
+class TestOnePointPlan:
+    """One point of a one-factor operator skips the class planner: its row is
+    the written-out chain's and the class path's, bit for bit."""
+
+    @pytest.mark.parametrize("f, residuals", _NON_FLOAT_SUMMANDS)
+    @pytest.mark.parametrize("h, lam", [(0.3, 0.9), (1.0, -1.1), (0.5, complex(1.0, 0.0)), (0.1, 0.6 + 0.6j)])
+    def test_non_float_summands_take_the_complex_fold(self, h, lam, f, residuals):
+        # The fields of test_non_float_summands_take_the_complex_fold in
+        # TestRealField, at one point of one factor; the point planned twice
+        # takes the class path.
+        op = FactoredOperator.from_pairs([(h, lam)])
+        for t in (-0.7, 0.05, 3.35, 7.0):
+            oracle = fresh_chain(op, f)
+            rows = solve_rows(op, f, [t], residuals=residuals)
+            assert rows == [oracle.row(t, residuals)]
+            assert _bits(rows) == _bits([oracle.row(t, residuals)])
+            assert repr(rows) == repr(solve_rows(op, f, [t, t], residuals=residuals)[:1])
+
+
 class TestOneFactorCap:
     """A one-factor solve is the engine's one-layer class: above the value cap
-    it refolds each top index from fresh calls, as eval does."""
+    it sweeps the class once, one accumulator per top index, as eval does."""
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
     def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
@@ -865,19 +884,19 @@ class TestOneFactorCap:
         monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
         for op, f, ts, stored in cases:
             assert repr(solve_rows(op, f, ts)) == repr(stored), (op, ts)
-        # One point: the top indices n + 1 and n refold in turn, highest
-        # first, then the residual reads f(t); the charge is one row, the
-        # 2n + 1 terms and as many summand calls.
+        # One point: the top indices n + 1 and n are swept together, each
+        # index once, highest first, then the residual reads f(t); the charge
+        # is one row, the 2n + 1 terms and the n + 1 summand calls.
         op = FactoredOperator.from_pairs([(h, 2.0)])
         t = 9.5 * h
         cell = floor_mod(t, h)
         n = cell.n
-        work = 1 + 2 * (2 * n + 1)
+        work = 1 + (2 * n + 1) + (n + 1)
         assert lattice_plan(op, [t])[1] == work
         seen = []
         [(terms, _, _)] = solve_rows(op, lambda u: seen.append(u) or 1.0, [t], TermBudget(work))
         assert terms == n > 3
-        assert seen == [cell.r + k * h for k in [*range(n, -1, -1), *range(n - 1, -1, -1)]] + [t]
+        assert seen == [cell.r + k * h for k in range(n, -1, -1)] + [t]
         seen.clear()
         with pytest.raises(TermBudgetExceeded, match=f"nested sum needs {work} evaluations, budget is {work - 1}"):
             solve_rows(op, lambda u: seen.append(u) or 1.0, [t], TermBudget(work - 1))
