@@ -29,8 +29,7 @@ other h it may differ from that float shift in the last place, and so may
 the printed value, but never the term count.
 
 :func:`_point_sum` is the one-point summand loop: :func:`resolvent_sum`,
-:func:`antidifference` and :func:`backward_antidifference` call it, and
-:func:`_sweep` is its many-point form, one pass over the summand values.
+:func:`antidifference` and :func:`backward_antidifference` call it.
 :func:`definite_sum` writes out its lam = h = 1 case once for the two
 antidifferences F(n+1) and F(m) together, in the same order, so that
 each f(k) is computed once.
@@ -41,7 +40,8 @@ with :func:`adiff.numkit.floor_mod`, plans each remainder class and
 returns the plan's work with ``rows``, which calls the summand once per
 planned index, highest first, folds each layer against one weight row
 (the running product of lam, none at lam = 1.0) and reads |op y - f(t)|,
-or y(t+h); one point of one factor skips the planner. ``eval``, the sum
+or y(t+h); one point of one factor skips the planner at any n, and so
+does each point of a one-factor class past the value cap. ``eval``, the sum
 tables, :mod:`adiff.inequality` (the one-factor case g = h, m = [1]) and
 :func:`adiff.opalgebra.solve_rows` use it: each charges the work against
 its :class:`TermBudget` with :func:`_charge`, the one place a budget is
@@ -169,37 +169,6 @@ def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Sc
     return acc
 
 
-def _sweep(g: Callable[[float], Scalar], r: float, top: Sequence[int], h: float, lam: Scalar) -> list:
-    """:func:`_point_sum` at each N of ``top`` (ascending, distinct), in one
-    pass over k = top[-1] - 1, ..., 0 that calls g once per k: the sum of N
-    joins at k = N - 1 with its own accumulator and running weight, and each
-    stretch of at most :data:`_SWEEP_CHUNK` values is added to every joined
-    sum in turn, in :func:`_point_sum`'s order, in O(len(top)) memory."""
-    if len(top) == 1:
-        return [_point_sum(g, r, top[0], h, lam)]
-    zero: Scalar = 0j if isinstance(lam, complex) else 0.0
-    unit = lam == 1.0 and not isinstance(lam, complex)
-    sums: list = []  # [acc, w] of each joined sum, highest N first
-    for j in range(len(top) - 1, -1, -1):
-        if top[j] <= 0:
-            break
-        sums.append([zero, zero + 1.0])
-        low = max(top[j - 1], 0) if j else 0
-        for high in range(top[j], low, -_SWEEP_CHUNK):
-            values = [g(r + k * h) for k in range(high - 1, max(high - _SWEEP_CHUNK, low) - 1, -1)]
-            for state in sums:
-                acc, w = state
-                for v in values:
-                    acc += v if unit else w * v
-                    w *= lam
-                state[:] = acc, w
-    return [zero] * (len(top) - len(sums)) + [acc for acc, _ in reversed(sums)]
-
-
-#: The most summand values :func:`_sweep` holds at once.
-_SWEEP_CHUNK = 4096
-
-
 def _coefficient(lam: Scalar) -> Scalar:
     lam = lam if isinstance(lam, complex) else float(lam)
     if lam == 0:
@@ -228,9 +197,9 @@ def _period_break(f: RealFunction, T: float, sign: float, xs: Sequence[float], t
 # and charged, its summand values computed once and its layers folded once
 # for every row of the class. One factor of step h is g = h, m = [1].
 
-# A one-layer class keeps at most this many summand values. Above it the
-# class is swept once, highest index first, with one accumulator per top
-# index, so one large eval or one-factor solve runs in constant memory and
+# The most summand values the engine holds at once. Past it one point's
+# pass reads its values in stretches and a one-layer class sums each point
+# alone, so one large eval or one-factor solve runs in constant memory and
 # calls the summand once per index (n + 1 calls for y(t) and y(t + h)).
 _CLASS_VALUES_MAX = 1 << 16
 
@@ -308,7 +277,8 @@ def _index_sets(ms: Sequence[int], top: list[int], allowance: float) -> tuple[li
 def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: float) -> tuple[dict | None, int, int]:
     """({rho: index sets}, terms, calls) of :func:`_index_sets` for the points
     ``cells`` = [(N, rho)], rho's top layer at N + s for each offset s
-    (offsets[0] is 0); the plan is None once terms + calls pass ``allowance``."""
+    (offsets[0] is 0); the plan is None once terms + calls pass ``allowance``.
+    A one-layer class past the cap plans [the top index of each point's pass]."""
     members: dict[float, list[int]] = {}
     for n, rho in cells:
         members.setdefault(rho, []).append(n)
@@ -316,7 +286,11 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
     terms = calls = 0
     for rho, ns in members.items():
         top = sorted({n + s for n in ns for s in offsets})
-        if len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
+        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:  # a pass per point n, charged as one point is
+            sets = [sorted({n + offsets[-1] - 1 for n in ns}, reverse=True)]
+            more_terms = sum([max(n + s, 0) for n in set(ns) for s in offsets])
+            more_calls = sum([max(n + offsets[-1], 0) for n in set(ns)])
+        elif len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
             n = top[-1]
             more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
             sets, more_calls = [[range(n)] if n > 0 else [], top], max(n, 0)
@@ -382,18 +356,20 @@ def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dic
     Each class in turn calls its summand once per index, highest first,
     picks its :func:`_field` and builds its layers bottom up with
     :func:`_fold`, each dropped once the next is built. A one-layer class
-    above the cap stores no value: :func:`_sweep` sums all its top indices
-    in one pass, highest index first, complex exactly when its lam is.
+    past the cap stores no value: each of its points is summed alone by
+    :func:`_point_rows`, the highest point first.
     """
     # The float field's lams, where every lam has imaginary part 0.
     reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
     tops = {}
     for rho, sets in plan.items():
-        top, ranges = sets[-1], sets[0]
-        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:
-            field = reals or list(map(complex, lams))
-            tops[rho] = dict(zip(top, _sweep(f, rho, top, g, field[0]))), field
+        if len(sets) == 1:  # past the cap: y at each pass's top index and the one above it
+            y = {}
+            for n in sets[0]:
+                _, [y[n]], [y[n + 1]] = _point_rows(None, g, lams, (n, rho), True, f, ahead=True)
+            tops[rho] = y, reals or list(map(complex, lams))
             continue
+        top, ranges = sets[-1], sets[0]
         values, zero, field = _field([f(rho + index * g) for index in _descending(ranges)], reals, lams)
         if len(ranges) == 1:
             values.reverse()
@@ -438,7 +414,7 @@ def lattice_plan(ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequenc
     ts = list(map(_require_finite, ts))
     lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
     cells = list(map(_floor_mod, ts, itertools.repeat(g)))
-    if len(ms) == len(cells) == 1 and cells[0][0] < _CLASS_VALUES_MAX:  # one point of one factor: no class to plan
+    if len(ms) == len(cells) == 1:  # one point of one factor: no class to plan
         n = cells[0][0]
         calls = max(n + 1 if residuals else n, 0)
         rows = functools.partial(_point_rows, ts[0], g, lams, cells[0], residuals)
@@ -489,26 +465,33 @@ def _magnitude(d: Scalar) -> float:
 
 def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residuals: bool, f: RealFunction,
                 ahead: bool = False) -> tuple[list[int], list[Scalar], list | None]:
-    """:func:`_rows` of one point t = n*g + rho of one factor below the class
-    cap: the values at rho + k*g, k = n, ..., 0 (from n - 1 without
-    residuals), in a class's :func:`_field`, then y(t) and y(t + h) in one
-    pass with two accumulators and one running weight, in :func:`_fold`'s order."""
+    """:func:`_rows` of one point t = n*g + rho of one factor, at any n: the
+    values at rho + k*g, k = n, ..., 0 (from n - 1 without residuals), then
+    y(t) and y(t + h) in one pass with two accumulators and one running
+    weight, in :func:`_fold`'s order. Up to the cap the values are one list
+    in a class's :func:`_field`; past it, stretches of the cap in lam's field."""
     n, rho = cell
+    top = n if residuals else n - 1
     reals = None if lams[0].imag else [lams[0].real]
-    values, zero, field = _field([f(rho + k * g) for k in range(n if residuals else n - 1, -1, -1)], reals, lams)
-    lam = field[0]
+    if top < _CLASS_VALUES_MAX:
+        values, zero, (lam,) = _field([f(rho + k * g) for k in range(top, -1, -1)], reals, lams)
+        values = iter(values)
+    else:
+        lam, zero = (reals[0], 0.0) if reals else (lams[0], 0j)
+        values = itertools.chain.from_iterable([f(rho + k * g) for k in range(i, max(i - _CLASS_VALUES_MAX, -1), -1)]
+                                               for i in range(top, -1, -_CLASS_VALUES_MAX))
     y = y_next = zero
-    if values:
-        rest = itertools.islice(values, 1, None)
+    if top >= 0:
+        v = next(values)  # k = top: y(t + h)'s alone
         if lam == 1.0 and isinstance(lam, float):
-            y_next += values[0]
-            for v in rest:
+            y_next += v
+            for v in values:
                 y += v
                 y_next += v
         else:
             w = zero + 1.0
-            y_next += w * values[0]
-            for v in rest:
+            y_next += w * v
+            for v in values:
                 y += w * v
                 w *= lam
                 y_next += w * v
@@ -520,11 +503,12 @@ def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residua
 def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:
     """The first value that the rows of a one-point :func:`lattice_plan` at t
     read and that is not finite, as (index, point, value), or None: the
-    summand at rho + I*g, highest index I first, then the residual's f(t),
-    whose index is None. It calls f again, so it belongs on a failure path."""
+    summand at rho + I*g, highest index I first (n, ..., 0 for one factor),
+    then the residual's f(t), whose index is None. It calls f again, so it
+    belongs on a failure path."""
     n, rho = _floor_mod(t, g)
-    plan, _, _ = _plan(ms, [(n, rho)], _subset_sums(ms), math.inf)
-    for index in _descending(plan[rho][0]):
+    plan = None if len(ms) == 1 else _plan(ms, [(n, rho)], _subset_sums(ms), math.inf)[0]
+    for index in range(n, -1, -1) if plan is None else _descending(plan[rho][0]):
         point = rho + index * g
         value = f(point)
         if not cmath.isfinite(value):

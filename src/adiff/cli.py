@@ -53,8 +53,9 @@ first reads argv with :func:`_read`, a short reader built from that table,
 and builds the argparse parser (once per process) only for argv the reader
 declines, so help, error messages and exit codes are always argparse's and
 a process whose commands are all well formed never builds the parser or
-imports argparse. The parser reads the value of ``--flag=--`` as "--" on
-every Python version, as argparse 3.13 does.
+imports argparse. Both read ``--t -1`` and ``--lambda -0.5+0.2i`` as
+values. The parser reads the value of ``--flag=--`` as "--" on every
+Python version, as argparse 3.13 does.
 
 Numbers are printed at 17 significant digits, which round-trips binary64
 exactly; CSV rows and JSON lines are generated from the same rendered
@@ -552,10 +553,10 @@ def _read(argv: list[str]) -> types.SimpleNamespace | None:
     option's type and checking its choices; a repeated flag keeps its last
     value. It declines (returns None) an unknown or abbreviated word, -h,
     --, a flag without its value, a second word starting "-" as a value
-    (argparse reads some as options), the value ``--`` (which argparse
-    drops), a value its type rejects, a value outside the choices and a
-    missing required flag, so the parser reads those and prints its own
-    help and errors.
+    unless :data:`_NEGATIVE_NUMBER` matches it, as argparse does, the value
+    ``--`` (which argparse drops), a value its type rejects, a value outside
+    the choices and a missing required flag, so the parser reads those and
+    prints its own help and errors.
     """
     reader = _READERS.get(argv[0]) if argv else None
     if reader is None:
@@ -570,7 +571,7 @@ def _read(argv: list[str]) -> types.SimpleNamespace | None:
             return None
         if not eq:
             i += 1
-            if i == end or argv[i][:1] == "-":
+            if i == end or argv[i][:1] == "-" and not _NEGATIVE_NUMBER.match(argv[i]):
                 return None
             value = argv[i]
         elif value == "--":

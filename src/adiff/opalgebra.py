@@ -70,7 +70,7 @@ class LinearFactor(_Frozen):
 
     def __init__(self, h: float, lam: complex):
         _set(self, "h", _require_positive_shift(h))
-        _set(self, "lam", _coefficient(complex(lam)))
+        _set(self, "lam", complex(_coefficient(lam)))
 
 
 class FactoredOperator(_Frozen):

@@ -796,10 +796,9 @@ class TestLatticeSums:
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
     def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
-        # Above the cap a class is swept once, highest index first, with one
-        # accumulator per top index: the same bits, and one point costs
-        # n + 1 calls, one per index n, ..., 0 (the residual's f(t) is the
-        # caller's).
+        # Past the cap each point of a class is summed alone, highest index
+        # first: the same bits, and one point costs n + 1 calls, one per
+        # index n, ..., 0 (the residual's f(t) is the caller's).
         rng = random.Random(17)
         cases = []
         for _ in range(40):
@@ -875,9 +874,9 @@ class TestLatticeSums:
     @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
     @pytest.mark.parametrize("lam", [1.0, 0.999, complex(0.6, 0.7)])
     def test_one_point_calls_are_the_plan_on_both_sides_of_the_cap(self, n, lam):
-        # Below the cap the one-point path, above it one sweep of the class:
-        # either way one call per index n, ..., 0, as planned, and the bits of
-        # resolvent_sum at t and t + h.
+        # One pass on both sides of the cap, its values held in one list or
+        # in stretches: either way one call per index n, ..., 0, as planned,
+        # and the bits of resolvent_sum at t and t + h.
         t = n + 0.5
         terms, calls, rows = lattice_plan([t], 1.0, [1], [lam])
         assert (terms, calls) == (2 * n + 1, n + 1)
@@ -888,22 +887,34 @@ class TestLatticeSums:
         assert repr(y) == repr(resolvent_sum(math.cos, t, lam).value)
         assert repr(ahead) == repr(resolvent_sum(math.cos, t + 1.0, lam).value)
 
-    @pytest.mark.parametrize("chunk", [4096, 3, 2])
     @pytest.mark.parametrize("lam", [1.0, -0.9, complex(0.6, 0.6)])
-    def test_a_class_above_the_cap_is_swept_once(self, lam, chunk, monkeypatch):
-        # Points of one class, some repeated or negative: above the cap the
-        # class sums all its top indices in one pass, whatever stretch of
-        # values is held at once, with the stored fold's bits.
+    def test_a_class_past_the_cap_is_summed_a_point_at_a_time(self, lam, monkeypatch):
+        # Points of one class, some repeated or negative: past the cap each
+        # point is summed alone, the highest point first and each highest
+        # index first, with the stored fold's bits, and the calls made are
+        # the calls planned.
         ts = [2.25, 9.25, 5.25, 9.25, -1.75, 0.25, 6.25]
         f = lambda u: math.sin(u) + u
         stored = lattice_sums(f, ts, lam, 1.0)
         monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
-        monkeypatch.setattr(antidiff_module, "_SWEEP_CHUNK", chunk)
         seen = []
-        swept = lattice_sums(lambda u: seen.append(u) or f(u), ts, lam, 1.0)
-        assert repr(swept) == repr(stored)
-        assert seen == [0.25 + k for k in range(9, -1, -1)]
+        summed = lattice_sums(lambda u: seen.append(u) or f(u), ts, lam, 1.0)
+        assert repr(summed) == repr(stored)
+        assert seen == [0.25 + k for n in (9, 6, 5, 2, 0) for k in range(n, -1, -1)]
         assert lattice_plan(ts, 1.0, [1], [lam])[1] == len(seen)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    @pytest.mark.parametrize("lam", [1.0, -0.9, complex(0.6, 0.6)])
+    def test_one_point_past_the_cap_folds_in_stretches(self, n, lam, monkeypatch):
+        # Under a cap of 3 values: one list (n = 2 reads 3 values), the first
+        # n past it, and several stretches; each is resolvent_sum's bits.
+        monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
+        f = lambda u: math.cos(u) + 0.25 * u
+        t = n + 0.5
+        [(count, y, ahead)] = lattice_sums(f, [t], lam, 1.0)
+        assert count == n
+        assert repr(y) == repr(resolvent_sum(f, t, lam).value)
+        assert repr(ahead) == repr(resolvent_sum(f, t + 1.0, lam).value)
 
     def test_validation(self):
         with pytest.raises(NonFiniteInput):
@@ -931,6 +942,15 @@ class TestNonfiniteTerm:
         g = lambda u: math.nan if u in (7.3, 0.09999999999999912) else 1.0
         index, point, value = nonfinite_summand(g, 7.3, 0.1, [1])
         assert (index, point) == (0, 0.09999999999999912) and math.isnan(value)
+
+    def test_past_the_cap_index_n_comes_first(self):
+        # One factor walks k = n, ..., 0 at any n, as its one pass reads them.
+        t = 70000.5
+        assert t > antidiff_module._CLASS_VALUES_MAX
+        seen = []
+        f = lambda u: seen.append(u) or (math.inf if u > 1.0 else 1.0)
+        assert nonfinite_summand(f, t, 1.0, [1]) == (70000, t, math.inf)
+        assert seen == [t]
 
     def test_all_finite(self):
         assert nonfinite_summand(math.sin, 7.3, 0.3, [1]) is None

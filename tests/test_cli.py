@@ -115,10 +115,9 @@ class TestParseComplex:
     )
     def test_non_finite_lambda_has_one_message(self, capsys, argv, lam):
         # One rule: every command refuses with the coefficient rule's words
-        # and exit 2; solve holds each lambda complex and names it so.
+        # and exit 2.
         code, out, err = run_main(capsys, *(word.format(lam) for word in argv))
-        shown = complex(float(lam)) if "solve" in argv else float(lam)
-        assert (code, out, err) == (EXIT_INPUT, "", f"adiff: lambda must be finite, got {shown!r}\n")
+        assert (code, out, err) == (EXIT_INPUT, "", f"adiff: lambda must be finite, got {float(lam)!r}\n")
 
 
 class TestParseFactors:
@@ -505,7 +504,7 @@ class TestTable:
     )
     def test_sum_modes_charge_the_exact_call_count(self, capsys, summand_calls, mode, h, hi, step):
         # The calls of the sums plus each row's f(t); the last case is
-        # over the class cap, where the class is swept once (70 001 calls).
+        # past the class cap, where each point is summed alone (105 003 calls).
         ts = [i * float(step) for i in range(round(float(hi) / float(step)) + 1)]
         calls = lattice_plan(ts, float(h) if mode == "resolvent" else 1.0, [1], [1.0])[1] + len(ts)
         argv = ("table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
@@ -1302,6 +1301,9 @@ class TestReader:
             ["inequality", "--h", "1", "--lambda", "2", "--direction=leq", "--mu", "1", "--slack", "1",
              "--from", "0", "--to", "9"],
             ["verify"],
+            ["eval", "--expr", "1", "--t", "-1"],
+            ["eval", "--expr", "1", "--t", "3", "--lambda", "-0.5+0.2i"],
+            ["eval", "--expr", "1", "--t", "3", "--budget", "-5"],
         ],
     )
     def test_reads_well_formed_argv(self, argv):
@@ -1316,7 +1318,6 @@ class TestReader:
             ["--help"],
             ["ev", "--expr", "1", "--t", "1"],
             ["eval", "--expr", "1", "--lam", "0.5", "--t", "1"],
-            ["eval", "--expr", "1", "--t", "-1"],
             ["eval", "--expr", "1", "--t", "1", "-h"],
             ["eval", "--expr", "1", "--t", "1", "--"],
             ["verify", "--identity=--"],
@@ -1337,7 +1338,7 @@ class TestReader:
         argvs = [list(cmd.argv) for seed in (1, 2, 3) for w in workloads.WORKLOADS for cmd in workloads.generate(w, seed)]
         accepted = [(argv, args) for argv in argvs if (args := cli._read(argv)) is not None]
         assert [argv for argv, args in accepted if _namespace_reprs(args) != _namespace_reprs(_full_read(argv))] == []
-        # Only negative two-word values and malformed commands go to argparse.
+        # Only malformed commands go to argparse.
         assert len(accepted) > 0.9 * len(argvs)
 
 
@@ -1587,7 +1588,7 @@ class TestLatticeRows:
         [
             ("20.5", "0.5", 41 + 1 + 1),
             ("0.3", "0.5", 1 + 1),  # y(t) empty, y(t+h) one term
-            ("70000.5", "1", 70001 + 1),  # over the class cap: one sweep, one call per index
+            ("70000.5", "1", 70001 + 1),  # past the class cap: one pass, one call per index
             # Either side of the cap of 2^16 values: n = 2^16 - 1, 2^16 and 2^16 + 1.
             ("65535.5", "1", 65536 + 1),
             ("65536.5", "1", 65537 + 1),
@@ -2033,6 +2034,12 @@ class TestOneEngine:
         expected = (EXIT_INPUT, "", "adiff: summand is inf at 10 (lattice point k=10 of t=10, h=1)\n")
         assert run_main(capsys, *argv) == expected
         assert _fresh_adiff(*argv) == expected
+
+    def test_complex_eval_past_the_class_cap_names_index_n(self, capsys):
+        # Past the cap of 2^16 values the one pass still reads k = n first.
+        argv = ["eval", "--lambda", "1i", "--expr", "exp(t*100)", "--t", "70000.5"]
+        expected = (EXIT_INPUT, "", "adiff: summand is inf at 70000.5 (lattice point k=70000 of t=70000.5, h=1)\n")
+        assert run_main(capsys, *argv) == expected
 
     def test_complex_resolvent_csv_table_keeps_inf_and_nan(self, capsys):
         span = ["--expr", "exp(t*100)", "--from", "0", "--to", "10", "--step", "5"]

@@ -869,8 +869,8 @@ class TestOnePointPlan:
 
 
 class TestOneFactorCap:
-    """A one-factor solve is the engine's one-layer class: above the value cap
-    it sweeps the class once, one accumulator per top index, as eval does."""
+    """A one-factor solve is the engine's one-layer class: past the value cap
+    it sums each point alone, in one pass, as eval does."""
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
     def test_classes_above_the_value_cap_store_nothing(self, h, monkeypatch):
@@ -884,8 +884,8 @@ class TestOneFactorCap:
         monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", 3)
         for op, f, ts, stored in cases:
             assert repr(solve_rows(op, f, ts)) == repr(stored), (op, ts)
-        # One point: the top indices n + 1 and n are swept together, each
-        # index once, highest first, then the residual reads f(t); the charge
+        # One point: one pass reads each index once, highest first, for
+        # y at n + 1 and n, then the residual reads f(t); the charge
         # is one row, the 2n + 1 terms and the n + 1 summand calls.
         op = FactoredOperator.from_pairs([(h, 2.0)])
         t = 9.5 * h
