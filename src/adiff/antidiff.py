@@ -40,7 +40,8 @@ with :func:`adiff.numkit.floor_mod`, plans each remainder class and
 returns the plan's work with ``rows``, which calls the summand once per
 planned index, highest first, folds each layer against one weight row
 (the running product of lam, none at lam = 1.0) and reads |op y - f(t)|,
-or y(t+h); one point of one factor skips the planner at any n, and so
+or y(t+h), taking f(t) from the summand values where t is its own
+lattice point; one point of one factor skips the planner at any n, and so
 does each point of a one-factor class past the value cap. ``eval``, the sum
 tables, :mod:`adiff.inequality` (the one-factor case g = h, m = [1]) and
 :func:`adiff.opalgebra.solve_rows` use it: each charges the work against
@@ -350,12 +351,14 @@ def _field(values: list, reals: list | None, lams: list) -> tuple[list, Scalar, 
 
 
 def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dict) -> dict:
-    """{rho: (top layer, lams of its field)} for the classes of ``plan``, a
-    plan of :func:`_plan` that the caller has charged.
+    """{rho: (top layer, lams of its field, summand values)} for the classes
+    of ``plan``, a plan of :func:`_plan` that the caller has charged.
 
     Each class in turn calls its summand once per index, highest first,
     picks its :func:`_field` and builds its layers bottom up with
     :func:`_fold`, each dropped once the next is built. A one-layer class
+    keeps its summand values, in its field and ascending index order, for
+    the rows that read f(t) there; any other keeps None. A one-layer class
     past the cap stores no value: each of its points is summed alone by
     :func:`_point_rows`, the highest point first.
     """
@@ -366,8 +369,8 @@ def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dic
         if len(sets) == 1:  # past the cap: y at each pass's top index and the one above it
             y = {}
             for n in sets[0]:
-                _, [y[n]], [y[n + 1]] = _point_rows(None, g, lams, (n, rho), True, f, ahead=True)
-            tops[rho] = y, reals or list(map(complex, lams))
+                _, [y[n]], [y[n + 1]] = _point_rows(None, g, lams, (n, rho), True, True, False, f)
+            tops[rho] = y, reals or list(map(complex, lams)), None
             continue
         top, ranges = sets[-1], sets[0]
         values, zero, field = _field([f(rho + index * g) for index in _descending(ranges)], reals, lams)
@@ -382,7 +385,8 @@ def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dic
                 row = _weights(lam, max((r[-1] for r in indices), default=0) // m, zero)
                 layer = {r.start: _fold(r, m, row, layer, zero) for r in indices}
         m = ms[-1]
-        tops[rho] = dict(zip(top, _fold(top, m, _weights(field[-1], top[-1] // m, zero), layer, zero))), field
+        y = dict(zip(top, _fold(top, m, _weights(field[-1], top[-1] // m, zero), layer, zero)))
+        tops[rho] = y, field, layer.get(0) if len(sets) == 2 else None
     return tops
 
 
@@ -400,57 +404,76 @@ def _combine(v: list, lams: Sequence[Scalar]) -> Scalar:
 
 
 def lattice_plan(ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequence[Scalar], residuals: bool = True,
-                 allowance: float = math.inf) -> tuple[int, int, Callable | None]:
+                 allowance: float = math.inf, ahead: bool = False) -> tuple[int, int, Callable | None]:
     """(terms, calls, rows) for the points ts of y, the particular solution of
     prod_i (E^(m_i g) - lam_i) y = f: the engine's one entry.
 
     It splits each point once and plans each remainder class once.
-    ``terms`` and ``calls`` are the plan's layer terms and summand calls,
-    for the caller to charge before any summand call; past ``allowance``
-    the plan stops, they count only the layers walked, and ``rows`` is
-    None. ``rows(f)`` sums the plan and returns the columns of
-    :func:`_rows`. Without ``residuals`` the plan reads no shifted point.
+    ``terms`` and ``calls`` are the plan's layer terms and the calls of f
+    its rows make, for the caller to charge before any summand call: one
+    per summand index, and the residual's f(t) of every row that does not
+    read it from its class (:func:`_rows`). Past ``allowance`` the plan
+    stops, they count only the layers walked, and ``rows`` is None.
+    ``rows(f)`` sums the plan and returns the columns of :func:`_rows`.
+    Without ``residuals`` the plan reads no shifted point; with ``ahead``
+    (one factor) the third column is y(t + h), and f(t) is not read.
     """
     ts = list(map(_require_finite, ts))
     lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
     cells = list(map(_floor_mod, ts, itertools.repeat(g)))
+    reads = residuals and not ahead  # the rows subtract f(t)
     if len(ms) == len(cells) == 1:  # one point of one factor: no class to plan
-        n = cells[0][0]
+        n, rho = cells[0]
         calls = max(n + 1 if residuals else n, 0)
-        rows = functools.partial(_point_rows, ts[0], g, lams, cells[0], residuals)
-        return max(n, 0) + (calls if residuals else 0), calls, rows
+        known = reads and n >= 0 and _on_lattice(ts[0], n, rho, g)
+        rows = functools.partial(_point_rows, ts[0], g, lams, cells[0], residuals, ahead, known)
+        return max(n, 0) + (calls if residuals else 0), calls + (reads and not known), rows
     offsets = _subset_sums(ms) if residuals else None
-    plan, terms, calls = _plan(ms, cells, offsets or [0], allowance)
+    # A class of several layers keeps no summand value: each of its rows calls f(t).
+    checks = len(ts) if reads and len(ms) > 1 else 0
+    plan, terms, calls = _plan(ms, cells, offsets or [0], allowance - checks)
     if plan is None:
-        return terms, calls, None
-    return terms, calls, functools.partial(_rows, ts, g, ms, lams, cells, plan, offsets)
+        return terms, calls + checks, None
+    known = None
+    if reads and len(ms) == 1:  # a class below the cap keeps its values (two sets)
+        known = [n >= 0 and len(plan[rho]) == 2 and _on_lattice(t, n, rho, g) for t, (n, rho) in zip(ts, cells)]
+        checks = known.count(False)
+    return terms, calls + checks, functools.partial(_rows, ts, g, ms, lams, cells, plan, offsets, ahead, known)
+
+
+def _on_lattice(t: float, n: int, rho: float, g: float) -> bool:
+    """Whether the float t is the point rho + n*g at which the summand is read,
+    the sign of a zero included, so that f(t) is the summand value at index n."""
+    point = rho + n * g
+    return t == point and (t != 0.0 or math.copysign(1.0, t) == math.copysign(1.0, point))
 
 
 def _rows(ts: list[float], g: float, ms: Sequence[int], lams: list, cells: list, plan: dict, offsets: list[int] | None,
-          f: RealFunction, ahead: bool = False) -> tuple[list[int], list[Scalar], list | None]:
+          ahead: bool, known: list[bool] | None, f: RealFunction) -> tuple[list[int], list[Scalar], list | None]:
     """The columns n, y(t) and |op y - f|(t) of a plan of :func:`lattice_plan`.
 
     n is N // m_k clamped at 0. The residual reads y(t + h) - lam*y(t) at one
     factor, else combines the top layer at the 2^k indices N + (sum of a
     subset of the m_i) by :func:`_combine` (the same arithmetic at k = 1),
-    with the lams of the row's field, and subtracts f(t) at the float t, one
-    call per row that ``calls`` leaves out. With ``ahead`` the third column
-    is y(t + h) of a one-factor plan instead, and f(t) is not called;
-    without ``offsets`` (no residuals) it is None.
+    with the lams of the row's field, and subtracts f(t) at the float t:
+    the class's summand value at N where ``known`` says that t is its
+    lattice point, else one call of f. With ``ahead`` the third column is
+    y(t + h) of a one-factor plan instead; without ``offsets`` (no
+    residuals) it is None.
     """
     tops = _lattice(f, g, ms, lams, plan)
     m = ms[-1]
     one = len(ms) == 1
     counts, values, thirds = [], [], []
-    for t, (n, rho) in zip(ts, cells):
-        y, field = tops[rho]
+    for t, (n, rho), on in zip(ts, cells, known or itertools.repeat(False)):
+        y, field, stored = tops[rho]
         counts.append(n // m if n > 0 else 0)
         values.append(y[n])
         if ahead:
             thirds.append(y[n + 1])
         elif offsets:
-            d = (y[n + 1] - field[0] * y[n] if one else _combine([y[n + s] for s in offsets], field)) - f(t)
-            thirds.append(_magnitude(d))
+            d = y[n + 1] - field[0] * y[n] if one else _combine([y[n + s] for s in offsets], field)
+            thirds.append(_magnitude(d - (stored[n] if on else f(t))))
     return counts, values, thirds if offsets else None
 
 
@@ -463,13 +486,15 @@ def _magnitude(d: Scalar) -> float:
         return math.hypot(d.real, d.imag)
 
 
-def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residuals: bool, f: RealFunction,
-                ahead: bool = False) -> tuple[list[int], list[Scalar], list | None]:
+def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residuals: bool, ahead: bool, known: bool,
+                f: RealFunction) -> tuple[list[int], list[Scalar], list | None]:
     """:func:`_rows` of one point t = n*g + rho of one factor, at any n: the
     values at rho + k*g, k = n, ..., 0 (from n - 1 without residuals), then
     y(t) and y(t + h) in one pass with two accumulators and one running
     weight, in :func:`_fold`'s order. Up to the cap the values are one list
-    in a class's :func:`_field`; past it, stretches of the cap in lam's field."""
+    in a class's :func:`_field`; past it, stretches of the cap in lam's field.
+    The residual's f(t) is the value at k = n where ``known`` says that t is
+    that lattice point, else one call of f."""
     n, rho = cell
     top = n if residuals else n - 1
     reals = None if lams[0].imag else [lams[0].real]
@@ -482,7 +507,7 @@ def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residua
                                                for i in range(top, -1, -_CLASS_VALUES_MAX))
     y = y_next = zero
     if top >= 0:
-        v = next(values)  # k = top: y(t + h)'s alone
+        at_top = v = next(values)  # k = top: y(t + h)'s alone
         if lam == 1.0 and isinstance(lam, float):
             y_next += v
             for v in values:
@@ -497,7 +522,9 @@ def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residua
                 y_next += w * v
     if not residuals:
         return [max(n, 0)], [y_next], None
-    return [max(n, 0)], [y], [y_next if ahead else _magnitude((y_next - lam * y) - f(t))]
+    if ahead:
+        return [max(n, 0)], [y], [y_next]
+    return [max(n, 0)], [y], [_magnitude((y_next - lam * y) - (at_top if known else f(t)))]
 
 
 def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:

@@ -18,12 +18,11 @@ error; results to standard output. Every command takes a term budget:
 10,000,000 (``inequality`` and ``verify`` have no --budget). Each charges
 its work once, before the first summand call, through ``antidiff._charge``,
 and exits 3 above the budget. ``sum`` charges its exact summand call
-count; ``eval`` and ``table --mode antidiff|resolvent`` the summand calls
-of the lattice engine plus one f(t) per row for the residual; ``solve``
-and its table the exact work of ``opalgebra.solve_rows`` (layer terms,
-summand calls and rows); ``inequality`` the slack calls of its sign
+count; ``eval``, ``solve`` and their tables the exact work of the lattice
+engine's plan (fold terms, and every call of f its rows make, the
+residuals' f(t) included); ``inequality`` the slack calls of its sign
 check, its sums and its slack match; ``verify`` at least one call per
-sample of each identity it runs. A table first charges one call per row,
+sample of each identity it runs. A table first charges one unit per row,
 before it builds its points, and ``inequality`` first two per sample, so
 a huge row or sample count is refused before its list is built. ``sum``
 exits 2 on a result that is not finite.
@@ -33,7 +32,9 @@ their points once with the lattice engine's one entry
 ``antidiff.lattice_plan`` (the sums as its one-factor case g = h, m = [1],
 ``solve`` through ``opalgebra.solve_rows``), charge the work it returns,
 then read every value and residual from its rows, which compute each
-summand value once, highest lattice index first. ``eval`` and ``solve``
+summand value once, highest lattice index first, and read a row's f(t)
+from its class where t is its lattice point. A table renders its rows
+straight from those columns; ``eval`` and ``solve``
 print their row through one helper, which refuses (exit 2) a value or
 residual that is not finite, naming the first non-finite summand value
 in that order, or saying that the sum or solution overflows;
@@ -180,28 +181,45 @@ class OutputRecord(_Record):
         self.terms_used = terms_used
         self.residual = residual
 
-    # Each format's template. x + 0.0 folds -0.0, and '%.17g' % x gives the
-    # bytes of fmt17(x).
+    # Each format's template, for one row (t, value, imag, terms_used, residual).
     _TEXT = "t=%.17g value=%.17g imag=%.17g terms_used=%d residual=%.17g"
     _CSV = "%.17g,%.17g,%.17g,%d,%.17g"
     _JSON = '{"t": %.17g, "value": %.17g, "imag": %.17g, "terms_used": %d, "residual": %.17g}'
 
-    def _render(self, template: str) -> str:
-        return template % (self.t + 0.0, self.value + 0.0, self.imag + 0.0, self.terms_used, self.residual + 0.0)
-
     def text_line(self) -> str:
-        return self._render(self._TEXT)
+        return _line(self._TEXT, self.t, self.value, self.imag, self.terms_used, self.residual)
 
     def csv_row(self) -> str:
-        return self._render(self._CSV)
+        return _line(self._CSV, self.t, self.value, self.imag, self.terms_used, self.residual)
 
     def json_line(self) -> str:
-        isfinite = math.isfinite
-        if not (isfinite(self.t) and isfinite(self.value) and isfinite(self.imag) and isfinite(self.residual)):
-            key = next(k for k in ("t", "value", "imag", "residual") if not isfinite(getattr(self, k)))
-            text = fmt17(getattr(self, key))
-            raise DomainError(f"{key}={text} at t={fmt17(self.t)} has no JSON form; use --format csv")
-        return self._render(self._JSON)
+        return _json_lines([(self.t, self.terms_used, complex(self.value, self.imag), self.residual)])
+
+
+def _line(template: str, t: float, value: float, imag: float, n: int, r: float) -> str:
+    """One row in ``template``. x + 0.0 folds -0.0, and '%.17g' % x gives
+    the bytes of fmt17(x)."""
+    return template % (t + 0.0, value + 0.0, imag + 0.0, n, r + 0.0)
+
+
+def _render(template: str, rows) -> str:
+    """The engine's rows (t, n, y, residual) in ``template``, one line each."""
+    return "\n".join([_line(template, t, y.real, y.imag, n, r) for t, n, y, r in rows])
+
+
+def _json_lines(rows: list[tuple]) -> str:
+    """:func:`_render` in JSON, which has no inf or nan: the first row with a
+    field that is not finite refuses them all, naming that field."""
+    text = _render(OutputRecord._JSON, rows)
+    # '%.17g' writes inf and nan with an "n"; a finite float, an int and the
+    # keys have none, so the first "n" is in the first row to refuse.
+    at = text.find("n")
+    if at < 0:
+        return text
+    t, _, y, r = rows[text.count("\n", 0, at)]
+    fields = {"t": t, "value": y.real, "imag": y.imag, "residual": r}
+    key = next(k for k, x in fields.items() if not math.isfinite(x))
+    raise DomainError(f"{key}={fmt17(fields[key])} at t={fmt17(t)} has no JSON form; use --format csv")
 
 
 _IMAGINARY_UNIT = re.compile(r"inf(?:inity)?|i", re.IGNORECASE)
@@ -255,23 +273,23 @@ def _resolve_budget(flag_value: int | None) -> TermBudget:
     return TermBudget()
 
 
-def _sum_rows(f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int) -> list[OutputRecord]:
-    """The points ts of the resolvent sum y of f, each with |y(t+h) - lam*y(t) - f(t)|
-    (the antidifference is lam = h = 1.0): the lattice engine at g = h, m = [1],
-    charging its summand calls plus one f(t) per row before the first call."""
-    _, calls, rows = lattice_plan(ts, h, [1], [lam])
-    _charge(command, calls + len(ts), max_terms)
-    counts, values, resids = rows(f)
-    return [OutputRecord(t, y.real, y.imag, n, r) for t, n, y, r in zip(ts, counts, values, resids)]
+def _sum_rows(f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int) -> list[tuple]:
+    """The rows (t, n, y(t), |y(t+h) - lam*y(t) - f(t)|) at the points ts of the
+    resolvent sum y of f (the antidifference is lam = h = 1.0): the lattice
+    engine at g = h, m = [1], charging its fold terms and its calls of f
+    before the first call."""
+    terms, calls, rows = lattice_plan(ts, h, [1], [lam])
+    _charge(command, terms + calls, max_terms)
+    return list(zip(ts, *rows(f)))
 
 
-def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[OutputRecord]:
-    """Points ts of the particular solution y of op y = f, each with |op y - f|,
-    from one :func:`solve_rows` call, which charges the budget once."""
+def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[tuple]:
+    """The rows (t, n, y(t), |op y - f|(t)) at the points ts of the particular
+    solution y of op y = f, from one :func:`solve_rows` call, which charges
+    the budget once."""
     from .opalgebra import solve_rows
 
-    rows = zip(ts, solve_rows(op, f, ts, budget))
-    return [OutputRecord(t, value.real, value.imag, n, resid) for t, (n, value, resid) in rows]
+    return [(t, *row) for t, row in zip(ts, solve_rows(op, f, ts, budget))]
 
 
 def _print_finite(record: OutputRecord, f, lattice, place, result: str) -> int:
@@ -296,7 +314,8 @@ def cmd_eval(args) -> int:
     f = as_function(args.expr)
     lam = parse_complex(args.lam)
     max_terms = _resolve_budget(args.budget).max_terms
-    record = _sum_rows(f, [args.t], lam, args.h, "eval", max_terms)[0]
+    [(t, n, y, r)] = _sum_rows(f, [args.t], lam, args.h, "eval", max_terms)
+    record = OutputRecord(t, y.real, y.imag, n, r)
     place = lambda k: f"lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)}"
     return _print_finite(record, f, lambda: (args.h, [1]), place, "sum")
 
@@ -306,7 +325,8 @@ def cmd_solve(args) -> int:
 
     op = parse_factors(args.factors)
     f = as_function(args.expr)
-    record = _solve_rows(op, f, [args.t], _resolve_budget(args.budget))[0]
+    [(t, n, y, r)] = _solve_rows(op, f, [args.t], _resolve_budget(args.budget))
+    record = OutputRecord(t, y.real, y.imag, n, r)
     place = lambda i: f"lattice index {i} of t={fmt17(args.t)}"
     return _print_finite(record, f, lambda: common_lattice(op), place, "solution")
 
@@ -322,7 +342,8 @@ def cmd_sum(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(args) -> list[OutputRecord]:
+def _table_rows(args) -> list[tuple]:
+    """The table's rows (t, n, y(t), residual)."""
     f = as_function(args.expr)
     budget = _resolve_budget(args.budget)
     if args.mode == "solve":
@@ -338,7 +359,7 @@ def _table_rows(args) -> list[OutputRecord]:
         bounds = f"[{args.from_!r}, {args.to!r}]"
         raise DomainError(f"--step {args.step!r} is too small for {bounds}: row count overflows")
     count = math.floor(span + 1e-9) + 1
-    # Every row calls f at least once, for its residual's f(t).
+    # Every row reads at least one value: a term of y(t+h), or f(t) below 0.
     _charge("table", count, budget.max_terms, "at least ")
     return rows([args.from_ + i * args.step for i in range(count)])
 
@@ -358,14 +379,14 @@ def cmd_table(args) -> int:
         raise DomainError(f"--step must be a positive finite real, got {args.step!r}")
     rows = _table_rows(args)
     if args.format == "csv":
-        lines = [CSV_HEADER] + [r.csv_row() for r in rows]
+        text = CSV_HEADER + "\n" + _render(OutputRecord._CSV, rows)
     else:
-        lines = [r.json_line() for r in rows]
+        text = _json_lines(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text + "\n")
     else:
-        print("\n".join(lines))
+        print(text)
     return EXIT_OK
 
 
@@ -394,7 +415,7 @@ def cmd_inequality(args) -> int:
     max_terms = _resolve_budget(None).max_terms
     _charge("inequality", 2 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
     grid = _grid(args.from_, args.to, args.samples)
-    _, calls, rows = lattice_plan(grid, spec.h, [1], [spec.lam])
+    _, calls, rows = lattice_plan(grid, spec.h, [1], [spec.lam], ahead=True)
     _charge("inequality", 2 * args.samples + calls, max_terms, knob=BUDGET_ENV_VAR)
     solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
     report = check_inequality(solution, grid, rows)

@@ -124,8 +124,8 @@ class SolutionFunction(_Record):
         """(y(t), y(t+h)) at each t.
 
         The particular part is read at the lattice points (n, r) and (n+1, r)
-        of t = n*h + r by ``rows(slack, ahead=True)``, the rows of
-        lattice_plan(ts, spec.h, [1], [spec.lam]) in :mod:`adiff.antidiff`
+        of t = n*h + r by ``rows(slack)``, the rows of
+        lattice_plan(ts, spec.h, [1], [spec.lam], ahead=True) in :mod:`adiff.antidiff`
         (``rows``, if the caller planned them), so y(t+h) sums n+1 slack
         terms whatever the float t + h rounds to; the homogeneous part is
         read at t and t + h.
@@ -137,8 +137,8 @@ class SolutionFunction(_Record):
         # The homogeneous part first, so an overflow names its sample at once.
         homogeneous = [(self.homogeneous(t + h), self.homogeneous(t)) for t in ts]
         if type(self).particular is SolutionFunction.particular:
-            rows = rows or lattice_plan(ts, h, [1], [lam])[2]
-            _, at, ahead = rows(self.slack, ahead=True)
+            rows = rows or lattice_plan(ts, h, [1], [lam], ahead=True)[2]
+            _, at, ahead = rows(self.slack)
             if len(at) != len(ts):
                 raise DomainError(f"the rows hold {len(at)} points, not the {len(ts)} asked for")
             parts = zip(at, ahead)
@@ -216,8 +216,9 @@ def check_inequality(
 
     y(t) and y(t+h) come from :meth:`SolutionFunction.pairs`, which reads the
     particular part at the lattice points (n, r) and (n+1, r) of t; ``rows``,
-    if given, is the rows of lattice_plan(t_samples, spec.h, [1], [spec.lam])
-    in :mod:`adiff.antidiff`, which pairs then sums instead of planning again.
+    if given, is the rows of lattice_plan(t_samples, spec.h, [1], [spec.lam],
+    ahead=True) in :mod:`adiff.antidiff`, which pairs then sums instead of
+    planning again.
 
     Records the residual range, NaN once any residual is, any sample where
     the residual crosses the direction boundary beyond BOUNDARY_TOL or is

@@ -33,14 +33,14 @@ The engine plans before it sums: per remainder rho, each layer's index
 set, top down, a union of ranges whose loop lengths are floor sums.
 :func:`solve_rows` charges the budget once, between the plan and the
 first summand call, with the exact work (the terms every layer adds, one
-summand call per summand index, one f(t) per residual), and the walk
-stops once the layers above are over budget. No value outlives the
-call, since f may close over state that changes between calls. A
-remainder class whose lams are all real and whose summand values add up
-to a float runs in float arithmetic, any other in complex: the same real
-parts, bit for bit, for finite values; where a value overflows, inf
-where the complex fold reads nan. Either way the values come back as
-complex numbers.
+summand call per summand index, and one f(t) per residual that its class
+does not hold), and the walk stops once the layers above are over
+budget. No value outlives the call, since f may close over state that
+changes between calls. A remainder class whose lams are all real and
+whose summand values add up to a float runs in float arithmetic, any
+other in complex: the same real parts, bit for bit, for finite values;
+where a value overflows, inf where the complex fold reads nan. Either way
+the values come back as complex numbers.
 
 Every operator has this lattice. Indices are Python integers and the index
 sets are ranges, so a large m_i adds no work: steps with no short common
@@ -154,16 +154,16 @@ def solve_rows(
     :func:`adiff.antidiff.lattice_plan` on the :func:`common_lattice`: n is
     the outermost factor's floor at t, clamped at 0, and y(t) comes back
     complex. Raises :class:`TermBudgetExceeded` before any summand call if
-    the work (layer terms, summand calls and one f(t) per residual) is above
-    the budget. Without ``residuals`` the third field is None and neither
-    the shifted points nor f(t) are computed or charged.
+    the work (layer terms and the plan's calls of f: one per summand index,
+    and the residual's f(t) of each row that does not read it from its
+    class) is above the budget. Without ``residuals`` the third field is
+    None and neither the shifted points nor f(t) are computed or charged.
     """
     max_terms = (budget or TermBudget()).max_terms
-    checks = len(ts) if residuals else 0
     g, ms = common_lattice(op)
-    terms, calls, rows = lattice_plan(ts, g, ms, [factor.lam for factor in op.factors], residuals, max_terms - checks)
+    terms, calls, rows = lattice_plan(ts, g, ms, [factor.lam for factor in op.factors], residuals, max_terms)
     # A plan stopped early counts only the layers above.
-    _charge("nested sum", checks + terms + calls, max_terms, "" if rows else "at least ", None)
+    _charge("nested sum", terms + calls, max_terms, "" if rows else "at least ", None)
     counts, values, resids = rows(f)
     return list(zip(counts, map(complex, values), resids or itertools.repeat(None)))
 

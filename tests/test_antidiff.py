@@ -679,7 +679,7 @@ def float_shift_sum(f, t, n, lam, h, first=1):
 
 
 def lattice_sums(f, ts, lam, h):
-    return list(zip(*lattice_plan(ts, h, [1], [lam])[2](f, ahead=True)))
+    return list(zip(*lattice_plan(ts, h, [1], [lam], ahead=True)[2](f)))
 
 
 def engine_classes(f, ts, h, lam, offsets):
@@ -830,8 +830,8 @@ class TestLatticeSums:
             cell = floor_mod(t, h)
             assert (n, r) == (cell.n, cell.r) and r in tops, t
             members.setdefault(r, set()).update((n, n + 1))
-        assert {r: set(y) for r, (y, _) in tops.items()} == members
-        assert max(max(y) for y, _ in tops.values()) > antidiff_module._CLASS_VALUES_MAX
+        assert {r: set(y) for r, (y, _, _) in tops.items()} == members
+        assert max(max(y) for y, _, _ in tops.values()) > antidiff_module._CLASS_VALUES_MAX
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -862,14 +862,34 @@ class TestLatticeSums:
     def test_one_point_rows_are_the_class_rows(self, t, h, lam, which, mode):
         # One point of one factor skips the class planner; a plan of the
         # point twice takes it, and reads the same work and the same bits.
+        # The residual's f(t) is read from the summand values where t is its
+        # lattice point rho + n*h, n >= 0; elsewhere each row calls it.
         residuals, ahead = mode
         f = _ONE_POINT_SUMMANDS[which]
-        terms, calls, rows = lattice_plan([t], h, [1], [lam], residuals)
-        class_terms, class_calls, class_rows = lattice_plan([t, t], h, [1], [lam], residuals)
-        assert (terms, calls) == (class_terms, class_calls)
-        got = rows(f, ahead=ahead)
-        expected = [column if column is None else column[:1] for column in class_rows(f, ahead=ahead)]
+        n, rho = antidiff_module._floor_mod(t, h)
+        point = rho + n * h
+        on = n >= 0 and t == point and math.copysign(1.0, t) == math.copysign(1.0, point)
+        call = residuals and not ahead and not on
+        terms, calls, rows = lattice_plan([t], h, [1], [lam], residuals, ahead=ahead)
+        class_terms, class_calls, class_rows = lattice_plan([t, t], h, [1], [lam], residuals, ahead=ahead)
+        assert calls == max(n + 1 if residuals else n, 0) + call
+        assert (terms, calls + call) == (class_terms, class_calls)
+        got = rows(f)
+        expected = [column if column is None else column[:1] for column in class_rows(f)]
         assert repr(list(got)) == repr(expected), (t, h, lam, which, mode)
+
+    def test_the_residual_reads_f_at_minus_zero_itself(self):
+        # t = -0.0 is index 0 of its class, whose summand point is 0.0: a
+        # summand that tells the zeros apart is called at -0.0 once more,
+        # alone and in a class, and its residual is |f(0.0) - f(-0.0)|.
+        f = lambda u: math.copysign(1.0, u)
+        for ts in ([-0.0], [-0.0, 0.0, 1.0]):
+            terms, calls, rows = lattice_plan(ts, 1.0, [1], [0.5])
+            seen = []
+            counts, values, resids = rows(lambda u: seen.append(u) or f(u))
+            minus_zeros = [u for u in seen if u == 0.0 and math.copysign(1.0, u) < 0.0]
+            assert (len(seen), len(minus_zeros), resids[0]) == (calls, 1, 2.0), ts
+            assert resids[1:] == [0.0] * (len(ts) - 1)
 
     @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
     @pytest.mark.parametrize("lam", [1.0, 0.999, complex(0.6, 0.7)])
@@ -878,14 +898,20 @@ class TestLatticeSums:
         # in stretches: either way one call per index n, ..., 0, as planned,
         # and the bits of resolvent_sum at t and t + h.
         t = n + 0.5
-        terms, calls, rows = lattice_plan([t], 1.0, [1], [lam])
+        terms, calls, rows = lattice_plan([t], 1.0, [1], [lam], ahead=True)
         assert (terms, calls) == (2 * n + 1, n + 1)
         seen = []
-        [count], [y], [ahead] = rows(lambda u: seen.append(u) or math.cos(u), ahead=True)
+        [count], [y], [ahead] = rows(lambda u: seen.append(u) or math.cos(u))
         assert count == n and len(seen) == calls
         assert seen == [0.5 + k for k in range(n, -1, -1)]
         assert repr(y) == repr(resolvent_sum(math.cos, t, lam).value)
         assert repr(ahead) == repr(resolvent_sum(math.cos, t + 1.0, lam).value)
+        # The residual's f(t) is the value at k = n: no call more.
+        assert lattice_plan([t], 1.0, [1], [lam])[:2] == (terms, calls)
+        seen.clear()
+        [_], [_], [resid] = lattice_plan([t], 1.0, [1], [lam])[2](lambda u: seen.append(u) or math.cos(u))
+        assert len(seen) == calls
+        assert repr(resid) == repr(abs(ahead - (lam if lam.imag else lam.real) * y - math.cos(t)))
 
     @pytest.mark.parametrize("lam", [1.0, -0.9, complex(0.6, 0.6)])
     def test_a_class_past_the_cap_is_summed_a_point_at_a_time(self, lam, monkeypatch):
@@ -901,7 +927,9 @@ class TestLatticeSums:
         summed = lattice_sums(lambda u: seen.append(u) or f(u), ts, lam, 1.0)
         assert repr(summed) == repr(stored)
         assert seen == [0.25 + k for n in (9, 6, 5, 2, 0) for k in range(n, -1, -1)]
-        assert lattice_plan(ts, 1.0, [1], [lam])[1] == len(seen)
+        assert lattice_plan(ts, 1.0, [1], [lam], ahead=True)[1] == len(seen)
+        # Past the cap each row with a residual calls f(t) once more.
+        assert lattice_plan(ts, 1.0, [1], [lam])[1] == len(seen) + len(ts)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     @pytest.mark.parametrize("lam", [1.0, -0.9, complex(0.6, 0.6)])

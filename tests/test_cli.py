@@ -29,11 +29,12 @@ from adiff.cli import (
     parse_complex,
     parse_factors,
 )
+from adiff import antidiff as antidiff_module
 from adiff.antidiff import lattice_plan
 from adiff.errors import DomainError
 from adiff.exprlang import as_function
 from adiff.inequality import _grid
-from adiff.numkit import fmt17
+from adiff.numkit import floor_mod, fmt17
 from adiff.opalgebra import FactoredOperator, common_lattice, particular_solution, verify_particular
 from conftest import CORPUS_EXPRS
 
@@ -491,29 +492,55 @@ class TestTable:
         ids=["default-budget", "resolvent", "solve"],
     )
     def test_row_count_over_budget_exits_3(self, capsys, summand_calls, argv, budget):
-        # Every row calls f at least once, so the row count is charged
-        # before the points are built.
+        # Every row reads at least one value (a term of y(t + h), or f(t)
+        # below 0), so the row count is charged before the points are built.
         code, out, err = run_main(capsys, "table", "--expr", "1", "--from", "0", "--step", "1", *argv)
         assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
         rows = int(float(argv[1])) + 1
         assert err == f"adiff: table needs at least {rows} evaluations, budget is {budget} (set it with --budget)\n"
 
     @pytest.mark.parametrize(
-        "mode, h, hi, step",
-        [("antidiff", "1", "12", "0.5"), ("resolvent", "0.3", "9.1", "0.7"), ("resolvent", "1", "70000", "35000")],
+        "mode, h, lo, hi, step",
+        [
+            ("antidiff", "1", "0", "12", "0.5"),
+            ("resolvent", "0.3", "0", "9.1", "0.7"),
+            ("resolvent", "1", "0", "70000", "35000"),
+            ("resolvent", "1", "-3", "4", "0.5"),
+            ("resolvent", "0.5", "-1.25", "3", "0.25"),
+            ("resolvent", "0.25", "0", "0.2", "0.05"),
+            ("resolvent", "0.1", "-0.35", "2", "0.1"),
+            ("resolvent", "0.1", "0", "0.09", "0.03"),
+            ("resolvent", "0.3", "-1", "4", "0.3"),
+        ],
     )
-    def test_sum_modes_charge_the_exact_call_count(self, capsys, summand_calls, mode, h, hi, step):
-        # The calls of the sums plus each row's f(t); the last case is
-        # past the class cap, where each point is summed alone (105 003 calls).
-        ts = [i * float(step) for i in range(round(float(hi) / float(step)) + 1)]
-        calls = lattice_plan(ts, float(h) if mode == "resolvent" else 1.0, [1], [1.0])[1] + len(ts)
-        argv = ("table", "--expr", "cos(t)", "--from", "0", "--to", hi, "--step", step,
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_sum_modes_charge_the_exact_call_count(self, capsys, monkeypatch, summand_calls, mode, h, lo, hi, step,
+                                                   cap):
+        # The fold terms and the calls of f: one per summand index and each
+        # row's f(t) that its class does not hold. The third case is past
+        # the class cap, where each point is summed alone (105 003 calls);
+        # a cap of 3 values takes every other case past it too.
+        if cap is not None:
+            monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", cap)
+        count = math.floor((float(hi) - float(lo)) / float(step) + 1e-9) + 1
+        ts = [float(lo) + i * float(step) for i in range(count)]
+        terms, calls, _ = lattice_plan(ts, float(h) if mode == "resolvent" else 1.0, [1], [1.0])
+        charge = terms + calls
+        argv = ("table", "--expr", "cos(t)", "--from", lo, "--to", hi, "--step", step,
                 "--mode", mode, "--h", h, "--lambda", "0.5", "--budget")
-        code, out, err = run_main(capsys, *argv, str(calls - 1))
+        code, out, err = run_main(capsys, *argv, str(charge - 1))
         assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
-        assert err == f"adiff: table needs {calls} evaluations, budget is {calls - 1} (set it with --budget)\n"
-        code, out, _ = run_main(capsys, *argv, str(calls))
+        assert err == f"adiff: table needs {charge} evaluations, budget is {charge - 1} (set it with --budget)\n"
+        code, out, _ = run_main(capsys, *argv, str(charge))
         assert (code, summand_calls[0], len(out.splitlines())) == (EXIT_OK, calls, len(ts) + 1)
+
+    def test_a_fold_over_budget_exits_3_before_any_call(self, capsys, summand_calls):
+        # 16 001 summand calls, but 128 024 001 fold terms: refused at once.
+        argv = ("table", "--mode", "resolvent", "--lambda", "0.5", "--expr", "1", "--from", "0", "--to", "16000",
+                "--step", "1", "--budget", "70000")
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert err == "adiff: table needs 128040002 evaluations, budget is 70000 (set it with --budget)\n"
 
     @pytest.mark.parametrize(
         "lo, hi, flag",
@@ -747,7 +774,7 @@ class TestSolveChain:
         op = parse_factors(factors)
         ts = [float(lo) + i * float(step) for i in range(round((float(hi) - float(lo)) / float(step)) + 1)]
         lams = [factor.lam for factor in op.factors]
-        work = lambda ts: len(ts) + sum(lattice_plan(ts, *common_lattice(op), lams)[:2])
+        work = lambda ts: sum(lattice_plan(ts, *common_lattice(op), lams)[:2])
         assert (work(ts[:-1]), work(ts)) == charges
         table = ("table", "--expr", "1", "--from", lo, "--step", step, "--mode", "solve", "--factors", factors)
         budget = str(charges[0])
@@ -1108,7 +1135,7 @@ class TestInequalityCommand:
 
         monkeypatch.setattr(cli, "as_function", recording)
         grid = _grid(0.0, float(to), int(samples))
-        calls = 2 * int(samples) + lattice_plan(grid, float(h), [1], [float(lam)])[1]
+        calls = 2 * int(samples) + lattice_plan(grid, float(h), [1], [float(lam)], ahead=True)[1]
         argv = ("inequality", "--h", h, "--lambda", lam, "--direction", "geq", "--mu", "0",
                 "--slack", "1", "--from", "0", "--to", to, "--samples", samples)
         monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls - 1))
@@ -1578,43 +1605,109 @@ class TestLatticeRows:
         # f(r + k*h) for k = 0..max n, then f(t) once per row for the residual.
         assert summand_calls[0] <= max_n + 1 + len(rows)
 
-    def test_eval_calls_n_plus_two(self, capsys, summand_calls):
-        code, _, _ = run_main(capsys, "eval", "--expr", "cos(t)", "--t", "20.5", "--h", "0.5")
-        assert code == EXIT_OK
-        assert summand_calls[0] == 41 + 1 + 1
-
     @pytest.mark.parametrize(
-        "t, h, calls",
+        "argv",
         [
-            ("20.5", "0.5", 41 + 1 + 1),
-            ("0.3", "0.5", 1 + 1),  # y(t) empty, y(t+h) one term
-            ("70000.5", "1", 70001 + 1),  # past the class cap: one pass, one call per index
-            # Either side of the cap of 2^16 values: n = 2^16 - 1, 2^16 and 2^16 + 1.
-            ("65535.5", "1", 65536 + 1),
-            ("65536.5", "1", 65537 + 1),
-            ("65537.5", "1", 65538 + 1),
+            ("--mode", "resolvent", "--h", "1", "--lambda", "-0.9", "--from", "-3", "--to", "70", "--step", "1"),
+            ("--mode", "resolvent", "--h", "0.5", "--lambda", "0.5+0.5i", "--from", "-2", "--to", "35", "--step", "0.25"),
+            ("--mode", "resolvent", "--h", "0.25", "--lambda", "1", "--from", "0", "--to", "17.5", "--step", "0.75"),
+            ("--mode", "antidiff", "--from", "-2.5", "--to", "69", "--step", "0.5"),
+            ("--mode", "solve", "--factors", "0.5:-0.9", "--from", "-1", "--to", "20", "--step", "0.125"),
         ],
     )
-    def test_eval_budget_is_the_exact_call_count(self, capsys, summand_calls, t, h, calls):
+    def test_a_dyadic_table_calls_each_point_once(self, capsys, monkeypatch, argv):
+        # At a power-of-two step every row t >= 0 is its lattice point, so
+        # its f(t) is a summand value the class already holds; a row below 0
+        # sums nothing and calls f(t) alone.
+        seen = []
+        f = as_function("cos(t)")
+        monkeypatch.setattr(cli, "as_function", lambda source: lambda u: seen.append(u) or f(u))
+        code, out, _ = run_main(capsys, "table", "--expr", "cos(t)", *argv)
+        assert code == EXIT_OK
+        assert len(seen) == len(set(seen))
+        ts = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert {t for t in ts if t < 0} <= set(seen)
+        assert len(seen) == len(set(seen) | set(ts))
+
+    @pytest.mark.parametrize(
+        "argv, off",
+        [
+            (("--mode", "resolvent", "--h", "0.1", "--lambda", "0.5", "--from", "0", "--to", "8.7", "--step", "0.3"),
+             1),
+            (("--mode", "resolvent", "--h", "0.1", "--lambda", "-0.7", "--from", "-1", "--to", "7", "--step", "0.3"),
+             5),
+            (("--mode", "solve", "--factors", "0.1:0.9;0.3:-0.5", "--from", "0", "--to", "3", "--step", "0.1"), 31),
+        ],
+    )
+    def test_a_row_off_its_lattice_point_calls_f_at_t(self, capsys, monkeypatch, argv, off):
+        # A non-dyadic step: a row whose float t is not rho + N*g (t = 7.8
+        # at h = 0.1 is N = 77 from 7.799999999999999), or lies below 0, calls f(t)
+        # after the class's summand calls, in row order; so does every row
+        # of two factors, whose classes keep no summand value.
+        seen = []
+        f = as_function("cos(t)")
+        monkeypatch.setattr(cli, "as_function", lambda source: lambda u: seen.append(u) or f(u))
+        code, out, _ = run_main(capsys, "table", "--expr", "cos(t)", *argv)
+        assert code == EXIT_OK
+        ts = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        g = 0.1
+        calls = [t for t in ts if t < 0 or floor_mod(t, g).r + floor_mod(t, g).n * g != t or "--factors" in argv]
+        assert len(calls) == off
+        assert seen[-off:] == calls
+
+    @pytest.mark.parametrize("t, h, calls", [("20.5", "0.5", 41 + 1), ("7.3", "0.1", 72 + 1 + 1)])
+    def test_eval_calls_each_index_once(self, capsys, summand_calls, t, h, calls):
+        # Indices n, ..., 0; f(t) is the value at index n where t is that
+        # lattice point. At h = 0.1 the point of index 72 of t = 7.3 is
+        # 7.299999999999999, so the residual calls f(7.3) once more.
+        code, _, _ = run_main(capsys, "eval", "--expr", "cos(t)", "--t", t, "--h", h)
+        assert code == EXIT_OK
+        assert summand_calls[0] == calls
+
+    @pytest.mark.parametrize(
+        "t, h, calls, terms",
+        [
+            ("20.5", "0.5", 41 + 1, 41 + 42),
+            ("0.3", "0.5", 1, 0 + 1),  # y(t) empty, y(t+h) one term
+            ("70000.5", "1", 70001, 70000 + 70001),  # past the class cap: one pass, one call per index
+            # Either side of the cap of 2^16 values: n = 2^16 - 1, 2^16 and 2^16 + 1.
+            ("65535.5", "1", 65536, 65535 + 65536),
+            ("65536.5", "1", 65537, 65536 + 65537),
+            ("65537.5", "1", 65538, 65537 + 65538),
+            ("5", "1", 6, 5 + 6),
+            ("-0.5", "1", 1, 0),  # both sums empty: f(t) alone
+            ("-2.5", "0.25", 1, 0),
+            ("0.2", "0.25", 1, 1),
+            ("0.05", "0.1", 1, 1),
+            ("7.3", "0.1", 72 + 1 + 1, 72 + 73),  # t is not its lattice point
+            ("2.9", "0.3", 10, 9 + 10),
+            ("0.2", "0.3", 1, 1),
+        ],
+    )
+    def test_eval_budget_is_the_exact_call_count(self, capsys, summand_calls, t, h, calls, terms):
+        # The charge is the fold terms of y(t) and y(t + h) plus the calls of f.
+        charge = terms + calls
         argv = ("eval", "--expr", "cos(t)", "--t", t, "--h", h, "--budget")
-        code, out, err = run_main(capsys, *argv, str(calls - 1))
-        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
-        assert err == f"adiff: eval needs {calls} evaluations, budget is {calls - 1} (set it with --budget)\n"
-        code, _, _ = run_main(capsys, *argv, str(calls))
+        if charge > 1:  # a budget must be positive
+            code, out, err = run_main(capsys, *argv, str(charge - 1))
+            assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+            assert err == f"adiff: eval needs {charge} evaluations, budget is {charge - 1} (set it with --budget)\n"
+        code, _, _ = run_main(capsys, *argv, str(charge))
         assert (code, summand_calls[0]) == (EXIT_OK, calls)
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(st.floats(-5.0, 300.0), st.sampled_from(["1", "0.5", "0.1", "0.3", "2", "7"]), st.integers(1, 400))
+    @given(st.floats(-5.0, 300.0), st.sampled_from(["1", "0.5", "0.25", "0.1", "0.3", "2", "7"]), st.integers(1, 1200))
     def test_eval_refused_exactly_when_over_budget(self, t, h, budget):
-        calls = lattice_plan([t], float(h), [1], [1.0])[1] + 1
+        charge = sum(lattice_plan([t], float(h), [1], [1.0])[:2])
         code, _ = _main_quiet("eval", "--expr", "1", f"--t={t!r}", "--h", h, "--budget", str(budget))
-        assert code == (EXIT_BUDGET if calls > budget else EXIT_OK), (t, h, budget, calls)
+        assert code == (EXIT_BUDGET if charge > budget else EXIT_OK), (t, h, budget, charge)
 
     def test_eval_over_default_budget_exits_3_before_any_call(self, capsys, monkeypatch, summand_calls):
         code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "1e9")
         assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
-        assert "eval needs 1000000002 evaluations, budget is 10000000" in err
-        monkeypatch.setenv("ADIFF_TERM_BUDGET", "43")
+        assert "eval needs 3000000002 evaluations, budget is 10000000" in err
+        # 41 + 42 terms and 42 calls at 20.5; 42 + 43 and 43 at 21.
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", "125")
         code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "20.5", "--h", "0.5")
         assert code == EXIT_OK
         code, _, _ = run_main(capsys, "eval", "--expr", "1", "--t", "21", "--h", "0.5")
@@ -1907,6 +2000,43 @@ class TestRowRendering:
         with pytest.raises(DomainError) as oracle:
             _json_oracle(row)
         assert str(info.value) == str(oracle.value)
+
+
+    @settings(max_examples=600, deadline=None, database=None)
+    @given(st.lists(st.tuples(_row_floats, st.integers(0, 10**30), _row_floats, _row_floats | st.none(), _row_floats),
+                    min_size=1, max_size=6))
+    def test_engine_rows_render_as_their_records(self, rows):
+        # A table renders the engine's rows (t, n, y, residual) without a
+        # record per row: y is a complex where an imaginary part is drawn,
+        # else a float, as the sum and solve rows hold it.
+        ts = [t for t, _, _, _, _ in rows]
+        counts = [n for _, n, _, _, _ in rows]
+        values = [value if imag is None else complex(value, imag) for _, _, value, imag, _ in rows]
+        resids = [r for _, _, _, _, r in rows]
+        records = [OutputRecord(t, y.real, y.imag, n, r) for t, n, y, r in zip(ts, counts, values, resids)]
+        rendered = list(zip(ts, counts, values, resids))
+        csv = cli._render(OutputRecord._CSV, rendered)
+        assert csv == "\n".join(record.csv_row() for record in records)
+        assert csv == "\n".join(",".join(text for _, text in _fields_oracle(record)) for record in records)
+        try:
+            expected = "\n".join(map(_json_oracle, records))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                cli._json_lines(rendered)
+            assert str(info.value) == str(exc)
+        else:
+            assert cli._json_lines(rendered) == expected
+            assert expected == "\n".join(record.json_line() for record in records)
+
+    def test_json_rows_refuse_at_the_first_non_finite_row(self):
+        rows = [(1.0, 1, complex(-0.0, 2.0), 0.0), (-0.0, 0, -0.0, -0.0), (2.5, 2, complex(0.5, -math.inf), 1e-300),
+                (3.0, 3, math.nan, math.nan)]
+        with pytest.raises(DomainError) as info:
+            cli._json_lines(rows)
+        assert str(info.value) == "imag=-inf at t=2.5 has no JSON form; use --format csv"
+        lines = cli._json_lines(rows[:2]).splitlines()
+        assert lines == ['{"t": 1, "value": 0, "imag": 2, "terms_used": 1, "residual": 0}',
+                         '{"t": 0, "value": 0, "imag": 0, "terms_used": 0, "residual": 0}']
 
 
 def _fresh_adiff(*argv):

@@ -267,7 +267,7 @@ class TestLatticePairs:
         spec = InequalitySpec(1.0, 2.0, Direction.GEQ)
         y = build_solution(spec, ZERO, ONE, t_range=(0.0, 7.0), samples=8)
         ts = grid(0.0, 7.0, 8)
-        rows = lattice_plan(ts[:3], 1.0, [1], [2.0])[2]
+        rows = lattice_plan(ts[:3], 1.0, [1], [2.0], ahead=True)[2]
         with pytest.raises(DomainError, match="the rows hold 3 points, not the 8 asked for"):
             check_inequality(y, ts, rows)
         with pytest.raises(DomainError, match="the rows hold 3 points, not the 8 asked for"):

@@ -357,7 +357,10 @@ class fresh_chain:
     lam^(s-1) inner(q + (n-s)*m) in ascending s, the summand is f(rho + I*g)
     and the residual reads the top layer at N + (sum of a subset of the m_i).
     Values are memoized per layer by (rho, index), and the memo keys and the
-    terms and summand calls are kept for the tests of the budget.
+    terms and summand calls are kept for the tests of the budget. The
+    residual's f(t) counts as a call unless one factor's summand values
+    already hold it: t is the lattice point rho + N*g, N >= 0 (below the
+    engine's value cap).
     """
 
     def __init__(self, op, f):
@@ -393,7 +396,9 @@ class fresh_chain:
         value = self.value(rho, u)
         if not residuals:
             return n, value, None
-        self.calls += 1
+        point = rho + u * self.g
+        held = len(self.steps) == 1 and u >= 0 and t == point and math.copysign(1.0, t) == math.copysign(1.0, point)
+        self.calls += not held
         y = lambda v: self.value(rho, v)
         return n, value, abs(expand(self.steps, self.lams, y, u) - self.f(t))
 
@@ -667,8 +672,9 @@ def lattice_plan(op, ts, residuals=True):
     the common lattice, and the work charged for it."""
     g, ms = common_lattice(op)
     cells = [antidiff_module._floor_mod(t, g) for t in ts]
-    plan, terms, calls = antidiff_module._plan(ms, cells, _subset_sums(ms) if residuals else [0], math.inf)
-    return plan, (len(ts) if residuals else 0) + terms + calls
+    plan = antidiff_module._plan(ms, cells, _subset_sums(ms) if residuals else [0], math.inf)[0]
+    lams = [factor.lam for factor in op.factors]
+    return plan, sum(antidiff_module.lattice_plan(ts, g, ms, lams, residuals)[:2])
 
 
 def lattice_operators(rng, count):
@@ -758,6 +764,33 @@ class TestCommonLattice:
                 with pytest.raises(TermBudgetExceeded):
                     solve_rows(op, counting, ts, TermBudget(work - 1), residuals)
                 assert calls[0] == oracle.calls
+
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.25, 0.1, 0.3])
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_charge_equals_the_calls_made_at_every_step(self, h, cap, monkeypatch):
+        # One and two factors, points from a negative start, in [0, h), on
+        # and off their lattice points (7.3 at h = 0.1 is off), and past a
+        # class cap of 3 values: the calls of f made are the calls charged,
+        # and the charge is refused one below.
+        if cap is not None:
+            monkeypatch.setattr(antidiff_module, "_CLASS_VALUES_MAX", cap)
+        ts = [-2.5 * h, -h, -0.0, 0.0, 0.4 * h, 0.99 * h, 7.3, 7.8] + [-1.0 + i * 0.3 for i in range(25)]
+        operators = [[(h, 0.9)], [(h, complex(-0.7, 0.2))], [(h, 0.9), (2 * h, -0.5)], [(h, 1.0), (0.1, 0.5)]]
+        for pairs in operators:
+            op = FactoredOperator.from_pairs(pairs)
+            g, ms = common_lattice(op)
+            lams = [factor.lam for factor in op.factors]
+            for residuals in (True, False):
+                for points in (ts, ts[4:5], ts[6:7], ts[:1]):  # one point takes the one-point pass
+                    terms, calls, _ = antidiff_module.lattice_plan(points, g, ms, lams, residuals)
+                    made = [0]
+                    counting = lambda u: made.__setitem__(0, made[0] + 1) or math.cos(u)
+                    solve_rows(op, counting, points, TermBudget(max(terms + calls, 1)), residuals)
+                    assert made[0] == calls, (pairs, residuals, points)
+                    if terms + calls > 1:
+                        with pytest.raises(TermBudgetExceeded):
+                            solve_rows(op, counting, points, TermBudget(terms + calls - 1), residuals)
+                        assert made[0] == calls
 
     def test_charge_of_a_huge_point_is_found_without_the_sum(self):
         op = FactoredOperator.from_pairs([(1, 0.9)] * 3)
@@ -885,18 +918,20 @@ class TestOneFactorCap:
         for op, f, ts, stored in cases:
             assert repr(solve_rows(op, f, ts)) == repr(stored), (op, ts)
         # One point: one pass reads each index once, highest first, for
-        # y at n + 1 and n, then the residual reads f(t); the charge
-        # is one row, the 2n + 1 terms and the n + 1 summand calls.
+        # y at n + 1 and n, then the residual reads f(t), a call of its own
+        # unless t is the point of index n; the charge is the 2n + 1 terms,
+        # the n + 1 summand calls and that call.
         op = FactoredOperator.from_pairs([(h, 2.0)])
         t = 9.5 * h
         cell = floor_mod(t, h)
         n = cell.n
-        work = 1 + (2 * n + 1) + (n + 1)
+        extra = [] if cell.r + n * h == t else [t]
+        work = (2 * n + 1) + (n + 1) + len(extra)
         assert lattice_plan(op, [t])[1] == work
         seen = []
         [(terms, _, _)] = solve_rows(op, lambda u: seen.append(u) or 1.0, [t], TermBudget(work))
         assert terms == n > 3
-        assert seen == [cell.r + k * h for k in range(n, -1, -1)] + [t]
+        assert seen == [cell.r + k * h for k in range(n, -1, -1)] + extra
         seen.clear()
         with pytest.raises(TermBudgetExceeded, match=f"nested sum needs {work} evaluations, budget is {work - 1}"):
             solve_rows(op, lambda u: seen.append(u) or 1.0, [t], TermBudget(work - 1))
