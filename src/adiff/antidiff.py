@@ -41,12 +41,12 @@ returns the plan's work with ``rows``, which calls the summand once per
 planned index, highest first, folds each layer against one weight row
 (the running product of lam, none at lam = 1.0) and reads |op y - f(t)|,
 or y(t+h), taking f(t) from the summand values where t is its own
-lattice point; one point of one factor skips the planner at any n, and so
-does each point of a one-factor class past the value cap. ``eval``, the sum
-tables, :mod:`adiff.inequality` (the one-factor case g = h, m = [1]) and
-:func:`adiff.opalgebra.solve_rows` use it: each charges the work against
-its :class:`TermBudget` with :func:`_charge`, the one place a budget is
-refused, then sums.
+lattice point, in one row reader for every plan; one point of one factor,
+and each point of a one-factor class past the value cap, is summed alone
+in one pass. ``eval``, the sum tables, :mod:`adiff.inequality` (the
+one-factor case g = h, m = [1]) and :func:`adiff.opalgebra.solve_rows`
+use it: each charges the work against its :class:`TermBudget` with
+:func:`_charge`, the one place a budget is refused, then sums.
 
 A coefficient is read by :func:`_coefficient` and a sampled (anti)period
 by :func:`_period_break`, here and in :mod:`adiff.inequality` alike.
@@ -198,10 +198,9 @@ def _period_break(f: RealFunction, T: float, sign: float, xs: Sequence[float], t
 # and charged, its summand values computed once and its layers folded once
 # for every row of the class. One factor of step h is g = h, m = [1].
 
-# The most summand values the engine holds at once. Past it one point's
-# pass reads its values in stretches and a one-layer class sums each point
-# alone, so one large eval or one-factor solve runs in constant memory and
-# calls the summand once per index (n + 1 calls for y(t) and y(t + h)).
+# The most summand values the engine holds at once. Past it a one-layer class
+# sums each point alone in a pass that reads its values in stretches: one large
+# eval or one-factor solve runs in constant memory and makes n + 1 calls.
 _CLASS_VALUES_MAX = 1 << 16
 
 
@@ -279,7 +278,7 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
     """({rho: index sets}, terms, calls) of :func:`_index_sets` for the points
     ``cells`` = [(N, rho)], rho's top layer at N + s for each offset s
     (offsets[0] is 0); the plan is None once terms + calls pass ``allowance``.
-    A one-layer class past the cap plans [the top index of each point's pass]."""
+    A one-layer class past the cap plans a pass per point, :func:`_pass_plan`."""
     members: dict[float, list[int]] = {}
     for n, rho in cells:
         members.setdefault(rho, []).append(n)
@@ -287,10 +286,9 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
     terms = calls = 0
     for rho, ns in members.items():
         top = sorted({n + s for n in ns for s in offsets})
-        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:  # a pass per point n, charged as one point is
-            sets = [sorted({n + offsets[-1] - 1 for n in ns}, reverse=True)]
-            more_terms = sum([max(n + s, 0) for n in set(ns) for s in offsets])
-            more_calls = sum([max(n + offsets[-1], 0) for n in set(ns)])
+        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:  # a pass per point, the highest first
+            tops, more_terms, more_calls = zip(*[_pass_plan(n, offsets[-1]) for n in sorted(set(ns), reverse=True)])
+            sets, more_terms, more_calls = [list(tops)], sum(more_terms), sum(more_calls)
         elif len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
             n = top[-1]
             more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
@@ -303,6 +301,14 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
             return None, terms, calls
         plan[rho] = sets
     return plan, terms, calls
+
+
+def _pass_plan(n: int, shift: int) -> tuple[int, int, int]:
+    """(top index, terms, calls) of one factor's point N = n summed alone to
+    N + shift - 1 by :func:`_point_pass`, shift 1 where its rows read y at
+    N + 1, else 0: the terms of y at N (and N + 1), and a call per index."""
+    calls = max(n + shift, 0)
+    return n + shift - 1, max(n, 0) + shift * calls, calls
 
 
 def _descending(ranges: list[range]):
@@ -352,25 +358,26 @@ def _field(values: list, reals: list | None, lams: list) -> tuple[list, Scalar, 
 
 def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dict) -> dict:
     """{rho: (top layer, lams of its field, summand values)} for the classes
-    of ``plan``, a plan of :func:`_plan` that the caller has charged.
+    of ``plan``, a plan of :func:`lattice_plan` that the caller has charged.
 
     Each class in turn calls its summand once per index, highest first,
     picks its :func:`_field` and builds its layers bottom up with
     :func:`_fold`, each dropped once the next is built. A one-layer class
     keeps its summand values, in its field and ascending index order, for
-    the rows that read f(t) there; any other keeps None. A one-layer class
-    past the cap stores no value: each of its points is summed alone by
-    :func:`_point_rows`, the highest point first.
+    the rows that read f(t) there; any other keeps None. A class planned
+    as passes (:func:`_pass_plan`) sums each point alone, highest first,
+    with :func:`_point_pass`, keeping the value at each pass's top index.
     """
     # The float field's lams, where every lam has imaginary part 0.
     reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
     tops = {}
     for rho, sets in plan.items():
-        if len(sets) == 1:  # past the cap: y at each pass's top index and the one above it
-            y = {}
-            for n in sets[0]:
-                _, [y[n]], [y[n + 1]] = _point_rows(None, g, lams, (n, rho), True, True, False, f)
-            tops[rho] = y, reals or list(map(complex, lams)), None
+        if len(sets) == 1:  # a pass per point: y at its top index and the one above, and f there
+            y, stored, field = {}, {}, None
+            for top in sets[0]:
+                y[top], y[top + 1], stored[top], lam = _point_pass(f, g, lams, rho, top)
+                field = field or [lam]  # the highest pass's: lam's field when it is past the cap
+            tops[rho] = y, field, stored
             continue
         top, ranges = sets[-1], sets[0]
         values, zero, field = _field([f(rho + index * g) for index in _descending(ranges)], reals, lams)
@@ -408,35 +415,36 @@ def lattice_plan(ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequenc
     """(terms, calls, rows) for the points ts of y, the particular solution of
     prod_i (E^(m_i g) - lam_i) y = f: the engine's one entry.
 
-    It splits each point once and plans each remainder class once.
-    ``terms`` and ``calls`` are the plan's layer terms and the calls of f
-    its rows make, for the caller to charge before any summand call: one
-    per summand index, and the residual's f(t) of every row that does not
-    read it from its class (:func:`_rows`). Past ``allowance`` the plan
-    stops, they count only the layers walked, and ``rows`` is None.
-    ``rows(f)`` sums the plan and returns the columns of :func:`_rows`.
-    Without ``residuals`` the plan reads no shifted point; with ``ahead``
-    (one factor) the third column is y(t + h), and f(t) is not read.
+    It splits each point once and plans each remainder class once, or one
+    point of one factor as a pass (:func:`_pass_plan`). ``terms`` and
+    ``calls`` are the plan's layer terms and the calls of f its rows make,
+    for the caller to charge before any summand call: one per summand
+    index, and the residual's f(t) of every row that does not read it from
+    its class (:func:`_rows`). Past ``allowance`` the plan stops, they
+    count only the layers walked, and ``rows`` is None. ``rows(f)`` sums
+    the plan and returns the columns of :func:`_rows`. With ``ahead`` (one
+    factor) the third column is y(t + h) and f(t) is not read; else
+    without ``residuals`` the plan reads no shifted point.
     """
     ts = list(map(_require_finite, ts))
     lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
     cells = list(map(_floor_mod, ts, itertools.repeat(g)))
     reads = residuals and not ahead  # the rows subtract f(t)
-    if len(ms) == len(cells) == 1:  # one point of one factor: no class to plan
-        n, rho = cells[0]
-        calls = max(n + 1 if residuals else n, 0)
-        known = reads and n >= 0 and _on_lattice(ts[0], n, rho, g)
-        rows = functools.partial(_point_rows, ts[0], g, lams, cells[0], residuals, ahead, known)
-        return max(n, 0) + (calls if residuals else 0), calls + (reads and not known), rows
-    offsets = _subset_sums(ms) if residuals else None
+    offsets = _subset_sums(ms) if residuals or ahead else None
     # A class of several layers keeps no summand value: each of its rows calls f(t).
     checks = len(ts) if reads and len(ms) > 1 else 0
-    plan, terms, calls = _plan(ms, cells, offsets or [0], allowance - checks)
-    if plan is None:
-        return terms, calls + checks, None
+    if len(ms) == len(cells) == 1:  # one point of one factor: a pass, no class to plan
+        [(n, rho)] = cells
+        top, terms, calls = _pass_plan(n, offsets[-1] if offsets else 0)
+        plan = {rho: [[top]]}
+    else:
+        plan, terms, calls = _plan(ms, cells, offsets or [0], allowance - checks)
+        if plan is None:
+            return terms, calls + checks, None
     known = None
-    if reads and len(ms) == 1:  # a class below the cap keeps its values (two sets)
-        known = [n >= 0 and len(plan[rho]) == 2 and _on_lattice(t, n, rho, g) for t, (n, rho) in zip(ts, cells)]
+    if reads and len(ms) == 1:  # a class below the cap keeps its values (two sets), and one point's pass its top
+        known = [n >= 0 and (len(ts) == 1 or len(plan[rho]) == 2) and _on_lattice(t, n, rho, g)
+                 for t, (n, rho) in zip(ts, cells)]
         checks = known.count(False)
     return terms, calls + checks, functools.partial(_rows, ts, g, ms, lams, cells, plan, offsets, ahead, known)
 
@@ -458,8 +466,8 @@ def _rows(ts: list[float], g: float, ms: Sequence[int], lams: list, cells: list,
     with the lams of the row's field, and subtracts f(t) at the float t:
     the class's summand value at N where ``known`` says that t is its
     lattice point, else one call of f. With ``ahead`` the third column is
-    y(t + h) of a one-factor plan instead; without ``offsets`` (no
-    residuals) it is None.
+    y(t + h) of a one-factor plan instead; without ``offsets`` (neither
+    residuals nor ``ahead``) it is None.
     """
     tops = _lattice(f, g, ms, lams, plan)
     m = ms[-1]
@@ -486,17 +494,12 @@ def _magnitude(d: Scalar) -> float:
         return math.hypot(d.real, d.imag)
 
 
-def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residuals: bool, ahead: bool, known: bool,
-                f: RealFunction) -> tuple[list[int], list[Scalar], list | None]:
-    """:func:`_rows` of one point t = n*g + rho of one factor, at any n: the
-    values at rho + k*g, k = n, ..., 0 (from n - 1 without residuals), then
-    y(t) and y(t + h) in one pass with two accumulators and one running
-    weight, in :func:`_fold`'s order. Up to the cap the values are one list
-    in a class's :func:`_field`; past it, stretches of the cap in lam's field.
-    The residual's f(t) is the value at k = n where ``known`` says that t is
-    that lattice point, else one call of f."""
-    n, rho = cell
-    top = n if residuals else n - 1
+def _point_pass(f: RealFunction, g: float, lams: list, rho: float, top: int) -> tuple[Scalar, Scalar, Scalar | None, Scalar]:
+    """(y at top, y at top + 1, the summand value at top or None, the lam of the
+    field folded in) of one factor's class rho: the values at rho + k*g,
+    k = top, ..., 0, in one pass with two accumulators and one running weight,
+    in :func:`_fold`'s order. Up to the cap they are one list in a class's
+    :func:`_field`; past it, stretches of the cap in lam's field."""
     reals = None if lams[0].imag else [lams[0].real]
     if top < _CLASS_VALUES_MAX:
         values, zero, (lam,) = _field([f(rho + k * g) for k in range(top, -1, -1)], reals, lams)
@@ -505,9 +508,9 @@ def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residua
         lam, zero = (reals[0], 0.0) if reals else (lams[0], 0j)
         values = itertools.chain.from_iterable([f(rho + k * g) for k in range(i, max(i - _CLASS_VALUES_MAX, -1), -1)]
                                                for i in range(top, -1, -_CLASS_VALUES_MAX))
-    y = y_next = zero
+    y, y_next, at_top = zero, zero, None
     if top >= 0:
-        at_top = v = next(values)  # k = top: y(t + h)'s alone
+        at_top = v = next(values)  # k = top: y(top + 1)'s alone
         if lam == 1.0 and isinstance(lam, float):
             y_next += v
             for v in values:
@@ -520,11 +523,7 @@ def _point_rows(t: float, g: float, lams: list, cell: tuple[int, float], residua
                 y += w * v
                 w *= lam
                 y_next += w * v
-    if not residuals:
-        return [max(n, 0)], [y_next], None
-    if ahead:
-        return [max(n, 0)], [y], [y_next]
-    return [max(n, 0)], [y], [_magnitude((y_next - lam * y) - (at_top if known else f(t)))]
+    return y, y_next, at_top, lam
 
 
 def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:

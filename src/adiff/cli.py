@@ -21,10 +21,11 @@ and exits 3 above the budget. ``sum`` charges its exact summand call
 count; ``eval``, ``solve`` and their tables the exact work of the lattice
 engine's plan (fold terms, and every call of f its rows make, the
 residuals' f(t) included); ``inequality`` the slack calls of its sign
-check, its sums and its slack match; ``verify`` at least one call per
-sample of each identity it runs. A table first charges one unit per row,
-before it builds its points, and ``inequality`` first two per sample, so
-a huge row or sample count is refused before its list is built. ``sum``
+check and its slack match, the four mu calls per sample and its sums' plan
+(terms and calls); ``verify`` at least one call per sample of each
+identity it runs. A table first charges one unit per row, before it
+builds its points, and ``inequality`` first six per sample, so a huge row
+or sample count is refused before its list is built. ``sum``
 exits 2 on a result that is not finite.
 
 ``eval``, the sum tables, ``inequality`` and ``solve`` and its table plan
@@ -410,13 +411,15 @@ def cmd_inequality(args) -> int:
     spec = InequalitySpec(args.h, args.lam, Direction(args.direction))
     mu = as_function(args.mu)
     slack = as_function(args.slack)
-    # The sign check and the slack match each call slack once per sample; the
-    # sums are planned once, here, and charged before build_solution samples.
+    # Per sample, slack is called by the sign check and the slack match, and
+    # mu twice by the membership check and twice by the homogeneous part; the
+    # sums are planned once, here, and their terms and calls charged with
+    # those before build_solution samples.
     max_terms = _resolve_budget(None).max_terms
-    _charge("inequality", 2 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
+    _charge("inequality", 6 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
     grid = _grid(args.from_, args.to, args.samples)
-    _, calls, rows = lattice_plan(grid, spec.h, [1], [spec.lam], ahead=True)
-    _charge("inequality", 2 * args.samples + calls, max_terms, knob=BUDGET_ENV_VAR)
+    terms, calls, rows = lattice_plan(grid, spec.h, [1], [spec.lam], ahead=True)
+    _charge("inequality", 6 * args.samples + terms + calls, max_terms, knob=BUDGET_ENV_VAR)
     solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
     report = check_inequality(solution, grid, rows)
     status = "PASS" if report.passed else "FAIL"

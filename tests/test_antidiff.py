@@ -851,31 +851,46 @@ class TestLatticeSums:
         for m in counts:
             assert repr(sums[m]) == repr(running_product_fold(values[m - 1 :: -1] if m else [], field_lam))
 
-    @settings(max_examples=400, deadline=None, database=None)
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("which", range(len(_ONE_POINT_SUMMANDS)))
+    @settings(max_examples=40, deadline=None, database=None)
     @given(
         st.floats(-3.0, 120.0),
         st.sampled_from([1.0, 0.5, 0.3, 0.1]),
         st.sampled_from([1.0, -0.9, 1.7, complex(0.6, 0.6), -1j, complex(1.0, 0.0)]),
-        st.integers(0, len(_ONE_POINT_SUMMANDS) - 1),
-        st.sampled_from([(True, False), (True, True), (False, False)]),
+        st.sampled_from([(True, False), (True, True), (False, False), (False, True)]),
     )
-    def test_one_point_rows_are_the_class_rows(self, t, h, lam, which, mode):
+    def test_one_point_rows_are_the_class_rows(self, which, cap, t, h, lam, mode):
         # One point of one factor skips the class planner; a plan of the
-        # point twice takes it, and reads the same work and the same bits.
+        # point twice takes it, and reads the same work and the same bits,
+        # below the value cap (a class fold) and past it (a pass per point).
         # The residual's f(t) is read from the summand values where t is its
-        # lattice point rho + n*h, n >= 0; elsewhere each row calls it.
+        # lattice point rho + n*h, n >= 0; elsewhere each row calls it, and
+        # so does each row of a class past the cap.
         residuals, ahead = mode
+        reads = residuals and not ahead
         f = _ONE_POINT_SUMMANDS[which]
         n, rho = antidiff_module._floor_mod(t, h)
         point = rho + n * h
         on = n >= 0 and t == point and math.copysign(1.0, t) == math.copysign(1.0, point)
-        call = residuals and not ahead and not on
-        terms, calls, rows = lattice_plan([t], h, [1], [lam], residuals, ahead=ahead)
-        class_terms, class_calls, class_rows = lattice_plan([t, t], h, [1], [lam], residuals, ahead=ahead)
-        assert calls == max(n + 1 if residuals else n, 0) + call
-        assert (terms, calls + call) == (class_terms, class_calls)
-        got = rows(f)
-        expected = [column if column is None else column[:1] for column in class_rows(f)]
+        seen = []
+        counted = lambda u: seen.append(u) or f(u)
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(antidiff_module, "_CLASS_VALUES_MAX", cap)
+            shifted = residuals or ahead
+            past = n + shifted > antidiff_module._CLASS_VALUES_MAX
+            call, row_call = reads and not on, reads and not (on and not past)
+            terms, calls, rows = lattice_plan([t], h, [1], [lam], residuals, ahead=ahead)
+            class_terms, class_calls, class_rows = lattice_plan([t, t], h, [1], [lam], residuals, ahead=ahead)
+            assert calls == max(n + shifted, 0) + call
+            assert (terms, calls - call + 2 * row_call) == (class_terms, class_calls)
+            got = rows(counted)
+            assert len(seen) == calls
+            seen.clear()
+            expected = [column if column is None else column[:1] for column in class_rows(counted)]
+            assert len(seen) == class_calls
+        assert (got[2] is None) == (not shifted)
         assert repr(list(got)) == repr(expected), (t, h, lam, which, mode)
 
     def test_the_residual_reads_f_at_minus_zero_itself(self):
@@ -890,6 +905,15 @@ class TestLatticeSums:
             minus_zeros = [u for u in seen if u == 0.0 and math.copysign(1.0, u) < 0.0]
             assert (len(seen), len(minus_zeros), resids[0]) == (calls, 1, 2.0), ts
             assert resids[1:] == [0.0] * (len(ts) - 1)
+
+    @pytest.mark.parametrize("ts", [[3.5], [3.5, 4.5], [-1.5, 2.0]])
+    def test_ahead_plans_the_shifted_point_without_residuals(self, ts):
+        # With ahead the third column is y(t + h) whatever residuals says:
+        # the same work and the same rows.
+        bare = lattice_plan(ts, 1.0, [1], [0.5], residuals=False, ahead=True)
+        plain = lattice_plan(ts, 1.0, [1], [0.5], ahead=True)
+        assert bare[:2] == plain[:2]
+        assert repr(bare[2](math.cos)) == repr(plain[2](math.cos))
 
     @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
     @pytest.mark.parametrize("lam", [1.0, 0.999, complex(0.6, 0.7)])

@@ -1126,24 +1126,38 @@ class TestInequalityCommand:
     @pytest.mark.parametrize("h, lam, to, samples", [("1", "1", "10", "64"), ("0.5", "-0.5", "3", "148")])
     def test_budget_is_the_exact_slack_call_count(self, capsys, monkeypatch, h, lam, to, samples):
         # slack is called by the sign check and the slack match once per
-        # sample, and by the sums of the check grid.
-        seen = []
+        # sample, and by the sums of the check grid as planned; mu twice per
+        # sample by the membership check and twice by the homogeneous part.
+        # The charge is every one of those calls and the sums' fold terms.
+        seen = {"0": [], "1": []}
 
         def recording(source):
             f = as_function(source)
-            return (lambda u: seen.append(u) or f(u)) if source == "1" else f
+            return lambda u: seen[source].append(u) or f(u)
 
         monkeypatch.setattr(cli, "as_function", recording)
-        grid = _grid(0.0, float(to), int(samples))
-        calls = 2 * int(samples) + lattice_plan(grid, float(h), [1], [float(lam)], ahead=True)[1]
+        n = int(samples)
+        terms, calls, _ = lattice_plan(_grid(0.0, float(to), n), float(h), [1], [float(lam)], ahead=True)
+        work = 6 * n + terms + calls
         argv = ("inequality", "--h", h, "--lambda", lam, "--direction", "geq", "--mu", "0",
                 "--slack", "1", "--from", "0", "--to", to, "--samples", samples)
-        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls - 1))
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(work - 1))
         code, out, _ = run_main(capsys, *argv)
-        assert (code, out, len(seen)) == (EXIT_BUDGET, "", 0)
-        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(calls))
+        assert (code, out, seen) == (EXIT_BUDGET, "", {"0": [], "1": []})
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", str(work))
         code, out, _ = run_main(capsys, *argv)
-        assert (code, len(seen)) == (EXIT_OK, calls)
+        assert (code, len(seen["1"]), len(seen["0"])) == (EXIT_OK, 2 * n + calls, 4 * n)
+        assert work == len(seen["1"]) + len(seen["0"]) + terms
+
+    def test_a_fold_over_budget_exits_3_before_any_slack_call(self, capsys, summand_calls):
+        # 6 001 samples make 18 003 slack calls but fold 18 009 001 terms.
+        code, out, err = run_main(
+            capsys, "inequality", "--h", "1", "--lambda", "0.5", "--direction", "geq", "--mu", "1",
+            "--slack", "1", "--from", "0", "--to", "6000", "--samples", "6001",
+        )
+        assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
+        assert err == ("adiff: inequality needs 18051008 evaluations, budget is 10000000"
+                       " (set it with ADIFF_TERM_BUDGET)\n")
 
 
 class TestArgparseContract:
