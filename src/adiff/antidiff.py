@@ -224,7 +224,7 @@ def _subset_sums(shifts: Sequence[int]) -> list[int]:
     """The sums of the subsets of ``shifts``; bit i of a position says whether shifts[i] is in."""
     sums = [0]
     for s in shifts:
-        sums += map(operator.add, sums[:], itertools.repeat(s))
+        sums += [x + s for x in sums]
     return sums
 
 
@@ -284,28 +284,29 @@ def _plan(ms: Sequence[int], cells: list, offsets: Sequence[int], allowance: flo
         members.setdefault(rho, []).append(n)
     plan: dict[float, list] = {}
     terms = calls = 0
+    one = len(ms) == 1  # one layer, m = 1, whose offsets [0] or [0, 1] ascend
     for rho, ns in members.items():
-        top = sorted({n + s for n in ns for s in offsets})
-        if len(ms) == 1 and top[-1] > _CLASS_VALUES_MAX:  # a pass per point, the highest first
+        top = [ns[0] + s for s in offsets] if one and len(ns) == 1 else sorted({n + s for n in ns for s in offsets})
+        if not one:
+            sets, more_terms, more_calls = _index_sets(ms, top, allowance - terms - calls)
+            if sets is None:
+                return None, terms + more_terms, calls
+        elif top[-1] > _CLASS_VALUES_MAX:  # a pass per point, the highest first
             tops, more_terms, more_calls = zip(*[_pass_plan(n, offsets[-1]) for n in sorted(set(ns), reverse=True)])
             sets, more_terms, more_calls = [list(tops)], sum(more_terms), sum(more_calls)
-        elif len(ms) == 1:  # one layer, m = 1: the summand indices are 0 .. top[-1] - 1
+        else:  # the summand indices are 0 .. top[-1] - 1
             n = top[-1]
             more_terms = sum(top) if top[0] >= 0 else sum([i for i in top if i > 0])
             sets, more_calls = [[range(n)] if n > 0 else [], top], max(n, 0)
-        else:
-            sets, more_terms, more_calls = _index_sets(ms, top, allowance - terms - calls)
         terms += more_terms
         calls += more_calls
-        if sets is None:
-            return None, terms, calls
         plan[rho] = sets
     return plan, terms, calls
 
 
 def _pass_plan(n: int, shift: int) -> tuple[int, int, int]:
     """(top index, terms, calls) of one factor's point N = n summed alone to
-    N + shift - 1 by :func:`_point_pass`, shift 1 where its rows read y at
+    N + shift - 1 by :func:`_rows`' pass, shift 1 where its rows read y at
     N + 1, else 0: the terms of y at N (and N + 1), and a call per index."""
     calls = max(n + shift, 0)
     return n + shift - 1, max(n, 0) + shift * calls, calls
@@ -356,47 +357,6 @@ def _field(values: list, reals: list | None, lams: list) -> tuple[list, Scalar, 
     return values if floats else list(map(complex, values)), 0j, list(map(complex, lams))
 
 
-def _lattice(f: RealFunction, g: float, ms: Sequence[int], lams: list, plan: dict) -> dict:
-    """{rho: (top layer, lams of its field, summand values)} for the classes
-    of ``plan``, a plan of :func:`lattice_plan` that the caller has charged.
-
-    Each class in turn calls its summand once per index, highest first,
-    picks its :func:`_field` and builds its layers bottom up with
-    :func:`_fold`, each dropped once the next is built. A one-layer class
-    keeps its summand values, in its field and ascending index order, for
-    the rows that read f(t) there; any other keeps None. A class planned
-    as passes (:func:`_pass_plan`) sums each point alone, highest first,
-    with :func:`_point_pass`, keeping the value at each pass's top index.
-    """
-    # The float field's lams, where every lam has imaginary part 0.
-    reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
-    tops = {}
-    for rho, sets in plan.items():
-        if len(sets) == 1:  # a pass per point: y at its top index and the one above, and f there
-            y, stored, field = {}, {}, None
-            for top in sets[0]:
-                y[top], y[top + 1], stored[top], lam = _point_pass(f, g, lams, rho, top)
-                field = field or [lam]  # the highest pass's: lam's field when it is past the cap
-            tops[rho] = y, field, stored
-            continue
-        top, ranges = sets[-1], sets[0]
-        values, zero, field = _field([f(rho + index * g) for index in _descending(ranges)], reals, lams)
-        if len(ranges) == 1:
-            values.reverse()
-            layer = {ranges[0].start: values}
-        else:
-            at = dict(zip(_descending(ranges), values))
-            layer = {r.start: list(map(at.__getitem__, r)) for r in ranges}
-        if len(sets) > 2:  # the layers below the top
-            for m, lam, indices in zip(ms, field, sets[1:-1]):
-                row = _weights(lam, max((r[-1] for r in indices), default=0) // m, zero)
-                layer = {r.start: _fold(r, m, row, layer, zero) for r in indices}
-        m = ms[-1]
-        y = dict(zip(top, _fold(top, m, _weights(field[-1], top[-1] // m, zero), layer, zero)))
-        tops[rho] = y, field, layer.get(0) if len(sets) == 2 else None
-    return tops
-
-
 def _combine(v: list, lams: Sequence[Scalar]) -> Scalar:
     """op y from y at the 2^k shifted points, v[j] being y shifted by the steps
     of the factors whose bits are set in j: each factor i, first to last,
@@ -430,59 +390,121 @@ def lattice_plan(ts: Sequence[float], g: float, ms: Sequence[int], lams: Sequenc
     lams, g = list(map(_coefficient, lams)), _require_positive_shift(g)
     cells = list(map(_floor_mod, ts, itertools.repeat(g)))
     reads = residuals and not ahead  # the rows subtract f(t)
-    offsets = _subset_sums(ms) if residuals or ahead else None
-    # A class of several layers keeps no summand value: each of its rows calls f(t).
-    checks = len(ts) if reads and len(ms) > 1 else 0
+    shift = 1 if residuals or ahead else 0  # the rows read y at N + 1 (and the other shifted points)
+    checks, known = 0, None  # the rows that call f(t), and where a row reads it from its class
+    if reads and len(ms) == 1:  # one rule, and for one point one call, not a map
+        known = [_on_lattice(ts[0], cells[0], g)] if len(ts) == 1 else list(map(_on_lattice, ts, cells, itertools.repeat(g)))
+        checks = known.count(False)
+    elif reads:  # a class of several layers keeps no summand value: each of its rows calls f(t)
+        checks = len(ts)
     if len(ms) == len(cells) == 1:  # one point of one factor: a pass, no class to plan
         [(n, rho)] = cells
-        top, terms, calls = _pass_plan(n, offsets[-1] if offsets else 0)
+        top, terms, calls = _pass_plan(n, shift)
         plan = {rho: [[top]]}
     else:
-        plan, terms, calls = _plan(ms, cells, offsets or [0], allowance - checks)
+        plan, terms, calls = _plan(ms, cells, _subset_sums(ms) if shift else [0], allowance - checks)
         if plan is None:
             return terms, calls + checks, None
-    known = None
-    if reads and len(ms) == 1:  # a class below the cap keeps its values (two sets), and one point's pass its top
-        known = [n >= 0 and (len(ts) == 1 or len(plan[rho]) == 2) and _on_lattice(t, n, rho, g)
-                 for t, (n, rho) in zip(ts, cells)]
-        checks = known.count(False)
-    return terms, calls + checks, functools.partial(_rows, ts, g, ms, lams, cells, plan, offsets, ahead, known)
+    return terms, calls + checks, functools.partial(_rows, ts, g, ms, lams, cells, plan, shift, ahead, known)
 
 
-def _on_lattice(t: float, n: int, rho: float, g: float) -> bool:
-    """Whether the float t is the point rho + n*g at which the summand is read,
-    the sign of a zero included, so that f(t) is the summand value at index n."""
+def _on_lattice(t: float, cell: tuple[int, float], g: float) -> bool:
+    """Whether the float t is the point rho + n*g, n >= 0, of its ``cell``
+    (n, rho), the sign of a zero included: the point at which the summand is
+    read, so that f(t) is the summand value at index n."""
+    n, rho = cell
     point = rho + n * g
-    return t == point and (t != 0.0 or math.copysign(1.0, t) == math.copysign(1.0, point))
+    return n >= 0 and t == point and (t != 0.0 or math.copysign(1.0, t) == math.copysign(1.0, point))
 
 
-def _rows(ts: list[float], g: float, ms: Sequence[int], lams: list, cells: list, plan: dict, offsets: list[int] | None,
+def _rows(ts: list[float], g: float, ms: Sequence[int], lams: list, cells: list, plan: dict, shift: int,
           ahead: bool, known: list[bool] | None, f: RealFunction) -> tuple[list[int], list[Scalar], list | None]:
-    """The columns n, y(t) and |op y - f|(t) of a plan of :func:`lattice_plan`.
+    """The columns n, y(t) and |op y - f|(t) of a plan of :func:`lattice_plan`
+    that the caller has charged.
 
-    n is N // m_k clamped at 0. The residual reads y(t + h) - lam*y(t) at one
-    factor, else combines the top layer at the 2^k indices N + (sum of a
-    subset of the m_i) by :func:`_combine` (the same arithmetic at k = 1),
-    with the lams of the row's field, and subtracts f(t) at the float t:
-    the class's summand value at N where ``known`` says that t is its
-    lattice point, else one call of f. With ``ahead`` the third column is
-    y(t + h) of a one-factor plan instead; without ``offsets`` (neither
-    residuals nor ``ahead``) it is None.
+    First each class of the plan in turn calls its summand once per index,
+    highest first. A class planned as passes (:func:`_pass_plan`) is summed
+    a point at a time, the highest first: a pass reads the values at
+    rho + k*g, k = top, ..., 0, with two accumulators and one running
+    weight, in :func:`_fold`'s order, for y at its top index and the one
+    above, and keeps the value at the top. Up to the cap they are one list
+    in a class's :func:`_field`; past it, stretches of the cap in lam's
+    field, the class's field when its highest pass is past the cap. Any
+    other class picks its :func:`_field` and builds its layers bottom up
+    with :func:`_fold`, each dropped once the next is built, and keeps its
+    top layer and, with one layer, its summand values in ascending index
+    order.
+
+    Then each row reads its class. n is N // m_k clamped at 0. The residual
+    reads y(t + h) - lam*y(t) at one factor, else combines the top layer at
+    the 2^k indices N + (sum of a subset of the m_i) by :func:`_combine`
+    (the same arithmetic at k = 1), with the lams of the row's field, and
+    subtracts f(t) at the float t: the class's summand value at N where
+    ``known`` says that t is its lattice point, else one call of f. With
+    ``ahead`` the third column is y(t + h) of a one-factor plan instead;
+    without ``shift`` (neither residuals nor ``ahead``) it is None.
     """
-    tops = _lattice(f, g, ms, lams, plan)
     m = ms[-1]
-    one = len(ms) == 1
-    counts, values, thirds = [], [], []
+    tops = {}  # rho: (top layer, lams of its field, summand values or None)
+    for rho, sets in plan.items():
+        if len(sets) == 1:  # a pass per point
+            y, stored, field = {}, {}, None
+            reals = None if lams[0].imag else [lams[0].real]
+            for top in sets[0]:
+                if top < _CLASS_VALUES_MAX:
+                    values, zero, (lam,) = _field([f(rho + k * g) for k in range(top, -1, -1)], reals, lams)
+                    values = iter(values)
+                else:
+                    lam, zero = (reals[0], 0.0) if reals else (lams[0], 0j)
+                    values = itertools.chain.from_iterable([f(rho + k * g) for k in range(i, max(i - _CLASS_VALUES_MAX, -1), -1)]
+                                                           for i in range(top, -1, -_CLASS_VALUES_MAX))
+                acc = acc_next = zero
+                if top >= 0:
+                    stored[top] = v = next(values)  # k = top: y(top + 1)'s alone
+                    if lam == 1.0 and isinstance(lam, float):
+                        acc_next += v
+                        for v in values:
+                            acc += v
+                            acc_next += v
+                    else:
+                        w = zero + 1.0
+                        acc_next += w * v
+                        for v in values:
+                            acc += w * v
+                            w *= lam
+                            acc_next += w * v
+                y[top], y[top + 1] = acc, acc_next
+                field = field or [lam]
+            tops[rho] = y, field, stored
+            continue
+        top, ranges = sets[-1], sets[0]
+        # The float field's lams, where every lam has imaginary part 0.
+        reals = None if any(map(operator.attrgetter("imag"), lams)) else list(map(operator.attrgetter("real"), lams))
+        values, zero, field = _field([f(rho + index * g) for index in _descending(ranges)], reals, lams)
+        if len(ranges) == 1:
+            values.reverse()
+            layer = {ranges[0].start: values}
+        else:
+            at = dict(zip(_descending(ranges), values))
+            layer = {r.start: list(map(at.__getitem__, r)) for r in ranges}
+        if len(sets) > 2:  # the layers below the top
+            for step, lam, indices in zip(ms, field, sets[1:-1]):
+                row = _weights(lam, max((r[-1] for r in indices), default=0) // step, zero)
+                layer = {r.start: _fold(r, step, row, layer, zero) for r in indices}
+        y = dict(zip(top, _fold(top, m, _weights(field[-1], top[-1] // m, zero), layer, zero)))
+        tops[rho] = y, field, layer.get(0) if len(sets) == 2 else None
+    offsets = _subset_sums(ms) if len(ms) > 1 else None
+    counts, ys, thirds = [], [], []
     for t, (n, rho), on in zip(ts, cells, known or itertools.repeat(False)):
         y, field, stored = tops[rho]
         counts.append(n // m if n > 0 else 0)
-        values.append(y[n])
+        ys.append(y[n])
         if ahead:
             thirds.append(y[n + 1])
-        elif offsets:
-            d = y[n + 1] - field[0] * y[n] if one else _combine([y[n + s] for s in offsets], field)
+        elif shift:
+            d = _combine([y[n + s] for s in offsets], field) if offsets else y[n + 1] - field[0] * y[n]
             thirds.append(_magnitude(d - (stored[n] if on else f(t))))
-    return counts, values, thirds if offsets else None
+    return counts, ys, thirds if shift else None
 
 
 def _magnitude(d: Scalar) -> float:
@@ -492,38 +514,6 @@ def _magnitude(d: Scalar) -> float:
         return abs(d)
     except OverflowError:
         return math.hypot(d.real, d.imag)
-
-
-def _point_pass(f: RealFunction, g: float, lams: list, rho: float, top: int) -> tuple[Scalar, Scalar, Scalar | None, Scalar]:
-    """(y at top, y at top + 1, the summand value at top or None, the lam of the
-    field folded in) of one factor's class rho: the values at rho + k*g,
-    k = top, ..., 0, in one pass with two accumulators and one running weight,
-    in :func:`_fold`'s order. Up to the cap they are one list in a class's
-    :func:`_field`; past it, stretches of the cap in lam's field."""
-    reals = None if lams[0].imag else [lams[0].real]
-    if top < _CLASS_VALUES_MAX:
-        values, zero, (lam,) = _field([f(rho + k * g) for k in range(top, -1, -1)], reals, lams)
-        values = iter(values)
-    else:
-        lam, zero = (reals[0], 0.0) if reals else (lams[0], 0j)
-        values = itertools.chain.from_iterable([f(rho + k * g) for k in range(i, max(i - _CLASS_VALUES_MAX, -1), -1)]
-                                               for i in range(top, -1, -_CLASS_VALUES_MAX))
-    y, y_next, at_top = zero, zero, None
-    if top >= 0:
-        at_top = v = next(values)  # k = top: y(top + 1)'s alone
-        if lam == 1.0 and isinstance(lam, float):
-            y_next += v
-            for v in values:
-                y += v
-                y_next += v
-        else:
-            w = zero + 1.0
-            y_next += w * v
-            for v in values:
-                y += w * v
-                w *= lam
-                y_next += w * v
-    return y, y_next, at_top, lam
 
 
 def nonfinite_summand(f: RealFunction, t: float, g: float, ms: Sequence[int]) -> tuple[int | None, float, Scalar] | None:
