@@ -1,33 +1,31 @@
 """A small arithmetic expression language in one free variable t.
 
-Grammar (whitespace insignificant, '^' right-associative)::
+Grammar (whitespace insignificant), operators by binding level::
 
-    expr    := term (('+'|'-') term)*
-    term    := factor (('*'|'/') factor)*
-    factor  := unary ('^' factor)?
+    expr    := unary (op unary)*    op: 1 '+' '-', 2 '*' '/', 4 '^'
     unary   := '-' unary | primary
     primary := number | 't' | 'pi' | 'e' | ident '(' expr ')' | '(' expr ')'
 
-Because the base of '^' is a full ``unary`` production, a leading minus
-binds tighter than the exponent: ``-t^2`` parses as ``(-t)^2`` while a
-minus on the right, as in ``t^-2``, negates only the exponent. ``2e3`` is
-one numeric literal (exponent notation); ``2*e`` is needed to multiply by
-Euler's number.
+An operator binds tighter than those of lower levels; '+ - * /' group to
+the left and '^' to the right (``2^3^2`` is ``2^(3^2)``). A '-' takes a
+``unary`` operand only, so ``-t^2`` parses as ``(-t)^2`` while a minus on
+the right, as in ``t^-2``, negates only the exponent. ``2e3`` is one
+numeric literal (exponent notation); ``2*e`` multiplies by Euler's number.
 
 Functions: sin, cos, exp, ln, sqrt, abs, floor, frac, gamma, digamma.
 ``frac(x)`` is x - floor(x). Unknown names are rejected at parse time.
 
 Whitespace is any character for which ``str.isspace`` holds; numbers use
 the ASCII digits only. One regular-expression scan cuts the text into
-(kind, text, position) tuples, and a recursive descent over them builds
-the tree; a character that starts no token is reported first, wherever it
-is.
+(kind, text, position) tuples, and a precedence-climbing loop over them
+builds the tree; a character that starts no token is reported first,
+wherever it is.
 
 Trees are immutable nodes with structural equality (plain classes with a
 dataclass's ``==``, hash and repr); source offsets are carried in ``pos``
 and ignored by comparisons, hashing and repr, so
 ``parse(unparse(tree)) == tree`` for any tree built by the parser or with
-nonnegative finite literals. The parser rejects trees deeper than 200
+nonnegative, non-NaN literals. The parser rejects trees deeper than 200
 nodes, whether the depth comes from nesting or from a long chain such as
 ``t+t+...+t``.
 
@@ -156,6 +154,11 @@ _TOKEN_RE = re.compile(
 # parser tests operators by text alone.
 _Token = tuple[str, str, int]
 
+# How tightly each binary operator binds, read by the parser and by unparse:
+# a higher level binds tighter, and '^' alone is right-associative. unparse
+# puts a '-' chain at level 3 and an atom at 5.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
@@ -164,11 +167,11 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Precedence climbing over the token list: ``binary`` reads every
+    operator of _BINDING in one loop, ``unary`` the '-' chains and primaries.
 
-    Each production is passed the nesting count of its caller. ``expr`` and
-    ``unary`` add one each, as does every '^' of a chain, and the count is
-    checked against _MAX_DEPTH at the token where it grows.
+    The nesting count grows by one at each parenthesis or call argument, each
+    ``unary`` and each '^' of a chain; ``unary`` checks it at its first token.
     """
 
     def __init__(self, tokens: list[_Token]):
@@ -181,37 +184,21 @@ class _Parser:
             raise ParseError(tok[2], f"unexpected {_describe(tok)}", expected=f"'{text}'")
         self.k += 1
 
-    def expr(self, depth: int) -> ExprAst:
-        depth += 1
-        if depth > _MAX_DEPTH:
-            raise _too_deep(self.tokens[self.k])
-        node = self.term(depth)
+    def binary(self, depth: int, floor: int) -> ExprAst:
+        """A unary operand, joined to the next by each operator that binds
+        at ``floor`` or tighter: '^' right-associative, one '^' deeper."""
+        node = self.unary(depth)
         tokens = self.tokens
         while True:
             _, op, pos = tokens[self.k]
-            if op != "+" and op != "-":
+            level = _BINDING.get(op, 0)
+            if level < floor:
                 return node
             self.k += 1
-            node = Binary(op, node, self.term(depth), pos)
-
-    def term(self, depth: int) -> ExprAst:
-        node = self.factor(depth)
-        tokens = self.tokens
-        while True:
-            _, op, pos = tokens[self.k]
-            if op != "*" and op != "/":
-                return node
-            self.k += 1
-            node = Binary(op, node, self.factor(depth), pos)
-
-    def factor(self, depth: int) -> ExprAst:
-        base = self.unary(depth)
-        _, op, pos = self.tokens[self.k]
-        if op != "^":
-            return base
-        self.k += 1
-        depth += 1  # a chain of '^' recurses here, once per operator; unary checks it
-        return Binary("^", base, self.factor(depth), pos)
+            if op == "^":
+                node = Binary(op, node, self.binary(depth + 1, level), pos)
+            else:
+                node = Binary(op, node, self.binary(depth, level + 1), pos)
 
     def unary(self, depth: int) -> ExprAst:
         """unary := '-' unary | primary, the primary read in place."""
@@ -230,7 +217,7 @@ class _Parser:
                 return Constant(text, pos)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr(depth)
+                arg = self.binary(depth + 1, 1)
                 self.expect_op(")")
                 return Call(text, arg, pos)
             raise ParseError(
@@ -243,7 +230,7 @@ class _Parser:
             return Unary("-", self.unary(depth), pos)
         if text == "(":
             self.k += 1
-            node = self.expr(depth)
+            node = self.binary(depth + 1, 1)
             self.expect_op(")")
             return node
         raise ParseError(pos, f"unexpected {_describe(tok)}", expected="primary")
@@ -273,7 +260,7 @@ def parse(source: str | bytes) -> ExprAst:
     tokens = _tokenize(source)
     parser = _Parser(tokens)
     try:
-        node = parser.expr(0)
+        node = parser.binary(1, 1)
         tok = tokens[parser.k]
         if tok[0] != "end":
             raise ParseError(tok[2], f"unexpected trailing {_describe(tok)}", expected="end of input")
@@ -593,14 +580,12 @@ def _gamma(v: float, node: Call) -> float:
 
 # ---------------------------------------------------------------- unparsing
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+_LEVEL_UNARY, _LEVEL_ATOM = 3, 5
 
 
 def _level(node: ExprAst) -> int:
     if isinstance(node, Binary):
-        if node.op == "^":
-            return _LEVEL_POW
-        return _LEVEL_MUL if node.op in "*/" else _LEVEL_ADD
+        return _BINDING[node.op]
     if isinstance(node, Unary) or (isinstance(node, Number) and node.value < 0):
         return _LEVEL_UNARY
     return _LEVEL_ATOM
@@ -612,10 +597,12 @@ def unparse(ast: ExprAst) -> str:
     Binary operators get single surrounding spaces except '^', which binds
     tightly; numeric literals render via ``repr`` (so ``2.0``, not ``2``);
     parentheses are inserted exactly where the grammar needs them, so
-    ``parse(unparse(tree))`` is structurally equal to ``tree``. Negative or
-    non-finite literals are not produced by the parser; a negative literal
-    renders with a leading '-', which reparses as negation of the positive
-    literal (same value, canonicalized shape).
+    ``parse(unparse(tree))`` is structurally equal to ``tree``. The parser
+    makes no negative literal, and an infinite one only where a literal
+    overflows (``1e400``); infinity renders as ``1e999``, which overflows
+    back to it. A negative literal renders with a leading '-', which
+    reparses as negation of the positive literal (same value, canonicalized
+    shape); a NaN literal, which the parser never makes, renders as ``nan``.
     """
     return _emit(ast)
 
@@ -627,7 +614,7 @@ def _paren(node: ExprAst, needed: bool) -> str:
 
 def _emit(node: ExprAst) -> str:
     if isinstance(node, Number):
-        return repr(node.value)
+        return repr(node.value).replace("inf", "1e999")  # 'inf' is no name; 1e999 parses to inf
     if isinstance(node, Variable):
         return "t"
     if isinstance(node, Constant):
@@ -642,17 +629,14 @@ def _emit(node: ExprAst) -> str:
     if isinstance(node, Binary):
         op = node.op
         if op == "^":
-            # Base must be a unary production; exponent is a factor, so a
-            # nested '^' on the right stays bare (right associativity).
+            # The base is a unary production and the exponent is read at the
+            # level of '^', so a '^' on the right stays bare (right associative).
             left = _paren(node.left, _level(node.left) not in (_LEVEL_UNARY, _LEVEL_ATOM))
             right = _paren(node.right, _level(node.right) < _LEVEL_UNARY)
             return f"{left}^{right}"
-        if op in "*/":
-            left = _paren(node.left, _level(node.left) < _LEVEL_MUL)
-            right = _paren(node.right, _level(node.right) <= _LEVEL_MUL)
-            return f"{left} {op} {right}"
-        left = _paren(node.left, False)
-        right = _paren(node.right, _level(node.right) <= _LEVEL_ADD)
+        level = _BINDING[op]
+        left = _paren(node.left, _level(node.left) < level)
+        right = _paren(node.right, _level(node.right) <= level)
         return f"{left} {op} {right}"
     raise TypeError(f"not an expression node: {node!r}")
 

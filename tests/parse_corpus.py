@@ -4,9 +4,12 @@
 on the import path and writes ``tests/data/parse_corpus.json``: each input
 with its outcome, either the unparsed tree or the ``ParseError``'s position
 and message. ``test_exprlang.TestGoldenCorpus`` checks the parser against
-the recorded file, so a change to the tokenizer or the descent that moves a
+the recorded file, so a change to the tokenizer or the parser that moves a
 position or a word of a message fails there. The file was recorded before
-the single-regex tokenizer replaced the character loop.
+the single-regex tokenizer replaced the character loop, and its ``mixed``
+inputs before one precedence-climbing loop replaced the recursive
+``expr``/``term``/``factor`` productions. CI re-records the file and fails
+if it changes.
 """
 
 from __future__ import annotations
@@ -72,7 +75,23 @@ def inputs() -> list[str | bytes]:
     )
     chains = [op.join(["t"] * k) for op in "+-*/" for k in range(198, 203)]
     chains += ["t+" * 200 + "$", "+".join(["(t)"] * 201), "t" + "+-t" * 100]
-    return whitespace + digits + numbers + garbage + raw + nesting + chains + _mutants(
+    mixed = [
+        "t+t^t*t", "-t^-t^t/t", "t*t^t^t-t", "t-t*t/t^t+t", "t^t^t*t^t+t", "1+2*3^4^5/6-7",
+        "t/t*t-t+t", "t-t-t*t/t/t", "-t*-t", "t/-t^2", "t*-t^t", "2^-3^2", "-(t)^-(t)",
+        "(t^t)^t", "t^(t^t)", "(t+t)^(t*t)", "t^(t+t)*-t", "-(t+t)*t^-t", "sin(t)^t^-t*t-t",
+        "t-(t-t)", "t/(t/t)", "t--t", "t-+t", "t^*t", "t*^t", "t^t^", "t+t^t*", "-t^-",
+        "(t+)", "t+(", "sin(t^)", "t^(t*)", "t^t t", "t*t^t)", "t^-t^-t^-t", "-t^2*3+t",
+    ]
+    mixed += ["^".join(["-t"] * k) for k in range(97, 103)]
+    mixed += ["^".join(["-t"] * k) for k in range(196, 202)]
+    mixed += ["^".join(["sin(t)"] * k) for k in range(96, 102)]
+    mixed += ["^".join(["sin(t)"] * k) for k in range(195, 202)]
+    mixed += ["^".join(["(t)"] * k) for k in (97, 98, 99, 100, 101, 102, 196, 197, 198, 199)]
+    mixed += ["*".join(["t^t"] * k) for k in range(199, 203)]
+    mixed += ["+".join(["t*t^t"] * k) for k in range(197, 201)]
+    mixed += ["-" * k + "t^" + "-" * k + "t" for k in (98, 99, 196, 197, 198)]
+    mixed += ["+".join(["-" * 99 + "t"] * 3), "t^" * 198 + "t*t", "t*" * 198 + "t^t"]
+    return whitespace + digits + numbers + garbage + raw + nesting + chains + mixed + _mutants(
         random.Random(2406), 300
     )
 

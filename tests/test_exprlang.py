@@ -20,6 +20,7 @@ from adiff.exprlang import (
     Number,
     Unary,
     Variable,
+    _TOKEN_RE,
     _gamma,
     _power,
     as_function,
@@ -145,6 +146,33 @@ def outcome(fn, t):
     return ("nan",) if math.isnan(v) else (type(v), struct.pack("<d", v))
 
 
+def own_token(node):
+    """The token a parsed node is made from, a literal's as its value."""
+    if isinstance(node, Binary):
+        return node.op
+    if isinstance(node, Unary):
+        return "-"
+    if isinstance(node, Call):
+        return node.func
+    if isinstance(node, Constant):
+        return node.name
+    return "t" if isinstance(node, Variable) else node.value
+
+
+def check_positions(source):
+    """Assert that each node's ``pos`` starts its own token; count the nodes."""
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    stack, count = [parse(source)], 0
+    while stack:
+        node = stack.pop()
+        m = _TOKEN_RE.match(text, node.pos)
+        got = float(m[0]) if m.lastgroup == "num" else m[0]
+        assert got == own_token(node), (source, node)
+        stack += [v for k, v in vars(node).items() if k in ("operand", "left", "right", "arg")]
+        count += 1
+    return count
+
+
 class TestParse:
     def test_precedence_shape(self):
         assert parse("t^2 + 3*t") == Binary(
@@ -252,7 +280,8 @@ class TestParse:
 
 
 class TestGoldenCorpus:
-    """Outcomes recorded by tests/parse_corpus.py before the one-regex scan."""
+    """Outcomes recorded by tests/parse_corpus.py before the one-regex scan
+    and, for its mixed-level inputs, before the precedence-climbing loop."""
 
     def test_every_outcome_matches_the_record(self):
         cases = json.loads(CORPUS_PATH.read_text(encoding="ascii"))
@@ -264,6 +293,19 @@ class TestGoldenCorpus:
             if got != case["outcome"]:
                 mismatches.append((source, got, case["outcome"]))
         assert mismatches == []
+
+    def test_every_node_pos_is_its_own_token(self):
+        # EvalError prints node positions, which the record does not hold.
+        cases = json.loads(CORPUS_PATH.read_text(encoding="ascii"))
+        nodes = sum(
+            check_positions(bytes.fromhex(case["hex"]) if "hex" in case else case["text"])
+            for case in cases
+            if case["outcome"][0] == "ok"
+        )
+        assert nodes > 8000
+        rng = random.Random(31)
+        for _ in range(500):
+            check_positions(unparse(gen_ast(rng, rng.randint(0, 6))))
 
     def test_whitespace_is_str_isspace(self):
         # Every whitespace character lies below U+3001; any other character
@@ -383,6 +425,9 @@ class TestUnparse:
             "-(t + 1)^2",
             "--t",
             "(t + 1) * (t - 1)",
+            "1e400",
+            "2^-1e400",
+            "1e400*0",
         ]:
             ast = parse(src)
             assert parse(unparse(ast)) == ast
