@@ -21,16 +21,8 @@ _EXPORTS = {
         "RealFunction",
         "antidifference",
         "backward_antidifference",
-        "cos_antidifference",
         "definite_sum",
-        "exp_antidifference",
-        "gamma_ratio_product",
-        "mueller_sum",
-        "offset_residual",
-        "periodic_antidifference",
-        "poly_antidifference",
         "resolvent_sum",
-        "sin_antidifference",
     ),
     "convkernel": ("GreenKernel", "convolve", "kernel_weights"),
     "errors": (
@@ -64,12 +56,9 @@ _EXPORTS = {
     "numkit": (
         "FloorModResult",
         "digamma",
-        "falling_factorial",
         "floor_mod",
         "frac_mod",
         "ln_gamma",
-        "rising_factorial",
-        "stirling2",
     ),
     "opalgebra": (
         "FactoredOperator",
@@ -77,11 +66,24 @@ _EXPORTS = {
         "TermBudget",
         "apply_operator",
         "estimate_terms",
-        "factorization_identity_check",
         "particular_solution",
         "repeated_factor_solution",
         "solve_rows",
         "verify_particular",
+    ),
+    "verify": (
+        "cos_antidifference",
+        "exp_antidifference",
+        "factorization_identity_check",
+        "falling_factorial",
+        "gamma_ratio_product",
+        "mueller_sum",
+        "offset_residual",
+        "periodic_antidifference",
+        "poly_antidifference",
+        "rising_factorial",
+        "sin_antidifference",
+        "stirling2",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Finite floor-bounded indefinite sums and their closed-form companions.
+"""Finite floor-bounded indefinite sums and the package's lattice engine.
 
 The central object is the antidifference computed as a finite sum whose
 term count at the point t is floor(t):
@@ -48,13 +48,9 @@ one-factor case g = h, m = [1]) and :func:`adiff.opalgebra.solve_rows`
 use it: each charges the work against its :class:`TermBudget` with
 :func:`_charge`, the one place a budget is refused, then sums.
 
-A coefficient is read by :func:`_coefficient` and a sampled (anti)period
-by :func:`_period_break`, here and in :mod:`adiff.inequality` alike.
-
-Closed forms (polynomial, exponential, sin/cos) return the classical
-tabulated expressions; they differ from the finite sum by a 1-periodic
-function of t, which :func:`offset_residual` exposes via the identity
-sum_{s=1..floor(x)} f(x-s) = F(x) - F({x}).
+A coefficient is read by :func:`_coefficient`, here and in every module
+that takes one. The classical closed forms that these sums are checked
+against live in :mod:`adiff.verify`, the one module that runs them.
 """
 
 from __future__ import annotations
@@ -66,41 +62,16 @@ import math
 import operator
 from typing import Callable, Sequence, Union
 
-from .errors import (
-    BoundsError,
-    CrossCheckError,
-    DomainError,
-    NoConvergence,
-    NonFiniteInput,
-    PeriodicityViolation,
-    TermBudgetExceeded,
-    ZeroLambda,
-)
-from .numkit import (
-    _floor_mod,
-    _Frozen,
-    _require_finite,
-    _require_positive_shift,
-    _set,
-    falling_factorial,
-    floor_mod,
-    stirling2,
-)
+from .errors import BoundsError, CrossCheckError, DomainError, NonFiniteInput, TermBudgetExceeded, ZeroLambda
+from .numkit import _floor_mod, _Frozen, _require_finite, _require_positive_shift, _set, floor_mod
 
 #: Anything callable real -> real works as the summand.
 RealFunction = Callable[[float], float]
 
 Scalar = Union[float, complex]
 
-# Sin/cos closed forms share this constant denominator, |e^i - 1|^2.
-_TWO_MINUS_2COS1 = 2.0 - 2.0 * math.cos(1.0)
-
 # Tolerance of the fundamental-theorem cross-check in definite_sum.
 _CROSSCHECK_TOL = 1e-9
-
-# Sample count for the periodicity spot-check in periodic_antidifference.
-_PERIOD_SAMPLES = 16
-_PERIOD_TOL = 1e-9
 
 
 class AntidiffValue(_Frozen):
@@ -178,17 +149,6 @@ def _coefficient(lam: Scalar) -> Scalar:
         raise NonFiniteInput(f"lambda must be finite, got {lam!r}")
     return lam
 
-
-def _period_break(f: RealFunction, T: float, sign: float, xs: Sequence[float], tol: float) -> tuple | None:
-    """The first x of xs where f(x + T) is not sign*f(x) within tol*(1 + |f(x)|),
-    as (x, f(x), f(x + T)), or None; f(x) is called first. A NaN or infinite
-    value fails (an infinite f(x) would make the tolerance infinite)."""
-    for x in xs:
-        base = f(x)
-        shifted = f(x + T)
-        if abs(base) == math.inf or not abs(shifted - sign * base) <= tol * (1.0 + abs(base)):
-            return x, base, shifted
-    return None
 
 
 # ---------------------------------------------------------------- the engine
@@ -575,9 +535,12 @@ def backward_antidifference(f: RealFunction, t: float) -> AntidiffValue:
 def definite_sum_calls(m: int, n: int) -> int:
     """The number of summand calls definite_sum(f, m, n) makes: n - min(m, 0) + 1.
 
-    Raises :class:`BoundsError` if m > n, so a caller can check the bounds
-    and the cost of a sum before it calls f.
+    Raises :class:`DomainError` if m or n is not an int and
+    :class:`BoundsError` if m > n, so a caller can check the bounds and the
+    cost of a sum before it calls f.
     """
+    if not (isinstance(m, int) and isinstance(n, int)):
+        raise DomainError(f"bounds must be integers, got m = {m!r} and n = {n!r}")
     if m > n:
         raise BoundsError(f"lower bound {m} exceeds upper bound {n}")
     return n - min(m, 0) + 1
@@ -626,176 +589,3 @@ def definite_sum(f: RealFunction, m: int, n: int) -> float:
             f"fundamental-theorem path {via_theorem!r} disagrees with direct loop {direct!r}"
         )
     return via_theorem
-
-
-def poly_antidifference(coeffs: list[float], t: float) -> float:
-    """Closed-form antidifference of the polynomial sum_n coeffs[n] * t^n.
-
-    Expands each power into falling factorials with Stirling numbers of the
-    second kind and lifts every factorial by one order:
-
-        sum_n sum_k a_n S(n,k) (t)_{k+1} / (k+1).
-
-    Exact integer Stirling coefficients; degree is capped by stirling2.
-    """
-    t = _require_finite(t)
-    acc = 0.0
-    for order, a in enumerate(coeffs):
-        for k in range(order + 1):
-            s = stirling2(order, k)
-            if s:
-                acc += a * s * falling_factorial(t, k + 1) / (k + 1)
-    return acc
-
-
-def exp_antidifference(a: float, t: float) -> float:
-    """Closed-form antidifference of a^t, namely a^t / (a - 1)."""
-    if not (a > 0.0) or a == 1.0:
-        raise DomainError(f"base must be positive and != 1, got {a!r}")
-    t = _require_finite(t)
-    return a**t / (a - 1.0)
-
-
-def sin_antidifference(t: float) -> float:
-    """Closed-form antidifference of sin: (sin(t-1) - sin t) / (2 - 2 cos 1)."""
-    t = _require_finite(t)
-    return (math.sin(t - 1.0) - math.sin(t)) / _TWO_MINUS_2COS1
-
-
-def cos_antidifference(t: float) -> float:
-    """Closed-form antidifference of cos: (cos(t-1) - cos t) / (2 - 2 cos 1)."""
-    t = _require_finite(t)
-    return (math.cos(t - 1.0) - math.cos(t)) / _TWO_MINUS_2COS1
-
-
-def mueller_sum(
-    f: RealFunction, x: float, tail_tol: float = 1e-12, max_terms: int = 1_000_000
-) -> AntidiffValue:
-    """Telescoping-series antidifference for decaying f.
-
-    Accumulates sum_{n=0..N} (f(n) - f(n+x)), stopping at the first N with
-    |f(N)| + |f(N+x)| < tail_tol. Valid when f tends to zero at +infinity;
-    raises :class:`NoConvergence` if max_terms is hit first. The result
-    differs from the floor-bounded antidifference by a 1-periodic function
-    of x. It is the sum at x of :func:`mueller_sums`.
-    """
-    return mueller_sums(f, x, None, tail_tol, max_terms)[0]
-
-
-def mueller_sums(
-    f: RealFunction,
-    x: float,
-    y: float | None,
-    tail_tol: float = 1e-12,
-    max_terms: int = 1_000_000,
-) -> tuple[AntidiffValue, AntidiffValue | None]:
-    """:func:`mueller_sum` at x and at y (None: at x only), from one pass.
-
-    One pass over n = 0, 1, ... calls f(n) once for both sums and f(n + x),
-    f(n + y) for each sum not yet stopped: 3 calls per term for two points,
-    not 4, in that order. Each sum adds its terms and stops exactly as it
-    would alone; once one stops, the other runs on alone. The counter n is
-    kept as a float (u += 1.0), which is exact below 2^53, so f sees the
-    same arguments as with float(n) and n + x; f is first called at 0, so a
-    failure names the lowest failing term.
-
-    The tail criterion |f(n)| + |f(n + x)| < tail_tol is read only where
-    a = |f(n)| < tail_tol. That gate keeps every stop: a + b >= a for
-    b = |f(n + x)| >= 0 in IEEE arithmetic, since rounding is monotone and a
-    is a float, and a NaN in either term fails both comparisons. So a sum
-    stops at the same n, for NaN, +-inf and summands of either sign.
-    """
-    x = _require_finite(x, "x")
-    if y is not None:
-        y = _require_finite(y, "y")
-    if not tail_tol > 0.0:
-        raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be a positive integer, got {max_terms!r}")
-    if y is None:
-        return _mueller_run(f, x, 0.0, 0, tail_tol, max_terms), None
-    acc_x = acc_y = u = 0.0
-    for n in range(1, max_terms + 1):
-        fn = f(u)
-        fnx = f(u + x)
-        acc_x += fn - fnx
-        fny = f(u + y)
-        acc_y += fn - fny
-        a = abs(fn)
-        if a < tail_tol and (a + abs(fnx) < tail_tol or a + abs(fny) < tail_tol):
-            break
-        u += 1.0
-    else:
-        raise _no_convergence(tail_tol, max_terms)
-    # One sum or both stopped at term n; a sum that did not runs on alone.
-    stop_x = a + abs(fnx) < tail_tol
-    stop_y = a + abs(fny) < tail_tol
-    sum_x = AntidiffValue(acc_x, n) if stop_x else _mueller_run(f, x, acc_x, n, tail_tol, max_terms)
-    sum_y = AntidiffValue(acc_y, n) if stop_y else _mueller_run(f, y, acc_y, n, tail_tol, max_terms)
-    return sum_x, sum_y
-
-
-def _mueller_run(
-    f: RealFunction, x: float, acc: float, done: int, tail_tol: float, max_terms: int
-) -> AntidiffValue:
-    """The one-point Mueller loop, from acc after ``done`` terms."""
-    u = float(done)
-    for n in range(done + 1, max_terms + 1):
-        fn = f(u)
-        fnx = f(u + x)
-        acc += fn - fnx
-        a = abs(fn)
-        if a < tail_tol and a + abs(fnx) < tail_tol:
-            return AntidiffValue(acc, n)
-        u += 1.0
-    raise _no_convergence(tail_tol, max_terms)
-
-
-def _no_convergence(tail_tol: float, max_terms: int) -> NoConvergence:
-    return NoConvergence(f"tail criterion {tail_tol!r} not met within {max_terms} terms")
-
-
-def offset_residual(F: RealFunction, f: RealFunction, x: float) -> float:
-    """Residual of the tabulated-vs-finite-sum identity.
-
-    Returns sum_{s=1..floor(x)} f(x-s) - (F(x) - F({x})). Near zero iff F
-    really is an antidifference of f: the finite sum reproduces F up to the
-    value F carries at the fractional part of x.
-    """
-    x = _require_finite(x, "x")
-    frac = x - math.floor(x)
-    return antidifference(f, x).value - (F(x) - F(frac))
-
-
-def gamma_ratio_product(t: float) -> float:
-    """Product (t-1)(t-2)...(t-floor(t)) for non-integer t > 0.
-
-    Equals Gamma(t) / Gamma({t}); the empty product for t in (0,1) is 1.
-    """
-    t = _require_finite(t)
-    if t <= 0.0 or t == math.floor(t):
-        raise DomainError(f"t must be positive and non-integer, got {t!r}")
-    acc = 1.0
-    for s in range(1, _term_count(t) + 1):
-        acc *= t - s
-    return acc
-
-
-def periodic_antidifference(f: RealFunction, T: float, t: float) -> float:
-    """Antidifference of t -> f(T*t) for f with period T: floor(t) * f(T*t).
-
-    The periodicity claim is spot-checked on a fixed sample grid by
-    :func:`_period_break`; a failure beyond 1e-9 (mixed absolute/relative),
-    or a NaN or infinite value, raises :class:`PeriodicityViolation`. The result differs from
-    t*f(T*t) by a 1-periodic function of t.
-    """
-    t = _require_finite(t)
-    if not (math.isfinite(T) and T > 0.0):
-        raise PeriodicityViolation(f"period must be a positive finite real, got {T!r}")
-    span = max(abs(t), 1.0)
-    xs = [-span + (2.0 * span) * j / _PERIOD_SAMPLES for j in range(_PERIOD_SAMPLES)]
-    miss = _period_break(f, T, 1.0, xs, _PERIOD_TOL)
-    if miss is not None:
-        x, base, shifted = miss
-        raise PeriodicityViolation(f"f({x + T!r}) = {shifted!r} != f({x!r}) = {base!r}", witness=x)
-    return _term_count(t) * f(T * t)

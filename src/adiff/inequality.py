@@ -22,9 +22,9 @@ import enum
 import math
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, _coefficient, _period_break, lattice_plan, resolvent_sum
+from .antidiff import RealFunction, _coefficient, lattice_plan, resolvent_sum
 from .errors import DomainError, PeriodicityViolation, SignViolation
-from .numkit import _Frozen, _Record, _require_positive_shift, _set
+from .numkit import _Frozen, _period_break, _Record, _require_positive_shift, _set
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 
 MEMBERSHIP_TOL = 1e-10

@@ -1,10 +1,11 @@
-"""Special functions and combinatorial primitives.
+"""Lattice split, input rules, number rendering and two special functions.
 
 Scalar binary64 implementations of the floor/fractional-part pair modulo a
-positive step h, factorial polynomials, Stirling numbers of the second kind
-(exact integers), and the digamma / log-gamma pair, plus the package's
-17-digit number rendering. Everything here is pure and safe for concurrent
-use.
+positive step h and of the digamma / log-gamma pair (which the expression
+language's ``digamma`` and ``gamma`` call), the input rules the other
+modules read a point, a step and a sampled (anti)period with, and the
+package's 17-digit number rendering. Everything here is pure and safe for
+concurrent use.
 
 The package's value types derive from :class:`_Record` or :class:`_Frozen`
 here, which give them a dataclass's equality, hashing and repr without
@@ -15,13 +16,9 @@ are a large share of a command's start-up).
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
 
-from .errors import CapExceeded, DomainError, NonFiniteInput, NonPositiveShift, PoleError
-
-#: Largest n accepted by :func:`stirling2`. The recurrence is exact for any n
-#: (Python integers are unbounded) but the table is quadratic in n, so the
-#: cap keeps accidental huge arguments from eating memory.
-STIRLING_CAP = 64
+from .errors import DomainError, NonFiniteInput, NonPositiveShift, PoleError
 
 #: Euler-Mascheroni constant, for reference and tests.
 EULER_GAMMA = 0.5772156649015329
@@ -121,6 +118,18 @@ def _require_positive_shift(h: float) -> float:
     return h
 
 
+def _period_break(f: Callable[[float], float], T: float, sign: float, xs: Sequence[float], tol: float) -> tuple | None:
+    """The first x of xs where f(x + T) is not sign*f(x) within tol*(1 + |f(x)|),
+    as (x, f(x), f(x + T)), or None; f(x) is called first. A NaN or infinite
+    value fails (an infinite f(x) would make the tolerance infinite)."""
+    for x in xs:
+        base = f(x)
+        shifted = f(x + T)
+        if abs(base) == math.inf or not abs(shifted - sign * base) <= tol * (1.0 + abs(base)):
+            return x, base, shifted
+    return None
+
+
 def floor_mod(t: float, h: float) -> FloorModResult:
     """Decompose t as n*h + r with integer n and a remainder r that is never negative.
 
@@ -166,55 +175,6 @@ def _floor_mod(t: float, h: float) -> tuple[int, float]:
 def frac_mod(t: float, h: float = 1.0) -> float:
     """Fractional part of t modulo h: the r of :func:`floor_mod`."""
     return floor_mod(t, h).r
-
-
-def falling_factorial(t: float, n: int) -> float:
-    """Product t*(t-1)*...*(t-n+1); the empty product for n = 0 is 1."""
-    n = _require_count(n)
-    t = _require_finite(t, "t")
-    acc = 1.0
-    for k in range(n):
-        acc *= t - k
-    return acc
-
-
-def rising_factorial(t: float, n: int) -> float:
-    """Product t*(t+1)*...*(t+n-1); the empty product for n = 0 is 1."""
-    n = _require_count(n)
-    t = _require_finite(t, "t")
-    acc = 1.0
-    for k in range(n):
-        acc *= t + k
-    return acc
-
-
-def _require_count(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise DomainError(f"order must be a nonnegative integer, got {n!r}")
-    return int(n)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), exact.
-
-    Computed with the recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1) in
-    arbitrary-precision integer arithmetic. Supported up to n = STIRLING_CAP.
-    """
-    n = _require_count(n)
-    k = _require_count(k)
-    if n > STIRLING_CAP:
-        raise CapExceeded(f"stirling2 supports n <= {STIRLING_CAP}, got n = {n}")
-    if k > n:
-        return 0
-    # Row-by-row table; row m holds S(m, 0..m).
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0] * (m + 1)
-        for j in range(1, m):
-            row[j] = j * prev[j] + prev[j - 1]
-        row[m] = 1
-    return row[k]
 
 
 def digamma(x: float) -> float:

@@ -46,10 +46,9 @@ Every operator has this lattice. Indices are Python integers and the index
 sets are ranges, so a large m_i adds no work: steps with no short common
 decimal unit, such as 1 and 1/3 = 0.3333333333333333, give g = 1e-16 with
 m = 10^16 and 3333333333333333. At so fine a g each point of a command
-mostly has a remainder of its own, so the rows share no layer values. The
-one summing loop here besides the layers is the left side of
-:func:`factorization_identity_check`, kept apart as the independent route
-that the identity compares with the library's.
+mostly has a remainder of its own, so the rows share no layer values.
+The factorization identities, which check a factor pair's nested sum
+against one sum at step 2, live in :mod:`adiff.verify`, which runs them.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from .antidiff import RealFunction, Scalar, TermBudget, _charge, _coefficient, _combine, lattice_plan, resolvent_sum
+from .antidiff import RealFunction, Scalar, TermBudget, _charge, _coefficient, _combine, lattice_plan
 from .errors import DomainError
-from .numkit import _Frozen, _require_finite, _require_positive_shift, _set, floor_mod
+from .numkit import _Frozen, _require_positive_shift, _set, floor_mod
 
 
 class LinearFactor(_Frozen):
@@ -200,46 +199,3 @@ def verify_particular(
     points; the budget is charged once for all of them.
     """
     return solve_rows(op, f, [t], budget)[0][2]
-
-
-# Per identity: the factor pair's inner and outer lam (unit steps), the lam
-# of the step-2 factor, and the power-of-two scale both sides carry.
-_FACTORIZATIONS = {"E2minus4": (-2.0, 2.0, 4.0, 4.0), "E2plus1": (-1j, 1j, -1.0, 1.0)}
-
-
-def _factorization_sides(name: str, f: RealFunction, t: float) -> tuple[Scalar, Scalar]:
-    """(LHS, RHS) of a factorization identity at t, each times the identity's scale.
-
-    LHS is the factor pair's nested sum, one double loop with running-product
-    weights; RHS is :func:`adiff.antidiff.resolvent_sum` at h = 2, whose
-    lattice points are the float shifts t - 2*s. A power-of-two scale
-    changes no rounding, so both equal the written-out sums bit for bit.
-    """
-    t = _require_finite(t)
-    if name not in _FACTORIZATIONS:
-        raise DomainError(f"unknown identity {name!r}; use 'E2minus4' or 'E2plus1'")
-    inner, outer, lam, scale = _FACTORIZATIONS[name]
-    n = max(math.floor(t), 0)
-    lhs: Scalar = 0.0
-    w2: Scalar = 1.0
-    for s2 in range(1, n + 1):
-        w1: Scalar = 1.0
-        for s1 in range(1, n - s2 + 1):
-            lhs += w2 * w1 * f(t - s1 - s2)
-            w1 *= inner
-        w2 *= outer
-    return scale * lhs, scale * resolvent_sum(f, t, lam, 2.0).value
-
-
-def factorization_identity_check(name: str, f: RealFunction, t: float) -> float:
-    """|LHS - RHS| of a two-route summation identity for E^2 - 4I or E^2 + I.
-
-    Both routes compute (a scaled version of) the same particular solution:
-    the left side runs the double sum from the conjugate/opposite factor
-    pair, the right side the single sum with shift 2. ``name`` selects
-    ``"E2minus4"``  (pair (E-2I)(E+2I), weights (-1)^(s1-1) 2^(s1+s2) vs
-    4^s) or ``"E2plus1"`` (pair (E-iI)(E+iI), weights (-1)^s1 i^(s1+s2) vs
-    (-1)^(s-1)).
-    """
-    lhs, rhs = _factorization_sides(name, f, t)
-    return abs(lhs - rhs)

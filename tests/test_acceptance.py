@@ -15,14 +15,7 @@ import sys
 
 import pytest
 
-from adiff.antidiff import (
-    antidifference,
-    definite_sum,
-    exp_antidifference,
-    gamma_ratio_product,
-    mueller_sum,
-    resolvent_sum,
-)
+from adiff.antidiff import antidifference, definite_sum, resolvent_sum
 from adiff.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, main
 from adiff.errors import ParseError, SignViolation
 from adiff.exprlang import parse, unparse
@@ -30,6 +23,7 @@ from adiff.inequality import Direction, InequalitySpec, build_solution
 from adiff.numkit import digamma, floor_mod, ln_gamma
 from adiff.opalgebra import FactoredOperator, particular_solution, verify_particular
 from adiff.convkernel import convolve
+from adiff.verify import exp_antidifference, gamma_ratio_product, mueller_sum
 
 from test_exprlang import gen_ast
 
@@ -135,7 +129,7 @@ def test_exponential_periodic_defect():
 
 @criterion(6, "factorization identities")
 def test_factorization_identities():
-    from adiff.opalgebra import factorization_identity_check
+    from adiff.verify import factorization_identity_check
 
     one = lambda u: 1.0
     # Hand-derived fixed witness: both printed sides equal 20 at f=1, t=4.5.

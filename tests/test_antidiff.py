@@ -19,20 +19,11 @@ from adiff.antidiff import (
     AntidiffValue,
     antidifference,
     backward_antidifference,
-    cos_antidifference,
     definite_sum,
     definite_sum_calls,
-    exp_antidifference,
-    gamma_ratio_product,
     lattice_plan,
-    mueller_sum,
-    mueller_sums,
     nonfinite_summand,
-    offset_residual,
-    periodic_antidifference,
-    poly_antidifference,
     resolvent_sum,
-    sin_antidifference,
 )
 from adiff.errors import (
     BoundsError,
@@ -46,6 +37,17 @@ from adiff.errors import (
 )
 from adiff.exprlang import as_function
 from adiff.numkit import digamma, floor_mod, ln_gamma
+from adiff.verify import (
+    cos_antidifference,
+    exp_antidifference,
+    gamma_ratio_product,
+    mueller_sum,
+    mueller_sums,
+    offset_residual,
+    periodic_antidifference,
+    poly_antidifference,
+    sin_antidifference,
+)
 
 
 def close(a, b, tol):
@@ -357,6 +359,16 @@ class TestDefiniteSum:
         ks = (n, n - 1, n - 2) if m >= 0 else (m, m + 1, m + 2)
         assert calls == [float(k) for k in ks]
 
+    @pytest.mark.parametrize("m,n", [(0.5, 3), (1, 3.0), (math.nan, 3)])
+    def test_non_integer_bounds_refused_before_any_call(self, m, n):
+        # range() raised TypeError on a float bound.
+        calls = []
+        with pytest.raises(DomainError, match="bounds must be integers"):
+            definite_sum(lambda k: calls.append(k) or 1.0, m, n)
+        with pytest.raises(DomainError, match="bounds must be integers"):
+            definite_sum_calls(m, n)
+        assert calls == []
+
 
 class TestPolyAntidifference:
     def test_square_closed_form(self):
@@ -419,6 +431,18 @@ class TestClosedForms:
     def test_sin_at_zero(self):
         expected = -math.sin(1.0) / (2.0 - 2.0 * math.cos(1.0))
         assert sin_antidifference(0.0) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [2.5, -2.5])
+    def test_exponential_refuses_an_infinite_base(self, t):
+        # inf^t / (inf - 1) read nan at t = 2.5 and 0.0 at t = -2.5.
+        with pytest.raises(DomainError, match="finite"):
+            exp_antidifference(math.inf, t)
+
+    @pytest.mark.parametrize("a,t,expected", [(1e308, 2.0, math.inf), (0.5, -5000.0, -math.inf)])
+    def test_exponential_saturates_where_the_power_overflows(self, a, t, expected):
+        # a^t past the float range is inf, as exprlang's ^ reads it; it raised
+        # a bare OverflowError, which is no AdiffError.
+        assert exp_antidifference(a, t) == expected
 
 
 def _flag_loop_mueller_sums(f, x, y, tail_tol, max_terms):
@@ -573,6 +597,16 @@ class TestMueller:
             mueller_sums(lambda u: 0.0, 1.0, math.inf)
         with pytest.raises(DomainError):
             mueller_sum(lambda u: 0.0, 1.0, max_terms=0)
+
+    def test_max_terms_must_be_an_integer(self):
+        # range() raised TypeError on a float max_terms.
+        calls = []
+        f = lambda u: calls.append(u) or 0.5**u
+        with pytest.raises(DomainError, match="must be a positive integer, got 2.5"):
+            mueller_sum(f, 2.0, max_terms=2.5)
+        with pytest.raises(DomainError, match="must be a positive integer, got 2.5"):
+            mueller_sums(f, 2.0, 3.0, max_terms=2.5)
+        assert calls == []
 
 
 class TestOffsetResidual:

@@ -26,10 +26,8 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 #: by the module it came from.
 EXPORTS = {
     "antidiff": [
-        "AntidiffValue", "RealFunction", "antidifference", "backward_antidifference",
-        "cos_antidifference", "definite_sum", "exp_antidifference", "gamma_ratio_product",
-        "mueller_sum", "offset_residual", "periodic_antidifference", "poly_antidifference",
-        "resolvent_sum", "sin_antidifference",
+        "AntidiffValue", "RealFunction", "antidifference", "backward_antidifference", "definite_sum",
+        "resolvent_sum",
     ],
     "convkernel": ["GreenKernel", "convolve", "kernel_weights"],
     "errors": [
@@ -42,18 +40,22 @@ EXPORTS = {
         "Direction", "InequalityReport", "InequalitySpec", "Periodicity", "SolutionFunction",
         "build_solution", "check_inequality", "check_membership",
     ],
-    "numkit": [
-        "FloorModResult", "digamma", "falling_factorial", "floor_mod", "frac_mod", "ln_gamma",
-        "rising_factorial", "stirling2",
-    ],
+    "numkit": ["FloorModResult", "digamma", "floor_mod", "frac_mod", "ln_gamma"],
     "opalgebra": [
         "FactoredOperator", "LinearFactor", "TermBudget", "apply_operator", "estimate_terms",
-        "factorization_identity_check", "particular_solution", "repeated_factor_solution",
-        "solve_rows", "verify_particular",
+        "particular_solution", "repeated_factor_solution", "solve_rows", "verify_particular",
+    ],
+    "verify": [
+        "cos_antidifference", "exp_antidifference", "factorization_identity_check", "falling_factorial",
+        "gamma_ratio_product", "mueller_sum", "offset_residual", "periodic_antidifference",
+        "poly_antidifference", "rising_factorial", "sin_antidifference", "stirling2",
     ],
 }
 
 DEFERRED = ["adiff.convkernel", "adiff.inequality", "adiff.opalgebra", "adiff.verify", "dataclasses"]
+
+#: The modules that ``import adiff.cli`` loads, and so every command.
+CLI_MODULES = ["adiff", "adiff.antidiff", "adiff.cli", "adiff.errors", "adiff.exprlang", "adiff.numkit"]
 
 
 def _fresh(script: str) -> dict:
@@ -109,9 +111,33 @@ class TestLazyExports:
 
 class TestColdCommands:
     def test_import_cli_defers_the_other_layers(self):
-        assert _loaded_by("import adiff.cli") == [
-            "adiff", "adiff.antidiff", "adiff.cli", "adiff.errors", "adiff.exprlang", "adiff.numkit",
-        ]
+        assert _loaded_by("import adiff.cli") == CLI_MODULES
+
+    @pytest.mark.parametrize(
+        "argv,own",
+        [
+            (["eval", "--expr", "t^2 + 1", "--t", "4.5", "--lambda", "0.5"], []),
+            (["sum", "--expr", "t", "--from", "1", "--to", "9"], []),
+            (["table", "--expr", "t", "--from", "0", "--to", "2", "--step", "0.5", "--mode", "resolvent"], []),
+            (["table", "--expr", "t", "--from", "0", "--to", "2", "--step", "0.5", "--mode", "antidiff"], []),
+            (["solve", "--factors", "1:0.5;0.5:-0.7", "--expr", "cos(t)", "--t", "6.3"], ["adiff.opalgebra"]),
+            (["table", "--mode", "solve", "--factors", "1:2;1:-2", "--expr", "t", "--from", "0", "--to", "2",
+              "--step", "1"], ["adiff.opalgebra"]),
+            (["inequality", "--h", "1", "--lambda", "1", "--direction", "geq", "--mu", "0", "--slack", "1",
+              "--from", "0", "--to", "5", "--samples", "4"], ["adiff.inequality"]),
+            (["verify", "--identity", "all", "--samples", "1"], ["adiff.verify"]),
+        ],
+        ids=["eval", "sum", "table-resolvent", "table-antidiff", "solve", "table-solve", "inequality", "verify"],
+    )
+    def test_each_subcommand_loads_exactly_its_modules(self, argv, own):
+        # verify runs its closed forms and factorization identities itself,
+        # so it loads no opalgebra.
+        loaded = _loaded_by(
+            "import contextlib, io\nimport adiff.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert adiff.cli.main({argv!r}) == 0"
+        )
+        assert loaded == sorted(CLI_MODULES + own)
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,12 +10,13 @@ import math
 
 import pytest
 
-from adiff.antidiff import lattice_plan, periodic_antidifference, resolvent_sum
+from adiff.antidiff import lattice_plan, resolvent_sum
 from adiff.convkernel import convolve, kernel_weights
 from adiff.errors import NonFiniteInput, NonPositiveShift, PeriodicityViolation, ZeroLambda
 from adiff.inequality import Direction, InequalitySpec, Periodicity, build_solution, check_membership
 from adiff.numkit import floor_mod
 from adiff.opalgebra import LinearFactor
+from adiff.verify import periodic_antidifference
 
 ONE = lambda t: 1.0
 

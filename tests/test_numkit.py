@@ -16,16 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adiff.errors import CapExceeded, DomainError, NonFiniteInput, NonPositiveShift, PoleError
-from adiff.numkit import (
-    STIRLING_CAP,
-    digamma,
-    falling_factorial,
-    floor_mod,
-    frac_mod,
-    ln_gamma,
-    rising_factorial,
-    stirling2,
-)
+from adiff.numkit import digamma, floor_mod, frac_mod, ln_gamma
+from adiff.verify import STIRLING_CAP, falling_factorial, rising_factorial, stirling2
 
 mpmath.mp.dps = 30
 

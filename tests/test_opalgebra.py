@@ -32,12 +32,12 @@ from adiff.opalgebra import (
     apply_operator,
     common_lattice,
     estimate_terms,
-    factorization_identity_check,
     particular_solution,
     repeated_factor_solution,
     solve_rows,
     verify_particular,
 )
+from adiff.verify import factorization_identity_check
 
 OMEGA = cmath.exp(2j * math.pi / 3)
 

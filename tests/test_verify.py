@@ -9,8 +9,7 @@ import pytest
 from adiff.cli import main
 from adiff.errors import DomainError
 from adiff.numkit import floor_mod
-from adiff.opalgebra import factorization_identity_check
-from adiff.verify import _FACTOR_CORPUS, IDENTITY_NAMES, fmt17, run_battery, run_identity
+from adiff.verify import _FACTOR_CORPUS, IDENTITY_NAMES, factorization_identity_check, fmt17, run_battery, run_identity
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
