@@ -63,7 +63,7 @@ import operator
 from typing import Callable, Sequence, Union
 
 from .errors import BoundsError, CrossCheckError, DomainError, NonFiniteInput, TermBudgetExceeded, ZeroLambda
-from .numkit import _floor_mod, _Frozen, _require_finite, _require_positive_shift, _set, floor_mod
+from .numkit import _float, _floor_mod, _Frozen, _require_finite, _require_positive_shift, _set, floor_mod
 
 #: Anything callable real -> real works as the summand.
 RealFunction = Callable[[float], float]
@@ -142,7 +142,7 @@ def _point_sum(g: Callable[[float], Scalar], r: float, n: int, h: float, lam: Sc
 
 
 def _coefficient(lam: Scalar) -> Scalar:
-    lam = lam if isinstance(lam, complex) else float(lam)
+    lam = lam if type(lam) is float or isinstance(lam, complex) else _float(lam)
     if lam == 0:
         raise ZeroLambda("lambda must be nonzero")
     if lam - lam != 0:  # NaN or infinite, in either part

@@ -13,40 +13,41 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 input
 error (parse, domain, sign/periodicity, bad flags, numbers out of
 floating-point range, non-finite values asked for as JSON), 3 term budget
 exceeded, 4 cross-check mismatch, 5 I/O error. Diagnostics go to standard
-error; results to standard output. Every command takes a term budget:
---budget, else the environment variable ADIFF_TERM_BUDGET, else
-10,000,000 (``inequality`` and ``verify`` have no --budget). Each charges
-its work once, before the first summand call, through ``antidiff._charge``,
-and exits 3 above the budget. ``sum`` charges its exact summand call
-count; ``eval``, ``solve`` and their tables the exact work of the lattice
-engine's plan (fold terms, and every call of f its rows make, the
-residuals' f(t) included); ``inequality`` the slack calls of its sign
-check and its slack match, the four mu calls per sample and its sums' plan
-(terms and calls); ``verify`` at least one call per sample of each
-identity it runs. A table first charges one unit per row, before it
-builds its points, and ``inequality`` first six per sample, so a huge row
-or sample count is refused before its list is built. ``sum``
-exits 2 on a result that is not finite.
+error; results to standard output. Every command reads its term budget
+once, with :func:`_budget` (--budget, else the environment variable
+ADIFF_TERM_BUDGET, else 10,000,000), and charges its work before the
+first summand call through :func:`_spend`, which exits 3 above it with
+one refusal, "<command> needs [at least ]N evaluations, budget is B (set
+it with <knob>)": the knob is --budget, or ADIFF_TERM_BUDGET for
+``inequality`` and ``verify``, which have no --budget. ``sum`` charges
+its exact summand call count; ``eval``, ``solve`` and the tables the
+exact work of the lattice engine's plan (fold terms, and every call of f
+its rows make, the residuals' f(t) included); ``inequality`` the slack
+calls of its sign check and its slack match, the four mu calls per
+sample and its sums' plan; ``verify`` at least one call per sample of
+each identity it runs. A table first charges one unit per row, and
+``inequality`` six per sample, so a huge row or sample count is refused
+before its list is built. ``sum`` exits 2 on a result that is not finite.
 
-``eval``, the sum tables, ``inequality`` and ``solve`` and its table plan
-their points once with the lattice engine's one entry
-``antidiff.lattice_plan`` (the sums as its one-factor case g = h, m = [1],
-``solve`` through ``opalgebra.solve_rows``), charge the work it returns,
-then read every value and residual from its rows, which compute each
-summand value once, highest lattice index first, and read a row's f(t)
-from its class where t is its lattice point. A table renders its rows
-straight from those columns; ``eval`` and ``solve``
-print their row through one helper, which refuses (exit 2) a value or
-residual that is not finite, naming the first non-finite summand value
-in that order, or saying that the sum or solution overflows;
-``terms_used`` of a solve is the outermost factor's term count.
+``eval``, ``solve`` and the tables take one route into the lattice
+engine. :func:`_operator` reads the command's operator as a lattice
+(g, [m_i], [lam_i]): ``eval`` and the resolvent table as the one-factor
+case (h, [1], [lambda]), the antidifference table as (1, [1], [1]).
+:func:`_lattice_rows` plans the points with ``antidiff.lattice_plan``,
+charges the work it returns and reads every value and residual from its
+rows. ``eval`` and ``solve`` are one function, :func:`cmd_solve`, which
+refuses (exit 2) a value or residual that is not finite, naming the
+first non-finite summand value its row read (``lattice index I of
+t=T``), else saying that the solution overflows; ``terms_used`` is the
+outermost factor's term count. A table renders its rows straight from
+those columns.
 
 What loads when: importing this module loads ``errors``, ``numkit``,
 ``antidiff`` and ``exprlang``, all that ``eval``, ``sum`` and ``table
 --mode antidiff|resolvent`` run. ``solve`` and ``table --mode solve``
 import ``opalgebra`` on their first call, ``inequality`` imports
-``inequality`` and ``verify`` imports ``verify`` (and through it
-``opalgebra``); nothing imports ``convkernel``. The help of ``verify
+``inequality`` and ``verify`` imports ``verify``; nothing imports
+``convkernel``. The help of ``verify
 --identity`` lists :data:`IDENTITY_NAMES`, a copy of the battery's names,
 so that it needs no import either.
 
@@ -79,6 +80,7 @@ from typing import TYPE_CHECKING
 from .antidiff import (
     TermBudget,
     _charge,
+    _coefficient,
     definite_sum,
     definite_sum_calls,
     lattice_plan,
@@ -91,7 +93,7 @@ from .errors import (
     TermBudgetExceeded,
 )
 from .exprlang import as_function
-from .numkit import _Record, fmt17
+from .numkit import _Record, _require_positive_shift, fmt17
 
 # No command calls these; bench/tracing.py looks them up here by name.
 from .antidiff import antidifference, resolvent_sum  # noqa: F401
@@ -262,107 +264,84 @@ def parse_factors(text: str) -> FactoredOperator:
     return FactoredOperator.from_pairs(pairs)
 
 
-def _resolve_budget(flag_value: int | None) -> TermBudget:
-    if flag_value is not None:
-        return TermBudget(flag_value)
+def _budget(args) -> int:
+    """The command's term budget, read once per command: --budget, else the
+    environment variable ADIFF_TERM_BUDGET, else 10,000,000."""
+    flag = getattr(args, "budget", None)
+    if flag is not None:
+        return TermBudget(flag).max_terms
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None and env.strip():
         try:
-            return TermBudget(int(env))
+            return TermBudget(int(env)).max_terms
         except ValueError:
             raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return TermBudget()
+    return TermBudget().max_terms
 
 
-def _sum_rows(f, ts: list[float], lam: float | complex, h: float, command: str, max_terms: int) -> list[tuple]:
-    """The rows (t, n, y(t), |y(t+h) - lam*y(t) - f(t)|) at the points ts of the
-    resolvent sum y of f (the antidifference is lam = h = 1.0): the lattice
-    engine at g = h, m = [1], charging its fold terms and its calls of f
-    before the first call."""
-    terms, calls, rows = lattice_plan(ts, h, [1], [lam])
-    _charge(command, terms + calls, max_terms)
+def _spend(args, work: int, max_terms: int, least: str = "") -> None:
+    """Refuse (exit 3) the command's ``work`` above ``max_terms``, naming the
+    command and its knob: --budget where it has one, else ADIFF_TERM_BUDGET."""
+    _charge(args.command, work, max_terms, least, "--budget" if hasattr(args, "budget") else BUDGET_ENV_VAR)
+
+
+def _operator(args) -> tuple[float, list[int], list]:
+    """The command's operator prod_i (E^(m_i g) - lam_i) as (g, [m_i], [lam_i]),
+    --factors read on their common lattice; h and lambda pass the rules of a
+    factor, h first."""
+    mode = args.mode if args.command == "table" else args.command
+    if mode == "antidiff":
+        return 1.0, [1], [1.0]
+    if mode == "solve":
+        from .opalgebra import common_lattice
+
+        if not args.factors and args.command == "table":
+            raise DomainError("mode 'solve' needs --factors")
+        op = parse_factors(args.factors)
+        return (*common_lattice(op), [factor.lam for factor in op.factors])
+    lam = parse_complex(args.lam)
+    return _require_positive_shift(args.h), [1], [_coefficient(lam)]
+
+
+def _lattice_rows(args, operator: tuple, f, ts: list[float], max_terms: int) -> list[tuple]:
+    """The rows (t, n, y(t), |op y - f|(t)) at ts of the particular solution y
+    of op y = f: the engine's plan, charged before the first call of f."""
+    g, ms, lams = operator
+    terms, calls, rows = lattice_plan(ts, g, ms, lams, allowance=max_terms)
+    # A plan stopped early counts only the layers above.
+    _spend(args, terms + calls, max_terms, "" if rows else "at least ")
     return list(zip(ts, *rows(f)))
-
-
-def _solve_rows(op: FactoredOperator, f, ts: list[float], budget: TermBudget) -> list[tuple]:
-    """The rows (t, n, y(t), |op y - f|(t)) at the points ts of the particular
-    solution y of op y = f, from one :func:`solve_rows` call, which charges
-    the budget once."""
-    from .opalgebra import solve_rows
-
-    return [(t, *row) for t, row in zip(ts, solve_rows(op, f, ts, budget))]
-
-
-def _print_finite(record: OutputRecord, f, lattice, place, result: str) -> int:
-    """Print a record whose fields are all finite. Refuse any other: name the first
-    non-finite value its row read on ``lattice()`` = (g, [m_i]), its index described
-    by ``place``, or else say that the ``result`` overflows."""
-    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
-        term = nonfinite_summand(f, record.t, *lattice())
-        if term is None:
-            raise DomainError(f"the {result} overflows: {record.text_line()}")
-        index, point, value = term
-        where = "the residual's f(t)" if index is None else place(index)
-        raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
-    print(record.text_line())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_eval(args) -> int:
-    f = as_function(args.expr)
-    lam = parse_complex(args.lam)
-    max_terms = _resolve_budget(args.budget).max_terms
-    [(t, n, y, r)] = _sum_rows(f, [args.t], lam, args.h, "eval", max_terms)
-    record = OutputRecord(t, y.real, y.imag, n, r)
-    place = lambda k: f"lattice point k={k} of t={fmt17(args.t)}, h={fmt17(args.h)}"
-    return _print_finite(record, f, lambda: (args.h, [1]), place, "sum")
-
-
 def cmd_solve(args) -> int:
-    from .opalgebra import common_lattice
-
-    op = parse_factors(args.factors)
+    """``solve``, and ``eval`` as its one-factor case."""
+    operator = _operator(args)
     f = as_function(args.expr)
-    [(t, n, y, r)] = _solve_rows(op, f, [args.t], _resolve_budget(args.budget))
+    [(t, n, y, r)] = _lattice_rows(args, operator, f, [args.t], _budget(args))
     record = OutputRecord(t, y.real, y.imag, n, r)
-    place = lambda i: f"lattice index {i} of t={fmt17(args.t)}"
-    return _print_finite(record, f, lambda: common_lattice(op), place, "solution")
+    if not all(map(math.isfinite, (record.value, record.imag, record.residual))):
+        term = nonfinite_summand(f, t, *operator[:2])
+        if term is None:
+            raise DomainError(f"the solution overflows: {record.text_line()}")
+        index, point, value = term
+        where = "the residual's f(t)" if index is None else f"lattice index {index} of t={fmt17(t)}"
+        raise DomainError(f"summand is {fmt17(value)} at {fmt17(point)} ({where})")
+    print(record.text_line())
+    return EXIT_OK
 
 
 def cmd_sum(args) -> int:
     f = as_function(args.expr)
-    _charge("sum", definite_sum_calls(args.from_, args.to), _resolve_budget(args.budget).max_terms)
+    _spend(args, definite_sum_calls(args.from_, args.to), _budget(args))
     value = definite_sum(f, args.from_, args.to)
     if not math.isfinite(value):
         bounds = f"[{args.from_}, {args.to}]"
         raise DomainError(f"the sum over {bounds} is {fmt17(value)}, not a finite number")
     print(fmt17(value))
     return EXIT_OK
-
-
-def _table_rows(args) -> list[tuple]:
-    """The table's rows (t, n, y(t), residual)."""
-    f = as_function(args.expr)
-    budget = _resolve_budget(args.budget)
-    if args.mode == "solve":
-        if not args.factors:
-            raise DomainError("mode 'solve' needs --factors")
-        op = parse_factors(args.factors)
-        rows = lambda ts: _solve_rows(op, f, ts, budget)
-    else:
-        lam, h = (1.0, 1.0) if args.mode == "antidiff" else (parse_complex(args.lam), args.h)
-        rows = lambda ts: _sum_rows(f, ts, lam, h, "table", budget.max_terms)
-    span = (args.to - args.from_) / args.step
-    if not math.isfinite(span):
-        bounds = f"[{args.from_!r}, {args.to!r}]"
-        raise DomainError(f"--step {args.step!r} is too small for {bounds}: row count overflows")
-    count = math.floor(span + 1e-9) + 1
-    # Every row reads at least one value: a term of y(t+h), or f(t) below 0.
-    _charge("table", count, budget.max_terms, "at least ")
-    return rows([args.from_ + i * args.step for i in range(count)])
 
 
 def _check_range(from_: float, to: float) -> None:
@@ -378,7 +357,17 @@ def cmd_table(args) -> int:
     _check_range(args.from_, args.to)
     if not 0.0 < args.step < math.inf:
         raise DomainError(f"--step must be a positive finite real, got {args.step!r}")
-    rows = _table_rows(args)
+    f = as_function(args.expr)
+    max_terms = _budget(args)
+    operator = _operator(args)
+    span = (args.to - args.from_) / args.step
+    if not math.isfinite(span):
+        bounds = f"[{args.from_!r}, {args.to!r}]"
+        raise DomainError(f"--step {args.step!r} is too small for {bounds}: row count overflows")
+    count = math.floor(span + 1e-9) + 1
+    # Every row reads at least one value: a term of y(t+h), or f(t) below 0.
+    _spend(args, count, max_terms, "at least ")
+    rows = _lattice_rows(args, operator, f, [args.from_ + i * args.step for i in range(count)], max_terms)
     if args.format == "csv":
         text = CSV_HEADER + "\n" + _render(OutputRecord._CSV, rows)
     else:
@@ -394,8 +383,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     # Every identity calls its functions at least once per sample.
     identities = len(IDENTITY_NAMES) if args.identity == "all" else 1
-    max_terms = _resolve_budget(None).max_terms
-    _charge("verify", identities * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
+    _spend(args, identities * args.samples, _budget(args), "at least ")
     reports = run_battery(args.identity, samples=args.samples, tol=args.tol, seed=args.seed)
     for report in reports:
         print(report.format_line())
@@ -415,11 +403,11 @@ def cmd_inequality(args) -> int:
     # mu twice by the membership check and twice by the homogeneous part; the
     # sums are planned once, here, and their terms and calls charged with
     # those before build_solution samples.
-    max_terms = _resolve_budget(None).max_terms
-    _charge("inequality", 6 * args.samples, max_terms, "at least ", BUDGET_ENV_VAR)
+    max_terms = _budget(args)
+    _spend(args, 6 * args.samples, max_terms, "at least ")
     grid = _grid(args.from_, args.to, args.samples)
     terms, calls, rows = lattice_plan(grid, spec.h, [1], [spec.lam], ahead=True)
-    _charge("inequality", 6 * args.samples + terms + calls, max_terms, knob=BUDGET_ENV_VAR)
+    _spend(args, 6 * args.samples + terms + calls, max_terms)
     solution = build_solution(spec, mu, slack, t_range=(args.from_, args.to), samples=args.samples)
     report = check_inequality(solution, grid, rows)
     status = "PASS" if report.passed else "FAIL"
@@ -445,7 +433,7 @@ _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 #: (dest, type, default, required, choices, help). ``build_parser`` builds
 #: the argparse tree from this table and ``_read`` reads argv with it.
 COMMANDS = {
-    "eval": (cmd_eval, "resolvent sum of an expression at a point", [
+    "eval": (cmd_solve, "resolvent sum of an expression at a point", [
         ("--expr", dict(required=True, help="expression in t, e.g. 't^2 + 1'")),
         ("--t", dict(type=float, required=True)),
         ("--lambda", dict(dest="lam", default="1", help="coefficient, 'a+bi' syntax")),

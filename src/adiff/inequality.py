@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .antidiff import RealFunction, _coefficient, lattice_plan, resolvent_sum
 from .errors import DomainError, PeriodicityViolation, SignViolation
-from .numkit import _Frozen, _period_break, _Record, _require_positive_shift, _set
+from .numkit import _float, _Frozen, _period_break, _Record, _require_positive_shift, _set
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 
 MEMBERSHIP_TOL = 1e-10
@@ -54,7 +54,7 @@ class InequalitySpec(_Frozen):
 
     def __init__(self, h: float, lam: float, direction: Direction):
         _set(self, "h", _require_positive_shift(h))
-        _set(self, "lam", _coefficient(float(lam)))
+        _set(self, "lam", _coefficient(_float(lam)))
         _set(self, "direction", direction if isinstance(direction, Direction) else Direction(direction))
 
 

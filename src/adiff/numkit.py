@@ -104,15 +104,24 @@ def fmt17(x: float) -> str:
     return "%.17g" % (float(x) + 0.0)
 
 
+def _float(x: float) -> float:
+    """float(x), a number past the float range (an int, a fraction) read as the
+    infinity of its sign. The rules pass a float as is, with no call here."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _require_finite(x: float, name: str = "t") -> float:
-    x = float(x)
+    x = x if type(x) is float else _float(x)
     if not math.isfinite(x):
         raise NonFiniteInput(f"{name} must be finite, got {x!r}")
     return x
 
 
 def _require_positive_shift(h: float) -> float:
-    h = float(h)
+    h = h if type(h) is float else _float(h)
     if not math.isfinite(h) or h <= 0.0:
         raise NonPositiveShift(f"shift must be a positive finite real, got {h!r}")
     return h

@@ -26,7 +26,7 @@ import random
 
 from .antidiff import AntidiffValue, RealFunction, Scalar, _term_count, antidifference, definite_sum, resolvent_sum
 from .errors import CapExceeded, DomainError, NoConvergence, PeriodicityViolation
-from .numkit import _period_break, _Record, _require_finite, digamma, fmt17, ln_gamma
+from .numkit import _float, _period_break, _Record, _require_finite, digamma, fmt17, ln_gamma
 from .numkit import floor_mod  # noqa: F401  (bench/tracing.py patches this name)
 
 #: Largest n accepted by :func:`stirling2`. The recurrence is exact for any n
@@ -63,7 +63,8 @@ def rising_factorial(t: float, n: int) -> float:
 
 
 def _require_count(n: int) -> int:
-    if n != int(n) or n < 0:
+    # n - n is 0 for a finite n; NaN and inf have no int().
+    if n - n != 0 or n < 0 or n != int(n):
         raise DomainError(f"order must be a nonnegative integer, got {n!r}")
     return int(n)
 
@@ -113,6 +114,7 @@ def poly_antidifference(coeffs: list[float], t: float) -> float:
 
 def exp_antidifference(a: float, t: float) -> float:
     """Closed-form antidifference of a^t, namely a^t / (a - 1)."""
+    a = _float(a)
     if not (0.0 < a < math.inf) or a == 1.0:
         raise DomainError(f"base must be positive, finite and != 1, got {a!r}")
     t = _require_finite(t)

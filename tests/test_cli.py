@@ -7,7 +7,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import tempfile
@@ -711,6 +710,42 @@ def summand_calls(monkeypatch):
     return calls
 
 
+_INEQUALITY = ("inequality", "--h", "1", "--lambda", "1", "--direction", "geq", "--mu", "0", "--slack", "1",
+               "--from", "0", "--to", "5", "--samples", "4")
+_TABLE = ("table", "--expr", "1", "--from", "0", "--to", "3", "--step", "1", "--budget", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, env, refusal",
+    [
+        (("eval", "--expr", "1", "--t", "5", "--budget", "3"), None, "eval needs 17 evaluations, budget is 3"),
+        (("solve", "--factors", "1:0.9;1:0.9", "--expr", "1", "--t", "50", "--budget", "100"), None,
+         "solve needs at least 154 evaluations, budget is 100"),
+        (("solve", "--factors", "1:0.9", "--expr", "1", "--t", "5", "--budget", "3"), None,
+         "solve needs 17 evaluations, budget is 3"),
+        (("sum", "--expr", "1", "--from", "0", "--to", "10", "--budget", "5"), None,
+         "sum needs 11 evaluations, budget is 5"),
+        ((*_TABLE, "--to", "10"), None, "table needs at least 11 evaluations, budget is 5"),
+        ((*_TABLE, "--mode", "antidiff"), None, "table needs 14 evaluations, budget is 5"),
+        ((*_TABLE, "--mode", "resolvent"), None, "table needs 14 evaluations, budget is 5"),
+        ((*_TABLE, "--mode", "solve", "--factors", "1:0.9;1:0.9"), None,
+         "table needs at least 19 evaluations, budget is 5"),
+        ((*_TABLE, "--mode", "solve", "--factors", "1:0.9"), None, "table needs 14 evaluations, budget is 5"),
+        (_INEQUALITY, "10", "inequality needs at least 24 evaluations, budget is 10"),
+        (_INEQUALITY, "30", "inequality needs 58 evaluations, budget is 30"),
+        (("verify", "--samples", "5"), "10", "verify needs at least 55 evaluations, budget is 10"),
+    ],
+)
+def test_every_budget_refusal_names_its_command_and_knob(capsys, monkeypatch, summand_calls, argv, env, refusal):
+    # One form for every command: the knob is --budget where the command has
+    # one, else the environment variable.
+    knob = "ADIFF_TERM_BUDGET" if env else "--budget"
+    if env:
+        monkeypatch.setenv("ADIFF_TERM_BUDGET", env)
+    expected = (EXIT_BUDGET, "", f"adiff: {refusal} (set it with {knob})\n")
+    assert (*run_main(capsys, *argv), summand_calls[0]) == (*expected, 0)
+
+
 _SOLVE_STEPS = ["1", "0.5", "0.25", "2", "0.3"]
 _SOLVE_EXPRS = ["1", "t", "cos(t)", "0.5^t", "1/(1 + t^2)"]
 _coefficient = st.integers(-15, 15).map(lambda k: k / 10)
@@ -781,7 +816,7 @@ class TestSolveChain:
         # The last row alone takes the table over budget: exit 3, no row, no call.
         code, out, err = run_main(capsys, *table, "--to", hi, "--budget", budget)
         assert (code, out, summand_calls[0]) == (EXIT_BUDGET, "", 0)
-        assert err.startswith("adiff: nested sum needs ") and err.endswith(f"budget is {budget}\n")
+        assert err.startswith("adiff: table needs ") and err.endswith(f"budget is {budget} (set it with --budget)\n")
         # Without it the table fits exactly, and calls f as often as charged
         # less the terms of the layers.
         code, out, _ = run_main(capsys, *table, "--to", repr(ts[-2]), "--budget", budget)
@@ -1752,13 +1787,13 @@ class TestLatticeRows:
         assert code == EXIT_INPUT
         assert out == ""
         # The summand is called highest index first, as solve calls it.
-        assert err == "adiff: summand is inf at 2.5 (lattice point k=2 of t=2.5, h=1)\n"
+        assert err == "adiff: summand is inf at 2.5 (lattice index 2 of t=2.5)\n"
 
     def test_non_finite_sum_exit_2(self, capsys):
         code, out, err = run_main(capsys, "eval", "--expr", "1", "--t", "5", "--lambda", "1e300")
         assert code == EXIT_INPUT
         assert out == ""
-        assert err.startswith("adiff: the sum overflows: t=5 value=inf")
+        assert err.startswith("adiff: the solution overflows: t=5 value=inf")
 
     @pytest.mark.parametrize("h", ["1", "0.3"])
     def test_non_finite_summand_at_t_exit_2(self, capsys, h):
@@ -2139,50 +2174,66 @@ def _main_all(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _as_solve_wording(err):
-    """eval's diagnostics in solve's words: the same summand, point and value."""
-    err = re.sub(r"\(lattice point k=(\d+) of t=(\S+), h=\S+\)", r"(lattice index \1 of t=\2)", err)
-    return err.replace("the sum overflows", "the solution overflows")
-
-
 class TestOneEngine:
-    """eval and the sum tables are the one-factor case of solve: one engine,
-    the same bytes, whatever the step, lambda or summand."""
+    """eval and the sum tables are the one-factor case of solve: one route
+    into the engine, the same bytes on stdout and stderr and the same exit
+    code, whatever the step, lambda, point or summand, valid or not. (A
+    budget refusal names its command, so only the tables draw budgets.)"""
 
     _H = ["1", "0.5", "0.25", "0.1", "0.3", repr(1 / 3)]
-    _LAMBDA = st.sampled_from(["1", "-0.9", "0.5", "1.7", "0.3+0.4i", "-1i", "1i"])
+    _BAD_H = ["0", "-0.5", "nan", "inf"]
+    _LAMBDA = ["1", "-0.9", "0.5", "1.7", "0.3+0.4i", "-1i", "1i"]
+    _BAD_LAMBDA = ["0", "inf", "nan", "abc"]
+    # Malformed expressions, and ones that fail or overflow at some points.
+    _BAD_EXPRS = ["t +", "(t", "foo(t)", "1/(t-3)", "sqrt(t - 50)", "gamma(-t)", "exp(t*100)"]
     _EXPRS = st.sampled_from(CORPUS_EXPRS + ["exp(t*100)"])
 
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(_EXPRS, st.sampled_from(_H), _LAMBDA, st.floats(-2.0, 80.0) | st.integers(-2, 80).map(float))
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(
+        st.sampled_from(CORPUS_EXPRS + _BAD_EXPRS),
+        st.sampled_from(_H + _BAD_H),
+        st.sampled_from(_LAMBDA + _BAD_LAMBDA),
+        st.floats(-2.0, 80.0) | st.integers(-2, 80).map(float) | st.sampled_from([math.inf, math.nan]),
+    )
     def test_eval_is_the_one_factor_solve(self, expr, h, lam, t):
-        summed = _main_all("eval", f"--expr={expr}", f"--t={t!r}", "--h", h, f"--lambda={lam}")
+        summed = _main_all("eval", f"--expr={expr}", f"--t={t!r}", f"--h={h}", f"--lambda={lam}")
         solved = _main_all("solve", f"--factors={h}:{lam}", f"--expr={expr}", f"--t={t!r}")
-        assert (summed[0], summed[1], _as_solve_wording(summed[2])) == solved, (expr, h, lam, t)
+        assert summed == solved, (expr, h, lam, t)
         event(f"exit {summed[0]}")
 
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(_EXPRS, st.sampled_from(_H), _LAMBDA, st.integers(-20, 40), st.sampled_from(["h", "0.5", "0.37"]), st.integers(1, 50))
-    def test_resolvent_table_is_the_one_factor_solve_table(self, expr, h, lam, lo, step, rows):
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_EXPRS, st.sampled_from(_H), st.sampled_from(_LAMBDA), st.integers(-20, 40),
+           st.sampled_from(["h", "0.5", "0.37"]), st.integers(1, 50), st.none() | st.integers(1, 4000))
+    def test_resolvent_table_is_the_one_factor_solve_table(self, expr, h, lam, lo, step, rows, budget):
         step = h if step == "h" else step
         lo = repr(lo * float(h) / 4)
         hi = repr(float(lo) + rows * float(step))
         span = (f"--expr={expr}", f"--from={lo}", "--to", hi, "--step", step)
+        span += () if budget is None else ("--budget", str(budget))
         summed = _main_all("table", *span, "--mode", "resolvent", "--h", h, f"--lambda={lam}")
         solved = _main_all("table", *span, "--mode", "solve", f"--factors={h}:{lam}")
-        assert summed == solved and summed[0] == EXIT_OK, (expr, h, lam, lo, step)
+        exits = (EXIT_OK,) if budget is None else (EXIT_OK, EXIT_BUDGET)
+        assert summed == solved and summed[0] in exits, (expr, h, lam, lo, step, budget)
+        event(f"exit {summed[0]}")
+
+    @pytest.mark.parametrize("h, lam", [("0", "0"), ("nan", "abc"), ("-0.5", "inf"), ("1", "nan")])
+    def test_bad_resolvent_table_is_the_bad_solve_table(self, capsys, h, lam):
+        span = ("--expr", "t", "--from", "0", "--to", "4", "--step", "1")
+        summed = run_main(capsys, "table", *span, "--mode", "resolvent", f"--h={h}", f"--lambda={lam}")
+        assert summed == run_main(capsys, "table", *span, "--mode", "solve", f"--factors={h}:{lam}")
+        assert summed[0] == EXIT_INPUT
 
     def test_complex_eval_past_the_float_range_names_the_summand(self, capsys):
         # The residual's complex abs() used to raise "absolute value too large".
         argv = ["eval", "--lambda", "1i", "--expr", "exp(t*100)", "--t", "10"]
-        expected = (EXIT_INPUT, "", "adiff: summand is inf at 10 (lattice point k=10 of t=10, h=1)\n")
+        expected = (EXIT_INPUT, "", "adiff: summand is inf at 10 (lattice index 10 of t=10)\n")
         assert run_main(capsys, *argv) == expected
         assert _fresh_adiff(*argv) == expected
 
     def test_complex_eval_past_the_class_cap_names_index_n(self, capsys):
         # Past the cap of 2^16 values the one pass still reads k = n first.
         argv = ["eval", "--lambda", "1i", "--expr", "exp(t*100)", "--t", "70000.5"]
-        expected = (EXIT_INPUT, "", "adiff: summand is inf at 70000.5 (lattice point k=70000 of t=70000.5, h=1)\n")
+        expected = (EXIT_INPUT, "", "adiff: summand is inf at 70000.5 (lattice index 70000 of t=70000.5)\n")
         assert run_main(capsys, *argv) == expected
 
     def test_complex_resolvent_csv_table_keeps_inf_and_nan(self, capsys):

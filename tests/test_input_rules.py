@@ -4,6 +4,9 @@ Every public entry that takes a step h refuses 0, negative, NaN and infinite
 h with the same exception and words; every entry that takes a coefficient
 lam refuses 0 and non-finite lam the same way; and the sampled
 (anti)periodicity check fails a NaN or infinite value wherever it is read.
+A number past the float range (an int such as 10**400) is read as the
+infinity of its sign by each rule, and a count must be a finite integer:
+none of them lets a bare OverflowError or ValueError out.
 """
 
 import math
@@ -12,11 +15,11 @@ import pytest
 
 from adiff.antidiff import lattice_plan, resolvent_sum
 from adiff.convkernel import convolve, kernel_weights
-from adiff.errors import NonFiniteInput, NonPositiveShift, PeriodicityViolation, ZeroLambda
+from adiff.errors import DomainError, NonFiniteInput, NonPositiveShift, PeriodicityViolation, ZeroLambda
 from adiff.inequality import Direction, InequalitySpec, Periodicity, build_solution, check_membership
-from adiff.numkit import floor_mod
+from adiff.numkit import _require_finite, floor_mod
 from adiff.opalgebra import LinearFactor
-from adiff.verify import periodic_antidifference
+from adiff.verify import exp_antidifference, falling_factorial, periodic_antidifference, rising_factorial, stirling2
 
 ONE = lambda t: 1.0
 
@@ -38,16 +41,61 @@ COEFFICIENT_ENTRIES = {
     "InequalitySpec": lambda lam: InequalitySpec(1.0, lam, Direction.GEQ),
 }
 
-REAL_COEFFICIENTS = [0.0, math.nan, math.inf, -math.inf]
+POINT_ENTRIES = {
+    "_require_finite": _require_finite,
+    "resolvent_sum": lambda t: resolvent_sum(ONE, t, 0.5),
+    "lattice_plan": lambda t: lattice_plan([t], 1.0, [1], [1.0]),
+    "floor_mod": lambda t: floor_mod(t, 1.0),
+    "exp_antidifference": lambda t: exp_antidifference(2.0, t),
+}
+
+COUNT_ENTRIES = {
+    "falling_factorial": lambda n: falling_factorial(2.5, n),
+    "rising_factorial": lambda n: rising_factorial(2.5, n),
+    "stirling2 n": lambda n: stirling2(n, 2),
+    "stirling2 k": lambda k: stirling2(5, k),
+}
+
+# Past the float range, where float() raises OverflowError; each reads as
+# the infinity of its sign.
+HUGE = [10**400, -(10**400)]
+AS_FLOAT = {10**400: "inf", -(10**400): "-inf"}
+
+REAL_COEFFICIENTS = [0.0, math.nan, math.inf, -math.inf, *HUGE]
 COMPLEX_COEFFICIENTS = [0j, complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 1.0), complex(1.0, -math.inf)]
 
 
-@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=["0", "-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "h", [0.0, -1.0, math.nan, math.inf, -math.inf, *HUGE], ids=["0", "-1", "nan", "inf", "-inf", "+huge", "-huge"]
+)
 @pytest.mark.parametrize("entry", STEP_ENTRIES)
 def test_a_step_must_be_positive_and_finite(entry, h):
     with pytest.raises(NonPositiveShift) as info:
         STEP_ENTRIES[entry](h)
-    assert str(info.value) == f"shift must be a positive finite real, got {h!r}"
+    assert str(info.value) == f"shift must be a positive finite real, got {AS_FLOAT.get(h, repr(h))}"
+
+
+@pytest.mark.parametrize("t", HUGE, ids=["+huge", "-huge"])
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+def test_a_point_past_the_float_range_is_not_finite(entry, t):
+    with pytest.raises(NonFiniteInput) as info:
+        POINT_ENTRIES[entry](t)
+    assert str(info.value) == f"t must be finite, got {AS_FLOAT[t]}"
+
+
+@pytest.mark.parametrize("a", HUGE, ids=["+huge", "-huge"])
+def test_an_exponential_base_past_the_float_range_is_refused(a):
+    with pytest.raises(DomainError) as info:
+        exp_antidifference(a, 1.0)
+    assert str(info.value) == f"base must be positive, finite and != 1, got {AS_FLOAT[a]}"
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, -1], ids=["nan", "inf", "-inf", "2.5", "-1"])
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_a_count_must_be_a_nonnegative_integer(entry, n):
+    with pytest.raises(DomainError) as info:
+        COUNT_ENTRIES[entry](n)
+    assert str(info.value) == f"order must be a nonnegative integer, got {n!r}"
 
 
 @pytest.mark.parametrize(
@@ -60,7 +108,8 @@ def test_a_coefficient_must_be_nonzero_and_finite(entry, lam):
     error = ZeroLambda if lam == 0 else NonFiniteInput
     with pytest.raises(error) as info:
         COEFFICIENT_ENTRIES[entry](lam)
-    assert str(info.value) == ("lambda must be nonzero" if lam == 0 else f"lambda must be finite, got {lam!r}")
+    words = "lambda must be nonzero" if lam == 0 else f"lambda must be finite, got {AS_FLOAT.get(lam, repr(lam))}"
+    assert str(info.value) == words
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
